@@ -34,7 +34,7 @@ from .evaluation import (
 )
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
 from .network import HeteroNetwork, TypedNode, build_network, validate_network
-from .ranker import QueryResult, bow_file_scores, combine_and_rank, cosine, netreg_file_scores
+from .ranker import QueryResult, bow_file_scores, combine_and_rank, file_cosines, netreg_file_scores
 from .regularizer import (
     RepresentationModel,
     SolverConfig,

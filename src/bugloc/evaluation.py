@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
-from scipy import stats
-
 from .errors import ValidationError
 from .ranker import combine_and_rank
 
@@ -152,6 +150,8 @@ def paired_t_test(
         t_stat = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
         return TTestResult(t_stat, False, math.nan, True)
     t_stat = mean / math.sqrt(var / n)
+    from scipy import stats  # imported here: it costs most of the CLI's start-up
+
     p_value = 2.0 * float(stats.t.sf(abs(t_stat), n - 1))
     return TTestResult(t_stat, p_value < 1.0 - confidence, p_value, False)
 

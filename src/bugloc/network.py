@@ -10,9 +10,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from .corpus import BowVector, BugReport, Vocabulary
 from .errors import ValidationError
@@ -31,6 +35,40 @@ class TypedNode(NamedTuple):
     key: str
 
 
+def kind_slice(nodes: Sequence[TypedNode], kind: str) -> slice:
+    """Positions of one kind's nodes in a sorted node sequence.
+
+    TypedNode sorts by kind first, so each kind's nodes are contiguous.
+    """
+    return slice(bisect_left(nodes, (kind,)), bisect_left(nodes, (kind + "\0",)))
+
+
+@dataclass(frozen=True)
+class NetworkView:
+    """Array form of a network: row i of every array belongs to nodes[i]."""
+
+    nodes: tuple[TypedNode, ...]  # sorted
+    adjacency: sparse.csr_array  # symmetric edge weights
+    degree: np.ndarray  # row sums of adjacency
+    labels: np.ndarray  # connected-component label per row
+    kind_rows: dict[str, sparse.csr_array]  # each kind's rows of adjacency
+
+    def components_without(self, rows) -> tuple[np.ndarray, list[tuple[int, TypedNode]]]:
+        """Find the components that hold none of the given rows (a mask,
+        slice or index array).
+
+        Returns a per-row mask of their members and, for each such component
+        in the order of its smallest node, its size and that node.
+        """
+        reached = np.zeros(len(self.nodes), dtype=bool)
+        reached[self.labels[rows]] = True
+        members = ~reached[self.labels]
+        member_rows = np.flatnonzero(members)
+        _, first, sizes = np.unique(self.labels[member_rows], return_index=True, return_counts=True)
+        smallest = member_rows[first]
+        return members, [(int(size), self.nodes[row]) for row, size in sorted(zip(smallest, sizes))]
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     severity: str  # "error" | "warning" | "info"
@@ -43,6 +81,7 @@ class HeteroNetwork:
 
     def __init__(self):
         self._adj: dict[TypedNode, dict[TypedNode, float]] = {}
+        self._view: NetworkView | None = None
 
     @property
     def nodes(self):
@@ -57,6 +96,7 @@ class HeteroNetwork:
         if not node.key:
             raise ValidationError("node key must be nonempty")
         self._adj.setdefault(node, {})
+        self._view = None
         return node
 
     def add_edge(self, a: TypedNode, b: TypedNode, weight: float) -> None:
@@ -93,6 +133,34 @@ class HeteroNetwork:
     def nodes_of_kind(self, kind: str) -> list[TypedNode]:
         return sorted(n for n in self._adj if n.kind == kind)
 
+    def view(self) -> NetworkView:
+        """The array view of the graph, built on first use after a change."""
+        if self._view is None:
+            nodes = tuple(sorted(self._adj))
+            index = {node: i for i, node in enumerate(nodes)}
+            indptr = np.cumsum([0] + [len(self._adj[node]) for node in nodes])
+            columns = [index[b] for a in nodes for b in self._adj[a]]
+            weights = [w for a in nodes for w in self._adj[a].values()]
+            shape = (len(nodes), len(nodes))
+            adjacency = sparse.csr_array((weights, columns, indptr), shape=shape, dtype=np.float64)
+            _, labels = csgraph.connected_components(adjacency, directed=False)
+            self._view = NetworkView(
+                nodes=nodes,
+                adjacency=adjacency,
+                degree=adjacency.sum(axis=1),
+                labels=labels,
+                kind_rows={kind: adjacency[kind_slice(nodes, kind)] for kind in KINDS},
+            )
+        return self._view
+
+
+def check_fix_links(reports: Sequence[BugReport], paths) -> None:
+    """Reject a report that fixes a path outside the ranked universe."""
+    for report in reports:
+        for path in report.fixed_files:
+            if path not in paths:
+                raise ValidationError(f"report {report.id!r} fixes unknown path {path!r}")
+
 
 def build_network(
     reports: Sequence[BugReport],
@@ -111,6 +179,7 @@ def build_network(
     """
     net = HeteroNetwork()
     paths = set(source_paths)
+    check_fix_links(reports, paths)
     for path in sorted(paths):
         net.add_node(TypedNode("S", path))
     for report in reports:
@@ -124,10 +193,6 @@ def build_network(
             term = vocab.term_of(idx)
             net.add_edge(TypedNode("T", term), b_node, bow.entries[idx])
         for path in report.fixed_files:
-            if path not in paths:
-                raise ValidationError(
-                    f"report {report.id!r} fixes unknown path {path!r}"
-                )
             net.add_edge(b_node, TypedNode("S", path), 1.0)
     for path in sorted(buckets):
         if path not in paths:
@@ -168,39 +233,20 @@ def validate_network(net: HeteroNetwork) -> list[Diagnostic]:
             diags.append(
                 Diagnostic("error", "weight", f"edge {a} -- {b} has bad weight {w!r}")
             )
-    for comp in _components(net):
-        if not any(n.kind == "T" for n in comp):
-            sample = min(comp)
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    "isolated-component",
-                    f"component of {len(comp)} nodes (e.g. {sample.kind}:{sample.key}) "
-                    f"has no path to any T node",
-                )
+    view = net.view()
+    for size, sample in view.components_without(kind_slice(view.nodes, "T"))[1]:
+        diags.append(
+            Diagnostic(
+                "warning",
+                "isolated-component",
+                f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
+                f"has no path to any T node",
             )
+        )
     counts = " ".join(f"{k}={node_counts[k]}" for k in KINDS)
     edges = " ".join(f"{label}={edge_counts[label]}" for label in sorted(edge_counts))
     diags.append(Diagnostic("info", "counts", f"nodes {counts}; edges {edges}".rstrip()))
     return diags
-
-
-def _components(net: HeteroNetwork):
-    seen: set[TypedNode] = set()
-    for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for nbr in net.neighbors(node):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    comp.append(nbr)
-                    queue.append(nbr)
-        yield comp
 
 
 def write_edge_csv(net: HeteroNetwork, path) -> None:

@@ -7,9 +7,12 @@ import hashlib
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from . import evaluation, ranker, regularizer
 from .corpus import (
@@ -26,8 +29,8 @@ from .corpus import (
 )
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from .errors import ValidationError
-from .metrics import MetricRecord, discretize, load_metrics
-from .network import HeteroNetwork, build_network
+from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
+from .network import HeteroNetwork, build_network, check_fix_links
 from .regularizer import RepresentationModel, SolverConfig
 
 logger = logging.getLogger(__name__)
@@ -273,7 +276,14 @@ class Index:
     train_bows: dict[str, BowVector]
     fix_links: dict[str, tuple[str, ...]]
     universe: tuple[str, ...]
-    network: HeteroNetwork
+    buckets: dict[str, list[MetricBucket]]
+
+    @cached_property
+    def network(self) -> HeteroNetwork:
+        """Built on first use: a run that loads its model never needs it."""
+        return build_network(
+            self.train_reports, self.train_bows, self.vocab, self.universe, self.buckets
+        )
 
 
 def file_universe(dataset: Dataset) -> tuple[str, ...]:
@@ -289,15 +299,15 @@ def file_universe(dataset: Dataset) -> tuple[str, ...]:
 
 
 def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
-    """Split chronologically and assemble the training-side index and network."""
+    """Split chronologically and assemble the training-side index; the
+    network is built when first used."""
     train, queries = split_reports(dataset.reports, cfg.split)
     if not train:
         raise ValidationError("the chronological split leaves no training reports")
+    universe = file_universe(dataset)
+    check_fix_links(train, set(universe))
     vocab = build_vocabulary(dataset.report_tokens[r.id] for r in train)
     train_bows = {r.id: bow_vectorize(dataset.report_tokens[r.id], vocab) for r in train}
-    universe = file_universe(dataset)
-    buckets = discretize(dataset.metric_records, cfg.buckets_per_metric)
-    net = build_network(train, train_bows, vocab, universe, buckets)
     return Index(
         dataset_name=dataset.name,
         train_reports=train,
@@ -306,7 +316,7 @@ def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
         train_bows=train_bows,
         fix_links={r.id: r.fixed_files for r in train},
         universe=universe,
-        network=net,
+        buckets=discretize(dataset.metric_records, cfg.buckets_per_metric),
     )
 
 
@@ -314,16 +324,15 @@ def solve_index(index: Index, table: EmbeddingTable, cfg: RunConfig) -> Represen
     return regularizer.solve(index.network, table, cfg.solver_config())
 
 
-def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]):
-    """Token-frequency-weighted embedding mean per source file."""
+def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndarray:
+    """Token-frequency-weighted embedding mean per source file, one row per path."""
     if dataset.source_tokens is None:
         raise ValidationError("the embedding method needs source docs, none configured")
-    vectors = {}
-    for path in universe:
+    vectors = np.zeros((len(universe), dataset.table.dim), dtype=np.float64)
+    for row, path in enumerate(universe):
         tokens = dataset.source_tokens.get(path, [])
         weights = {t: float(c) for t, c in Counter(tokens).items()}
-        vec, _ = embed_tokens(tokens, weights, dataset.table)
-        vectors[path] = vec
+        vectors[row], _ = embed_tokens(tokens, weights, dataset.table)
     return vectors
 
 
@@ -335,7 +344,7 @@ class Scorer:
         index: Index,
         table: EmbeddingTable,
         model: RepresentationModel | None = None,
-        file_vectors: Mapping | None = None,
+        file_vectors: np.ndarray | None = None,
     ):
         self.index = index
         self.table = table
@@ -359,15 +368,8 @@ class Scorer:
     def embedding_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
         if self.file_vectors is None:
             raise ValidationError("no file embedding vectors available")
-        weights = {t: 0.0 for t in set(query_tokens)}
-        query_bow = bow_vectorize(query_tokens, self.index.vocab)
-        for idx, w in query_bow.entries.items():
-            weights[self.index.vocab.term_of(idx)] = w
-        query_vec, _ = embed_tokens(query_tokens, weights, self.table)
-        return {
-            path: ranker.cosine(query_vec, self.file_vectors[path])
-            for path in self.index.universe
-        }
+        query_vec, _ = ranker.embed_query(query_tokens, self.table, self.index.vocab)
+        return ranker.file_cosines(query_vec, self.index.universe, self.file_vectors)
 
 
 def prepare_scorer(

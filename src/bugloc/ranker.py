@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import BowVector, Vocabulary, bow_vectorize
 from .embeddings import EmbeddingTable, embed_tokens
 from .errors import ValidationError
-from .network import TypedNode
+from .network import kind_slice
 from .regularizer import RepresentationModel
 
 logger = logging.getLogger(__name__)
@@ -32,19 +32,6 @@ class QueryResult:
 
     def paths(self) -> list[str]:
         return [path for path, _ in self.ranking]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
 
 
 def cosine_bow(a: BowVector, b: BowVector) -> float:
@@ -84,31 +71,51 @@ def bow_file_scores(
     return scores
 
 
+def embed_query(
+    query_tokens: Sequence[str], table: EmbeddingTable, vocab: Vocabulary
+) -> tuple[np.ndarray, int]:
+    """TF-IDF-weighted mean of the query's in-table tokens, and its OOV count.
+
+    Weights are taken under the training vocabulary; tokens the vocabulary
+    does not know weigh 0.
+    """
+    weights = dict.fromkeys(query_tokens, 0.0)
+    for idx, w in bow_vectorize(query_tokens, vocab).entries.items():
+        weights[vocab.term_of(idx)] = w
+    return embed_tokens(query_tokens, weights, table)
+
+
+def file_cosines(
+    query_vec: np.ndarray, paths: Sequence[str], files: np.ndarray
+) -> dict[str, float]:
+    """Cosine between the query and each row of files (one row per path);
+    0.0 where the query or the row has zero norm."""
+    if files.shape[1] != query_vec.shape[0]:
+        raise ValidationError(f"dimension mismatch: {query_vec.shape} vs rows of {files.shape}")
+    norms = np.linalg.norm(files, axis=1) * np.linalg.norm(query_vec)
+    dots = files @ query_vec
+    cosines = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
+    return dict(zip(paths, cosines.tolist()))
+
+
 def netreg_file_scores(
     query_tokens: Sequence[str],
     model: RepresentationModel,
     table: EmbeddingTable,
     vocab: Vocabulary,
 ) -> dict[str, float]:
-    """Cosine between the embedded query and each file's learned vector.
-
-    The query is embedded as the TF-IDF-weighted mean of its in-table
-    tokens, with weights taken under the training vocabulary (tokens the
-    vocabulary does not know weigh 0). A query that embeds to zero scores
-    every file 0 and logs a warning.
+    """Cosine between the embedded query (embed_query) and each file's
+    learned vector. A query that embeds to zero scores every file 0 and
+    logs a warning.
     """
-    weights = {t: 0.0 for t in set(query_tokens)}
-    query_bow = bow_vectorize(query_tokens, vocab)
-    for idx, w in query_bow.entries.items():
-        weights[vocab.term_of(idx)] = w
-    query_vec, oov = embed_tokens(query_tokens, weights, table)
-    files = sorted(n for n in model.vectors if n.kind == "S")
+    query_vec, oov = embed_query(query_tokens, table, vocab)
+    files = kind_slice(model.nodes, "S")
     if not np.any(query_vec):
         logger.warning(
             "query embeds to the zero vector (%d OOV tokens); all file scores are 0", oov
         )
-        return {node.key: 0.0 for node in files}
-    return {node.key: cosine(query_vec, model.vectors[node]) for node in files}
+    paths = [node.key for node in model.nodes[files]]
+    return file_cosines(query_vec, paths, model.matrix[files])
 
 
 def minmax_normalize(scores: Mapping[str, float]) -> dict[str, float]:

@@ -1,17 +1,22 @@
 """Clamped graph smoothing over the heterogeneous network.
 
-Every node gets a d-dimensional vector. Term nodes with a known embedding
-are clamped to it; all remaining nodes are free and relax to the weighted
-average of their neighbors, which minimizes the edge-weighted sum of
-squared differences. Two independent routes find that minimum:
+Every node gets a d-dimensional vector, one row of the model's matrix.
+Term nodes with a known embedding are clamped to it; all remaining nodes
+are free and relax to the weighted average of their neighbors, which
+minimizes the edge-weighted sum of squared differences. Two independent
+routes find that minimum, both on the network's array view:
 
 * solve(): in-place Gauss-Seidel sweeps until the largest per-node move
-  drops below the tolerance;
-* closed_form_solve(): one direct linear solve of the harmonic system,
-  kept as a small-problem cross-check.
+  drops below the tolerance. A sweep updates one kind at a time, each as
+  one sparse product: edges only join B-T, B-S and S-M, so nodes of one
+  kind never read each other and the whole-kind update is exactly the
+  node-by-node one;
+* closed_form_solve(): one sparse LU solve of the harmonic system, with
+  no cap on the number of free nodes; the tests' oracle.
 
 Free nodes in a component with no clamped node have no information source;
-both routes leave them at zero and report a diagnostic.
+both routes leave them at zero and report a diagnostic, read from the
+view's single connected-component labelling.
 """
 
 from __future__ import annotations
@@ -19,15 +24,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
-from .network import HeteroNetwork, TypedNode
+from .network import HeteroNetwork, NetworkView, TypedNode, kind_slice
 
 logger = logging.getLogger(__name__)
 
@@ -63,16 +68,29 @@ class ConvergenceReport:
 
 @dataclass
 class RepresentationModel:
-    """Vectors for every network node plus the set of clamped term nodes."""
+    """One vector per network node, as rows of a matrix, plus the clamped term nodes.
 
-    dim: int
-    vectors: dict[TypedNode, np.ndarray]
+    `nodes` is sorted, so each kind's rows are contiguous.
+    """
+
+    nodes: tuple[TypedNode, ...]
+    matrix: np.ndarray  # len(nodes) x dim
     clamped: frozenset[TypedNode]
     convergence: ConvergenceReport | None = None
     diagnostics: list[str] = field(default_factory=list)
 
+    def __post_init__(self):
+        if any(a >= b for a, b in zip(self.nodes, self.nodes[1:])):
+            raise ValidationError("model nodes must be sorted and distinct")
+        self._row = {node: i for i, node in enumerate(self.nodes)}
+        self._clamped_rows = np.array([node in self.clamped for node in self.nodes], dtype=bool)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
     def vector(self, node: TypedNode) -> np.ndarray:
-        return self.vectors[node]
+        return self.matrix[self._row[node]]
 
 
 def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
@@ -80,96 +98,69 @@ def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> Repr
 
     A T node missing from the table stays free, like B, S, and M nodes.
     """
-    vectors: dict[TypedNode, np.ndarray] = {}
-    clamped = set()
-    for node in net.nodes:
-        if node.kind == "T" and node.key in table:
-            vectors[node] = np.array(table.vectors[node.key], dtype=np.float64)
-            clamped.add(node)
-        else:
-            vectors[node] = np.zeros(table.dim, dtype=np.float64)
-    return RepresentationModel(dim=table.dim, vectors=vectors, clamped=frozenset(clamped))
+    nodes = net.view().nodes
+    clamped = frozenset(node for node in nodes[kind_slice(nodes, "T")] if node.key in table)
+    model = RepresentationModel(nodes, np.zeros((len(nodes), table.dim)), clamped)
+    for node in clamped:
+        model.vector(node)[:] = table.vectors[node.key]
+    return model
 
 
-def _sweep_schedule(net: HeteroNetwork, clamped: frozenset[TypedNode]) -> list[TypedNode]:
-    by_kind: dict[str, list[TypedNode]] = {"T": [], "B": [], "S": [], "M": []}
-    for node in net.nodes:
-        if node not in clamped:
-            by_kind[node.kind].append(node)
-    for nodes in by_kind.values():
-        nodes.sort()
-    schedule: list[TypedNode] = []
-    for kind in _SWEEP_KINDS:
-        schedule.extend(by_kind[kind])
-    return schedule
+def _aligned_view(model: RepresentationModel, net: HeteroNetwork) -> NetworkView:
+    view = net.view()
+    if model.nodes is not view.nodes and model.nodes != view.nodes:
+        raise ValidationError("the model's nodes differ from the network's")
+    return view
 
 
 def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
     """Run one Gauss-Seidel sweep in place; return the largest L2 node move.
 
     Each free node is set to the weighted average of its neighbors, using
-    already-updated values within the sweep. Free nodes without neighbors
-    are left untouched. Clamped nodes never move.
+    values already updated within the sweep. The kinds are visited in the
+    order of _SWEEP_KINDS, all free nodes of a kind at once: no edge joins
+    two nodes of one kind, so none of them reads another's new value and
+    the block update equals visiting them one by one. Free nodes without
+    neighbors are left untouched. Clamped nodes never move.
     """
-    vectors = model.vectors
+    view = _aligned_view(model, net)
+    movable = ~model._clamped_rows & (view.degree > 0)
     max_disp = 0.0
-    for node in _sweep_schedule(net, model.clamped):
-        nbrs = net.neighbors(node)
-        if not nbrs:
+    for kind in _SWEEP_KINDS:
+        block = kind_slice(view.nodes, kind)
+        rows = movable[block]
+        if not rows.any():
             continue
-        acc = np.zeros(model.dim, dtype=np.float64)
-        weight_sum = 0.0
-        for other, w in nbrs.items():
-            acc += w * vectors[other]
-            weight_sum += w
-        acc /= weight_sum
-        disp = float(np.linalg.norm(acc - vectors[node]))
-        vectors[node] = acc
-        if disp > max_disp:
-            max_disp = disp
+        update = (view.kind_rows[kind] @ model.matrix)[rows] / view.degree[block][rows, None]
+        current = model.matrix[block]
+        max_disp = max(max_disp, float(np.linalg.norm(update - current[rows], axis=1).max()))
+        current[rows] = update
     return max_disp
 
 
 def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
-    """Edge-weighted sum of squared vector differences, each edge counted once."""
-    total = 0.0
-    for a, b, w in net.edges():
-        diff = model.vectors[a] - model.vectors[b]
-        total += w * float(diff @ diff)
-    return total
+    """Edge-weighted sum of squared vector differences, each edge counted once.
+
+    Computed as the Laplacian quadratic form sum_i deg_i |x_i|^2 - tr(X' A X),
+    which needs node-sized temporaries only, not one row per edge.
+    """
+    view = _aligned_view(model, net)
+    x = model.matrix
+    return float(view.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, view.adjacency @ x))
 
 
-def _free_components_without_clamp(net, clamped):
-    """Yield connected components (node lists) that contain no clamped node."""
-    seen: set[TypedNode] = set()
-    for start in sorted(net.nodes):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        has_clamp = start in clamped
-        while queue:
-            node = queue.popleft()
-            for nbr in net.neighbors(node):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    comp.append(nbr)
-                    queue.append(nbr)
-                    has_clamp = has_clamp or nbr in clamped
-        if not has_clamp:
-            yield comp
-
-
-def _isolation_diagnostics(net, clamped) -> list[str]:
-    diags = []
-    for comp in _free_components_without_clamp(net, clamped):
-        sample = min(comp)
-        diags.append(
-            f"component of {len(comp)} free nodes (e.g. {sample.kind}:{sample.key}) "
-            f"has no clamped node; vectors stay zero"
-        )
-    return diags
+def _isolate(model: RepresentationModel, view: NetworkView) -> np.ndarray:
+    """Set and log one diagnostic per component with no clamped node;
+    return the rows of those components."""
+    isolated, components = view.components_without(model._clamped_rows)
+    model.diagnostics = [
+        f"component of {size} free nodes (e.g. {sample.kind}:{sample.key}) "
+        f"has no clamped node; vectors stay zero"
+        for size, sample in components
+    ]
+    for msg in model.diagnostics:
+        logger.warning("%s", msg)
+    return isolated
 
 
 def solve(
@@ -183,8 +174,9 @@ def solve(
     Stops when the largest per-node move in a sweep falls below
     config.tolerance, or after config.max_iters sweeps. The returned model
     carries a ConvergenceReport; clamped vectors are bit-identical to the
-    table. `initial` substitutes a custom starting model (same network),
-    used to check that the fixed point does not depend on initialization.
+    table. `initial` substitutes a custom starting model over the same
+    nodes, used to check that the fixed point does not depend on
+    initialization.
     """
     config = config or SolverConfig()
     if config.max_iters < 1:
@@ -192,9 +184,7 @@ def solve(
     if config.tolerance <= 0.0:
         raise ValidationError("tolerance must be positive")
     model = initial if initial is not None else initialize_representation(net, table)
-    isolated = _isolation_diagnostics(net, model.clamped)
-    for msg in isolated:
-        logger.warning("%s", msg)
+    _isolate(model, _aligned_view(model, net))
     energies: list[float] = []
     displacement = float("inf")
     iterations = 0
@@ -218,58 +208,31 @@ def solve(
         final_displacement=displacement,
         final_energy=energy(model, net),
         energies=tuple(energies),
-        isolated_components=tuple(isolated),
+        isolated_components=tuple(model.diagnostics),
     )
-    model.diagnostics = list(isolated)
     return model
 
 
-def closed_form_solve(
-    net: HeteroNetwork, table: EmbeddingTable, max_free: int = 2000
-) -> RepresentationModel:
+def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
     """Solve the harmonic system directly: every free node equals the
     weighted average of its neighbors, with clamped values substituted.
 
-    Assembles the free-node Laplacian block and solves it once per model
-    (all d dimensions share the matrix). Guarded to max_free free nodes.
-    Free components with no clamped node are left at zero with a diagnostic.
+    One sparse LU factorization of the free-node Laplacian block serves all
+    d dimensions. Free components with no clamped node are left at zero
+    with a diagnostic; every other free node is connected to a clamped one,
+    so the block is nonsingular.
     """
     model = initialize_representation(net, table)
-    isolated_nodes: set[TypedNode] = set()
-    diags = _isolation_diagnostics(net, model.clamped)
-    for comp in _free_components_without_clamp(net, model.clamped):
-        isolated_nodes.update(comp)
-    free = sorted(
-        n for n in net.nodes if n not in model.clamped and n not in isolated_nodes
-    )
-    if len(free) > max_free:
-        raise ValidationError(
-            f"closed-form route limited to {max_free} free nodes, got {len(free)}"
-        )
-    for msg in diags:
-        logger.warning("%s", msg)
-    model.diagnostics = diags
-    if not free:
+    view = net.view()
+    isolated = _isolate(model, view)
+    free = np.flatnonzero(~model._clamped_rows & ~isolated)
+    if not free.size:
         return model
-    index = {node: i for i, node in enumerate(free)}
-    n = len(free)
-    a_mat = np.zeros((n, n), dtype=np.float64)
-    b_mat = np.zeros((n, model.dim), dtype=np.float64)
-    for node, i in index.items():
-        degree = 0.0
-        for nbr, w in net.neighbors(node).items():
-            degree += w
-            j = index.get(nbr)
-            if j is not None:
-                a_mat[i, j] -= w
-            else:
-                # neighbor is clamped: isolated nodes cannot neighbor a
-                # solvable one (different components)
-                b_mat[i] += w * model.vectors[nbr]
-        a_mat[i, i] = degree
-    solution = np.linalg.solve(a_mat, b_mat)
-    for node, i in index.items():
-        model.vectors[node] = solution[i].copy()
+    clamped = np.flatnonzero(model._clamped_rows)
+    to_free = view.adjacency[free]
+    laplacian = sparse.diags_array(view.degree[free]) - to_free[:, free]
+    rhs = to_free[:, clamped] @ model.matrix[clamped]
+    model.matrix[free] = splu(sparse.csc_array(laplacian)).solve(rhs)
     return model
 
 
@@ -277,7 +240,7 @@ def clamped_digest(model: RepresentationModel) -> str:
     """Stable hash of the clamped set and its vectors."""
     h = hashlib.sha256()
     for node in sorted(model.clamped):
-        vec = model.vectors[node]
+        vec = model.vector(node)
         h.update(node.kind.encode())
         h.update(node.key.encode())
         h.update(b"\x00")
@@ -291,25 +254,27 @@ def dump_model(model: RepresentationModel, path) -> None:
 
     Floats are written with repr so loading restores them bit-exactly.
     """
-    nodes = sorted(model.vectors)
-    for node in nodes:
+    for node in model.nodes:
         if "\t" in node.key or "\n" in node.key:
             raise ValidationError(f"node key {node.key!r} cannot be serialized")
     header = {
         "dim": model.dim,
-        "nodes": len(nodes),
+        "nodes": len(model.nodes),
         "clamped_digest": clamped_digest(model),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for node in nodes:
-            flag = "c" if node in model.clamped else "f"
-            values = " ".join(repr(float(x)) for x in model.vectors[node])
+        for node, clamped, vec in zip(model.nodes, model._clamped_rows, model.matrix):
+            flag = "c" if clamped else "f"
+            values = " ".join(repr(float(x)) for x in vec)
             fh.write(f"{node.kind}\t{node.key}\t{flag}\t{values}\n")
 
 
 def load_model(path) -> RepresentationModel:
-    """Read a model written by dump_model, verifying the clamped-set digest."""
+    """Read a model written by dump_model, verifying the clamped-set digest.
+
+    Rows are ordered by node, whatever their order in the file.
+    """
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
         try:
@@ -348,7 +313,9 @@ def load_model(path) -> RepresentationModel:
         raise ValidationError(
             f"{path}: header declares {declared_nodes} nodes but file holds {len(vectors)}"
         )
-    model = RepresentationModel(dim=dim, vectors=vectors, clamped=frozenset(clamped))
+    nodes = tuple(sorted(vectors))
+    matrix = np.array([vectors[node] for node in nodes], dtype=np.float64).reshape(len(nodes), dim)
+    model = RepresentationModel(nodes=nodes, matrix=matrix, clamped=frozenset(clamped))
     digest = clamped_digest(model)
     if digest != declared_digest:
         raise ValidationError(f"{path}: clamped-set digest mismatch")

@@ -111,11 +111,9 @@ def test_criterion_03_maximum_principle_clamps_and_init_independence(oracle_runs
     for net, table, _, _ in runs[:10]:
         base = solve(net, table, tight)
         seeded = initialize_representation(net, table)
-        for node in seeded.vectors:
+        for row, node in enumerate(seeded.nodes):
             if node not in seeded.clamped:
-                seeded.vectors[node] = np.array(
-                    [init_rng.uniform(-5.0, 5.0) for _ in range(table.dim)]
-                )
+                seeded.matrix[row] = [init_rng.uniform(-5.0, 5.0) for _ in range(table.dim)]
         other = solve(net, table, tight, initial=seeded)
         for node in net.nodes:
             gap = float(np.max(np.abs(base.vector(node) - other.vector(node))))

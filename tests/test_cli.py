@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bugloc
 from bugloc.cli import main
 
 
@@ -84,6 +89,26 @@ class TestSolveEvalSweepQuery:
                     str(fresh), "--tolerance", "1e-8") == 0
         assert (from_model / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
         assert (from_model / "ttests.csv").read_bytes() == (fresh / "ttests.csv").read_bytes()
+
+    def test_eval_with_model_still_rejects_fix_outside_universe(
+        self, cli_dataset, tmp_path, capsys
+    ):
+        solved = tmp_path / "solved"
+        assert _run("solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(solved)) == 0
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("sources.jsonl", "metrics.csv", "embeddings.txt"):
+            (data / name).write_bytes((cli_dataset / name).read_bytes())
+        with open(cli_dataset / "reports.jsonl", encoding="utf-8") as src, \
+                open(data / "reports.jsonl", "w", encoding="utf-8") as dst:
+            for line in src:
+                report = json.loads(line)
+                report["fixed_files"].append("src/Ghost.java")
+                dst.write(json.dumps(report) + "\n")
+        capsys.readouterr()
+        assert _run("eval", "--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"),
+                    "--model", str(solved / "model.tsv")) == 1
+        assert "fixes unknown path 'src/Ghost.java'" in capsys.readouterr().err
 
     def test_eval_outputs_are_shaped_like_the_config(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -172,6 +197,15 @@ class TestDeterminism:
         assert _run("synth", "--out-dir", str(again), "--seed", "7") == 0
         for name in ("reports.jsonl", "sources.jsonl", "metrics.csv", "embeddings.txt"):
             assert (again / name).read_bytes() == (cli_dataset / name).read_bytes()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
+    probe = "import sys, bugloc.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:

@@ -155,6 +155,19 @@ class TestBuildIndex:
             train_tokens.update(eval_bundle.dataset.report_tokens[r.id])
         assert set(index.vocab.terms) <= train_tokens
 
+    def test_scorer_with_a_model_builds_no_network(self, eval_bundle, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("network built")
+
+        monkeypatch.setattr(pipeline, "build_network", refuse)
+        scorer = pipeline.prepare_scorer(
+            eval_bundle.dataset,
+            eval_bundle.cfg,
+            model=eval_bundle.scorer.model,
+            methods=(evaluation.METHOD_NETREG,),
+        )
+        assert scorer.netreg_scores(["top00w00a"])
+
     def test_split_leaves_training_data(self, synth_dir):
         cfg = pipeline.RunConfig(split=0.9)
         cfg.apply_dataset_dir(synth_dir)

@@ -12,12 +12,17 @@ from bugloc.network import TypedNode
 from bugloc.ranker import (
     bow_file_scores,
     combine_and_rank,
-    cosine,
     cosine_bow,
+    file_cosines,
     minmax_normalize,
     netreg_file_scores,
 )
 from bugloc.regularizer import RepresentationModel
+
+
+def cosine(a, b):
+    """file_cosines for a single file row."""
+    return file_cosines(a, ["f"], b[None, :])["f"]
 
 
 class TestCosine:
@@ -118,14 +123,15 @@ class TestBowFileScores:
 
 def _model_and_table():
     table = EmbeddingTable(2, {"socket": np.array([1.0, 0.0])})
-    vectors = {
-        TypedNode("T", "socket"): np.array([1.0, 0.0]),
-        TypedNode("S", "a.java"): np.array([1.0, 0.0]),
-        TypedNode("S", "b.java"): np.array([0.0, 1.0]),
-        TypedNode("B", "B-1"): np.array([0.5, 0.5]),
-    }
     model = RepresentationModel(
-        dim=2, vectors=vectors, clamped=frozenset({TypedNode("T", "socket")})
+        nodes=(
+            TypedNode("B", "B-1"),
+            TypedNode("S", "a.java"),
+            TypedNode("S", "b.java"),
+            TypedNode("T", "socket"),
+        ),
+        matrix=np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+        clamped=frozenset({TypedNode("T", "socket")}),
     )
     vocab = build_vocabulary([["socket", "leak"], ["leak"]])
     return model, table, vocab

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from bugloc import pipeline, synthgen
 from bugloc.embeddings import EmbeddingTable
 from bugloc.errors import ParseError, ValidationError
 from bugloc.network import HeteroNetwork, TypedNode
@@ -55,7 +56,7 @@ class TestInitialize:
     def test_clamped_vector_is_a_copy(self):
         net, table = _pair_net()
         model = initialize_representation(net, table)
-        model.vectors[T1][0] = 99.0
+        model.matrix[model.nodes.index(T1), 0] = 99.0
         assert table.vectors["t1"][0] == 1.0
 
 
@@ -85,17 +86,54 @@ class TestSweepAndEnergy:
         net = HeteroNetwork()
         net.add_edge(T1, B1, 2.0)
         model = RepresentationModel(
-            dim=1,
-            vectors={T1: np.array([1.0]), B1: np.array([0.5])},
-            clamped=frozenset(),
+            nodes=(B1, T1), matrix=np.array([[0.5], [1.0]]), clamped=frozenset()
         )
         assert energy(model, net) == 0.5  # 2.0 * (1.0 - 0.5)^2
 
     def test_energy_of_edgeless_network_is_zero(self):
         net = HeteroNetwork()
         net.add_node(T1)
-        model = RepresentationModel(dim=1, vectors={T1: np.array([1.0])}, clamped=frozenset())
+        model = RepresentationModel(nodes=(T1,), matrix=np.array([[1.0]]), clamped=frozenset())
         assert energy(model, net) == 0.0
+
+
+def _node_by_node_sweep(net, vectors, clamped):
+    """Reference: the sequential Gauss-Seidel sweep over the dict adjacency,
+    one node at a time in sorted order within each kind."""
+    max_disp = 0.0
+    for kind in ("T", "B", "S", "M", "S", "B"):
+        for node in net.nodes_of_kind(kind):
+            nbrs = net.neighbors(node)
+            if node in clamped or not nbrs:
+                continue
+            acc = sum(w * vectors[other] for other, w in nbrs.items()) / sum(nbrs.values())
+            max_disp = max(max_disp, float(np.linalg.norm(acc - vectors[node])))
+            vectors[node] = acc
+    return max_disp
+
+
+class TestAgainstNodeByNodeReference:
+    def test_block_sweep_and_energy_match_the_sequential_loops(self):
+        rng = random.Random(2718)
+        for _ in range(25):
+            net, table = random_network(rng)
+            model = initialize_representation(net, table)
+            for row, node in enumerate(model.nodes):
+                if node not in model.clamped:
+                    model.matrix[row] = [rng.uniform(-5.0, 5.0) for _ in range(table.dim)]
+            vectors = {node: model.vector(node).copy() for node in model.nodes}
+            for _ in range(3):
+                disp = sweep_update(model, net)
+                assert disp == pytest.approx(
+                    _node_by_node_sweep(net, vectors, model.clamped), rel=1e-12, abs=1e-12
+                )
+                for node in model.nodes:
+                    np.testing.assert_allclose(model.vector(node), vectors[node], rtol=0, atol=1e-12)
+                edge_sum = sum(
+                    w * float((vectors[a] - vectors[b]) @ (vectors[a] - vectors[b]))
+                    for a, b, w in net.edges()
+                )
+                assert energy(model, net) == pytest.approx(edge_sum, rel=1e-12, abs=1e-12)
 
 
 class TestSolve:
@@ -160,6 +198,12 @@ class TestSolve:
         np.testing.assert_array_equal(direct.vector(b2), [0.0])
         assert direct.diagnostics == model.diagnostics
 
+    def test_initial_model_over_other_nodes_rejected(self):
+        net, table = _weighted_net()
+        other, _ = _pair_net()
+        with pytest.raises(ValidationError, match="nodes differ"):
+            solve(net, table, initial=initialize_representation(other, table))
+
     def test_config_validation(self):
         net, table = _pair_net()
         with pytest.raises(ValidationError):
@@ -185,11 +229,19 @@ class TestClosedForm:
                     iterative.vector(node), direct.vector(node), atol=1e-6
                 )
 
-    def test_free_node_guard(self):
-        net, table = _weighted_net()
-        net.add_edge(B1, S1, 1.0)
-        with pytest.raises(ValidationError, match="free nodes"):
-            closed_form_solve(net, table, max_free=1)
+    def test_handles_the_m_scale_synthetic_network(self, tmp_path):
+        spec = synthgen.SynthSpec(num_reports=1000, num_files=200, vocab_size=2000, dim=50)
+        synthgen.generate(spec, tmp_path)
+        cfg = pipeline.RunConfig()
+        cfg.apply_dataset_dir(tmp_path)
+        dataset = pipeline.load_dataset(cfg, use_cache=False)
+        net = pipeline.build_index(dataset, cfg).network
+        assert net.num_nodes() > 2000
+        direct = closed_form_solve(net, dataset.table)
+        iterative = solve(net, dataset.table, SolverConfig(tolerance=1e-10, max_iters=1000))
+        assert iterative.convergence.converged
+        assert direct.nodes == iterative.nodes
+        np.testing.assert_allclose(direct.matrix, iterative.matrix, rtol=0.0, atol=1e-6)
 
 
 class TestInvariants:
@@ -222,11 +274,9 @@ class TestInvariants:
         cfg = SolverConfig(max_iters=50000, tolerance=1e-12)
         base = solve(net, table, cfg)
         init = initialize_representation(net, table)
-        for node in init.vectors:
+        for row, node in enumerate(init.nodes):
             if node not in init.clamped:
-                init.vectors[node] = np.array(
-                    [rng.uniform(-5.0, 5.0) for _ in range(table.dim)]
-                )
+                init.matrix[row] = [rng.uniform(-5.0, 5.0) for _ in range(table.dim)]
         other = solve(net, table, cfg, initial=init)
         for node in net.nodes:
             np.testing.assert_allclose(base.vector(node), other.vector(node), atol=1e-9)
@@ -242,9 +292,8 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.dim == model.dim
         assert loaded.clamped == model.clamped
-        assert set(loaded.vectors) == set(model.vectors)
-        for node in model.vectors:
-            np.testing.assert_array_equal(loaded.vector(node), model.vector(node))
+        assert loaded.nodes == model.nodes
+        np.testing.assert_array_equal(loaded.matrix, model.matrix)
         assert clamped_digest(loaded) == clamped_digest(model)
 
     def test_dump_is_deterministic(self, tmp_path):
@@ -296,11 +345,24 @@ class TestModelSerialization:
         with pytest.raises(ValidationError, match="nodes"):
             load_model(path)
 
+    def test_rows_are_ordered_by_node_whatever_the_file_order(self, tmp_path):
+        net, table = _weighted_net()
+        model = solve(net, table)
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded.nodes == model.nodes
+        np.testing.assert_array_equal(loaded.matrix, model.matrix)
+
+    def test_unsorted_model_rejected(self):
+        with pytest.raises(ValidationError, match="sorted"):
+            RepresentationModel(nodes=(T1, B1), matrix=np.zeros((2, 1)), clamped=frozenset())
+
     def test_tab_in_key_rejected(self):
         model = RepresentationModel(
-            dim=1,
-            vectors={TypedNode("S", "bad\tname"): np.array([0.0])},
-            clamped=frozenset(),
+            nodes=(TypedNode("S", "bad\tname"),), matrix=np.array([[0.0]]), clamped=frozenset()
         )
         with pytest.raises(ValidationError, match="serialized"):
             dump_model(model, "/dev/null")
