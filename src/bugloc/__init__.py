@@ -25,6 +25,7 @@ from .errors import ParseError, ValidationError
 from .evaluation import (
     EvalConfig,
     EvalRow,
+    ap_table,
     average_precision_at_k,
     evaluate_methods,
     mean_average_precision,
@@ -34,7 +35,15 @@ from .evaluation import (
 )
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
 from .network import HeteroNetwork, TypedNode, build_network, validate_network
-from .ranker import QueryResult, bow_file_scores, combine_and_rank, file_cosines, netreg_file_scores
+from .ranker import (
+    BowIndex,
+    QueryResult,
+    bow_file_scores,
+    build_bow_index,
+    combine_and_rank,
+    file_cosines,
+    netreg_file_scores,
+)
 from .regularizer import (
     RepresentationModel,
     SolverConfig,

@@ -63,7 +63,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--model", help="model dump to load (defaults to solving fresh)")
     e = common(sub.add_parser("eval", help="evaluate methods at their best alpha"))
     e.add_argument("--model", help="model dump to load (defaults to solving fresh)")
-    common(sub.add_parser("sweep", help="MAP for every method at every grid alpha"))
+    w = common(sub.add_parser("sweep", help="MAP for every method at every grid alpha"))
+    w.add_argument("--model", help="model dump to load (defaults to solving fresh)")
     s = common(sub.add_parser("synth", help="generate a synthetic dataset"))
     s.add_argument("--num-reports", type=int)
     s.add_argument("--num-files", type=int)
@@ -317,7 +318,8 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg)
-    ctx = pipeline.build_eval_context(dataset, cfg)
+    scorer = pipeline.prepare_scorer(dataset, cfg, model=_load_model_arg(args))
+    ctx = pipeline.build_eval_context(dataset, cfg, scorer=scorer)
     rows = evaluation.sweep_alpha(ctx, cfg.eval_config())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

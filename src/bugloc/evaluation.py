@@ -1,9 +1,10 @@
 """Evaluation protocol: precision@k, AP@k, MAP, method comparison, alpha
 sweeps, and a paired Student's t-test on per-query average precision.
 
-Rankings are produced per query from precomputed raw score components; the
-combination weight alpha only affects the blend, so one component pass per
-query serves the whole grid.
+Rankings come from precomputed query x file score matrices; the
+combination weight alpha only affects the blend, so one component pass
+serves the whole grid, and one table of per-query AP over (method, alpha,
+k) serves both evaluate_methods and sweep_alpha.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .ranker import combine_and_rank
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +44,11 @@ class EvalConfig:
             raise ValidationError(f"ks must be ascending positive integers, got {self.ks!r}")
         if not self.alpha_grid or any(not 0.0 <= a <= 1.0 for a in self.alpha_grid):
             raise ValidationError("alpha_grid values must lie in [0, 1]")
+        # the best-alpha rule (ties go to the smallest) reads the grid in order
+        if list(self.alpha_grid) != sorted(set(self.alpha_grid)):
+            raise ValidationError(
+                f"alpha_grid must be strictly ascending, got {self.alpha_grid!r}"
+            )
         if not 0.0 < self.split < 1.0:
             raise ValidationError(f"split must lie in (0, 1), got {self.split!r}")
         bad = [m for m in self.methods if m not in ALL_METHODS]
@@ -68,17 +75,20 @@ class TTestResult(NamedTuple):
 
 @dataclass
 class EvalContext:
-    """Precomputed per-query raw score components over one dataset split.
+    """Precomputed raw score components over one dataset split, as
+    query x file matrices: row i belongs to query_ids[i], column j to
+    universe[j] (ascending path).
 
-    second_scores holds the learned-space component per method ("bow" maps
-    to an all-zero component so the same blend code serves every method).
+    relevant marks each query's ground-truth files; learned holds the
+    learned-space component of each non-bow method.
     """
 
     dataset_name: str
     query_ids: list[str]
-    relevant: dict[str, set[str]]
-    bow_scores: dict[str, dict[str, float]]
-    second_scores: dict[str, dict[str, dict[str, float]]]
+    universe: tuple[str, ...]
+    relevant: np.ndarray
+    bow: np.ndarray
+    learned: dict[str, np.ndarray]
     excluded: list[str] = field(default_factory=list)
     num_train: int = 0
 
@@ -122,7 +132,7 @@ def average_precision_at_k(ranking: Sequence[str], relevant: set[str], k: int) -
 
 def mean_average_precision(values: Sequence[float]) -> float:
     """Arithmetic mean of AP values; empty input is an error."""
-    if not values:
+    if len(values) == 0:
         raise ValidationError("mean_average_precision needs at least one value")
     return math.fsum(values) / len(values)
 
@@ -150,35 +160,58 @@ def paired_t_test(
         t_stat = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
         return TTestResult(t_stat, False, math.nan, True)
     t_stat = mean / math.sqrt(var / n)
-    from scipy import stats  # imported here: it costs most of the CLI's start-up
+    # the t distribution's survival function, as scipy.stats computes it;
+    # scipy.stats itself would cost most of the CLI's start-up
+    from scipy.special import stdtr
 
-    p_value = 2.0 * float(stats.t.sf(abs(t_stat), n - 1))
+    p_value = 2.0 * float(stdtr(n - 1, -abs(t_stat)))
     return TTestResult(t_stat, p_value < 1.0 - confidence, p_value, False)
 
 
-def _rankings_for(
-    ctx: EvalContext, method: str, alpha: float, k: int
-) -> dict[str, list[str]]:
-    effective = 0.0 if method == METHOD_BOW else alpha
-    second = ctx.second_scores[method]
-    out = {}
-    for qid in ctx.query_ids:
-        result = combine_and_rank(
-            ctx.bow_scores[qid], second[qid], effective, k, query_id=qid
-        )
-        out[qid] = result.paths()
-    return out
+def _minmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Scale each row to [0, 1]; a constant row becomes all zeros."""
+    lo = scores.min(axis=1, keepdims=True)
+    span = scores.max(axis=1, keepdims=True) - lo
+    return np.divide(scores - lo, span, out=np.zeros_like(scores), where=span > 0.0)
 
 
-def _ap_table(ctx: EvalContext, method: str, alpha: float, ks: Sequence[int]):
-    """AP per query per k, from one ranking at the largest k."""
-    rankings = _rankings_for(ctx, method, alpha, max(ks))
-    table = {k: [] for k in ks}
-    for qid in ctx.query_ids:
-        ranking = rankings[qid]
-        rel = ctx.relevant[qid]
-        for k in ks:
-            table[k].append(average_precision_at_k(ranking, rel, k))
+def _ap_at_ks(final: np.ndarray, relevant: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
+    """Per-query AP@k of the rankings final implies, for every k.
+
+    Files are ordered by descending score, ties by ascending column, as
+    combine_and_rank orders them; the arithmetic is average_precision_at_k's.
+    """
+    depth = min(max(ks), final.shape[1])
+    top = np.argsort(-final, axis=1, kind="stable")[:, :depth]
+    hits = np.take_along_axis(relevant, top, axis=1)
+    precision = np.cumsum(hits, axis=1) / np.arange(1, depth + 1)
+    running = np.cumsum(np.where(hits, precision, 0.0), axis=1)
+    num_relevant = relevant.sum(axis=1)
+    return {k: running[:, min(k, depth) - 1] / num_relevant for k in ks}
+
+
+def ap_table(ctx: EvalContext, config: EvalConfig) -> dict[tuple[str, float, int], np.ndarray]:
+    """Per-query AP for every (method, alpha, k), aligned with ctx.query_ids.
+
+    final = (1 - alpha) * bow + alpha * learned, both min-max normalized per
+    query. The bow method ignores alpha and is computed once, at alpha 0.
+    """
+    if not ctx.query_ids:
+        raise ValidationError("no queries to evaluate")
+    if not ctx.relevant.any(axis=1).all():
+        raise ValidationError("every query needs a relevant file in the universe")
+    bow_n = _minmax_rows(ctx.bow)
+    table: dict[tuple[str, float, int], np.ndarray] = {}
+    for method in config.methods:
+        if method == METHOD_BOW:
+            for k, aps in _ap_at_ks(bow_n, ctx.relevant, config.ks).items():
+                table[(method, 0.0, k)] = aps
+            continue
+        learned_n = _minmax_rows(ctx.learned[method])
+        for alpha in config.alpha_grid:
+            final = (1.0 - alpha) * bow_n + alpha * learned_n
+            for k, aps in _ap_at_ks(final, ctx.relevant, config.ks).items():
+                table[(method, alpha, k)] = aps
     return table
 
 
@@ -189,33 +222,22 @@ def evaluate_methods(ctx: EvalContext, config: EvalConfig) -> EvalResult:
     grid alpha maximizing MAP@k (ties go to the smallest alpha). Rows are
     ordered by configured method order, then ascending k.
     """
-    if not ctx.query_ids:
-        raise ValidationError("no queries to evaluate")
+    table = ap_table(ctx, config)
     rows: list[EvalRow] = []
     per_query: dict[tuple[str, int], tuple[float, list[float]]] = {}
     m = len(ctx.query_ids)
     for method in config.methods:
-        grid = (0.0,) if method == METHOD_BOW else tuple(config.alpha_grid)
-        by_alpha = {alpha: _ap_table(ctx, method, alpha, config.ks) for alpha in grid}
+        grid = (0.0,) if method == METHOD_BOW else config.alpha_grid
         for k in config.ks:
             best_alpha = None
             best_map = -1.0
             for alpha in grid:
-                value = mean_average_precision(by_alpha[alpha][k])
+                value = mean_average_precision(table[(method, alpha, k)])
                 if value > best_map:
                     best_map = value
                     best_alpha = alpha
-            rows.append(
-                EvalRow(
-                    method=method,
-                    dataset=ctx.dataset_name,
-                    alpha=best_alpha,
-                    k=k,
-                    map_value=best_map,
-                    num_queries=m,
-                )
-            )
-            per_query[(method, k)] = (best_alpha, by_alpha[best_alpha][k])
+            rows.append(EvalRow(method, ctx.dataset_name, best_alpha, k, best_map, m))
+            per_query[(method, k)] = (best_alpha, table[(method, best_alpha, k)].tolist())
     return EvalResult(
         rows=rows,
         per_query_ap=per_query,
@@ -230,25 +252,13 @@ def sweep_alpha(ctx: EvalContext, config: EvalConfig) -> list[EvalRow]:
     The bow method ignores alpha, so its rows repeat one value across the
     grid; at alpha 0 every method's row matches bow's exactly.
     """
-    if not ctx.query_ids:
-        raise ValidationError("no queries to evaluate")
+    table = ap_table(ctx, config)
     rows: list[EvalRow] = []
     m = len(ctx.query_ids)
     for method in config.methods:
-        if method == METHOD_BOW:
-            table = _ap_table(ctx, method, 0.0, config.ks)
-            maps = {k: mean_average_precision(table[k]) for k in config.ks}
-            for alpha in config.alpha_grid:
-                for k in config.ks:
-                    rows.append(EvalRow(method, ctx.dataset_name, alpha, k, maps[k], m))
-            continue
         for alpha in config.alpha_grid:
-            table = _ap_table(ctx, method, alpha, config.ks)
+            effective = 0.0 if method == METHOD_BOW else alpha
             for k in config.ks:
-                rows.append(
-                    EvalRow(
-                        method, ctx.dataset_name, alpha, k,
-                        mean_average_precision(table[k]), m,
-                    )
-                )
+                value = mean_average_precision(table[(method, effective, k)])
+                rows.append(EvalRow(method, ctx.dataset_name, alpha, k, value, m))
     return rows

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .corpus import BowVector, BugReport, Vocabulary
 from .errors import ValidationError
@@ -143,6 +142,10 @@ class HeteroNetwork:
             weights = [w for a in nodes for w in self._adj[a].values()]
             shape = (len(nodes), len(nodes))
             adjacency = sparse.csr_array((weights, columns, indptr), shape=shape, dtype=np.float64)
+            # imported here: csgraph loads scipy.linalg, and a run that
+            # loads a solved model builds no view
+            from scipy.sparse import csgraph
+
             _, labels = csgraph.connected_components(adjacency, directed=False)
             self._view = NetworkView(
                 nodes=nodes,

@@ -30,7 +30,7 @@ from .corpus import (
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from .errors import ValidationError
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
-from .network import HeteroNetwork, build_network, check_fix_links
+from .network import HeteroNetwork, build_network, check_fix_links, kind_slice
 from .regularizer import RepresentationModel, SolverConfig
 
 logger = logging.getLogger(__name__)
@@ -285,6 +285,13 @@ class Index:
             self.train_reports, self.train_bows, self.vocab, self.universe, self.buckets
         )
 
+    @cached_property
+    def bow_index(self) -> ranker.BowIndex:
+        """Built on first use: solving and building the network never need it."""
+        return ranker.build_bow_index(
+            self.train_bows, self.fix_links, self.universe, len(self.vocab)
+        )
+
 
 def file_universe(dataset: Dataset) -> tuple[str, ...]:
     """Inventory paths when sources or metrics exist, else all fixed files."""
@@ -337,7 +344,8 @@ def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndar
 
 
 class Scorer:
-    """Computes the raw per-file score components for one query's tokens."""
+    """Computes the raw per-file score components of queries, with files
+    in universe order (ascending path)."""
 
     def __init__(
         self,
@@ -346,30 +354,40 @@ class Scorer:
         model: RepresentationModel | None = None,
         file_vectors: np.ndarray | None = None,
     ):
+        if model is not None:
+            files = tuple(node.key for node in model.nodes[kind_slice(model.nodes, "S")])
+            if files != index.universe:
+                raise ValidationError("the model's files differ from the dataset's file universe")
         self.index = index
         self.table = table
         self.model = model
         self.file_vectors = file_vectors
-        self.zero_scores = {path: 0.0 for path in index.universe}
+
+    def bow_matrix(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
+        """SimiScore of each query, one row per token list."""
+        vocab = self.index.vocab
+        bows = [bow_vectorize(tokens, vocab) for tokens in token_lists]
+        return ranker.bow_file_scores(bows, self.index.bow_index)
 
     def bow_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
-        query_bow = bow_vectorize(query_tokens, self.index.vocab)
-        return ranker.bow_file_scores(
-            query_bow, self.index.train_bows, self.index.fix_links, self.index.universe
-        )
+        return dict(zip(self.index.universe, self.bow_matrix([query_tokens])[0].tolist()))
 
-    def netreg_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
-        if self.model is None:
-            raise ValidationError("no representation model available")
-        return ranker.netreg_file_scores(
-            query_tokens, self.model, self.table, self.index.vocab
-        )
-
-    def embedding_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
+    def learned_scores(self, method: str, query_tokens: Sequence[str]) -> np.ndarray:
+        """The learned-space component of the netreg or embedding method."""
+        if method == evaluation.METHOD_NETREG:
+            if self.model is None:
+                raise ValidationError("no representation model available")
+            return ranker.netreg_file_scores(
+                query_tokens, self.model, self.table, self.index.vocab
+            )
         if self.file_vectors is None:
             raise ValidationError("no file embedding vectors available")
         query_vec, _ = ranker.embed_query(query_tokens, self.table, self.index.vocab)
-        return ranker.file_cosines(query_vec, self.index.universe, self.file_vectors)
+        return ranker.file_cosines(query_vec, self.file_vectors)
+
+    def netreg_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
+        scores = self.learned_scores(evaluation.METHOD_NETREG, query_tokens)
+        return dict(zip(self.index.universe, scores.tolist()))
 
 
 def prepare_scorer(
@@ -397,7 +415,7 @@ def build_eval_context(
     model: RepresentationModel | None = None,
     scorer: Scorer | None = None,
 ) -> evaluation.EvalContext:
-    """Precompute per-query raw components for the configured methods.
+    """Precompute the raw components of every query for the configured methods.
 
     Queries with no ground-truth file inside the ranked universe are
     excluded from scoring and listed in the context.
@@ -405,40 +423,41 @@ def build_eval_context(
     if scorer is None:
         scorer = prepare_scorer(dataset, cfg, model=model)
     index = scorer.index
-    universe = set(index.universe)
-    query_ids: list[str] = []
+    column = {path: j for j, path in enumerate(index.universe)}
+    queries: list[BugReport] = []
+    truth: list[list[int]] = []
     excluded: list[str] = []
-    relevant: dict[str, set[str]] = {}
-    bow_scores: dict[str, dict[str, float]] = {}
-    second: dict[str, dict[str, dict[str, float]]] = {m: {} for m in cfg.methods}
     for report in index.query_reports:
-        rel = set(report.fixed_files) & universe
-        if not rel:
+        columns = [column[path] for path in report.fixed_files if path in column]
+        if columns:
+            queries.append(report)
+            truth.append(columns)
+        else:
             excluded.append(report.id)
-            continue
-        tokens = dataset.report_tokens[report.id]
-        query_ids.append(report.id)
-        relevant[report.id] = rel
-        bow_scores[report.id] = scorer.bow_scores(tokens)
-        for method in cfg.methods:
-            if method == evaluation.METHOD_BOW:
-                second[method][report.id] = scorer.zero_scores
-            elif method == evaluation.METHOD_NETREG:
-                second[method][report.id] = scorer.netreg_scores(tokens)
-            elif method == evaluation.METHOD_EMBEDDING:
-                second[method][report.id] = scorer.embedding_scores(tokens)
     if excluded:
         logger.warning(
             "excluded %d of %d queries with no ground-truth file in the universe",
             len(excluded),
             len(index.query_reports),
         )
+    shape = (len(queries), len(index.universe))
+    relevant = np.zeros(shape, dtype=bool)
+    for row, columns in enumerate(truth):
+        relevant[row, columns] = True
+    token_lists = [dataset.report_tokens[report.id] for report in queries]
+    learned = {
+        method: np.zeros(shape) for method in cfg.methods if method != evaluation.METHOD_BOW
+    }
+    for row, tokens in enumerate(token_lists):
+        for method, matrix in learned.items():
+            matrix[row] = scorer.learned_scores(method, tokens)
     return evaluation.EvalContext(
         dataset_name=dataset.name,
-        query_ids=query_ids,
+        query_ids=[report.id for report in queries],
+        universe=index.universe,
         relevant=relevant,
-        bow_scores=bow_scores,
-        second_scores=second,
+        bow=scorer.bow_matrix(token_lists),
+        learned=learned,
         excluded=excluded,
         num_train=len(index.train_reports),
     )

@@ -10,9 +10,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import BowVector, Vocabulary, bow_vectorize
 from .embeddings import EmbeddingTable, embed_tokens
@@ -45,30 +46,80 @@ def cosine_bow(a: BowVector, b: BowVector) -> float:
     return dot / (na * nb)
 
 
-def bow_file_scores(
-    query_bow: BowVector,
+@dataclass(frozen=True)
+class BowIndex:
+    """Training side of SimiScore, one row per training report in training
+    order: the R x V TF-IDF matrix, the reports' norms, each report's
+    fixed-file count and the 0/1 R x F report-to-file links, whose columns
+    follow the universe."""
+
+    tfidf: sparse.csr_matrix
+    norms: np.ndarray
+    counts: np.ndarray
+    links: sparse.csr_matrix
+
+
+def _bow_rows(bows: Sequence[BowVector], num_terms: int) -> sparse.csr_matrix:
+    """One CSR row per sparse TF-IDF vector."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for bow in bows:
+        indices.extend(bow.entries)
+        data.extend(bow.entries.values())
+        indptr.append(len(indices))
+    return sparse.csr_matrix((data, indices, indptr), shape=(len(bows), num_terms))
+
+
+def build_bow_index(
     train_bows: Mapping[str, BowVector],
     fix_links: Mapping[str, Sequence[str]],
-    universe: Iterable[str],
-) -> dict[str, float]:
-    """Transfer similar-report similarity to the files those reports fixed.
+    universe: Sequence[str],
+    num_terms: int,
+) -> BowIndex:
+    """Index the training reports for bow_file_scores.
 
-    score(file) = sum over training reports r fixing it of
-    cos(query, r) / |files fixed by r|. Files never fixed score 0.
+    A report's count is all its fixed files, so links outside the universe
+    still dilute its share; only links inside the universe get a column.
     """
-    scores = {path: 0.0 for path in sorted(universe)}
-    for rid, bow in train_bows.items():
+    column = {path: j for j, path in enumerate(universe)}
+    rows, cols, counts = [], [], []
+    for i, rid in enumerate(train_bows):
         files = fix_links.get(rid, ())
-        if not files:
-            continue
-        sim = cosine_bow(query_bow, bow)
-        if sim == 0.0:
-            continue
-        share = sim / len(files)
+        counts.append(len(files))
         for path in files:
-            if path in scores:
-                scores[path] += share
-    return scores
+            if path in column:
+                rows.append(i)
+                cols.append(column[path])
+    links = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(train_bows), len(universe))
+    )
+    bows = list(train_bows.values())
+    return BowIndex(
+        tfidf=_bow_rows(bows, num_terms),
+        norms=np.array([bow.norm() for bow in bows]),
+        # a report without fixes has an empty link row; 1 avoids dividing by 0
+        counts=np.maximum(np.array(counts, dtype=np.float64), 1.0),
+        links=links,
+    )
+
+
+def bow_file_scores(query_bows: Sequence[BowVector], index: BowIndex) -> np.ndarray:
+    """BugLocator's SimiScore: transfer similar-report similarity to the
+    files those reports fixed, one row per query, one column per file.
+
+    score(q, f) = sum over training reports r fixing f of
+    cos(q, r) / |files fixed by r|. Files never fixed score 0. Shares are
+    summed in training order.
+    """
+    queries = _bow_rows(query_bows, index.tfidf.shape[1])
+    sims = (queries @ index.tfidf.T).tocsr()
+    sims.sort_indices()
+    rows = np.repeat(np.arange(sims.shape[0]), np.diff(sims.indptr))
+    query_norms = np.array([bow.norm() for bow in query_bows])
+    sims.data /= query_norms[rows] * index.norms[sims.indices]
+    sims.data /= index.counts[sims.indices]
+    return (sims @ index.links).toarray()
 
 
 def embed_query(
@@ -85,17 +136,14 @@ def embed_query(
     return embed_tokens(query_tokens, weights, table)
 
 
-def file_cosines(
-    query_vec: np.ndarray, paths: Sequence[str], files: np.ndarray
-) -> dict[str, float]:
-    """Cosine between the query and each row of files (one row per path);
-    0.0 where the query or the row has zero norm."""
+def file_cosines(query_vec: np.ndarray, files: np.ndarray) -> np.ndarray:
+    """Cosine between the query and each row of files; 0.0 where the query
+    or the row has zero norm."""
     if files.shape[1] != query_vec.shape[0]:
         raise ValidationError(f"dimension mismatch: {query_vec.shape} vs rows of {files.shape}")
     norms = np.linalg.norm(files, axis=1) * np.linalg.norm(query_vec)
     dots = files @ query_vec
-    cosines = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
-    return dict(zip(paths, cosines.tolist()))
+    return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
 
 
 def netreg_file_scores(
@@ -103,19 +151,17 @@ def netreg_file_scores(
     model: RepresentationModel,
     table: EmbeddingTable,
     vocab: Vocabulary,
-) -> dict[str, float]:
+) -> np.ndarray:
     """Cosine between the embedded query (embed_query) and each file's
-    learned vector. A query that embeds to zero scores every file 0 and
-    logs a warning.
+    learned vector, in the model's file order (ascending path). A query
+    that embeds to zero scores every file 0 and logs a warning.
     """
     query_vec, oov = embed_query(query_tokens, table, vocab)
-    files = kind_slice(model.nodes, "S")
     if not np.any(query_vec):
         logger.warning(
             "query embeds to the zero vector (%d OOV tokens); all file scores are 0", oov
         )
-    paths = [node.key for node in model.nodes[files]]
-    return file_cosines(query_vec, paths, model.matrix[files])
+    return file_cosines(query_vec, model.matrix[kind_slice(model.nodes, "S")])
 
 
 def minmax_normalize(scores: Mapping[str, float]) -> dict[str, float]:

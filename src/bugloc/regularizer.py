@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
@@ -232,6 +231,9 @@ def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> Representati
     to_free = view.adjacency[free]
     laplacian = sparse.diags_array(view.degree[free]) - to_free[:, free]
     rhs = to_free[:, clamped] @ model.matrix[clamped]
+    # imported here: it loads scipy.linalg, which only the direct solve needs
+    from scipy.sparse.linalg import splu
+
     model.matrix[free] = splu(sparse.csc_array(laplacian)).solve(rhs)
     return model
 

@@ -150,15 +150,14 @@ def test_criterion_04_average_precision_fixtures_and_map_monotonicity(eval_bundl
 def test_criterion_05_alpha_zero_reduces_every_method_to_bow(eval_bundle):
     ctx = eval_bundle.ctx
     depth = len(eval_bundle.scorer.index.universe)
+    zeros = dict.fromkeys(ctx.universe, 0.0)
     checked = 0
-    for qid in ctx.query_ids:
-        reference = combine_and_rank(
-            ctx.bow_scores[qid], ctx.second_scores["bow"][qid], 0.0, depth
-        ).paths()
+    for row in range(len(ctx.query_ids)):
+        bow = dict(zip(ctx.universe, ctx.bow[row].tolist()))
+        reference = combine_and_rank(bow, zeros, 0.0, depth).paths()
         for method in ("embedding", "netreg"):
-            paths = combine_and_rank(
-                ctx.bow_scores[qid], ctx.second_scores[method][qid], 0.0, depth
-            ).paths()
+            learned = dict(zip(ctx.universe, ctx.learned[method][row].tolist()))
+            paths = combine_and_rank(bow, learned, 0.0, depth).paths()
             assert paths == reference
             checked += 1
     print(

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import bugloc
+from bugloc import regularizer
 from bugloc.cli import main
 
 
@@ -139,6 +140,23 @@ class TestSolveEvalSweepQuery:
         bow_maps = {r["map"] for r in rows if r["method"] == "bow" and r["k"] == "10"}
         assert len(bow_maps) == 1
 
+    def test_sweep_with_model_matches_plain_sweep_without_solving(
+        self, cli_dataset, tmp_path, monkeypatch
+    ):
+        solved = tmp_path / "solved"
+        assert _run("solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(solved)) == 0
+        plain = tmp_path / "plain"
+        assert _run("sweep", "--dataset-dir", str(cli_dataset), "--out-dir", str(plain)) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep --model solved the model")
+
+        monkeypatch.setattr(regularizer, "solve", refuse)
+        loaded = tmp_path / "loaded"
+        assert _run("sweep", "--dataset-dir", str(cli_dataset), "--out-dir", str(loaded),
+                    "--model", str(solved / "model.tsv")) == 0
+        assert (loaded / "sweep.csv").read_bytes() == (plain / "sweep.csv").read_bytes()
+
     def test_query_single_report_prints_ranking(self, cli_dataset, tmp_path, capsys):
         report = {
             "id": "Q-1",
@@ -206,6 +224,30 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only building a network view or the direct solve needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
+    probe = "import sys, bugloc.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_eval_leaves_scipy_stats_unloaded(cli_dataset, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
+    argv = ["eval", "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path)]
+    probe = (
+        "import sys; from bugloc.cli import main; "
+        f"assert main({argv!r}) == 0; print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert len(_read_rows(tmp_path / "ttests.csv")) > 0
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 class TestExitCodes:

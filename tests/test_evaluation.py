@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +8,7 @@ from bugloc.errors import ValidationError
 from bugloc.evaluation import (
     EvalConfig,
     EvalContext,
+    ap_table,
     average_precision_at_k,
     default_alpha_grid,
     evaluate_methods,
@@ -15,6 +17,7 @@ from bugloc.evaluation import (
     precision_at_k,
     sweep_alpha,
 )
+from bugloc.ranker import combine_and_rank
 
 # Hand-checked average-precision values for fixed ranked lists, computed
 # independently with exact rational arithmetic and frozen here.
@@ -141,8 +144,28 @@ class TestPairedTTest:
         with pytest.raises(ValidationError, match="confidence"):
             paired_t_test([0.1, 0.2], [0.2, 0.3], confidence=1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 30, 200])
+    @pytest.mark.parametrize("shift", [0.0, 0.01, 0.1, 0.5, -2.0])
+    def test_p_value_is_the_t_distributions_two_sided_tail(self, n, shift):
+        from scipy import stats
+
+        rng = np.random.default_rng(n)
+        a = rng.random(n).tolist()
+        b = (rng.random(n) + shift).tolist()
+        result = paired_t_test(a, b)
+        expected = 2.0 * float(stats.t.sf(abs(result.t_statistic), n - 1))
+        assert result.p_value == expected
+
 
 class TestEvalConfig:
+    def test_unsorted_alpha_grid_rejected(self):
+        with pytest.raises(ValidationError, match="ascending"):
+            EvalConfig(alpha_grid=(0.5, 0.0, 1.0))
+
+    def test_duplicated_alpha_grid_rejected(self):
+        with pytest.raises(ValidationError, match="ascending"):
+            EvalConfig(alpha_grid=(0.0, 0.5, 0.5, 1.0))
+
     def test_default_grid_spans_unit_interval(self):
         grid = default_alpha_grid()
         assert grid[0] == 0.0 and grid[-1] == 1.0
@@ -163,29 +186,89 @@ class TestEvalConfig:
 
 def _toy_context():
     """bow ranks the wrong file first; the netreg component fixes it."""
-    universe = ["f1", "f2", "f3"]
-
-    def scores(**kv):
-        return {path: kv.get(path, 0.0) for path in universe}
-
-    bow = {
-        "q1": scores(f3=1.0),
-        "q2": scores(f3=1.0, f2=0.2),
-    }
-    netreg = {
-        "q1": scores(f1=1.0),
-        "q2": scores(f2=1.0),
-    }
-    zeros = {qid: scores() for qid in bow}
     return EvalContext(
         dataset_name="toy",
         query_ids=["q1", "q2"],
-        relevant={"q1": {"f1"}, "q2": {"f2"}},
-        bow_scores=bow,
-        second_scores={"bow": zeros, "netreg": netreg},
+        universe=("f1", "f2", "f3"),
+        relevant=np.array([[True, False, False], [False, True, False]]),
+        bow=np.array([[0.0, 0.0, 1.0], [0.0, 0.2, 1.0]]),
+        learned={"netreg": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])},
         excluded=["q0"],
         num_train=5,
     )
+
+
+def _reference_table(ctx, config):
+    """ap_table computed one query at a time with combine_and_rank."""
+    table = {}
+    zeros = np.zeros_like(ctx.bow)
+    for method in config.methods:
+        grid = (0.0,) if method == "bow" else config.alpha_grid
+        learned = ctx.learned.get(method, zeros)
+        for alpha in grid:
+            for row in range(len(ctx.query_ids)):
+                ranking = combine_and_rank(
+                    dict(zip(ctx.universe, ctx.bow[row].tolist())),
+                    dict(zip(ctx.universe, learned[row].tolist())),
+                    alpha,
+                    max(config.ks),
+                ).paths()
+                relevant = {p for p, hit in zip(ctx.universe, ctx.relevant[row]) if hit}
+                for k in config.ks:
+                    ap = average_precision_at_k(ranking, relevant, k)
+                    table.setdefault((method, alpha, k), []).append(ap)
+    return table
+
+
+# few distinct values, so ties and constant rows are common
+SCORE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+
+
+@st.composite
+def contexts(draw):
+    num_queries = draw(st.integers(1, 4))
+    num_files = draw(st.integers(1, 6))
+    shape = (num_queries, num_files)
+
+    def matrix():
+        cells = st.lists(SCORE, min_size=num_files, max_size=num_files)
+        return np.array(draw(st.lists(cells, min_size=num_queries, max_size=num_queries)))
+
+    relevant = np.zeros(shape, dtype=bool)
+    for row in range(num_queries):
+        hits = draw(st.sets(st.integers(0, num_files - 1), min_size=1))
+        relevant[row, sorted(hits)] = True
+    return EvalContext(
+        dataset_name="random",
+        query_ids=[f"q{i}" for i in range(num_queries)],
+        universe=tuple(f"f{j}" for j in range(num_files)),
+        relevant=relevant,
+        bow=matrix(),
+        learned={"netreg": matrix(), "embedding": matrix()},
+    )
+
+
+class TestApTable:
+    CONFIG = EvalConfig(
+        ks=(1, 3, 8), alpha_grid=(0.0, 0.25, 0.5, 0.7, 1.0), methods=("bow", "embedding", "netreg")
+    )
+
+    @given(contexts())
+    def test_matches_a_per_query_reference_loop(self, ctx):
+        table = ap_table(ctx, self.CONFIG)
+        reference = _reference_table(ctx, self.CONFIG)
+        assert table.keys() == reference.keys()
+        for key, aps in reference.items():
+            assert table[key].tolist() == aps, key
+
+    def test_query_without_relevant_file_rejected(self):
+        ctx = _toy_context()
+        ctx.relevant[1] = False
+        with pytest.raises(ValidationError, match="relevant"):
+            ap_table(ctx, EvalConfig(methods=("bow", "netreg")))
 
 
 class TestEvaluateMethods:

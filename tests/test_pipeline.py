@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -179,17 +180,27 @@ class TestBuildIndex:
 class TestEvalContext:
     def test_context_covers_methods_and_queries(self, eval_bundle):
         ctx = eval_bundle.ctx
-        assert set(ctx.second_scores) == set(evaluation.ALL_METHODS)
-        for method in evaluation.ALL_METHODS:
-            assert set(ctx.second_scores[method]) == set(ctx.query_ids)
-        for qid in ctx.query_ids:
-            assert set(ctx.bow_scores[qid]) == set(eval_bundle.scorer.index.universe)
-            assert ctx.relevant[qid]
+        assert ctx.universe == eval_bundle.scorer.index.universe
+        shape = (len(ctx.query_ids), len(ctx.universe))
+        assert set(ctx.learned) == set(evaluation.ALL_METHODS) - {"bow"}
+        for matrix in (ctx.bow, ctx.relevant, *ctx.learned.values()):
+            assert matrix.shape == shape
+        assert ctx.relevant.any(axis=1).all()
 
-    def test_bow_second_component_is_zero(self, eval_bundle):
+    def test_bow_needs_no_learned_component(self, eval_bundle):
         ctx = eval_bundle.ctx
-        qid = ctx.query_ids[0]
-        assert set(ctx.second_scores["bow"][qid].values()) == {0.0}
+        assert "bow" not in ctx.learned
+        config = evaluation.EvalConfig(methods=("bow",))
+        assert evaluation.evaluate_methods(ctx, config).rows == [
+            row for row in eval_bundle.result.rows if row.method == "bow"
+        ]
+
+    def test_scorer_rejects_a_model_over_other_files(self, eval_bundle):
+        model = eval_bundle.scorer.model
+        index = eval_bundle.scorer.index
+        other = dataclasses.replace(index, universe=index.universe[1:])
+        with pytest.raises(ValidationError, match="universe"):
+            pipeline.Scorer(other, eval_bundle.dataset.table, model=model)
 
     def test_queries_follow_training_chronologically(self, eval_bundle):
         index = eval_bundle.scorer.index

@@ -11,6 +11,7 @@ from bugloc.errors import ValidationError
 from bugloc.network import TypedNode
 from bugloc.ranker import (
     bow_file_scores,
+    build_bow_index,
     combine_and_rank,
     cosine_bow,
     file_cosines,
@@ -22,7 +23,13 @@ from bugloc.regularizer import RepresentationModel
 
 def cosine(a, b):
     """file_cosines for a single file row."""
-    return file_cosines(a, ["f"], b[None, :])["f"]
+    return file_cosines(a, b[None, :])[0]
+
+
+def bow_scores(query, train_bows, fix_links, universe, num_terms=9):
+    """bow_file_scores of one query, keyed by path."""
+    index = build_bow_index(train_bows, fix_links, universe, num_terms)
+    return dict(zip(universe, bow_file_scores([query], index)[0].tolist()))
 
 
 class TestCosine:
@@ -77,6 +84,13 @@ class TestCosineBow:
         assert abs(cosine_bow(a, b) - cosine(dense_a, dense_b)) < 1e-12
 
 
+BOWS = st.dictionaries(
+    st.integers(0, 8), st.floats(min_value=0.01, max_value=9.0), max_size=5
+).map(BowVector)
+# "gone" is fixed by reports but lies outside the universe
+LINKED = ["a", "b", "c", "gone"]
+
+
 class TestBowFileScores:
     # cos(q, r1) = 0.8 and cos(q, r2) = 0.6 by construction
     Q = BowVector({0: 1.0})
@@ -84,7 +98,7 @@ class TestBowFileScores:
     R2 = BowVector({0: 0.6, 1: 0.8})
 
     def test_similarity_split_across_fixed_files(self):
-        scores = bow_file_scores(
+        scores = bow_scores(
             self.Q,
             {"r1": self.R1},
             {"r1": ["s1", "s2"]},
@@ -95,7 +109,7 @@ class TestBowFileScores:
         assert scores["s3"] == 0.0
 
     def test_contributions_accumulate(self):
-        scores = bow_file_scores(
+        scores = bow_scores(
             self.Q,
             {"r1": self.R1, "r2": self.R2},
             {"r1": ["s1", "s2"], "r2": ["s1"]},
@@ -105,17 +119,41 @@ class TestBowFileScores:
         assert scores["s2"] == pytest.approx(0.4, abs=1e-12)
 
     def test_fix_links_outside_universe_still_dilute(self):
-        scores = bow_file_scores(
+        scores = bow_scores(
             self.Q, {"r1": self.R1}, {"r1": ["s1", "gone"]}, ["s1"]
         )
         assert scores == {"s1": pytest.approx(0.4, abs=1e-12)}
 
     def test_reports_without_fixes_contribute_nothing(self):
-        scores = bow_file_scores(self.Q, {"r1": self.R1}, {}, ["s1"])
+        scores = bow_scores(self.Q, {"r1": self.R1}, {}, ["s1"])
         assert scores == {"s1": 0.0}
 
+    @given(
+        st.lists(BOWS, min_size=1, max_size=4),
+        st.lists(
+            st.tuples(BOWS, st.lists(st.sampled_from(LINKED), max_size=3, unique=True)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_batch_matches_a_per_report_loop(self, queries, train):
+        universe = ["a", "b", "c"]
+        train_bows = {f"r{i}": bow for i, (bow, _) in enumerate(train)}
+        fix_links = {f"r{i}": files for i, (_, files) in enumerate(train)}
+        index = build_bow_index(train_bows, fix_links, universe, 9)
+        batch = bow_file_scores(queries, index)
+        assert batch.shape == (len(queries), len(universe))
+        for query, row in zip(queries, batch):
+            expected = dict.fromkeys(universe, 0.0)
+            for rid, bow in train_bows.items():
+                files = fix_links[rid]
+                for path in files:
+                    if path in expected:
+                        expected[path] += cosine_bow(query, bow) / len(files)
+            assert np.allclose(row, [expected[p] for p in universe], rtol=1e-12, atol=0.0)
+
     def test_orthogonal_query_scores_zero(self):
-        scores = bow_file_scores(
+        scores = bow_scores(
             BowVector({5: 1.0}), {"r1": self.R1}, {"r1": ["s1"]}, ["s1"]
         )
         assert scores == {"s1": 0.0}
@@ -137,24 +175,30 @@ def _model_and_table():
     return model, table, vocab
 
 
+def netreg_scores(tokens, model, table, vocab):
+    """netreg_file_scores keyed by the model's file paths."""
+    paths = [node.key for node in model.nodes if node.kind == "S"]
+    return dict(zip(paths, netreg_file_scores(tokens, model, table, vocab).tolist()))
+
+
 class TestNetregFileScores:
     def test_scores_are_cosines_to_file_vectors(self):
         model, table, vocab = _model_and_table()
-        scores = netreg_file_scores(["socket"], model, table, vocab)
+        scores = netreg_scores(["socket"], model, table, vocab)
         assert set(scores) == {"a.java", "b.java"}
         assert scores["a.java"] == pytest.approx(1.0, abs=1e-12)
         assert scores["b.java"] == pytest.approx(0.0, abs=1e-12)
 
     def test_vocabulary_unknown_tokens_weigh_zero(self):
         model, table, vocab = _model_and_table()
-        with_unknown = netreg_file_scores(["socket", "mystery"], model, table, vocab)
-        base = netreg_file_scores(["socket"], model, table, vocab)
+        with_unknown = netreg_scores(["socket", "mystery"], model, table, vocab)
+        base = netreg_scores(["socket"], model, table, vocab)
         assert with_unknown == base
 
     def test_zero_embedding_query_warns_and_zeroes(self, caplog):
         model, table, vocab = _model_and_table()
         with caplog.at_level(logging.WARNING, logger="bugloc.ranker"):
-            scores = netreg_file_scores(["mystery"], model, table, vocab)
+            scores = netreg_scores(["mystery"], model, table, vocab)
         assert scores == {"a.java": 0.0, "b.java": 0.0}
         assert "zero vector" in caplog.text
 
