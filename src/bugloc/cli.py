@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -265,10 +266,12 @@ def cmd_query(args) -> int:
             cfg.k,
             query_id=report.id,
         )
-        lines = ["rank,path,score"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["rank", "path", "score"])
         for rank, (path, score) in enumerate(result.ranking, 1):
-            lines.append(f"{rank},{path},{score:.8f}")
-        text = "\n".join(lines) + "\n"
+            writer.writerow([rank, path, f"{score:.8f}"])
+        text = buf.getvalue()
         if batch:
             out.mkdir(parents=True, exist_ok=True)
             (out / f"query_{report.id}.csv").write_text(text, encoding="utf-8")

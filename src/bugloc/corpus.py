@@ -32,25 +32,21 @@ _SUFFIXES = ("ations", "ation", "ings", "ing", "edly", "ed", "es", "s", "ly")
 _REPORT_KEYS = ("id", "summary", "description", "report_time", "status", "fixed_files")
 
 
+def _parse_stopwords(text: str) -> frozenset[str]:
+    """One term per line, lowercased; blank lines and '#' comments skipped."""
+    terms = (line.strip() for line in text.split("\n"))
+    return frozenset(term.lower() for term in terms if term and not term.startswith("#"))
+
+
 def load_stopwords(path) -> frozenset[str]:
-    """Read a stoplist file: one lowercase term per line, '#' comments allowed."""
-    words = set()
+    """Read a stoplist file: one term per line, '#' comments allowed."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            term = line.strip()
-            if term and not term.startswith("#"):
-                words.add(term.lower())
-    return frozenset(words)
+        return _parse_stopwords(fh.read())
 
 
 def default_stopwords() -> frozenset[str]:
     ref = resources.files("bugloc").joinpath("data/stopwords.txt")
-    words = set()
-    for line in ref.read_text(encoding="utf-8").splitlines():
-        term = line.strip()
-        if term and not term.startswith("#"):
-            words.add(term.lower())
-    return frozenset(words)
+    return _parse_stopwords(ref.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import ranker
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -36,7 +37,6 @@ def default_alpha_grid() -> tuple[float, ...]:
 class EvalConfig:
     ks: tuple[int, ...] = (1, 5, 10)
     alpha_grid: tuple[float, ...] = field(default_factory=default_alpha_grid)
-    split: float = 0.8
     methods: tuple[str, ...] = ALL_METHODS
 
     def __post_init__(self):
@@ -49,8 +49,6 @@ class EvalConfig:
             raise ValidationError(
                 f"alpha_grid must be strictly ascending, got {self.alpha_grid!r}"
             )
-        if not 0.0 < self.split < 1.0:
-            raise ValidationError(f"split must lie in (0, 1), got {self.split!r}")
         bad = [m for m in self.methods if m not in ALL_METHODS]
         if bad or not self.methods:
             raise ValidationError(f"unknown methods {bad!r}; choose from {ALL_METHODS}")
@@ -168,21 +166,10 @@ def paired_t_test(
     return TTestResult(t_stat, p_value < 1.0 - confidence, p_value, False)
 
 
-def _minmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Scale each row to [0, 1]; a constant row becomes all zeros."""
-    lo = scores.min(axis=1, keepdims=True)
-    span = scores.max(axis=1, keepdims=True) - lo
-    return np.divide(scores - lo, span, out=np.zeros_like(scores), where=span > 0.0)
-
-
-def _ap_at_ks(final: np.ndarray, relevant: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
-    """Per-query AP@k of the rankings final implies, for every k.
-
-    Files are ordered by descending score, ties by ascending column, as
-    combine_and_rank orders them; the arithmetic is average_precision_at_k's.
-    """
-    depth = min(max(ks), final.shape[1])
-    top = np.argsort(-final, axis=1, kind="stable")[:, :depth]
+def _ap_at_ks(top: np.ndarray, relevant: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:
+    """Per-query AP@k of the ranked columns top for every k (a k past the
+    ranking's depth reads all of it); the arithmetic is average_precision_at_k's."""
+    depth = top.shape[1]
     hits = np.take_along_axis(relevant, top, axis=1)
     precision = np.cumsum(hits, axis=1) / np.arange(1, depth + 1)
     running = np.cumsum(np.where(hits, precision, 0.0), axis=1)
@@ -193,24 +180,23 @@ def _ap_at_ks(final: np.ndarray, relevant: np.ndarray, ks: Sequence[int]) -> dic
 def ap_table(ctx: EvalContext, config: EvalConfig) -> dict[tuple[str, float, int], np.ndarray]:
     """Per-query AP for every (method, alpha, k), aligned with ctx.query_ids.
 
-    final = (1 - alpha) * bow + alpha * learned, both min-max normalized per
-    query. The bow method ignores alpha and is computed once, at alpha 0.
+    Rankings follow ranker.blend_and_rank, the rule bugloc query uses. The
+    bow method ignores alpha and is ranked once, at alpha 0.
     """
     if not ctx.query_ids:
         raise ValidationError("no queries to evaluate")
     if not ctx.relevant.any(axis=1).all():
         raise ValidationError("every query needs a relevant file in the universe")
-    bow_n = _minmax_rows(ctx.bow)
+    bow_n = ranker.minmax_rows(ctx.bow)
     table: dict[tuple[str, float, int], np.ndarray] = {}
     for method in config.methods:
         if method == METHOD_BOW:
-            for k, aps in _ap_at_ks(bow_n, ctx.relevant, config.ks).items():
-                table[(method, 0.0, k)] = aps
-            continue
-        learned_n = _minmax_rows(ctx.learned[method])
-        for alpha in config.alpha_grid:
-            final = (1.0 - alpha) * bow_n + alpha * learned_n
-            for k, aps in _ap_at_ks(final, ctx.relevant, config.ks).items():
+            grid, learned_n = (0.0,), bow_n
+        else:
+            grid, learned_n = config.alpha_grid, ranker.minmax_rows(ctx.learned[method])
+        for alpha in grid:
+            top, _ = ranker.blend_and_rank(bow_n, learned_n, alpha, max(config.ks))
+            for k, aps in _ap_at_ks(top, ctx.relevant, config.ks).items():
                 table[(method, alpha, k)] = aps
     return table
 

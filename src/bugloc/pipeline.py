@@ -70,7 +70,6 @@ class RunConfig:
     buckets_per_metric: int = 5
     max_iters: int = 100
     tolerance: float = 1e-6
-    track_energy: bool = False
     ks: tuple[int, ...] = (1, 5, 10)
     alpha_grid: tuple[float, ...] | None = None
     split: float = 0.8
@@ -115,7 +114,7 @@ class RunConfig:
             raise ValidationError("alpha must lie in [0, 1]")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        # EvalConfig re-validates ks/alpha_grid/split/methods on use
+        # EvalConfig re-validates ks/alpha_grid/methods on use; split_reports checks split
         for key in ("reports", "sources", "metrics", "embeddings"):
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
@@ -133,11 +132,7 @@ class RunConfig:
         )
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            max_iters=self.max_iters,
-            tolerance=self.tolerance,
-            track_energy=self.track_energy,
-        )
+        return SolverConfig(max_iters=self.max_iters, tolerance=self.tolerance)
 
     def eval_config(self) -> evaluation.EvalConfig:
         grid = (
@@ -146,7 +141,7 @@ class RunConfig:
             else evaluation.default_alpha_grid()
         )
         return evaluation.EvalConfig(
-            ks=tuple(self.ks), alpha_grid=grid, split=self.split, methods=tuple(self.methods)
+            ks=tuple(self.ks), alpha_grid=grid, methods=tuple(self.methods)
         )
 
     def apply_dataset_dir(self, dataset_dir) -> None:

@@ -2,7 +2,9 @@
 
 Two score components per query: a similar-report transfer score built on
 TF-IDF cosine, and a cosine in the learned representation space. They are
-min-max normalized per query and blended with a single weight alpha.
+min-max normalized per query and blended with a single weight alpha;
+minmax_rows and blend_and_rank are the one implementation of that rule, so
+bugloc query, eval and sweep rank files alike.
 """
 
 from __future__ import annotations
@@ -164,17 +166,26 @@ def netreg_file_scores(
     return file_cosines(query_vec, model.matrix[kind_slice(model.nodes, "S")])
 
 
-def minmax_normalize(scores: Mapping[str, float]) -> dict[str, float]:
-    """Scale scores to [0, 1] per query; a constant map normalizes to all zeros."""
-    if not scores:
-        return {}
-    values = scores.values()
-    lo = min(values)
-    hi = max(values)
-    if hi == lo:
-        return {key: 0.0 for key in scores}
-    span = hi - lo
-    return {key: (value - lo) / span for key, value in scores.items()}
+def minmax_rows(scores: np.ndarray) -> np.ndarray:
+    """Scale each query's scores (the last axis) to [0, 1]; a constant row
+    becomes all zeros."""
+    lo = scores.min(axis=-1, keepdims=True)
+    span = scores.max(axis=-1, keepdims=True) - lo
+    return np.divide(scores - lo, span, out=np.zeros_like(scores), where=span > 0.0)
+
+
+def blend_and_rank(
+    bow_n: np.ndarray, learned_n: np.ndarray, alpha: float, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blend min-max normalized components and keep each query's best depth files.
+
+    final = (1 - alpha) * bow + alpha * learned. Returns the columns in rank
+    order and their final scores: descending score, ties by ascending
+    column, which is ascending path when the columns are path-ordered.
+    """
+    final = (1.0 - alpha) * bow_n + alpha * learned_n
+    top = np.argsort(-final, axis=-1, kind="stable")[..., :depth]
+    return top, np.take_along_axis(final, top, axis=-1)
 
 
 def combine_and_rank(
@@ -184,11 +195,11 @@ def combine_and_rank(
     k: int,
     query_id: str = "",
 ) -> QueryResult:
-    """Blend the two normalized components and return the top-k files.
+    """Blend one query's path -> score maps and return the top-k files.
 
-    final = (1 - alpha) * bow + alpha * model, both min-max normalized over
-    this query's universe. Ties are broken by ascending path. At alpha=0
-    the ranking equals ordering by the raw bow component alone.
+    The maps run through minmax_rows and blend_and_rank in ascending path
+    order, so ties go to the ascending path; at alpha=0 the ranking is the
+    raw bow order. An empty universe gives an empty ranking.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
@@ -196,10 +207,14 @@ def combine_and_rank(
         raise ValidationError(f"k must be >= 1, got {k!r}")
     if set(bow_scores) != set(model_scores):
         raise ValidationError("score maps cover different file universes")
-    bow_n = minmax_normalize(bow_scores)
-    model_n = minmax_normalize(model_scores)
-    final = {
-        path: (1.0 - alpha) * bow_n[path] + alpha * model_n[path] for path in bow_n
-    }
-    ordered = sorted(final.items(), key=lambda item: (-item[1], item[0]))
-    return QueryResult(query_id=query_id, ranking=ordered[:k])
+    paths = sorted(bow_scores)
+    if not paths:
+        return QueryResult(query_id=query_id, ranking=[])
+    top, scores = blend_and_rank(
+        minmax_rows(np.array([bow_scores[p] for p in paths], dtype=np.float64)),
+        minmax_rows(np.array([model_scores[p] for p in paths], dtype=np.float64)),
+        alpha,
+        k,
+    )
+    ranking = [(paths[j], score) for j, score in zip(top.tolist(), scores.tolist())]
+    return QueryResult(query_id=query_id, ranking=ranking)

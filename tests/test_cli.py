@@ -200,6 +200,30 @@ class TestSolveEvalSweepQuery:
         assert (out / "query_Q-1.csv").exists()
         assert (out / "query_Q-2.csv").exists()
 
+    def test_query_rows_quote_paths_with_commas_and_quotes(self, cli_dataset, tmp_path, capsys):
+        odd = 'src/topic00/File,00 "v2".java'
+        data = tmp_path / "data"
+        data.mkdir()
+        # no metrics.csv, so the universe is the source paths
+        for name in ("reports.jsonl", "sources.jsonl"):
+            text = (cli_dataset / name).read_text(encoding="utf-8")
+            text = text.replace("src/topic00/File00.java", json.dumps(odd)[1:-1])
+            (data / name).write_text(text, encoding="utf-8")
+        (data / "embeddings.txt").write_bytes((cli_dataset / "embeddings.txt").read_bytes())
+        report = {
+            "id": "Q-1", "summary": "top00w00a fil00w00a", "description": "fil00w01a",
+            "report_time": "2022-01-01T00:00:00Z", "status": "open", "fixed_files": [],
+        }
+        report_path = tmp_path / "query.jsonl"
+        report_path.write_text(json.dumps(report) + "\n", encoding="utf-8")
+        assert _run("query", "--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"),
+                    "--report", str(report_path), "--k", "100") == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["rank", "path", "score"]
+        assert all(len(row) == 3 for row in rows)
+        assert [row[0] for row in rows[1:]] == [str(i) for i in range(1, len(rows))]
+        assert odd in {row[1] for row in rows[1:]}
+
 
 class TestDeterminism:
     def test_identical_eval_runs_are_byte_identical(self, cli_dataset, tmp_path):

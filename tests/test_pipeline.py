@@ -36,6 +36,9 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="mystery"):
             pipeline.RunConfig.from_dict({"mystery": 1})
+        # a removed key is unknown too, not silently ignored
+        with pytest.raises(ValidationError, match="track_energy"):
+            pipeline.RunConfig.from_dict({"track_energy": True})
 
     def test_missing_input_path_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="reports"):

@@ -15,10 +15,11 @@ from bugloc.ranker import (
     combine_and_rank,
     cosine_bow,
     file_cosines,
-    minmax_normalize,
+    minmax_rows,
     netreg_file_scores,
 )
 from bugloc.regularizer import RepresentationModel
+from rankref import reference_rank
 
 
 def cosine(a, b):
@@ -203,16 +204,36 @@ class TestNetregFileScores:
         assert "zero vector" in caplog.text
 
 
-class TestMinmaxNormalize:
+class TestMinmaxRows:
     def test_scales_to_unit_interval(self):
-        out = minmax_normalize({"a": 2.0, "b": 1.0, "c": 0.0})
-        assert out == {"a": 1.0, "b": 0.5, "c": 0.0}
+        assert minmax_rows(np.array([2.0, 1.0, 0.0])).tolist() == [1.0, 0.5, 0.0]
 
-    def test_constant_map_goes_to_zero(self):
-        assert minmax_normalize({"a": 3.0, "b": 3.0}) == {"a": 0.0, "b": 0.0}
+    def test_constant_row_goes_to_zero(self):
+        out = minmax_rows(np.array([[3.0, 3.0], [1.0, 2.0]]))
+        assert out.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
-    def test_empty_map_stays_empty(self):
-        assert minmax_normalize({}) == {}
+
+# few distinct values, so ties and constant maps are common
+SCORE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+)
+
+
+@st.composite
+def score_maps(draw):
+    """Two score maps over one set of paths, each inserted in its own order."""
+    paths = draw(st.lists(st.sampled_from(["a", "b/c", "b", "z", "m.java", "a0"]),
+                          min_size=1, max_size=6, unique=True))
+
+    def scores():
+        if draw(st.booleans()):
+            return [draw(SCORE)] * len(paths)
+        return draw(st.lists(SCORE, min_size=len(paths), max_size=len(paths)))
+
+    bow = dict(zip(paths, scores()))
+    model = dict(zip(draw(st.permutations(paths)), scores()))
+    return bow, model
 
 
 class TestCombineAndRank:
@@ -258,6 +279,35 @@ class TestCombineAndRank:
     def test_mismatched_universes_rejected(self):
         with pytest.raises(ValidationError, match="universe"):
             combine_and_rank({"a": 1.0}, {"b": 1.0}, alpha=0.5, k=1)
+
+    def test_empty_maps_give_an_empty_ranking(self):
+        result = combine_and_rank({}, {}, alpha=0.5, k=3, query_id="q")
+        assert result.query_id == "q"
+        assert result.ranking == []
+
+    @given(
+        score_maps(),
+        st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_matches_the_dict_reference_exactly(self, maps, alpha, k):
+        bow, model = maps
+        result = combine_and_rank(bow, model, alpha=alpha, k=k)
+        assert result.ranking == reference_rank(bow, model, alpha, k)
+        assert all(type(score) is float for _, score in result.ranking)
+
+    def test_matches_the_dict_reference_on_large_random_maps(self):
+        # arbitrary floats, which the property above rarely draws, expose
+        # any change in the blend's rounding
+        rng = np.random.default_rng(3)
+        paths = [f"src/f{i:03d}.java" for i in range(300)]
+        for _ in range(20):
+            order = rng.permutation(paths).tolist()
+            bow = dict(zip(order, np.where(rng.random(300) < 0.5, 0.0, rng.random(300)).tolist()))
+            model = dict(zip(paths, rng.uniform(-1.0, 1.0, 300).tolist()))
+            for alpha in (0.0, 0.2, 0.37, 0.5, 1.0):
+                expected = reference_rank(bow, model, alpha, 50)
+                assert combine_and_rank(bow, model, alpha=alpha, k=50).ranking == expected
 
     @given(
         st.dictionaries(
