@@ -244,18 +244,28 @@ def cmd_solve(args) -> int:
     return 0
 
 
+_UNSAFE_ID_PARTS = ("/", "\\", "..", "\0")
+
+
 def cmd_query(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg)
     queries = load_bug_reports(args.report)
     if not queries:
         raise ValidationError(f"{args.report} holds no reports")
+    batch = len(queries) > 1
+    if batch:
+        # each id names its output file, so it must not leave --out-dir
+        for report in queries:
+            if any(part in report.id for part in _UNSAFE_ID_PARTS):
+                raise ValidationError(
+                    f"{args.report}: report id {report.id!r} cannot name an output file"
+                )
     model = _load_model_arg(args)
     scorer = pipeline.prepare_scorer(
         dataset, cfg, model=model, methods=(evaluation.METHOD_NETREG,)
     )
     rules = cfg.token_rules()
-    batch = len(queries) > 1
     out = Path(cfg.out_dir)
     for report in queries:
         tokens = tokenize(report.text, rules)

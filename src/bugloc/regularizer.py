@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,44 +239,68 @@ def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> Representati
     return model
 
 
+def _format_row(row: np.ndarray) -> str:
+    """A float64 row as model text: the repr of each value, space-separated."""
+    return " ".join(map(repr, row.tolist()))
+
+
+def _clamped_record(node: TypedNode, text: str) -> bytes:
+    """What clamped_digest hashes for one clamped node and its row text."""
+    return f"{node.kind}{node.key}\0{text}\n".encode()
+
+
 def clamped_digest(model: RepresentationModel) -> str:
     """Stable hash of the clamped set and its vectors."""
+    matrix = np.asarray(model.matrix, dtype=np.float64)
     h = hashlib.sha256()
     for node in sorted(model.clamped):
-        vec = model.vector(node)
-        h.update(node.kind.encode())
-        h.update(node.key.encode())
-        h.update(b"\x00")
-        h.update(" ".join(repr(float(x)) for x in vec).encode())
-        h.update(b"\n")
+        h.update(_clamped_record(node, _format_row(matrix[model._row[node]])))
     return h.hexdigest()
 
 
-def dump_model(model: RepresentationModel, path) -> None:
-    """Write the model as a text table: header JSON line, then one node per line.
+def _header(model: RepresentationModel, digest: str) -> str:
+    header = {"dim": model.dim, "nodes": len(model.nodes), "clamped_digest": digest}
+    return json.dumps(header, sort_keys=True) + "\n"
 
-    Floats are written with repr so loading restores them bit-exactly.
+
+def dump_model(model: RepresentationModel, path) -> None:
+    """Write the model as a text table: header JSON line, then one node per
+    line, in node order.
+
+    Floats are written with repr so loading restores them bit-exactly. Each
+    row is formatted once: the clamped rows' text goes both to the file and
+    to the digest, and the header, whose length does not depend on the
+    digest's value, is rewritten in place once the last row is out.
     """
     for node in model.nodes:
         if "\t" in node.key or "\n" in node.key:
             raise ValidationError(f"node key {node.key!r} cannot be serialized")
-    header = {
-        "dim": model.dim,
-        "nodes": len(model.nodes),
-        "clamped_digest": clamped_digest(model),
-    }
+    if len(model.clamped) != np.count_nonzero(model._clamped_rows):
+        raise ValidationError("the model's clamped nodes are not all among its nodes")
+    matrix = np.asarray(model.matrix, dtype=np.float64)
+    digest = hashlib.sha256()
+
+    def lines():
+        for node, clamped, row in zip(model.nodes, model._clamped_rows, matrix):
+            text = _format_row(row)
+            if clamped:
+                digest.update(_clamped_record(node, text))
+            yield f"{node.kind}\t{node.key}\t{'c' if clamped else 'f'}\t{text}\n"
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for node, clamped, vec in zip(model.nodes, model._clamped_rows, model.matrix):
-            flag = "c" if clamped else "f"
-            values = " ".join(repr(float(x)) for x in vec)
-            fh.write(f"{node.kind}\t{node.key}\t{flag}\t{values}\n")
+        fh.write(_header(model, "0" * 64))
+        fh.writelines(lines())
+        fh.seek(0)
+        fh.write(_header(model, digest.hexdigest()))
 
 
 def load_model(path) -> RepresentationModel:
     """Read a model written by dump_model, verifying the clamped-set digest.
 
-    Rows are ordered by node, whatever their order in the file.
+    Rows are ordered by node, whatever their order in the file. The digest
+    is first checked against the clamped rows' own text; only if that text
+    differs from what dump_model writes (rows out of node order, or values
+    not in repr form) is it recomputed from the parsed values.
     """
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -286,8 +311,15 @@ def load_model(path) -> RepresentationModel:
             declared_digest = header["clamped_digest"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad model header") from exc
-        vectors: dict[TypedNode, np.ndarray] = {}
-        clamped = set()
+        # a valid row holds dim values in at least 2 * dim + 5 bytes, so a
+        # corrupt header cannot make this allocate more than the file could fill
+        size = os.fstat(fh.fileno()).st_size
+        capacity = min(max(declared_nodes, 0), size // (2 * max(dim, 0) + 5))
+        matrix = np.empty((capacity, min(max(dim, 0), size)))
+        nodes: list[TypedNode] = []
+        seen: set[TypedNode] = set()
+        clamped = []
+        text_digest = hashlib.sha256()
         for lineno, line in enumerate(fh, 2):
             if not line.strip():
                 continue
@@ -296,29 +328,39 @@ def load_model(path) -> RepresentationModel:
                 raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
             kind, key, flag, raw = parts
             node = TypedNode(kind, key)
-            if node in vectors:
+            if node in seen:
                 raise ValidationError(f"{path}: line {lineno}: duplicate node {node}")
             try:
-                vec = np.array([float(x) for x in raw.split()], dtype=np.float64)
+                values = list(map(float, raw.split()))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: bad vector") from exc
-            if vec.shape != (dim,):
+            if len(values) != dim:
                 raise ParseError(
-                    f"{path}: line {lineno}: vector has {vec.shape[0]} components, expected {dim}"
+                    f"{path}: line {lineno}: vector has {len(values)} components, expected {dim}"
                 )
-            vectors[node] = vec
             if flag == "c":
-                clamped.add(node)
+                clamped.append(node)
+                text_digest.update(_clamped_record(node, raw))
             elif flag != "f":
                 raise ParseError(f"{path}: line {lineno}: bad clamp flag {flag!r}")
-    if len(vectors) != declared_nodes:
+            if len(nodes) == len(matrix):
+                raise ValidationError(
+                    f"{path}: header declares {declared_nodes} nodes but file holds more"
+                )
+            matrix[len(nodes)] = values
+            nodes.append(node)
+            seen.add(node)
+    if len(nodes) != declared_nodes:
         raise ValidationError(
-            f"{path}: header declares {declared_nodes} nodes but file holds {len(vectors)}"
+            f"{path}: header declares {declared_nodes} nodes but file holds {len(nodes)}"
         )
-    nodes = tuple(sorted(vectors))
-    matrix = np.array([vectors[node] for node in nodes], dtype=np.float64).reshape(len(nodes), dim)
-    model = RepresentationModel(nodes=nodes, matrix=matrix, clamped=frozenset(clamped))
-    digest = clamped_digest(model)
-    if digest != declared_digest:
+    in_order = all(a < b for a, b in zip(nodes, nodes[1:]))
+    if not in_order:
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        nodes = [nodes[i] for i in order]
+        matrix = matrix[order]
+    model = RepresentationModel(nodes=tuple(nodes), matrix=matrix, clamped=frozenset(clamped))
+    text_matches = in_order and text_digest.hexdigest() == declared_digest
+    if not text_matches and clamped_digest(model) != declared_digest:
         raise ValidationError(f"{path}: clamped-set digest mismatch")
     return model

@@ -200,6 +200,35 @@ class TestSolveEvalSweepQuery:
         assert (out / "query_Q-1.csv").exists()
         assert (out / "query_Q-2.csv").exists()
 
+    @pytest.mark.parametrize("bad_id", ["dir/../../escaped", "..", "dir\\escaped", "nul\0id"])
+    def test_query_batch_rejects_ids_that_leave_the_out_dir(
+        self, cli_dataset, tmp_path, capsys, bad_id
+    ):
+        reports = [
+            {
+                "id": rid,
+                "summary": "top01w00a regression",
+                "description": "seen after deploy",
+                "report_time": f"2022-01-0{day}T00:00:00Z",
+                "status": "open",
+                "fixed_files": [],
+            }
+            for day, rid in ((1, "Q-1"), (2, bad_id))
+        ]
+        report_path = tmp_path / "batch.jsonl"
+        report_path.write_text(
+            "".join(json.dumps(r) + "\n" for r in reports), encoding="utf-8"
+        )
+        out = tmp_path / "a" / "b" / "out"
+        out.mkdir(parents=True)
+        (out / "query_dir").mkdir()
+        assert _run("query", "--dataset-dir", str(cli_dataset),
+                    "--out-dir", str(out), "--report", str(report_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cannot name an output file" in err
+        # rejected before the first ranking: nothing is written anywhere
+        assert sorted(p.name for p in tmp_path.rglob("*.csv")) == []
+
     def test_query_rows_quote_paths_with_commas_and_quotes(self, cli_dataset, tmp_path, capsys):
         odd = 'src/topic00/File,00 "v2".java'
         data = tmp_path / "data"

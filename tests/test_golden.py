@@ -20,6 +20,7 @@ import numpy as np
 
 from bugloc import synthgen
 from bugloc.cli import main
+from bugloc.regularizer import dump_model, load_model
 
 GOLDEN = Path(__file__).parent / "golden"
 CSV_NAMES = ("results.csv", "sweep.csv", "ttests.csv")
@@ -78,6 +79,12 @@ def test_outputs_match_golden_files(tmp_path):
             worst = max(worst, float(np.max(np.abs(model[node][1] - vec))))
     assert worst <= FREE_ROW_TOLERANCE
 
+
+
+def test_model_round_trip_reproduces_the_golden_file(tmp_path):
+    path = tmp_path / "model.tsv"
+    dump_model(load_model(GOLDEN / "model.tsv"), path)
+    assert path.read_bytes() == (GOLDEN / "model.tsv").read_bytes()
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:

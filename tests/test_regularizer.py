@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 
@@ -355,6 +356,65 @@ class TestModelSerialization:
         loaded = load_model(path)
         assert loaded.nodes == model.nodes
         np.testing.assert_array_equal(loaded.matrix, model.matrix)
+
+    def test_clamped_row_in_non_repr_form_still_loads(self, tmp_path):
+        net = HeteroNetwork()
+        net.add_edge(T1, B1, 1.0)
+        net.add_edge(T2, B1, 1.0)
+        table = EmbeddingTable(1, {"t1": np.array([0.5]), "t2": np.array([0.25])})
+        model = solve(net, table)
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        assert "\tc\t0.5\n" in text
+        path.write_text(text.replace("\tc\t0.5\n", "\tc\t0.50\n"), encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded.nodes == model.nodes
+        assert loaded.clamped == model.clamped
+        np.testing.assert_array_equal(loaded.matrix, model.matrix)
+
+    def test_duplicate_node_rejected(self, tmp_path):
+        net, table = _weighted_net()
+        model = solve(net, table)
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = lines[-2]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="duplicate"):
+            load_model(path)
+
+    def test_more_rows_than_declared_rejected(self, tmp_path):
+        net, table = _weighted_net()
+        model = solve(net, table)
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("S\textra.java\tf\t0.0\n")
+        with pytest.raises(ValidationError, match="nodes"):
+            load_model(path)
+
+    def test_header_declaring_huge_counts_rejected(self, tmp_path):
+        net, table = _weighted_net()
+        model = solve(net, table)
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        fields = json.loads(header)
+        fields["nodes"] = 10**15
+        path.write_text("\n".join([json.dumps(fields), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="nodes"):
+            load_model(path)
+
+    def test_non_numeric_component_rejected(self, tmp_path):
+        net, table = _weighted_net()
+        model = solve(net, table)
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("\tf\t0.75", "\tf\tzero"), encoding="utf-8")
+        with pytest.raises(ParseError, match="bad vector"):
+            load_model(path)
 
     def test_unsorted_model_rejected(self):
         with pytest.raises(ValidationError, match="sorted"):
