@@ -1,15 +1,18 @@
 """Golden outputs of the default synthetic dataset (SynthSpec(), seed 7).
 
 The files under tests/golden/ were written by this module's pipeline at a
-known-good commit. A change that keeps rankings, MAP and the solved model
-must reproduce them: the CSVs byte for byte, the model with the same nodes
-and clamp flags, bit-identical clamped rows and free rows within 1e-12.
+known-good commit. A change that keeps the network, rankings, MAP and the
+solved model must reproduce them: the CSVs byte for byte (network.csv is
+`bugloc build`'s edge list), the model with the same nodes and clamp flags,
+bit-identical clamped rows and free rows within 1e-12.
 
 To pin new outputs after an intended behaviour change, run
     PYTHONPATH=src python tests/test_golden.py
 and review the diff of tests/golden/.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -23,13 +26,15 @@ from bugloc.cli import main
 from bugloc.regularizer import dump_model, load_model
 
 GOLDEN = Path(__file__).parent / "golden"
-CSV_NAMES = ("results.csv", "sweep.csv", "ttests.csv")
+CSV_NAMES = ("results.csv", "sweep.csv", "ttests.csv", "network.csv")
 FREE_ROW_TOLERANCE = 1e-12
+COUNTS_LINE = "info: counts: nodes B=119 T=345 S=24 M=15; edges B-S=134 B-T=1464 M-S=72"
 
 
-def run_pipeline(root: Path) -> Path:
-    """Generate the default dataset under root and run solve, eval --model
-    and sweep on it; return the output directory."""
+def run_pipeline(root: Path, build_output: io.StringIO | None = None) -> Path:
+    """Generate the default dataset under root and run build, solve,
+    eval --model and sweep on it; return the output directory. What build
+    prints goes to build_output when one is given."""
     data = root / "data"
     out = root / "out"
     synthgen.generate(synthgen.SynthSpec(), data)
@@ -44,6 +49,8 @@ def run_pipeline(root: Path) -> Path:
     config_path = root / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     common = ("--config", str(config_path))
+    with contextlib.redirect_stdout(build_output or io.StringIO()):
+        assert main(["build", *common]) == 0
     assert main(["solve", *common]) == 0
     assert main(["eval", *common, "--model", str(out / "model.tsv")]) == 0
     assert main(["sweep", *common]) == 0
@@ -63,9 +70,11 @@ def read_model(path):
 
 
 def test_outputs_match_golden_files(tmp_path):
-    out = run_pipeline(tmp_path)
+    build_output = io.StringIO()
+    out = run_pipeline(tmp_path, build_output)
     for name in CSV_NAMES:
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert COUNTS_LINE in build_output.getvalue().splitlines()
     golden_header, golden = read_model(GOLDEN / "model.tsv")
     header, model = read_model(out / "model.tsv")
     assert header == golden_header
@@ -80,11 +89,11 @@ def test_outputs_match_golden_files(tmp_path):
     assert worst <= FREE_ROW_TOLERANCE
 
 
-
 def test_model_round_trip_reproduces_the_golden_file(tmp_path):
     path = tmp_path / "model.tsv"
     dump_model(load_model(GOLDEN / "model.tsv"), path)
     assert path.read_bytes() == (GOLDEN / "model.tsv").read_bytes()
+
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
