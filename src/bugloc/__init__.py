@@ -30,7 +30,6 @@ from .evaluation import (
     evaluate_methods,
     mean_average_precision,
     paired_t_test,
-    precision_at_k,
     sweep_alpha,
 )
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics

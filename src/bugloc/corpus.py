@@ -159,7 +159,7 @@ def _parse_report(rec, where: str) -> BugReport:
     )
 
 
-def load_bug_reports(path, format: str = "jsonl", resolved_only: bool = False) -> list[BugReport]:
+def load_bug_reports(path, resolved_only: bool = False) -> list[BugReport]:
     """Load bug reports from a JSONL file, sorted ascending by report_time.
 
     Malformed lines raise ParseError naming the line number; duplicate ids
@@ -167,8 +167,6 @@ def load_bug_reports(path, format: str = "jsonl", resolved_only: bool = False) -
     whose status is not "resolved" (case-insensitive) are dropped after
     parsing and duplicate checking.
     """
-    if format != "jsonl":
-        raise ValidationError(f"unsupported bug report format: {format!r}")
     reports = []
     seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:

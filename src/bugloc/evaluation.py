@@ -100,14 +100,6 @@ class EvalResult:
     excluded: list[str]
 
 
-def precision_at_k(ranking: Sequence[str], relevant: set[str], k: int) -> float:
-    """|top-k intersect relevant| / k; short rankings count what exists, still over k."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k!r}")
-    hits = sum(1 for path in ranking[:k] if path in relevant)
-    return hits / k
-
-
 def average_precision_at_k(ranking: Sequence[str], relevant: set[str], k: int) -> float:
     """Mean of precision-at-i over relevant positions i <= k, divided by |relevant|.
 

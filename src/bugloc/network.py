@@ -11,6 +11,7 @@ import csv
 import logging
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,14 +44,115 @@ def kind_slice(nodes: Sequence[TypedNode], kind: str) -> slice:
 
 
 @dataclass(frozen=True)
-class NetworkView:
-    """Array form of a network: row i of every array belongs to nodes[i]."""
+class Diagnostic:
+    severity: str  # "warning" | "info"
+    code: str
+    message: str
+
+
+def _check_node(node: TypedNode) -> None:
+    if node.kind not in KINDS:
+        raise ValidationError(f"unknown node kind {node.kind!r}")
+    if not node.key:
+        raise ValidationError("node key must be nonempty")
+
+
+def _check_edge(a: TypedNode, b: TypedNode, weight: float) -> None:
+    if a == b:
+        raise ValidationError(f"self-loop on {a}")
+    if (min(a.kind, b.kind), max(a.kind, b.kind)) not in ALLOWED_KIND_PAIRS:
+        raise ValidationError(f"edge between kinds {a.kind} and {b.kind} is not allowed")
+    if not math.isfinite(weight) or weight <= 0.0:
+        raise ValidationError(f"edge weight must be positive and finite, got {weight!r}")
+    _check_node(a)
+    _check_node(b)
+
+
+@dataclass(frozen=True)
+class HeteroNetwork:
+    """Undirected weighted graph over typed nodes with kind-pair constraints,
+    held as arrays: row i of every array belongs to nodes[i].
+
+    Built by from_edges; the graph never changes afterwards.
+    """
 
     nodes: tuple[TypedNode, ...]  # sorted
     adjacency: sparse.csr_array  # symmetric edge weights
     degree: np.ndarray  # row sums of adjacency
     labels: np.ndarray  # connected-component label per row
     kind_rows: dict[str, sparse.csr_array]  # each kind's rows of adjacency
+
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Sequence[tuple[TypedNode, TypedNode, float]],
+        nodes: Iterable[TypedNode] = (),
+    ) -> "HeteroNetwork":
+        """The network of the given (a, b, weight) edges plus any further nodes.
+
+        Rejects, naming the first offender, an unknown kind or empty key, a
+        self-loop, a disallowed kind pair, a weight that is not positive and
+        finite, and then a second edge between one node pair in either
+        direction. Each row lists its neighbors in the order of the edges
+        that join them, so sums over a row add in that order.
+        """
+        nodes = list(nodes)
+        for node in nodes:
+            _check_node(node)
+        for edge in edges:
+            _check_edge(*edge)
+        ends = [node for a, b, _ in edges for node in (a, b)]
+        order = tuple(sorted({*nodes, *ends}))
+        index = {node: i for i, node in enumerate(order)}
+        pairs = np.array([index[node] for node in ends], dtype=np.intp).reshape(-1, 2)
+        _, first = np.unique(pairs.min(axis=1) * len(order) + pairs.max(axis=1), return_index=True)
+        if len(first) < len(pairs):
+            repeats = np.ones(len(pairs), dtype=bool)
+            repeats[first] = False
+            a, b, _ = edges[int(np.argmax(repeats))]
+            raise ValidationError(f"duplicate edge between {a} and {b}")
+        # each edge once per direction, a->b then b->a; a stable sort by row
+        # keeps every row's entries in edge order
+        rows, columns = pairs.ravel(), pairs[:, ::-1].ravel()
+        by_row = np.argsort(rows, kind="stable")
+        weights = np.repeat(np.array([w for _, _, w in edges], dtype=np.float64), 2)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(order)))))
+        adjacency = sparse.csr_array(
+            (weights[by_row], columns[by_row], indptr), shape=(len(order),) * 2, dtype=np.float64
+        )
+        # imported here: csgraph loads scipy.linalg, and a run that loads a
+        # solved model builds no network
+        from scipy.sparse import csgraph
+
+        _, labels = csgraph.connected_components(adjacency, directed=False)
+        return cls(
+            nodes=order,
+            adjacency=adjacency,
+            degree=adjacency.sum(axis=1),
+            labels=labels,
+            kind_rows={kind: adjacency[kind_slice(order, kind)] for kind in KINDS},
+        )
+
+    def neighbors(self, node: TypedNode) -> dict[TypedNode, float]:
+        """A node's neighbors and edge weights, in edge order."""
+        row = bisect_left(self.nodes, node)
+        if row == len(self.nodes) or self.nodes[row] != node:
+            raise KeyError(node)
+        span = slice(*self.adjacency.indptr[row : row + 2])
+        columns, weights = self.adjacency.indices[span], self.adjacency.data[span]
+        return {self.nodes[j]: w for j, w in zip(columns.tolist(), weights.tolist())}
+
+    def edges(self):
+        """Yield each undirected edge once as (a, b, weight) with a < b."""
+        upper = sparse.triu(self.adjacency, k=1, format="coo")
+        for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
+            yield self.nodes[i], self.nodes[j], w
+
+    def num_nodes(self) -> int:
+        return len(self.nodes)
+
+    def num_edges(self) -> int:
+        return self.adjacency.nnz // 2
 
     def components_without(self, rows) -> tuple[np.ndarray, list[tuple[int, TypedNode]]]:
         """Find the components that hold none of the given rows (a mask,
@@ -66,95 +168,6 @@ class NetworkView:
         _, first, sizes = np.unique(self.labels[member_rows], return_index=True, return_counts=True)
         smallest = member_rows[first]
         return members, [(int(size), self.nodes[row]) for row, size in sorted(zip(smallest, sizes))]
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning" | "info"
-    code: str
-    message: str
-
-
-class HeteroNetwork:
-    """Undirected weighted graph over typed nodes with kind-pair constraints."""
-
-    def __init__(self):
-        self._adj: dict[TypedNode, dict[TypedNode, float]] = {}
-        self._view: NetworkView | None = None
-
-    @property
-    def nodes(self):
-        return self._adj.keys()
-
-    def __contains__(self, node: TypedNode) -> bool:
-        return node in self._adj
-
-    def add_node(self, node: TypedNode) -> TypedNode:
-        if node.kind not in KINDS:
-            raise ValidationError(f"unknown node kind {node.kind!r}")
-        if not node.key:
-            raise ValidationError("node key must be nonempty")
-        self._adj.setdefault(node, {})
-        self._view = None
-        return node
-
-    def add_edge(self, a: TypedNode, b: TypedNode, weight: float) -> None:
-        if a == b:
-            raise ValidationError(f"self-loop on {a}")
-        pair = (min(a.kind, b.kind), max(a.kind, b.kind))
-        if pair not in ALLOWED_KIND_PAIRS:
-            raise ValidationError(f"edge between kinds {a.kind} and {b.kind} is not allowed")
-        if not math.isfinite(weight) or weight <= 0.0:
-            raise ValidationError(f"edge weight must be positive and finite, got {weight!r}")
-        self.add_node(a)
-        self.add_node(b)
-        if b in self._adj[a]:
-            raise ValidationError(f"duplicate edge between {a} and {b}")
-        self._adj[a][b] = weight
-        self._adj[b][a] = weight
-
-    def neighbors(self, node: TypedNode) -> Mapping[TypedNode, float]:
-        return self._adj[node]
-
-    def edges(self):
-        """Yield each undirected edge once as (a, b, weight) with a < b."""
-        for a, nbrs in self._adj.items():
-            for b, w in nbrs.items():
-                if a < b:
-                    yield a, b, w
-
-    def num_nodes(self) -> int:
-        return len(self._adj)
-
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
-
-    def nodes_of_kind(self, kind: str) -> list[TypedNode]:
-        return sorted(n for n in self._adj if n.kind == kind)
-
-    def view(self) -> NetworkView:
-        """The array view of the graph, built on first use after a change."""
-        if self._view is None:
-            nodes = tuple(sorted(self._adj))
-            index = {node: i for i, node in enumerate(nodes)}
-            indptr = np.cumsum([0] + [len(self._adj[node]) for node in nodes])
-            columns = [index[b] for a in nodes for b in self._adj[a]]
-            weights = [w for a in nodes for w in self._adj[a].values()]
-            shape = (len(nodes), len(nodes))
-            adjacency = sparse.csr_array((weights, columns, indptr), shape=shape, dtype=np.float64)
-            # imported here: csgraph loads scipy.linalg, and a run that
-            # loads a solved model builds no view
-            from scipy.sparse import csgraph
-
-            _, labels = csgraph.connected_components(adjacency, directed=False)
-            self._view = NetworkView(
-                nodes=nodes,
-                adjacency=adjacency,
-                degree=adjacency.sum(axis=1),
-                labels=labels,
-                kind_rows={kind: adjacency[kind_slice(nodes, kind)] for kind in KINDS},
-            )
-        return self._view
 
 
 def check_fix_links(reports: Sequence[BugReport], paths) -> None:
@@ -180,72 +193,54 @@ def build_network(
     whose vector is empty still becomes a B node and logs a warning; a fix
     link to a path outside source_paths is a validation error.
     """
-    net = HeteroNetwork()
     paths = set(source_paths)
     check_fix_links(reports, paths)
-    for path in sorted(paths):
-        net.add_node(TypedNode("S", path))
+    # one node object per term and file, however many edges name it
+    terms = [TypedNode("T", vocab.term_of(idx)) for idx in range(len(vocab))]
+    files = {path: TypedNode("S", path) for path in paths}
+    nodes = list(files.values())
+    edges = []
     for report in reports:
-        b_node = net.add_node(TypedNode("B", report.id))
+        b_node = TypedNode("B", report.id)
+        nodes.append(b_node)
         bow = bow_vectors.get(report.id)
         if bow is None:
             raise ValidationError(f"no vector for report {report.id!r}")
         if bow.is_empty():
             logger.warning("report %s has an empty term vector; B node has no T edges", report.id)
         for idx in sorted(bow.entries):
-            term = vocab.term_of(idx)
-            net.add_edge(TypedNode("T", term), b_node, bow.entries[idx])
+            edges.append((terms[idx], b_node, bow.entries[idx]))
         for path in report.fixed_files:
-            net.add_edge(b_node, TypedNode("S", path), 1.0)
-    for path in sorted(buckets):
-        if path not in paths:
-            continue
-        for bucket in buckets[path]:
-            s_node = TypedNode("S", path)
-            m_node = TypedNode("M", bucket.node_key)
-            if m_node in net and s_node in net.neighbors(m_node):
-                continue
-            net.add_edge(s_node, m_node, 1.0)
-    return net
+            edges.append((b_node, files[path], 1.0))
+    # a file sits in a bucket once, however often the bucket is listed
+    in_bucket = dict.fromkeys(
+        (files[path], TypedNode("M", bucket.node_key))
+        for path in sorted(buckets)
+        if path in paths
+        for bucket in buckets[path]
+    )
+    edges.extend((s_node, m_node, 1.0) for s_node, m_node in in_bucket)
+    return HeteroNetwork.from_edges(edges, nodes)
 
 
 def validate_network(net: HeteroNetwork) -> list[Diagnostic]:
     """Scan the network and report diagnostics.
 
-    Errors: disallowed kind pairs, non-positive or non-finite weights.
     Warnings: connected components that contain no T node (they can never
-    receive term information). Info: per-kind node and edge counts.
+    receive term information). Info: per-kind node and edge counts. The
+    network's constructor already rejects bad kinds, pairs and weights.
     """
-    diags: list[Diagnostic] = []
-    node_counts = {k: 0 for k in KINDS}
-    for node in net.nodes:
-        if node.kind in node_counts:
-            node_counts[node.kind] += 1
-        else:
-            diags.append(Diagnostic("error", "kind", f"unknown kind on node {node}"))
-    edge_counts: dict[str, int] = {}
-    for a, b, w in net.edges():
-        pair = (min(a.kind, b.kind), max(a.kind, b.kind))
-        label = f"{pair[0]}-{pair[1]}"
-        edge_counts[label] = edge_counts.get(label, 0) + 1
-        if pair not in ALLOWED_KIND_PAIRS:
-            diags.append(
-                Diagnostic("error", "kind-pair", f"edge {a} -- {b} joins kinds {label}")
-            )
-        if not math.isfinite(w) or w <= 0.0:
-            diags.append(
-                Diagnostic("error", "weight", f"edge {a} -- {b} has bad weight {w!r}")
-            )
-    view = net.view()
-    for size, sample in view.components_without(kind_slice(view.nodes, "T"))[1]:
-        diags.append(
-            Diagnostic(
-                "warning",
-                "isolated-component",
-                f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
-                f"has no path to any T node",
-            )
+    diags = [
+        Diagnostic(
+            "warning",
+            "isolated-component",
+            f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
+            f"has no path to any T node",
         )
+        for size, sample in net.components_without(kind_slice(net.nodes, "T"))[1]
+    ]
+    node_counts = Counter(node.kind for node in net.nodes)
+    edge_counts = Counter("-".join(sorted((a.kind, b.kind))) for a, b, _ in net.edges())
     counts = " ".join(f"{k}={node_counts[k]}" for k in KINDS)
     edges = " ".join(f"{label}={edge_counts[label]}" for label in sorted(edge_counts))
     diags.append(Diagnostic("info", "counts", f"nodes {counts}; edges {edges}".rstrip()))

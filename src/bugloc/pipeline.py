@@ -6,11 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import types
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -43,6 +44,20 @@ DATASET_FILES = {
     "metrics": "metrics.csv",
     "embeddings": "embeddings.txt",
 }
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a config field's type; an int fits a float,
+    a list fits a tuple, and a bool is no number."""
+    if get_origin(hint) is types.UnionType:
+        return any(_has_type(value, arg) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(
+            _has_type(item, get_args(hint)[0]) for item in value
+        )
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def sha256_file(path) -> str:
@@ -92,10 +107,14 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: Mapping, base: Path | None = None) -> "RunConfig":
         cfg = cls()
-        known = set(cfg.__dict__)
+        hints = get_type_hints(cls)
         for key, value in raw.items():
-            if key not in known:
+            if key not in hints:
                 raise ValidationError(f"unknown config key {key!r}")
+            hint = hints[key]
+            if not _has_type(value, hint):
+                expected = hint.__name__ if isinstance(hint, type) else hint
+                raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
             if key in ("ks", "alpha_grid", "methods") and value is not None:
                 value = tuple(value)
             setattr(cfg, key, value)
@@ -206,11 +225,15 @@ def _read_corpus_cache(cfg: RunConfig):
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("key") != _cache_key(cfg):
-            return None
-        return payload
+        # anything but an object holding this run's key and a token map is a miss
+        fits = (
+            isinstance(payload, dict)
+            and isinstance(payload.get("report_tokens"), dict)
+            and payload.get("key") == _cache_key(cfg)
+        )
     except (OSError, json.JSONDecodeError):
         return None
+    return payload if fits else None
 
 
 def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:

@@ -4,7 +4,7 @@ Every node gets a d-dimensional vector, one row of the model's matrix.
 Term nodes with a known embedding are clamped to it; all remaining nodes
 are free and relax to the weighted average of their neighbors, which
 minimizes the edge-weighted sum of squared differences. Two independent
-routes find that minimum, both on the network's array view:
+routes find that minimum, both on the network's arrays:
 
 * solve(): in-place Gauss-Seidel sweeps until the largest per-node move
   drops below the tolerance. A sweep updates one kind at a time, each as
@@ -16,7 +16,7 @@ routes find that minimum, both on the network's array view:
 
 Free nodes in a component with no clamped node have no information source;
 both routes leave them at zero and report a diagnostic, read from the
-view's single connected-component labelling.
+network's single connected-component labelling.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from scipy import sparse
 
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
-from .network import HeteroNetwork, NetworkView, TypedNode, kind_slice
+from .network import HeteroNetwork, TypedNode, kind_slice
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +44,6 @@ _SWEEP_KINDS = ("T", "B", "S", "M", "S", "B")
 class SolverConfig:
     max_iters: int = 100
     tolerance: float = 1e-6
-    track_energy: bool = False
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class ConvergenceReport:
     converged: bool
     final_displacement: float
     final_energy: float
-    energies: tuple[float, ...] = ()
     isolated_components: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -98,7 +96,7 @@ def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> Repr
 
     A T node missing from the table stays free, like B, S, and M nodes.
     """
-    nodes = net.view().nodes
+    nodes = net.nodes
     clamped = frozenset(node for node in nodes[kind_slice(nodes, "T")] if node.key in table)
     model = RepresentationModel(nodes, np.zeros((len(nodes), table.dim)), clamped)
     for node in clamped:
@@ -106,11 +104,9 @@ def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> Repr
     return model
 
 
-def _aligned_view(model: RepresentationModel, net: HeteroNetwork) -> NetworkView:
-    view = net.view()
-    if model.nodes is not view.nodes and model.nodes != view.nodes:
+def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
+    if model.nodes is not net.nodes and model.nodes != net.nodes:
         raise ValidationError("the model's nodes differ from the network's")
-    return view
 
 
 def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
@@ -123,15 +119,15 @@ def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
     the block update equals visiting them one by one. Free nodes without
     neighbors are left untouched. Clamped nodes never move.
     """
-    view = _aligned_view(model, net)
-    movable = ~model._clamped_rows & (view.degree > 0)
+    _check_aligned(model, net)
+    movable = ~model._clamped_rows & (net.degree > 0)
     max_disp = 0.0
     for kind in _SWEEP_KINDS:
-        block = kind_slice(view.nodes, kind)
+        block = kind_slice(net.nodes, kind)
         rows = movable[block]
         if not rows.any():
             continue
-        update = (view.kind_rows[kind] @ model.matrix)[rows] / view.degree[block][rows, None]
+        update = (net.kind_rows[kind] @ model.matrix)[rows] / net.degree[block][rows, None]
         current = model.matrix[block]
         max_disp = max(max_disp, float(np.linalg.norm(update - current[rows], axis=1).max()))
         current[rows] = update
@@ -144,15 +140,15 @@ def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
     Computed as the Laplacian quadratic form sum_i deg_i |x_i|^2 - tr(X' A X),
     which needs node-sized temporaries only, not one row per edge.
     """
-    view = _aligned_view(model, net)
+    _check_aligned(model, net)
     x = model.matrix
-    return float(view.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, view.adjacency @ x))
+    return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, net.adjacency @ x))
 
 
-def _isolate(model: RepresentationModel, view: NetworkView) -> np.ndarray:
+def _isolate(model: RepresentationModel, net: HeteroNetwork) -> np.ndarray:
     """Set and log one diagnostic per component with no clamped node;
     return the rows of those components."""
-    isolated, components = view.components_without(model._clamped_rows)
+    isolated, components = net.components_without(model._clamped_rows)
     model.diagnostics = [
         f"component of {size} free nodes (e.g. {sample.kind}:{sample.key}) "
         f"has no clamped node; vectors stay zero"
@@ -184,15 +180,13 @@ def solve(
     if config.tolerance <= 0.0:
         raise ValidationError("tolerance must be positive")
     model = initial if initial is not None else initialize_representation(net, table)
-    _isolate(model, _aligned_view(model, net))
-    energies: list[float] = []
+    _check_aligned(model, net)
+    _isolate(model, net)
     displacement = float("inf")
     iterations = 0
     converged = False
     for iterations in range(1, config.max_iters + 1):
         displacement = sweep_update(model, net)
-        if config.track_energy:
-            energies.append(energy(model, net))
         if displacement < config.tolerance:
             converged = True
             break
@@ -207,7 +201,6 @@ def solve(
         converged=converged,
         final_displacement=displacement,
         final_energy=energy(model, net),
-        energies=tuple(energies),
         isolated_components=tuple(model.diagnostics),
     )
     return model
@@ -223,14 +216,13 @@ def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> Representati
     so the block is nonsingular.
     """
     model = initialize_representation(net, table)
-    view = net.view()
-    isolated = _isolate(model, view)
+    isolated = _isolate(model, net)
     free = np.flatnonzero(~model._clamped_rows & ~isolated)
     if not free.size:
         return model
     clamped = np.flatnonzero(model._clamped_rows)
-    to_free = view.adjacency[free]
-    laplacian = sparse.diags_array(view.degree[free]) - to_free[:, free]
+    to_free = net.adjacency[free]
+    laplacian = sparse.diags_array(net.degree[free]) - to_free[:, free]
     rhs = to_free[:, clamped] @ model.matrix[clamped]
     # imported here: it loads scipy.linalg, which only the direct solve needs
     from scipy.sparse.linalg import splu

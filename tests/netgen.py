@@ -4,6 +4,9 @@ Every generated network keeps the kind-pair rules, stays at or below 30
 nodes, uses positive weights, and anchors every free component to at least
 one clamped term: each B node gets an edge to a clamped T, each S to a B,
 each M to an S, and each free (table-less) T to a B.
+
+sweep_energies replays a solve sweep by sweep and records the energy
+after each one.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numpy as np
 
 from bugloc.embeddings import EmbeddingTable
 from bugloc.network import HeteroNetwork, TypedNode
+from bugloc.regularizer import SolverConfig, energy, initialize_representation, sweep_update
 
 
 def components(net: HeteroNetwork):
@@ -46,31 +50,35 @@ def random_network(rng: random.Random, dim: int | None = None):
     def weight():
         return rng.uniform(0.1, 2.0)
 
-    net = HeteroNetwork()
+    edges = []
+    linked = set()
+
+    def link(a, b):
+        edges.append((a, b, weight()))
+        linked.update({(a, b), (b, a)})
+
     clamped_t = [TypedNode("T", f"term{i}") for i in range(n_clamped)]
     free_t = [TypedNode("T", f"oov{i}") for i in range(n_free_t)]
     bugs = [TypedNode("B", f"bug{i}") for i in range(n_b)]
     files = [TypedNode("S", f"src/f{i}.java") for i in range(n_s)]
     buckets = [TypedNode("M", f"metric:{i}") for i in range(n_m)]
-    for node in clamped_t:
-        net.add_node(node)
     for b in bugs:
-        net.add_edge(rng.choice(clamped_t), b, weight())
+        link(rng.choice(clamped_t), b)
         for t in clamped_t:
-            if t not in net.neighbors(b) and rng.random() < 0.25:
-                net.add_edge(t, b, weight())
+            if (t, b) not in linked and rng.random() < 0.25:
+                link(t, b)
     for t in free_t:
-        net.add_edge(t, rng.choice(bugs), weight())
+        link(t, rng.choice(bugs))
     for s in files:
-        net.add_edge(rng.choice(bugs), s, weight())
+        link(rng.choice(bugs), s)
         for b in bugs:
-            if b not in net.neighbors(s) and rng.random() < 0.15:
-                net.add_edge(b, s, weight())
+            if (b, s) not in linked and rng.random() < 0.15:
+                link(b, s)
     for m in buckets:
-        net.add_edge(rng.choice(files), m, weight())
+        link(rng.choice(files), m)
         for s in files:
-            if s not in net.neighbors(m) and rng.random() < 0.15:
-                net.add_edge(s, m, weight())
+            if (s, m) not in linked and rng.random() < 0.15:
+                link(s, m)
     table = EmbeddingTable(
         dim,
         {
@@ -78,4 +86,16 @@ def random_network(rng: random.Random, dim: int | None = None):
             for t in clamped_t
         },
     )
-    return net, table
+    return HeteroNetwork.from_edges(edges, clamped_t), table
+
+
+def sweep_energies(net: HeteroNetwork, table: EmbeddingTable, config: SolverConfig) -> list[float]:
+    """The energy after each sweep that solve(net, table, config) runs."""
+    model = initialize_representation(net, table)
+    energies = []
+    for _ in range(config.max_iters):
+        displacement = sweep_update(model, net)
+        energies.append(energy(model, net))
+        if displacement < config.tolerance:
+            break
+    return energies

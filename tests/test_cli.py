@@ -316,6 +316,13 @@ class TestExitCodes:
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_wrongly_typed_config_value_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "0.5"}), encoding="utf-8")
+        assert main(["solve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "'alpha'" in err and "Traceback" not in err
+
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["eval", "--k", "not-a-number"]) == 1
         capsys.readouterr()

@@ -175,12 +175,6 @@ class TestLoadBugReports:
         (r,) = load_bug_reports(p)
         assert r.fixed_files == ("b.java", "a.java")
 
-    def test_unsupported_format_rejected(self, tmp_path):
-        p = tmp_path / "r.jsonl"
-        _write_jsonl(p, [_report("B-1")])
-        with pytest.raises(ValidationError, match="format"):
-            load_bug_reports(p, format="xml")
-
     def test_text_joins_summary_and_description(self, tmp_path):
         p = tmp_path / "r.jsonl"
         _write_jsonl(p, [_report("B-1", summary="crash", description="on start")])

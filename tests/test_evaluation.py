@@ -14,7 +14,6 @@ from bugloc.evaluation import (
     evaluate_methods,
     mean_average_precision,
     paired_t_test,
-    precision_at_k,
     sweep_alpha,
 )
 from rankref import reference_rank
@@ -48,19 +47,6 @@ AP_FIXTURES = [
     (["f7", "f6", "f0", "f3", "f5", "f2", "f1", "f8", "f4"], ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "g0", "g1"], 11, 0.7888888888888889),
     (["f1", "f0", "f2"], ["f0", "f1", "f2", "g0", "g1"], 2, 0.4),
 ]
-
-
-class TestPrecisionAtK:
-    def test_counts_hits_in_prefix(self):
-        assert precision_at_k(["a", "b", "c"], {"a", "c"}, 2) == 0.5
-        assert precision_at_k(["a", "b", "c"], {"a", "c"}, 3) == pytest.approx(2 / 3)
-
-    def test_short_ranking_still_divides_by_k(self):
-        assert precision_at_k(["a", "b"], {"a", "b"}, 5) == pytest.approx(0.4)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValidationError):
-            precision_at_k(["a"], {"a"}, 0)
 
 
 class TestAveragePrecision:

@@ -10,67 +10,89 @@ from bugloc.network import (
     HeteroNetwork,
     TypedNode,
     build_network,
+    kind_slice,
     validate_network,
     write_edge_csv,
 )
 
 
+def _of_kind(net, kind):
+    return net.nodes[kind_slice(net.nodes, kind)]
+
+
 class TestHeteroNetwork:
     def test_add_edge_and_lookups(self):
-        net = HeteroNetwork()
         t = TypedNode("T", "null")
         b = TypedNode("B", "BUG-1")
-        net.add_edge(t, b, 0.5)
-        assert t in net and b in net
+        net = HeteroNetwork.from_edges([(t, b, 0.5)])
+        assert net.nodes == (b, t)
         assert net.neighbors(b) == {t: 0.5}
         assert net.num_nodes() == 2
         assert net.num_edges() == 1
         assert list(net.edges()) == [(b, t, 0.5)]
 
     def test_disallowed_kind_pairs_rejected(self):
-        net = HeteroNetwork()
         with pytest.raises(ValidationError, match="not allowed"):
-            net.add_edge(TypedNode("T", "x"), TypedNode("T", "y"), 1.0)
+            HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("T", "y"), 1.0)])
         with pytest.raises(ValidationError, match="not allowed"):
-            net.add_edge(TypedNode("T", "x"), TypedNode("S", "a.java"), 1.0)
+            HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("S", "a.java"), 1.0)])
         with pytest.raises(ValidationError, match="not allowed"):
-            net.add_edge(TypedNode("B", "b"), TypedNode("M", "lines:0"), 1.0)
+            HeteroNetwork.from_edges([(TypedNode("B", "b"), TypedNode("M", "lines:0"), 1.0)])
 
     def test_self_loop_rejected(self):
-        net = HeteroNetwork()
         node = TypedNode("B", "BUG-1")
         with pytest.raises(ValidationError, match="self-loop"):
-            net.add_edge(node, node, 1.0)
+            HeteroNetwork.from_edges([(node, node, 1.0)])
 
     def test_duplicate_edge_rejected_either_direction(self):
-        net = HeteroNetwork()
-        t, b = TypedNode("T", "x"), TypedNode("B", "b")
-        net.add_edge(t, b, 1.0)
+        t, b, s = TypedNode("T", "x"), TypedNode("B", "b"), TypedNode("S", "a.java")
+        with pytest.raises(ValidationError, match="duplicate edge between .*'B'.*'b'.* and .*'T'.*'x'"):
+            HeteroNetwork.from_edges([(t, b, 1.0), (b, s, 1.0), (b, t, 2.0)])
         with pytest.raises(ValidationError, match="duplicate"):
-            net.add_edge(b, t, 2.0)
+            HeteroNetwork.from_edges([(t, b, 1.0), (t, b, 1.0)])
 
     def test_bad_weights_rejected(self):
-        net = HeteroNetwork()
         t, b = TypedNode("T", "x"), TypedNode("B", "b")
         for weight in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValidationError, match="weight"):
-                net.add_edge(t, b, weight)
+                HeteroNetwork.from_edges([(t, b, weight)])
 
     def test_unknown_kind_and_empty_key_rejected(self):
-        net = HeteroNetwork()
         with pytest.raises(ValidationError, match="kind"):
-            net.add_node(TypedNode("X", "x"))
+            HeteroNetwork.from_edges([], nodes=[TypedNode("X", "x")])
         with pytest.raises(ValidationError, match="key"):
-            net.add_node(TypedNode("B", ""))
+            HeteroNetwork.from_edges([], nodes=[TypedNode("B", "")])
+        with pytest.raises(ValidationError, match="key"):
+            HeteroNetwork.from_edges([(TypedNode("T", ""), TypedNode("B", "b"), 1.0)])
+
+    def test_first_bad_edge_is_named(self):
+        t, b = TypedNode("T", "x"), TypedNode("B", "b")
+        with pytest.raises(ValidationError, match="-1.0"):
+            HeteroNetwork.from_edges([(t, b, 1.0), (t, TypedNode("B", "c"), -1.0), (b, b, 1.0)])
 
     def test_nodes_of_kind_sorted(self):
-        net = HeteroNetwork()
-        net.add_node(TypedNode("S", "b.java"))
-        net.add_node(TypedNode("S", "a.java"))
-        net.add_node(TypedNode("B", "BUG-1"))
-        assert net.nodes_of_kind("S") == [
-            TypedNode("S", "a.java"), TypedNode("S", "b.java"),
-        ]
+        net = HeteroNetwork.from_edges(
+            [], nodes=[TypedNode("S", "b.java"), TypedNode("S", "a.java"), TypedNode("B", "BUG-1")]
+        )
+        assert _of_kind(net, "S") == (TypedNode("S", "a.java"), TypedNode("S", "b.java"))
+        assert net.nodes == (TypedNode("B", "BUG-1"), *_of_kind(net, "S"))
+        assert net.num_edges() == 0 and not net.neighbors(TypedNode("B", "BUG-1"))
+
+    def test_rows_list_neighbors_in_edge_order(self):
+        b = TypedNode("B", "b")
+        t1, t2, s1 = TypedNode("T", "z"), TypedNode("T", "a"), TypedNode("S", "m.java")
+        net = HeteroNetwork.from_edges([(t1, b, 2.0), (b, s1, 1.0), (t2, b, 3.0)])
+        assert list(net.neighbors(b).items()) == [(t1, 2.0), (s1, 1.0), (t2, 3.0)]
+        row = net.nodes.index(b)
+        span = slice(*net.adjacency.indptr[row : row + 2])
+        assert [net.nodes[j] for j in net.adjacency.indices[span]] == [t1, s1, t2]
+        assert net.degree[row] == 6.0
+        assert (net.adjacency != net.adjacency.T).nnz == 0
+
+    def test_unknown_node_has_no_neighbors_entry(self):
+        net = HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("B", "b"), 1.0)])
+        with pytest.raises(KeyError):
+            net.neighbors(TypedNode("B", "c"))
 
 
 def _tiny_corpus():
@@ -103,12 +125,12 @@ class TestBuildNetwork:
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         net = build_network(reports, bows, vocab, paths, buckets)
         # leak appears in both docs so its weight is 0 and no T node exists
-        assert net.nodes_of_kind("T") == [
+        assert _of_kind(net, "T") == (
             TypedNode("T", "socket"), TypedNode("T", "widget"),
-        ]
-        assert len(net.nodes_of_kind("B")) == 2
-        assert len(net.nodes_of_kind("S")) == 3  # src/C.java has no edges
-        assert len(net.nodes_of_kind("M")) == 2
+        )
+        assert len(_of_kind(net, "B")) == 2
+        assert len(_of_kind(net, "S")) == 3  # src/C.java has no edges
+        assert len(_of_kind(net, "M")) == 2
         b1 = TypedNode("B", "B-1")
         assert net.neighbors(b1)[TypedNode("T", "socket")] == pytest.approx(
             math.log(2), abs=1e-15
@@ -149,7 +171,14 @@ class TestBuildNetwork:
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         buckets["src/Other.java"] = buckets["src/A.java"]
         net = build_network(reports, bows, vocab, paths, buckets)
-        assert TypedNode("S", "src/Other.java") not in net
+        assert TypedNode("S", "src/Other.java") not in net.nodes
+
+    def test_bucket_listed_twice_links_once(self):
+        reports, bows, vocab, paths, buckets = _tiny_corpus()
+        buckets["src/A.java"] = buckets["src/A.java"] * 2
+        net = build_network(reports, bows, vocab, paths, buckets)
+        m0 = TypedNode("M", "lines:0")
+        assert net.neighbors(m0) == {TypedNode("S", "src/A.java"): 1.0}
 
 
 class TestValidateNetwork:
@@ -163,31 +192,11 @@ class TestValidateNetwork:
         assert "B=2" in info[0].message
 
     def test_component_without_terms_warns(self):
-        net = HeteroNetwork()
-        net.add_edge(TypedNode("S", "a.java"), TypedNode("M", "lines:0"), 1.0)
+        net = HeteroNetwork.from_edges([(TypedNode("S", "a.java"), TypedNode("M", "lines:0"), 1.0)])
         diags = validate_network(net)
         warned = [d for d in diags if d.code == "isolated-component"]
         assert len(warned) == 1
         assert "2 nodes" in warned[0].message
-
-    def test_tampered_kind_pair_detected(self):
-        net = HeteroNetwork()
-        t1, t2 = TypedNode("T", "aa"), TypedNode("T", "bb")
-        net.add_node(t1)
-        net.add_node(t2)
-        net._adj[t1][t2] = 1.0
-        net._adj[t2][t1] = 1.0
-        diags = validate_network(net)
-        assert any(d.code == "kind-pair" and d.severity == "error" for d in diags)
-
-    def test_tampered_weight_detected(self):
-        net = HeteroNetwork()
-        t, b = TypedNode("T", "x"), TypedNode("B", "b")
-        net.add_edge(t, b, 1.0)
-        net._adj[t][b] = -2.0
-        net._adj[b][t] = -2.0
-        diags = validate_network(net)
-        assert any(d.code == "weight" and d.severity == "error" for d in diags)
 
 
 class TestWriteEdgeCsv:

@@ -6,6 +6,7 @@ import pytest
 from bugloc import evaluation, pipeline
 from bugloc.corpus import BugReport
 from bugloc.errors import ValidationError
+from bugloc.network import kind_slice
 
 from datetime import datetime, timezone
 
@@ -39,6 +40,23 @@ class TestRunConfig:
         # a removed key is unknown too, not silently ignored
         with pytest.raises(ValidationError, match="track_energy"):
             pipeline.RunConfig.from_dict({"track_energy": True})
+
+    def test_wrongly_typed_value_rejected(self):
+        for raw, shown in [
+            ({"alpha": "0.5"}, "'alpha' must be float, got '0.5'"),
+            ({"k": True}, "'k' must be int"),
+            ({"k": 2.5}, "'k' must be int"),
+            ({"ks": [1, "5"]}, r"'ks' must be tuple\[int, ...\]"),
+            ({"methods": "bow"}, r"'methods' must be tuple\[str, ...\]"),
+            ({"reports": 5}, r"'reports' must be str \| None"),
+            ({"stem": 1}, "'stem' must be bool"),
+        ]:
+            with pytest.raises(ValidationError, match=shown):
+                pipeline.RunConfig.from_dict(raw)
+
+    def test_int_accepted_where_a_float_is_expected(self):
+        cfg = pipeline.RunConfig.from_dict({"alpha": 1, "alpha_grid": [0, 0.5, 1], "reports": None})
+        assert cfg.alpha == 1.0 and cfg.alpha_grid == (0, 0.5, 1)
 
     def test_missing_input_path_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="reports"):
@@ -132,6 +150,29 @@ class TestDatasetLoadingAndCache:
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
         assert reloaded.report_tokens == fresh.report_tokens
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda payload: [1, 2],
+            lambda payload: "text",
+            lambda payload: None,
+            lambda payload: {"key": payload["key"]},
+            lambda payload: {**payload, "report_tokens": [1, 2]},
+        ],
+        ids=["list", "string", "null", "no-report-tokens", "report-tokens-not-an-object"],
+    )
+    def test_malformed_cache_ignored(self, synth_dir, tmp_path, mangle):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        fresh = pipeline.load_dataset(cfg, use_cache=False)
+        pipeline.write_corpus_cache(cfg, fresh)
+        cache_file = tmp_path / pipeline.CACHE_NAME
+        payload = json.loads(cache_file.read_text(encoding="utf-8"))
+        cache_file.write_text(json.dumps(mangle(payload)), encoding="utf-8")
+        reloaded = pipeline.load_dataset(cfg, use_cache=True)
+        assert reloaded.report_tokens == fresh.report_tokens
+        assert reloaded.source_tokens == fresh.source_tokens
+
     def test_requires_reports_and_embeddings(self, synth_dir):
         cfg = pipeline.RunConfig(embeddings=str(synth_dir / "embeddings.txt"))
         with pytest.raises(ValidationError, match="reports"):
@@ -149,7 +190,7 @@ class TestBuildIndex:
             eval_bundle.dataset.reports
         )
         assert len(index.universe) == 24
-        assert index.network.nodes_of_kind("M")
+        assert index.network.nodes[kind_slice(index.network.nodes, "M")]
         assert set(index.fix_links) == {r.id for r in index.train_reports}
 
     def test_vocabulary_covers_training_reports_only(self, eval_bundle):

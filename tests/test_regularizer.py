@@ -8,7 +8,7 @@ import pytest
 from bugloc import pipeline, synthgen
 from bugloc.embeddings import EmbeddingTable
 from bugloc.errors import ParseError, ValidationError
-from bugloc.network import HeteroNetwork, TypedNode
+from bugloc.network import HeteroNetwork, TypedNode, kind_slice
 from bugloc.regularizer import (
     RepresentationModel,
     SolverConfig,
@@ -21,7 +21,7 @@ from bugloc.regularizer import (
     solve,
     sweep_update,
 )
-from netgen import components, random_network
+from netgen import components, random_network, sweep_energies
 
 T1 = TypedNode("T", "t1")
 T2 = TypedNode("T", "t2")
@@ -29,25 +29,21 @@ B1 = TypedNode("B", "b1")
 S1 = TypedNode("S", "s1.java")
 
 
-def _pair_net():
-    net = HeteroNetwork()
-    net.add_edge(T1, B1, 2.0)
+def _pair_net(*more_edges):
+    net = HeteroNetwork.from_edges([(T1, B1, 2.0), *more_edges])
     table = EmbeddingTable(1, {"t1": np.array([1.0])})
     return net, table
 
 
 def _weighted_net():
-    net = HeteroNetwork()
-    net.add_edge(T1, B1, 3.0)
-    net.add_edge(T2, B1, 1.0)
+    net = HeteroNetwork.from_edges([(T1, B1, 3.0), (T2, B1, 1.0)])
     table = EmbeddingTable(1, {"t1": np.array([1.0]), "t2": np.array([0.0])})
     return net, table
 
 
 class TestInitialize:
     def test_clamps_known_terms_and_zeros_the_rest(self):
-        net, table = _pair_net()
-        net.add_edge(TypedNode("T", "oov"), B1, 1.0)
+        net, table = _pair_net((TypedNode("T", "oov"), B1, 1.0))
         model = initialize_representation(net, table)
         assert model.clamped == frozenset({T1})
         np.testing.assert_array_equal(model.vector(T1), [1.0])
@@ -84,26 +80,24 @@ class TestSweepAndEnergy:
         np.testing.assert_array_equal(model.vector(T2), [0.0])
 
     def test_energy_counts_each_edge_once(self):
-        net = HeteroNetwork()
-        net.add_edge(T1, B1, 2.0)
+        net = HeteroNetwork.from_edges([(T1, B1, 2.0)])
         model = RepresentationModel(
             nodes=(B1, T1), matrix=np.array([[0.5], [1.0]]), clamped=frozenset()
         )
         assert energy(model, net) == 0.5  # 2.0 * (1.0 - 0.5)^2
 
     def test_energy_of_edgeless_network_is_zero(self):
-        net = HeteroNetwork()
-        net.add_node(T1)
+        net = HeteroNetwork.from_edges([], nodes=[T1])
         model = RepresentationModel(nodes=(T1,), matrix=np.array([[1.0]]), clamped=frozenset())
         assert energy(model, net) == 0.0
 
 
 def _node_by_node_sweep(net, vectors, clamped):
-    """Reference: the sequential Gauss-Seidel sweep over the dict adjacency,
+    """Reference: the sequential Gauss-Seidel sweep over neighbor dicts,
     one node at a time in sorted order within each kind."""
     max_disp = 0.0
     for kind in ("T", "B", "S", "M", "S", "B"):
-        for node in net.nodes_of_kind(kind):
+        for node in net.nodes[kind_slice(net.nodes, kind)]:
             nbrs = net.neighbors(node)
             if node in clamped or not nbrs:
                 continue
@@ -139,9 +133,7 @@ class TestAgainstNodeByNodeReference:
 
 class TestSolve:
     def test_chain_converges_to_clamp(self):
-        net = HeteroNetwork()
-        net.add_edge(T1, B1, 1.0)
-        net.add_edge(B1, S1, 1.0)
+        net = HeteroNetwork.from_edges([(T1, B1, 1.0), (B1, S1, 1.0)])
         table = EmbeddingTable(1, {"t1": np.array([1.0])})
         model = solve(net, table, SolverConfig(max_iters=50, tolerance=1e-12))
         assert model.convergence.converged
@@ -164,11 +156,10 @@ class TestSolve:
         assert d["iterations"] == 2 and d["converged"] is True
 
     def test_non_convergence_warns(self, caplog):
-        net = HeteroNetwork()
-        net.add_edge(T1, B1, 1.0)
-        net.add_edge(B1, S1, 1.0)
-        net.add_edge(TypedNode("B", "b2"), S1, 1.0)
-        net.add_edge(TypedNode("T", "t2"), TypedNode("B", "b2"), 1.0)
+        b2 = TypedNode("B", "b2")
+        net = HeteroNetwork.from_edges(
+            [(T1, B1, 1.0), (B1, S1, 1.0), (b2, S1, 1.0), (TypedNode("T", "t2"), b2, 1.0)]
+        )
         table = EmbeddingTable(1, {"t1": np.array([1.0]), "t2": np.array([-1.0])})
         with caplog.at_level(logging.WARNING, logger="bugloc.regularizer"):
             model = solve(net, table, SolverConfig(max_iters=1, tolerance=1e-12))
@@ -178,17 +169,16 @@ class TestSolve:
     def test_energy_tracking_is_monotone(self):
         rng = random.Random(4242)
         net, table = random_network(rng)
-        model = solve(net, table, SolverConfig(max_iters=200, tolerance=1e-14, track_energy=True))
-        energies = model.convergence.energies
+        config = SolverConfig(max_iters=200, tolerance=1e-14)
+        model = solve(net, table, config)
+        energies = sweep_energies(net, table, config)
         assert len(energies) == model.convergence.iterations
         for prev, nxt in zip(energies, energies[1:]):
             assert nxt <= prev + 1e-12 * max(1.0, abs(prev))
 
     def test_isolated_component_stays_zero_with_diagnostic(self):
-        net = HeteroNetwork()
-        net.add_edge(T1, B1, 1.0)
         b2, s2 = TypedNode("B", "b2"), TypedNode("S", "s2.java")
-        net.add_edge(b2, s2, 1.0)
+        net = HeteroNetwork.from_edges([(T1, B1, 1.0), (b2, s2, 1.0)])
         table = EmbeddingTable(1, {"t1": np.array([1.0])})
         model = solve(net, table)
         np.testing.assert_array_equal(model.vector(b2), [0.0])
@@ -358,9 +348,7 @@ class TestModelSerialization:
         np.testing.assert_array_equal(loaded.matrix, model.matrix)
 
     def test_clamped_row_in_non_repr_form_still_loads(self, tmp_path):
-        net = HeteroNetwork()
-        net.add_edge(T1, B1, 1.0)
-        net.add_edge(T2, B1, 1.0)
+        net = HeteroNetwork.from_edges([(T1, B1, 1.0), (T2, B1, 1.0)])
         table = EmbeddingTable(1, {"t1": np.array([0.5]), "t2": np.array([0.25])})
         model = solve(net, table)
         path = tmp_path / "model.tsv"
