@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--methods", help="comma-separated subset of bow,embedding,netreg")
         return p
 
-    common(sub.add_parser("ingest", help="validate inputs and cache the tokenized corpus"))
+    common(sub.add_parser("ingest", help="validate inputs and cache the tokenized corpus and parsed embeddings"))
     common(sub.add_parser("build", help="build the typed network and dump its edges"))
     common(sub.add_parser("solve", help="solve the representation model and dump it"))
     q = common(sub.add_parser("query", help="rank files for one report"))
@@ -185,6 +185,7 @@ def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg, use_cache=False)
     cache_path = pipeline.write_corpus_cache(cfg, dataset)
+    pipeline.write_embedding_cache(cfg, dataset.table)
     empty = sum(1 for toks in dataset.report_tokens.values() if not toks)
     summary = {
         "reports": len(dataset.reports),

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import zipfile
+from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -69,6 +72,56 @@ def load_embeddings(path) -> EmbeddingTable:
             f"{path}: header declares {count} rows but file holds {len(vectors)}"
         )
     return EmbeddingTable(dim=dim, vectors=vectors)
+
+
+def write_table_cache(table: EmbeddingTable, path, source_sha256: str) -> None:
+    """Save a parsed table as one .npz keyed by the sha256 of its text file.
+
+    The tokens are stored as their UTF-8 text joined by newlines, which no
+    token holds; a fixed-width string array would spend the longest
+    token's width on every token. The file is written to a temporary name
+    and renamed into place, so a reader sees the old file or the new one,
+    never a torn one.
+    """
+    tokens = list(table.vectors)
+    matrix = np.array(list(table.vectors.values()), dtype=np.float64).reshape(len(tokens), table.dim)
+    text = np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        np.savez(fh, tokens=text, matrix=matrix, sha256=np.array(source_sha256))
+    os.replace(tmp, path)
+
+
+def read_table_cache(path, source_sha256: str) -> EmbeddingTable | None:
+    """The table saved by write_table_cache, or None on any miss.
+
+    A miss is a missing, torn or foreign file, a key other than
+    source_sha256, or contents the text loader would not have produced:
+    a matrix that is not float64 with one row per token, duplicate tokens
+    or a non-finite value. The vectors are rows of one matrix.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            sha, text, matrix = npz["sha256"], npz["tokens"], npz["matrix"]
+    # a foreign .npy loads as an array, which is no context manager (TypeError)
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
+        return None
+    fits = (
+        str(sha) == source_sha256
+        and text.dtype == np.uint8 and text.ndim == 1
+        and matrix.dtype == np.float64 and matrix.ndim == 2 and matrix.shape[1] >= 1
+    )
+    if not fits:
+        return None
+    try:
+        tokens = text.tobytes().decode("utf-8").split("\n") if len(matrix) else []
+    except UnicodeDecodeError:
+        return None
+    vectors = dict(zip(tokens, matrix))
+    if not len(tokens) == len(vectors) == len(matrix) or not np.isfinite(matrix).all():
+        return None
+    return EmbeddingTable(dim=matrix.shape[1], vectors=vectors)
 
 
 def embed_tokens(

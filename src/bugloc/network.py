@@ -29,6 +29,13 @@ KINDS = ("B", "T", "S", "M")
 # canonical (min, max) kind pairs allowed to share an edge
 ALLOWED_KIND_PAIRS = frozenset({("B", "T"), ("B", "S"), ("M", "S")})
 
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+# whether kinds with codes i and j may share an edge, in either order
+_ALLOWED_CODES = np.zeros((len(KINDS),) * 2, dtype=bool)
+for _pair in ALLOWED_KIND_PAIRS:
+    _ALLOWED_CODES[_KIND_CODE[_pair[0]], _KIND_CODE[_pair[1]]] = True
+_ALLOWED_CODES |= _ALLOWED_CODES.T
+
 
 class TypedNode(NamedTuple):
     kind: str
@@ -68,6 +75,34 @@ def _check_edge(a: TypedNode, b: TypedNode, weight: float) -> None:
     _check_node(b)
 
 
+def component_labels(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of an undirected graph, given
+    its edges as an (m, 2) array of node numbers.
+
+    Components are numbered in the order of their smallest node, as
+    scipy.sparse.csgraph.connected_components numbers them. Each round hooks
+    every root under the smallest root an edge joins it to, then jumps
+    pointers until each node points at its root; a root is always the
+    smallest node of its tree, so no pointer cycle forms.
+    """
+    root = np.arange(num_nodes)
+    u, v = pairs[:, 0], pairs[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        apart = ru != rv
+        if not apart.any():
+            break
+        # an edge inside one tree stays inside it, so later rounds skip it
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    return np.unique(root, return_inverse=True)[1]
+
+
 @dataclass(frozen=True)
 class HeteroNetwork:
     """Undirected weighted graph over typed nodes with kind-pair constraints,
@@ -97,14 +132,25 @@ class HeteroNetwork:
         that join them, so sums over a row add in that order.
         """
         nodes = list(nodes)
-        for node in nodes:
-            _check_node(node)
-        for edge in edges:
-            _check_edge(*edge)
         ends = [node for a, b, _ in edges for node in (a, b)]
-        order = tuple(sorted({*nodes, *ends}))
-        index = {node: i for i, node in enumerate(order)}
-        pairs = np.array([index[node] for node in ends], dtype=np.intp).reshape(-1, 2)
+        distinct = dict.fromkeys(nodes + ends)
+        weights = np.array([w for _, _, w in edges], dtype=np.float64)
+        valid = all(node.kind in KINDS and node.key for node in distinct)
+        if valid:
+            order = tuple(sorted(distinct))
+            index = dict(zip(order, range(len(order))))
+            pairs = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+            pairs = pairs.reshape(-1, 2)
+            kinds = np.array([_KIND_CODE[node.kind] for node in order], dtype=np.intp)
+            # no allowed pair joins one kind, so this also flags every self-loop
+            allowed = _ALLOWED_CODES[kinds[pairs[:, 0]], kinds[pairs[:, 1]]]
+            valid = (allowed & np.isfinite(weights) & (weights > 0.0)).all()
+        if not valid:
+            # name the first offender, as checking each node and then each edge in turn does
+            for node in nodes:
+                _check_node(node)
+            for edge in edges:
+                _check_edge(*edge)
         _, first = np.unique(pairs.min(axis=1) * len(order) + pairs.max(axis=1), return_index=True)
         if len(first) < len(pairs):
             repeats = np.ones(len(pairs), dtype=bool)
@@ -115,21 +161,17 @@ class HeteroNetwork:
         # keeps every row's entries in edge order
         rows, columns = pairs.ravel(), pairs[:, ::-1].ravel()
         by_row = np.argsort(rows, kind="stable")
-        weights = np.repeat(np.array([w for _, _, w in edges], dtype=np.float64), 2)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(order)))))
         adjacency = sparse.csr_array(
-            (weights[by_row], columns[by_row], indptr), shape=(len(order),) * 2, dtype=np.float64
+            (np.repeat(weights, 2)[by_row], columns[by_row], indptr),
+            shape=(len(order),) * 2,
+            dtype=np.float64,
         )
-        # imported here: csgraph loads scipy.linalg, and a run that loads a
-        # solved model builds no network
-        from scipy.sparse import csgraph
-
-        _, labels = csgraph.connected_components(adjacency, directed=False)
         return cls(
             nodes=order,
             adjacency=adjacency,
             degree=adjacency.sum(axis=1),
-            labels=labels,
+            labels=component_labels(len(order), pairs),
             kind_rows={kind: adjacency[kind_slice(order, kind)] for kind in KINDS},
         )
 

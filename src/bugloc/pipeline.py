@@ -3,9 +3,11 @@ CLI and the evaluation harness."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+import os
 import types
 from collections import Counter
 from dataclasses import dataclass
@@ -28,7 +30,13 @@ from .corpus import (
     load_source_docs,
     tokenize,
 )
-from .embeddings import EmbeddingTable, embed_tokens, load_embeddings
+from .embeddings import (
+    EmbeddingTable,
+    embed_tokens,
+    load_embeddings,
+    read_table_cache,
+    write_table_cache,
+)
 from .errors import ValidationError
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
 from .network import HeteroNetwork, build_network, check_fix_links, kind_slice
@@ -37,6 +45,7 @@ from .regularizer import RepresentationModel, SolverConfig
 logger = logging.getLogger(__name__)
 
 CACHE_NAME = "corpus_cache.json"
+EMBEDDING_CACHE_NAME = "embeddings_cache.npz"
 
 DATASET_FILES = {
     "reports": "reports.jsonl",
@@ -61,6 +70,14 @@ def _has_type(value, hint) -> bool:
 
 
 def sha256_file(path) -> str:
+    """Hex sha256 of a file's bytes, hashed once per process while the file's
+    size and modification time stay the same."""
+    st = os.stat(path)
+    return _sha256_file(os.path.abspath(path), st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+@functools.lru_cache(maxsize=32)
+def _sha256_file(path: str, inode: int, size: int, mtime_ns: int) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -218,6 +235,17 @@ def write_corpus_cache(cfg: RunConfig, dataset: Dataset) -> Path:
     return path
 
 
+def write_embedding_cache(cfg: RunConfig, table: EmbeddingTable) -> None:
+    """Persist the parsed embedding table so later subcommands skip the text parse."""
+    path = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_table_cache(table, path, sha256_file(cfg.embeddings))
+
+
+def _is_token_map(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(tokens, list) for tokens in value.values())
+
+
 def _read_corpus_cache(cfg: RunConfig):
     path = Path(cfg.out_dir) / CACHE_NAME
     if not path.exists():
@@ -225,10 +253,11 @@ def _read_corpus_cache(cfg: RunConfig):
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        # anything but an object holding this run's key and a token map is a miss
+        # anything but an object holding this run's key and token maps is a miss
         fits = (
             isinstance(payload, dict)
-            and isinstance(payload.get("report_tokens"), dict)
+            and _is_token_map(payload.get("report_tokens"))
+            and (payload.get("source_tokens") is None or _is_token_map(payload["source_tokens"]))
             and payload.get("key") == _cache_key(cfg)
         )
     except (OSError, json.JSONDecodeError):
@@ -262,7 +291,12 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     else:
         source_tokens = None
     metric_records = load_metrics(cfg.metrics) if cfg.metrics else []
-    table = load_embeddings(cfg.embeddings)
+    table = None
+    if use_cache:
+        path = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
+        table = read_table_cache(path, sha256_file(cfg.embeddings))
+    if table is None:
+        table = load_embeddings(cfg.embeddings)
     return Dataset(
         name=cfg.dataset_name,
         reports=reports,

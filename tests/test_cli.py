@@ -60,7 +60,20 @@ class TestIngestAndBuild:
         assert summary["reports"] == 149
         assert summary["source_docs"] == 24
         assert (out / "corpus_cache.json").exists()
+        assert (out / "embeddings_cache.npz").exists()
         assert (out / "manifest.json").exists()
+
+    def test_solve_writes_the_same_model_with_and_without_the_embedding_cache(
+        self, cli_dataset, tmp_path
+    ):
+        out = tmp_path / "out"
+        args = ("--dataset-dir", str(cli_dataset), "--out-dir", str(out))
+        assert _run("ingest", *args) == 0
+        assert _run("solve", *args) == 0
+        with_cache = (out / "model.tsv").read_bytes()
+        (out / "embeddings_cache.npz").unlink()
+        assert _run("solve", *args) == 0
+        assert (out / "model.tsv").read_bytes() == with_cache
 
     def test_build_writes_edges_and_diagnostics(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -287,6 +300,21 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["build", "solve"])
+def test_build_and_solve_leave_scipy_linalg_unloaded(cli_dataset, tmp_path, command):
+    # labelling components with numpy keeps csgraph, and with it scipy.linalg, out
+    env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
+    argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path)]
+    probe = (
+        "import sys; from bugloc.cli import main; "
+        f"assert main({argv!r}) == 0; print('scipy.linalg' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_eval_leaves_scipy_stats_unloaded(cli_dataset, tmp_path):

@@ -1,7 +1,10 @@
 import logging
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from bugloc.corpus import BowVector, bow_vectorize, build_vocabulary
 from bugloc.errors import ValidationError
@@ -9,7 +12,10 @@ from bugloc.metrics import MetricRecord, discretize
 from bugloc.network import (
     HeteroNetwork,
     TypedNode,
+    _check_edge,
+    _check_node,
     build_network,
+    component_labels,
     kind_slice,
     validate_network,
     write_edge_csv,
@@ -93,6 +99,93 @@ class TestHeteroNetwork:
         net = HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("B", "b"), 1.0)])
         with pytest.raises(KeyError):
             net.neighbors(TypedNode("B", "c"))
+
+
+def _first_offence(edges, nodes):
+    """The error of checking each node and then each edge in turn, or None."""
+    try:
+        for node in nodes:
+            _check_node(node)
+        for edge in edges:
+            _check_edge(*edge)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+_NODE_POOL = [
+    TypedNode(kind, key) for kind in ("B", "T", "S", "M", "X") for key in ("a", "b", "")
+]
+# node pairs that pass every check but the weight's, so that a bad weight is often the only fault
+_ALLOWED_ENDS = [
+    (TypedNode(x, key_x), TypedNode(y, key_y))
+    for pair in (("B", "T"), ("B", "S"), ("M", "S"))
+    for x, y in (pair, pair[::-1])
+    for key_x in ("a", "b")
+    for key_y in ("a", "b")
+]
+_WEIGHTS = st.sampled_from([1.0, 0.5, 2, 3.0, 0.0, -1.0, math.inf, math.nan])
+_EDGES = st.one_of(
+    st.tuples(st.sampled_from(_ALLOWED_ENDS), _WEIGHTS).map(lambda e: (*e[0], e[1])),
+    st.tuples(st.sampled_from(_NODE_POOL), st.sampled_from(_NODE_POOL), _WEIGHTS),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_EDGES, max_size=8), st.lists(st.sampled_from(_NODE_POOL), max_size=3))
+def test_array_checks_name_the_first_offence_of_a_loop(edges, nodes):
+    expected = _first_offence(edges, nodes)
+    if expected is None:
+        try:
+            HeteroNetwork.from_edges(edges, nodes)
+        except ValidationError as exc:
+            assert str(exc).startswith("duplicate edge")
+    else:
+        with pytest.raises(ValidationError) as info:
+            HeteroNetwork.from_edges(edges, nodes)
+        assert str(info.value) == expected
+
+
+def _csgraph_labels(num_nodes, pairs):
+    from scipy.sparse import csgraph
+
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    graph = sparse.coo_array(
+        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(num_nodes, num_nodes)
+    )
+    return csgraph.connected_components(graph, directed=False)[1]
+
+
+class TestComponentLabels:
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+                if n
+                else st.just([]),
+            )
+        )
+    )
+    def test_matches_csgraph(self, graph):
+        num_nodes, pairs = graph
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        labels = component_labels(num_nodes, pairs)
+        np.testing.assert_array_equal(labels, _csgraph_labels(num_nodes, pairs))
+
+    def test_empty_graph_and_isolated_nodes(self):
+        assert component_labels(0, np.zeros((0, 2), dtype=np.intp)).tolist() == []
+        isolated = component_labels(4, np.array([[1, 2]], dtype=np.intp))
+        assert isolated.tolist() == [0, 1, 1, 2]
+
+    @given(st.integers(2, 3000), st.randoms(use_true_random=False))
+    def test_permuted_long_path_is_one_component(self, length, rnd):
+        order = list(range(length))
+        rnd.shuffle(order)
+        pairs = np.array(list(zip(order, order[1:])), dtype=np.intp)
+        labels = component_labels(length + 1, pairs)
+        assert labels[:length].tolist() == [0] * length
+        np.testing.assert_array_equal(labels, _csgraph_labels(length + 1, pairs))
 
 
 def _tiny_corpus():

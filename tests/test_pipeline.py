@@ -1,11 +1,15 @@
 import dataclasses
+import hashlib
 import json
+import shutil
 
+import numpy as np
 import pytest
 
 from bugloc import evaluation, pipeline
 from bugloc.corpus import BugReport
-from bugloc.errors import ValidationError
+from bugloc.embeddings import load_embeddings
+from bugloc.errors import ParseError, ValidationError
 from bugloc.network import kind_slice
 
 from datetime import datetime, timezone
@@ -20,6 +24,17 @@ def _report(rid, hour, files=("src/A.java",)):
         status="resolved",
         fixed_files=tuple(files),
     )
+
+
+def test_sha256_file_hashes_once_and_sees_a_rewrite(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text("one", encoding="utf-8")
+    first = pipeline.sha256_file(path)
+    hits = pipeline._sha256_file.cache_info().hits
+    assert pipeline.sha256_file(path) == first == hashlib.sha256(b"one").hexdigest()
+    assert pipeline._sha256_file.cache_info().hits == hits + 1
+    path.write_text("three", encoding="utf-8")
+    assert pipeline.sha256_file(path) == hashlib.sha256(b"three").hexdigest()
 
 
 class TestRunConfig:
@@ -158,8 +173,21 @@ class TestDatasetLoadingAndCache:
             lambda payload: None,
             lambda payload: {"key": payload["key"]},
             lambda payload: {**payload, "report_tokens": [1, 2]},
+            lambda payload: {
+                **payload,
+                "report_tokens": {**payload["report_tokens"], next(iter(payload["report_tokens"])): 5},
+            },
+            lambda payload: {**payload, "source_tokens": [1, 2]},
         ],
-        ids=["list", "string", "null", "no-report-tokens", "report-tokens-not-an-object"],
+        ids=[
+            "list",
+            "string",
+            "null",
+            "no-report-tokens",
+            "report-tokens-not-an-object",
+            "report-entry-not-a-list",
+            "source-tokens-not-an-object",
+        ],
     )
     def test_malformed_cache_ignored(self, synth_dir, tmp_path, mangle):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
@@ -173,6 +201,88 @@ class TestDatasetLoadingAndCache:
         assert reloaded.report_tokens == fresh.report_tokens
         assert reloaded.source_tokens == fresh.source_tokens
 
+    def test_embedding_cache_equals_text_parse_bit_for_bit(self, synth_dir, tmp_path, monkeypatch):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        parsed = load_embeddings(cfg.embeddings)
+        pipeline.write_embedding_cache(cfg, parsed)
+
+        def no_text_parse(path):
+            raise AssertionError("the cached table should have been used")
+
+        monkeypatch.setattr(pipeline, "load_embeddings", no_text_parse)
+        cached = pipeline.load_dataset(cfg).table
+        _assert_same_table(cached, parsed)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda arrays: {**arrays, "sha256": np.array("0" * 64)},
+            lambda arrays: {**arrays, "matrix": arrays["matrix"].astype(np.float32)},
+            lambda arrays: {**arrays, "matrix": arrays["matrix"][:-1]},
+            lambda arrays: {**arrays, "matrix": arrays["matrix"].reshape(-1)},
+            lambda arrays: {**arrays, "matrix": np.where(arrays["matrix"] > 0, np.inf, arrays["matrix"])},
+            lambda arrays: {**arrays, "tokens": _tokens_array(["dup", "dup", *_cached_tokens(arrays)[2:]])},
+            lambda arrays: {**arrays, "tokens": np.array(_cached_tokens(arrays), dtype=object)},
+            lambda arrays: {key: value for key, value in arrays.items() if key != "sha256"},
+        ],
+        ids=[
+            "stale-sha",
+            "float32",
+            "row-missing",
+            "flat-matrix",
+            "non-finite",
+            "duplicate-token",
+            "needs-pickle",
+            "no-key",
+        ],
+    )
+    def test_embedding_cache_misses_fall_back_to_text_parse(self, synth_dir, tmp_path, mangle):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        parsed = load_embeddings(cfg.embeddings)
+        pipeline.write_embedding_cache(cfg, parsed)
+        path = tmp_path / pipeline.EMBEDDING_CACHE_NAME
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        # poisoned values: a table read from this cache would differ from the parse
+        arrays["matrix"] = arrays["matrix"] + 1.0
+        with open(path, "wb") as fh:
+            np.savez(fh, **mangle(arrays))
+        _assert_same_table(pipeline.load_dataset(cfg).table, parsed)
+
+    @pytest.mark.parametrize("size", [0, 1, 100, "half", "all-but-one"])
+    def test_torn_embedding_cache_falls_back_to_text_parse(self, synth_dir, tmp_path, size):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        parsed = load_embeddings(cfg.embeddings)
+        pipeline.write_embedding_cache(cfg, parsed)
+        path = tmp_path / pipeline.EMBEDDING_CACHE_NAME
+        data = path.read_bytes()
+        size = {"half": len(data) // 2, "all-but-one": len(data) - 1}.get(size, size)
+        path.write_bytes(data[:size])
+        _assert_same_table(pipeline.load_dataset(cfg).table, parsed)
+
+    def test_foreign_npy_behind_the_cache_name_is_a_miss(self, synth_dir, tmp_path):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        with open(tmp_path / pipeline.EMBEDDING_CACHE_NAME, "wb") as fh:
+            np.save(fh, np.zeros((3, 2)))
+        _assert_same_table(pipeline.load_dataset(cfg).table, load_embeddings(cfg.embeddings))
+
+    def test_invalid_embeddings_behind_a_cache_still_rejected(self, synth_dir, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path / "out"))
+        cfg.apply_dataset_dir(data)
+        pipeline.write_embedding_cache(cfg, load_embeddings(cfg.embeddings))
+        lines = (data / "embeddings.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        token, _, *rest = lines[1].split()
+        lines[1] = " ".join([token, "oops", *rest]) + "\n"
+        (data / "embeddings.txt").write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"token '{token}' has a non-numeric component"):
+            pipeline.load_dataset(cfg)
+
     def test_requires_reports_and_embeddings(self, synth_dir):
         cfg = pipeline.RunConfig(embeddings=str(synth_dir / "embeddings.txt"))
         with pytest.raises(ValidationError, match="reports"):
@@ -180,6 +290,22 @@ class TestDatasetLoadingAndCache:
         cfg = pipeline.RunConfig(reports=str(synth_dir / "reports.jsonl"))
         with pytest.raises(ValidationError, match="embeddings"):
             pipeline.load_dataset(cfg)
+
+
+def _tokens_array(tokens):
+    return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
+
+
+def _cached_tokens(arrays):
+    return arrays["tokens"].tobytes().decode("utf-8").split("\n")
+
+
+def _assert_same_table(table, parsed):
+    assert table.dim == parsed.dim
+    assert list(table.vectors) == list(parsed.vectors)
+    for token, vector in parsed.vectors.items():
+        assert table.vectors[token].dtype == np.float64
+        np.testing.assert_array_equal(table.vectors[token].view(np.int64), vector.view(np.int64))
 
 
 class TestBuildIndex:
