@@ -8,7 +8,6 @@ files, and metric buckets.
 __version__ = "0.1.0"
 
 from .corpus import (
-    BowVector,
     BugReport,
     SourceDoc,
     TokenRules,
@@ -18,6 +17,7 @@ from .corpus import (
     default_token_rules,
     load_bug_reports,
     load_source_docs,
+    tfidf_rows,
     tokenize,
 )
 from .embeddings import EmbeddingTable, embed_tokens, load_embeddings

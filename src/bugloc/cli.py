@@ -20,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from . import __version__, evaluation, pipeline, ranker, regularizer, synthgen
-from .corpus import load_bug_reports, tokenize
+from .corpus import load_bug_reports, tfidf_rows, tokenize
 from .errors import ValidationError
 from .network import validate_network, write_edge_csv
 
@@ -267,21 +267,20 @@ def cmd_query(args) -> int:
         dataset, cfg, model=model, methods=(evaluation.METHOD_NETREG,)
     )
     rules = cfg.token_rules()
+    rows = tfidf_rows([tokenize(report.text, rules) for report in queries], scorer.index.vocab)
+    top, scores = ranker.blend_and_rank(
+        ranker.minmax_rows(scorer.bow_matrix(rows)),
+        ranker.minmax_rows(scorer.learned_matrix(evaluation.METHOD_NETREG, rows)),
+        cfg.alpha,
+        cfg.k,
+    )
     out = Path(cfg.out_dir)
-    for report in queries:
-        tokens = tokenize(report.text, rules)
-        result = ranker.combine_and_rank(
-            scorer.bow_scores(tokens),
-            scorer.netreg_scores(tokens),
-            cfg.alpha,
-            cfg.k,
-            query_id=report.id,
-        )
+    for report, columns, values in zip(queries, top.tolist(), scores.tolist()):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["rank", "path", "score"])
-        for rank, (path, score) in enumerate(result.ranking, 1):
-            writer.writerow([rank, path, f"{score:.8f}"])
+        for rank, (j, score) in enumerate(zip(columns, values), 1):
+            writer.writerow([rank, scorer.index.universe[j], f"{score:.8f}"])
         text = buf.getvalue()
         if batch:
             out.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,9 @@ from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable, Mapping
 
+import numpy as np
+from scipy import sparse
+
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -234,6 +237,8 @@ class Vocabulary:
         self.index = {t: i for i, t in enumerate(self.terms)}
         self.doc_freq = dict(doc_freq)
         self.num_docs = num_docs
+        # ln(N / df) of each term, in index order
+        self.idf = np.array([math.log(num_docs / self.doc_freq[t]) for t in self.terms])
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -258,33 +263,31 @@ def build_vocabulary(docs: Iterable[Iterable[str]]) -> Vocabulary:
     return Vocabulary(sorted(doc_freq), doc_freq, num_docs)
 
 
-@dataclass
-class BowVector:
-    """Sparse TF-IDF vector: term index -> positive weight. No explicit zeros."""
-
-    entries: dict[int, float]
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(w * w for w in self.entries.values()))
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-
-def bow_vectorize(tokens: Iterable[str], vocab: Vocabulary) -> BowVector:
-    """Weight tokens by tf * ln(num_docs / doc_freq) under vocab.
+def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
+    """Weight each token list by tf * ln(num_docs / doc_freq) under vocab,
+    one row per list, one column per vocabulary term.
 
     Tokens outside the vocabulary are skipped; terms whose df equals the
-    corpus size weight to zero and are not stored.
+    corpus size weight to zero and are not stored. Each row's columns
+    ascend.
     """
     if vocab.num_docs < 1:
         raise ValidationError("vocabulary has no documents")
-    entries: dict[int, float] = {}
-    for term, tf in sorted(Counter(tokens).items()):
-        idx = vocab.index.get(term)
-        if idx is None:
-            continue
-        weight = tf * math.log(vocab.num_docs / vocab.doc_freq[term])
-        if weight > 0.0:
-            entries[idx] = weight
-    return BowVector(entries)
+    index = vocab.index
+    indptr = [0]
+    columns: list[int] = []
+    for tokens in token_lists:
+        columns.extend(index[term] for term in tokens if term in index)
+        indptr.append(len(columns))
+    shape = (len(indptr) - 1, len(vocab))
+    # duplicate columns of a row sum into its term counts
+    rows = sparse.csr_array((np.ones(len(columns)), columns, indptr), shape=shape)
+    rows.sum_duplicates()
+    rows.data *= vocab.idf[rows.indices]
+    rows.eliminate_zeros()
+    return rows
+
+
+def bow_vectorize(tokens: Iterable[str], vocab: Vocabulary) -> sparse.csr_array:
+    """The TF-IDF row of one token list: tfidf_rows([tokens], vocab)."""
+    return tfidf_rows([tokens], vocab)

@@ -1,5 +1,5 @@
-"""Evaluation protocol: precision@k, AP@k, MAP, method comparison, alpha
-sweeps, and a paired Student's t-test on per-query average precision.
+"""Evaluation protocol: AP@k, MAP, method comparison, alpha sweeps, and a
+paired Student's t-test on per-query average precision.
 
 Rankings come from precomputed query x file score matrices; the
 combination weight alpha only affects the blend, so one component pass

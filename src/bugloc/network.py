@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import BowVector, BugReport, Vocabulary
+from .corpus import BugReport, Vocabulary
 from .errors import ValidationError
 from .metrics import MetricBucket
 
@@ -222,19 +222,21 @@ def check_fix_links(reports: Sequence[BugReport], paths) -> None:
 
 def build_network(
     reports: Sequence[BugReport],
-    bow_vectors: Mapping[str, BowVector],
+    tfidf: sparse.csr_array,
     vocab: Vocabulary,
     source_paths: Iterable[str],
     buckets: Mapping[str, Sequence[MetricBucket]],
 ) -> HeteroNetwork:
-    """Assemble the typed network from a training corpus.
+    """Assemble the typed network from a training corpus and its TF-IDF rows, in report order.
 
-    T-B edges carry the report's TF-IDF weight for the term, B-S edges
-    (report fixed file) and S-M edges (file sits in bucket) carry weight 1.
-    Every source path becomes an S node even when never fixed. A report
-    whose vector is empty still becomes a B node and logs a warning; a fix
-    link to a path outside source_paths is a validation error.
+    T-B edges carry the report's TF-IDF weight for the term, in ascending
+    term order; B-S edges (report fixed file) and S-M edges (file sits in
+    bucket) carry weight 1. Every source path becomes an S node even when
+    never fixed. A report whose row is empty still becomes a B node and logs
+    a warning; a fix link to a path outside source_paths is a validation error.
     """
+    if tfidf.shape[0] != len(reports):
+        raise ValidationError(f"{tfidf.shape[0]} TF-IDF rows for {len(reports)} reports")
     paths = set(source_paths)
     check_fix_links(reports, paths)
     # one node object per term and file, however many edges name it
@@ -242,16 +244,15 @@ def build_network(
     files = {path: TypedNode("S", path) for path in paths}
     nodes = list(files.values())
     edges = []
-    for report in reports:
+    bounds = tfidf.indptr.tolist()
+    columns, weights = tfidf.indices.tolist(), tfidf.data.tolist()
+    for report, start, stop in zip(reports, bounds, bounds[1:]):
         b_node = TypedNode("B", report.id)
         nodes.append(b_node)
-        bow = bow_vectors.get(report.id)
-        if bow is None:
-            raise ValidationError(f"no vector for report {report.id!r}")
-        if bow.is_empty():
+        if start == stop:
             logger.warning("report %s has an empty term vector; B node has no T edges", report.id)
-        for idx in sorted(bow.entries):
-            edges.append((terms[idx], b_node, bow.entries[idx]))
+        for idx, weight in zip(columns[start:stop], weights[start:stop]):
+            edges.append((terms[idx], b_node, weight))
         for path in report.fixed_files:
             edges.append((b_node, files[path], 1.0))
     # a file sits in a bucket once, however often the bucket is listed

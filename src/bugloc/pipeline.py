@@ -16,10 +16,10 @@ from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
+from scipy import sparse
 
 from . import evaluation, ranker, regularizer
 from .corpus import (
-    BowVector,
     BugReport,
     TokenRules,
     Vocabulary,
@@ -28,6 +28,7 @@ from .corpus import (
     default_token_rules,
     load_bug_reports,
     load_source_docs,
+    tfidf_rows,
     tokenize,
 )
 from .embeddings import (
@@ -319,14 +320,13 @@ def split_reports(
 
 @dataclass
 class Index:
-    """Training-side artifacts: vocabulary, vectors, universe, network."""
+    """Training-side artifacts: vocabulary, TF-IDF rows, universe, network."""
 
     dataset_name: str
     train_reports: list[BugReport]
     query_reports: list[BugReport]
     vocab: Vocabulary
-    train_bows: dict[str, BowVector]
-    fix_links: dict[str, tuple[str, ...]]
+    tfidf: sparse.csr_array  # one row per training report, in training order
     universe: tuple[str, ...]
     buckets: dict[str, list[MetricBucket]]
 
@@ -334,14 +334,14 @@ class Index:
     def network(self) -> HeteroNetwork:
         """Built on first use: a run that loads its model never needs it."""
         return build_network(
-            self.train_reports, self.train_bows, self.vocab, self.universe, self.buckets
+            self.train_reports, self.tfidf, self.vocab, self.universe, self.buckets
         )
 
     @cached_property
     def bow_index(self) -> ranker.BowIndex:
         """Built on first use: solving and building the network never need it."""
         return ranker.build_bow_index(
-            self.train_bows, self.fix_links, self.universe, len(self.vocab)
+            self.tfidf, [r.fixed_files for r in self.train_reports], self.universe
         )
 
 
@@ -365,15 +365,14 @@ def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
         raise ValidationError("the chronological split leaves no training reports")
     universe = file_universe(dataset)
     check_fix_links(train, set(universe))
-    vocab = build_vocabulary(dataset.report_tokens[r.id] for r in train)
-    train_bows = {r.id: bow_vectorize(dataset.report_tokens[r.id], vocab) for r in train}
+    token_lists = [dataset.report_tokens[r.id] for r in train]
+    vocab = build_vocabulary(token_lists)
     return Index(
         dataset_name=dataset.name,
         train_reports=train,
         query_reports=queries,
         vocab=vocab,
-        train_bows=train_bows,
-        fix_links={r.id: r.fixed_files for r in train},
+        tfidf=tfidf_rows(token_lists, vocab),
         universe=universe,
         buckets=discretize(dataset.metric_records, cfg.buckets_per_metric),
     )
@@ -396,8 +395,8 @@ def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndar
 
 
 class Scorer:
-    """Computes the raw per-file score components of queries, with files
-    in universe order (ascending path)."""
+    """Computes the raw per-file score components of queries given as
+    TF-IDF rows, with files in universe order (ascending path)."""
 
     def __init__(
         self,
@@ -406,39 +405,38 @@ class Scorer:
         model: RepresentationModel | None = None,
         file_vectors: np.ndarray | None = None,
     ):
-        if model is not None:
-            files = tuple(node.key for node in model.nodes[kind_slice(model.nodes, "S")])
-            if files != index.universe:
-                raise ValidationError("the model's files differ from the dataset's file universe")
         self.index = index
-        self.table = table
         self.model = model
-        self.file_vectors = file_vectors
+        self.terms = ranker.term_matrix(index.vocab, table)
+        # each learned method's file rows, prepared once for file_cosines
+        self.files = {}
+        if model is not None:
+            rows = kind_slice(model.nodes, "S")
+            if tuple(node.key for node in model.nodes[rows]) != index.universe:
+                raise ValidationError("the model's files differ from the dataset's file universe")
+            self.files[evaluation.METHOD_NETREG] = ranker.prepare_rows(model.matrix[rows])
+        if file_vectors is not None:
+            self.files[evaluation.METHOD_EMBEDDING] = ranker.prepare_rows(file_vectors)
 
-    def bow_matrix(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray:
-        """SimiScore of each query, one row per token list."""
-        vocab = self.index.vocab
-        bows = [bow_vectorize(tokens, vocab) for tokens in token_lists]
-        return ranker.bow_file_scores(bows, self.index.bow_index)
+    def bow_matrix(self, query_rows: sparse.csr_array) -> np.ndarray:
+        """SimiScore of each query, one row per TF-IDF row."""
+        return ranker.bow_file_scores(query_rows, self.index.bow_index)
+
+    def learned_matrix(self, method: str, query_rows: sparse.csr_array) -> np.ndarray:
+        """The learned-space component of the netreg or embedding method."""
+        if method not in self.files:
+            raise ValidationError(f"no file vectors for the {method} method available")
+        if method == evaluation.METHOD_NETREG:
+            return ranker.netreg_file_scores(query_rows, self.terms, self.files[method])
+        return ranker.file_cosines(ranker.embed_rows(query_rows, self.terms), self.files[method])
 
     def bow_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
-        return dict(zip(self.index.universe, self.bow_matrix([query_tokens])[0].tolist()))
-
-    def learned_scores(self, method: str, query_tokens: Sequence[str]) -> np.ndarray:
-        """The learned-space component of the netreg or embedding method."""
-        if method == evaluation.METHOD_NETREG:
-            if self.model is None:
-                raise ValidationError("no representation model available")
-            return ranker.netreg_file_scores(
-                query_tokens, self.model, self.table, self.index.vocab
-            )
-        if self.file_vectors is None:
-            raise ValidationError("no file embedding vectors available")
-        query_vec, _ = ranker.embed_query(query_tokens, self.table, self.index.vocab)
-        return ranker.file_cosines(query_vec, self.file_vectors)
+        row = bow_vectorize(query_tokens, self.index.vocab)
+        return dict(zip(self.index.universe, self.bow_matrix(row)[0].tolist()))
 
     def netreg_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
-        scores = self.learned_scores(evaluation.METHOD_NETREG, query_tokens)
+        row = bow_vectorize(query_tokens, self.index.vocab)
+        scores = self.learned_matrix(evaluation.METHOD_NETREG, row)[0]
         return dict(zip(self.index.universe, scores.tolist()))
 
 
@@ -496,19 +494,15 @@ def build_eval_context(
     relevant = np.zeros(shape, dtype=bool)
     for row, columns in enumerate(truth):
         relevant[row, columns] = True
-    token_lists = [dataset.report_tokens[report.id] for report in queries]
-    learned = {
-        method: np.zeros(shape) for method in cfg.methods if method != evaluation.METHOD_BOW
-    }
-    for row, tokens in enumerate(token_lists):
-        for method, matrix in learned.items():
-            matrix[row] = scorer.learned_scores(method, tokens)
+    rows = tfidf_rows([dataset.report_tokens[report.id] for report in queries], index.vocab)
+    methods = [method for method in cfg.methods if method != evaluation.METHOD_BOW]
+    learned = {method: scorer.learned_matrix(method, rows) for method in methods}
     return evaluation.EvalContext(
         dataset_name=dataset.name,
         query_ids=[report.id for report in queries],
         universe=index.universe,
         relevant=relevant,
-        bow=scorer.bow_matrix(token_lists),
+        bow=scorer.bow_matrix(rows),
         learned=learned,
         excluded=excluded,
         num_train=len(index.train_reports),

@@ -17,11 +17,9 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import BowVector, Vocabulary, bow_vectorize
-from .embeddings import EmbeddingTable, embed_tokens
+from .corpus import Vocabulary
+from .embeddings import EmbeddingTable
 from .errors import ValidationError
-from .network import kind_slice
-from .regularizer import RepresentationModel
 
 logger = logging.getLogger(__name__)
 
@@ -37,15 +35,17 @@ class QueryResult:
         return [path for path, _ in self.ranking]
 
 
-def cosine_bow(a: BowVector, b: BowVector) -> float:
-    """Cosine over sparse TF-IDF vectors; 0.0 when either is empty."""
-    na = a.norm()
-    nb = b.norm()
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    small, large = (a.entries, b.entries) if len(a.entries) <= len(b.entries) else (b.entries, a.entries)
-    dot = math.fsum(w * large[i] for i, w in sorted(small.items()) if i in large)
-    return dot / (na * nb)
+def row_norms(rows: sparse.csr_array) -> np.ndarray:
+    """Euclidean norm of each row, its squares summed exactly (math.fsum)."""
+    squares = (rows.data * rows.data).tolist()
+    bounds = rows.indptr.tolist()
+    return np.array([math.sqrt(math.fsum(squares[a:b])) for a, b in zip(bounds, bounds[1:])])
+
+
+def cosine_bow(a: sparse.csr_array, b: sparse.csr_array) -> float:
+    """Cosine of two one-row TF-IDF matrices; 0.0 when either row is empty."""
+    norms = row_norms(a)[0] * row_norms(b)[0]
+    return math.fsum(a.multiply(b).data.tolist()) / norms if norms else 0.0
 
 
 @dataclass(frozen=True)
@@ -55,58 +55,44 @@ class BowIndex:
     fixed-file count and the 0/1 R x F report-to-file links, whose columns
     follow the universe."""
 
-    tfidf: sparse.csr_matrix
+    tfidf: sparse.csr_array
     norms: np.ndarray
     counts: np.ndarray
-    links: sparse.csr_matrix
-
-
-def _bow_rows(bows: Sequence[BowVector], num_terms: int) -> sparse.csr_matrix:
-    """One CSR row per sparse TF-IDF vector."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for bow in bows:
-        indices.extend(bow.entries)
-        data.extend(bow.entries.values())
-        indptr.append(len(indices))
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(bows), num_terms))
+    links: sparse.csr_array
 
 
 def build_bow_index(
-    train_bows: Mapping[str, BowVector],
-    fix_links: Mapping[str, Sequence[str]],
+    tfidf: sparse.csr_array,
+    fixed_files: Sequence[Sequence[str]],
     universe: Sequence[str],
-    num_terms: int,
 ) -> BowIndex:
-    """Index the training reports for bow_file_scores.
+    """Index the training reports' TF-IDF rows and fixed files (one entry
+    per row) for bow_file_scores.
 
     A report's count is all its fixed files, so links outside the universe
     still dilute its share; only links inside the universe get a column.
     """
     column = {path: j for j, path in enumerate(universe)}
     rows, cols, counts = [], [], []
-    for i, rid in enumerate(train_bows):
-        files = fix_links.get(rid, ())
+    for i, files in enumerate(fixed_files):
         counts.append(len(files))
         for path in files:
             if path in column:
                 rows.append(i)
                 cols.append(column[path])
-    links = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(train_bows), len(universe))
+    links = sparse.csr_array(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(counts), len(universe))
     )
-    bows = list(train_bows.values())
     return BowIndex(
-        tfidf=_bow_rows(bows, num_terms),
-        norms=np.array([bow.norm() for bow in bows]),
+        tfidf=tfidf,
+        norms=row_norms(tfidf),
         # a report without fixes has an empty link row; 1 avoids dividing by 0
         counts=np.maximum(np.array(counts, dtype=np.float64), 1.0),
         links=links,
     )
 
 
-def bow_file_scores(query_bows: Sequence[BowVector], index: BowIndex) -> np.ndarray:
+def bow_file_scores(query_rows: sparse.csr_array, index: BowIndex) -> np.ndarray:
     """BugLocator's SimiScore: transfer similar-report similarity to the
     files those reports fixed, one row per query, one column per file.
 
@@ -114,63 +100,80 @@ def bow_file_scores(query_bows: Sequence[BowVector], index: BowIndex) -> np.ndar
     cos(q, r) / |files fixed by r|. Files never fixed score 0. Shares are
     summed in training order.
     """
-    queries = _bow_rows(query_bows, index.tfidf.shape[1])
-    sims = (queries @ index.tfidf.T).tocsr()
+    sims = (query_rows @ index.tfidf.T).tocsr()
     sims.sort_indices()
     rows = np.repeat(np.arange(sims.shape[0]), np.diff(sims.indptr))
-    query_norms = np.array([bow.norm() for bow in query_bows])
-    sims.data /= query_norms[rows] * index.norms[sims.indices]
+    sims.data /= row_norms(query_rows)[rows] * index.norms[sims.indices]
     sims.data /= index.counts[sims.indices]
     return (sims @ index.links).toarray()
 
 
-def embed_query(
-    query_tokens: Sequence[str], table: EmbeddingTable, vocab: Vocabulary
-) -> tuple[np.ndarray, int]:
-    """TF-IDF-weighted mean of the query's in-table tokens, and its OOV count.
+def term_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
+    """V x (d + 1): each vocabulary term's embedding, then 1.0 when the
+    table knows the term; a term the table lacks has an all-zero row."""
+    terms = np.zeros((len(vocab), table.dim + 1))
+    for row, term in enumerate(vocab.terms):
+        vector = table.get(term)
+        if vector is not None:
+            terms[row, :-1] = vector
+            terms[row, -1] = 1.0
+    return terms
 
-    Weights are taken under the training vocabulary; tokens the vocabulary
-    does not know weigh 0.
+
+def embed_rows(query_rows: sparse.csr_array, terms: np.ndarray) -> np.ndarray:
+    """TF-IDF-weighted mean of each query's in-table terms (the rows of
+    term_matrix): embed_tokens with the query's TF-IDF weights, bit for bit.
+
+    One sparse product gives the weighted sums and, in the last column, the
+    weight sums, adding terms in ascending order as embed_tokens does.
     """
-    weights = dict.fromkeys(query_tokens, 0.0)
-    for idx, w in bow_vectorize(query_tokens, vocab).entries.items():
-        weights[vocab.term_of(idx)] = w
-    return embed_tokens(query_tokens, weights, table)
+    sums = query_rows @ terms
+    weights = sums[:, -1:]
+    return np.divide(sums[:, :-1], weights, out=np.zeros_like(sums[:, :-1]), where=weights > 0.0)
 
 
-def file_cosines(query_vec: np.ndarray, files: np.ndarray) -> np.ndarray:
-    """Cosine between the query and each row of files; 0.0 where the query
-    or the row has zero norm."""
-    if files.shape[1] != query_vec.shape[0]:
-        raise ValidationError(f"dimension mismatch: {query_vec.shape} vs rows of {files.shape}")
-    norms = np.linalg.norm(files, axis=1) * np.linalg.norm(query_vec)
-    dots = files @ query_vec
+def prepare_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row times the power of two that puts its largest magnitude in
+    [0.5, 1), and the scaled rows' norms. The scaling is exact, so cosines
+    keep their bits, and the squares of tiny entries no longer underflow.
+    """
+    _, exponents = np.frexp(np.abs(rows).max(axis=-1, keepdims=True, initial=0.0))
+    scaled = np.ldexp(rows, -exponents)
+    return scaled, np.linalg.norm(scaled, axis=-1)
+
+
+def file_cosines(queries: np.ndarray, files: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Q x F cosines between each query row and each file row, the files
+    given by prepare_rows; 0.0 where either row has zero norm."""
+    file_rows, file_norms = files
+    if file_rows.shape[1] != queries.shape[1]:
+        raise ValidationError(f"dimension mismatch: {queries.shape} vs {file_rows.shape}")
+    query_rows, query_norms = prepare_rows(queries)
+    norms = query_norms[:, None] * file_norms
+    dots = query_rows @ file_rows.T
     return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
 
 
 def netreg_file_scores(
-    query_tokens: Sequence[str],
-    model: RepresentationModel,
-    table: EmbeddingTable,
-    vocab: Vocabulary,
+    query_rows: sparse.csr_array, terms: np.ndarray, files: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Cosine between the embedded query (embed_query) and each file's
-    learned vector, in the model's file order (ascending path). A query
-    that embeds to zero scores every file 0 and logs a warning.
+    """Q x F cosines between each embedded query (embed_rows over the term
+    matrix) and each file's learned vector (prepare_rows of the model's S
+    rows, in ascending path). A query that embeds to zero scores every file
+    0, and a warning counts such queries.
     """
-    query_vec, oov = embed_query(query_tokens, table, vocab)
-    if not np.any(query_vec):
-        logger.warning(
-            "query embeds to the zero vector (%d OOV tokens); all file scores are 0", oov
-        )
-    return file_cosines(query_vec, model.matrix[kind_slice(model.nodes, "S")])
+    queries = embed_rows(query_rows, terms)
+    zero = np.count_nonzero(~queries.any(axis=1))
+    if zero:
+        logger.warning("%d queries embed to the zero vector; all their file scores are 0", zero)
+    return file_cosines(queries, files)
 
 
 def minmax_rows(scores: np.ndarray) -> np.ndarray:
     """Scale each query's scores (the last axis) to [0, 1]; a constant row
     becomes all zeros."""
-    lo = scores.min(axis=-1, keepdims=True)
-    span = scores.max(axis=-1, keepdims=True) - lo
+    lo = scores.min(axis=-1, keepdims=True, initial=np.inf)
+    span = scores.max(axis=-1, keepdims=True, initial=-np.inf) - lo
     return np.divide(scores - lo, span, out=np.zeros_like(scores), where=span > 0.0)
 
 
@@ -208,8 +211,6 @@ def combine_and_rank(
     if set(bow_scores) != set(model_scores):
         raise ValidationError("score maps cover different file universes")
     paths = sorted(bow_scores)
-    if not paths:
-        return QueryResult(query_id=query_id, ranking=[])
     top, scores = blend_and_rank(
         minmax_rows(np.array([bow_scores[p] for p in paths], dtype=np.float64)),
         minmax_rows(np.array([model_scores[p] for p in paths], dtype=np.float64)),

@@ -266,6 +266,36 @@ class TestSolveEvalSweepQuery:
         assert [row[0] for row in rows[1:]] == [str(i) for i in range(1, len(rows))]
         assert odd in {row[1] for row in rows[1:]}
 
+    def test_query_with_an_empty_universe_writes_only_headers(self, cli_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        # no sources, no metrics and no fixed files, so no file can be ranked
+        reports = [
+            {
+                "id": f"B-{i}", "summary": f"top0{i}w00a crash", "description": "fil00w00a",
+                "report_time": f"2021-01-0{i}T00:00:00Z", "status": "resolved",
+                "fixed_files": [],
+            }
+            for i in range(1, 6)
+        ]
+        (data / "reports.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in reports), encoding="utf-8"
+        )
+        (data / "embeddings.txt").write_bytes((cli_dataset / "embeddings.txt").read_bytes())
+        report_path = tmp_path / "query.jsonl"
+        report_path.write_text(json.dumps(reports[0]) + "\n", encoding="utf-8")
+        args = ("--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"))
+        assert _run("query", *args, "--report", str(report_path)) == 0
+        assert capsys.readouterr().out == "rank,path,score\n"
+        report_path.write_text(
+            "".join(json.dumps(r) + "\n" for r in reports[:2]), encoding="utf-8"
+        )
+        assert _run("query", *args, "--report", str(report_path)) == 0
+        for rid in ("B-1", "B-2"):
+            assert (tmp_path / "out" / f"query_{rid}.csv").read_text(encoding="utf-8") == (
+                "rank,path,score\n"
+            )
+
 
 class TestDeterminism:
     def test_identical_eval_runs_are_byte_identical(self, cli_dataset, tmp_path):

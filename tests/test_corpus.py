@@ -4,9 +4,9 @@ from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy import sparse
 
 from bugloc.corpus import (
-    BowVector,
     TokenRules,
     bow_vectorize,
     build_vocabulary,
@@ -15,9 +15,12 @@ from bugloc.corpus import (
     load_bug_reports,
     load_source_docs,
     load_stopwords,
+    tfidf_rows,
     tokenize,
 )
 from bugloc.errors import ParseError, ValidationError
+from bugloc.ranker import row_norms
+from tfidfref import reference_tfidf
 
 
 def _write_jsonl(path, records):
@@ -226,30 +229,36 @@ class TestVocabulary:
         assert a.terms == b.terms and a.index == b.index
 
 
+def _entries(rows, i=0):
+    """Row i of a TF-IDF matrix as a column -> weight dict, in stored order."""
+    span = slice(rows.indptr[i], rows.indptr[i + 1])
+    return dict(zip(rows.indices[span].tolist(), rows.data[span].tolist()))
+
+
 class TestBowVectorize:
     def test_df_equal_to_corpus_size_weights_zero(self):
         vocab = build_vocabulary([["null", "pointer"], ["null", "widget"]])
-        bow = bow_vectorize(["null", "pointer"], vocab)
-        assert bow.entries == {vocab.index_of("pointer"): pytest.approx(math.log(2), abs=1e-15)}
-        assert abs(bow.entries[vocab.index_of("pointer")] - 0.6931471805599453) < 1e-15
+        bow = _entries(bow_vectorize(["null", "pointer"], vocab))
+        assert bow == {vocab.index_of("pointer"): pytest.approx(math.log(2), abs=1e-15)}
+        assert abs(bow[vocab.index_of("pointer")] - 0.6931471805599453) < 1e-15
 
     def test_term_frequency_scales_weight(self):
         vocab = build_vocabulary([["rare"], ["common"], ["common"]])
-        bow = bow_vectorize(["rare", "rare"], vocab)
-        assert bow.entries[vocab.index_of("rare")] == pytest.approx(2 * math.log(3), abs=1e-12)
+        bow = _entries(bow_vectorize(["rare", "rare"], vocab))
+        assert bow[vocab.index_of("rare")] == pytest.approx(2 * math.log(3), abs=1e-12)
 
     def test_out_of_vocabulary_tokens_skipped(self):
         vocab = build_vocabulary([["known"], ["other"]])
-        bow = bow_vectorize(["unseen", "known"], vocab)
-        assert set(bow.entries) == {vocab.index_of("known")}
+        bow = _entries(bow_vectorize(["unseen", "known"], vocab))
+        assert set(bow) == {vocab.index_of("known")}
 
     def test_empty_when_nothing_survives(self):
         vocab = build_vocabulary([["all"], ["all"]])
-        assert bow_vectorize(["all"], vocab).is_empty()
+        assert bow_vectorize(["all"], vocab).nnz == 0
 
     def test_norm_is_euclidean(self):
-        assert BowVector({0: 3.0, 1: 4.0}).norm() == 5.0
-        assert BowVector({}).norm() == 0.0
+        rows = sparse.csr_array([[3.0, 4.0], [0.0, 0.0]])
+        assert row_norms(rows).tolist() == [5.0, 0.0]
 
     def test_rejects_empty_vocabulary(self):
         with pytest.raises(ValidationError):
@@ -259,6 +268,30 @@ class TestBowVectorize:
     def test_weights_positive_and_indexed_in_vocab(self, tokens):
         vocab = build_vocabulary([["ant", "bee"], ["cat"], ["doe", "ant"]])
         bow = bow_vectorize(tokens, vocab)
-        for idx, weight in bow.entries.items():
+        for idx, weight in _entries(bow).items():
             assert 0 <= idx < len(vocab)
             assert weight > 0.0
+
+
+TERMS = ["ant", "bee", "cat", "doe", "elk"]
+
+
+class TestTfidfRows:
+    @given(
+        st.lists(st.lists(st.sampled_from(TERMS), max_size=6), min_size=1, max_size=6),
+        st.booleans(),
+        st.lists(st.lists(st.sampled_from(TERMS + ["oov", "zzz"]), max_size=12), max_size=6),
+    )
+    def test_matches_the_dict_reference(self, docs, shared, token_lists):
+        # with shared, "all" sits in every document, so its df equals N
+        vocab = build_vocabulary([doc + ["all"] * shared for doc in docs])
+        rows = tfidf_rows(token_lists + [["all", "all", "oov"]], vocab)
+        assert rows.shape == (len(token_lists) + 1, len(vocab))
+        assert rows.has_sorted_indices
+        for i, tokens in enumerate(token_lists + [["all", "all", "oov"]]):
+            # dict equality compares the weights' floats exactly, and lists keep the order
+            assert list(_entries(rows, i).items()) == list(reference_tfidf(tokens, vocab).items())
+
+    def test_no_token_lists_give_no_rows(self):
+        vocab = build_vocabulary([["ant"], ["bee"]])
+        assert tfidf_rows([], vocab).shape == (0, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from bugloc.corpus import BowVector, bow_vectorize, build_vocabulary
+from bugloc.corpus import build_vocabulary, tfidf_rows
 from bugloc.errors import ValidationError
 from bugloc.metrics import MetricRecord, discretize
 from bugloc.network import (
@@ -191,10 +191,7 @@ class TestComponentLabels:
 def _tiny_corpus():
     """Two reports over three files; one file never fixed, one metric."""
     vocab = build_vocabulary([["leak", "socket"], ["leak", "widget"]])
-    bows = {
-        "B-1": bow_vectorize(["leak", "socket"], vocab),
-        "B-2": bow_vectorize(["leak", "widget"], vocab),
-    }
+    bows = tfidf_rows([["leak", "socket"], ["leak", "widget"]], vocab)
 
     class R:
         def __init__(self, rid, files):
@@ -240,8 +237,8 @@ class TestBuildNetwork:
         assert net.neighbors(b2)[TypedNode("S", "src/B.java")] == 1.0
 
     def test_empty_vector_report_warns_but_builds(self, caplog):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        bows["B-1"] = BowVector({})
+        reports, _, vocab, paths, buckets = _tiny_corpus()
+        bows = tfidf_rows([[], ["leak", "widget"]], vocab)
         with caplog.at_level(logging.WARNING, logger="bugloc.network"):
             net = build_network(reports, bows, vocab, paths, buckets)
         assert "B-1" in caplog.text
@@ -256,9 +253,8 @@ class TestBuildNetwork:
 
     def test_missing_vector_rejected(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
-        del bows["B-2"]
-        with pytest.raises(ValidationError, match="B-2"):
-            build_network(reports, bows, vocab, paths, buckets)
+        with pytest.raises(ValidationError, match="1 TF-IDF rows for 2 reports"):
+            build_network(reports, bows[:1], vocab, paths, buckets)
 
     def test_metrics_for_unknown_paths_ignored(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()

@@ -317,7 +317,7 @@ class TestBuildIndex:
         )
         assert len(index.universe) == 24
         assert index.network.nodes[kind_slice(index.network.nodes, "M")]
-        assert set(index.fix_links) == {r.id for r in index.train_reports}
+        assert index.tfidf.shape == (len(index.train_reports), len(index.vocab))
 
     def test_vocabulary_covers_training_reports_only(self, eval_bundle):
         index = eval_bundle.scorer.index

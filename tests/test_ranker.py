@@ -3,34 +3,48 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy import sparse
 
-from bugloc.corpus import BowVector, build_vocabulary
-from bugloc.embeddings import EmbeddingTable
+from bugloc.corpus import bow_vectorize, build_vocabulary, tfidf_rows
+from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ValidationError
-from bugloc.network import TypedNode
+from bugloc.network import TypedNode, kind_slice
 from bugloc.ranker import (
     bow_file_scores,
     build_bow_index,
     combine_and_rank,
     cosine_bow,
+    embed_rows,
     file_cosines,
     minmax_rows,
     netreg_file_scores,
+    prepare_rows,
+    row_norms,
+    term_matrix,
 )
 from bugloc.regularizer import RepresentationModel
 from rankref import reference_rank
+from tfidfref import reference_tfidf
 
 
 def cosine(a, b):
-    """file_cosines for a single file row."""
-    return file_cosines(a, b[None, :])[0]
+    """file_cosines for a single query row and a single file row."""
+    return file_cosines(a[None, :], prepare_rows(b[None, :]))[0, 0]
 
 
-def bow_scores(query, train_bows, fix_links, universe, num_terms=9):
-    """bow_file_scores of one query, keyed by path."""
-    index = build_bow_index(train_bows, fix_links, universe, num_terms)
-    return dict(zip(universe, bow_file_scores([query], index)[0].tolist()))
+def bow(entries, num_terms=9):
+    """A one-row TF-IDF matrix holding the given column -> weight entries."""
+    columns = sorted(entries)
+    data = [entries[j] for j in columns]
+    return sparse.csr_array((data, columns, [0, len(columns)]), shape=(1, num_terms))
+
+
+def bow_scores(query, train_bows, fix_links, universe):
+    """bow_file_scores of one query row, keyed by path."""
+    tfidf = sparse.vstack(list(train_bows.values()), format="csr")
+    index = build_bow_index(tfidf, [fix_links.get(rid, ()) for rid in train_bows], universe)
+    return dict(zip(universe, bow_file_scores(query, index)[0].tolist()))
 
 
 class TestCosine:
@@ -46,36 +60,50 @@ class TestCosine:
         with pytest.raises(ValidationError, match="mismatch"):
             cosine(np.zeros(2), np.zeros(3))
 
+    # a * scale can round a subnormal entry to zero, which changes the angle
     @given(
-        st.lists(st.floats(min_value=-10, max_value=10), min_size=3, max_size=3),
+        st.lists(
+            st.floats(min_value=-10, max_value=10, allow_subnormal=False), min_size=3, max_size=3
+        ),
         st.floats(min_value=0.1, max_value=50.0),
     )
+    # squares of these entries are subnormal unless the rows are scaled first
+    @example(values=[0.0, 0.0, 8.395029340515003e-159], scale=0.5)
     def test_scale_invariant(self, values, scale):
         a = np.array(values)
         b = np.array([1.0, 2.0, -1.0])
         assert abs(cosine(a * scale, b) - cosine(a, b)) < 1e-9
 
 
+class TestRowNorms:
+    def test_squares_are_summed_exactly(self):
+        # a plain floating-point sum rounds the squares of some of these rows differently
+        rng = np.random.default_rng(5)
+        dense = rng.random((50, 80)) * (rng.random((50, 80)) < 0.5)
+        expected = [math.sqrt(math.fsum(w * w for w in row.tolist())) for row in dense]
+        assert row_norms(sparse.csr_array(dense)).tolist() == expected
+
+
 class TestCosineBow:
     def test_matches_dense_cosine(self):
-        a = BowVector({0: 1.0, 3: 2.0})
-        b = BowVector({0: 2.0, 1: 5.0, 3: 1.0})
+        a = bow({0: 1.0, 3: 2.0})
+        b = bow({0: 2.0, 1: 5.0, 3: 1.0})
         dense_a = np.array([1.0, 0.0, 0.0, 2.0])
         dense_b = np.array([2.0, 5.0, 0.0, 1.0])
         assert abs(cosine_bow(a, b) - cosine(dense_a, dense_b)) < 1e-12
 
     def test_empty_vector_scores_zero(self):
-        assert cosine_bow(BowVector({}), BowVector({0: 1.0})) == 0.0
+        assert cosine_bow(bow({}), bow({0: 1.0})) == 0.0
 
     def test_disjoint_supports_score_zero(self):
-        assert cosine_bow(BowVector({0: 1.0}), BowVector({1: 1.0})) == 0.0
+        assert cosine_bow(bow({0: 1.0}), bow({1: 1.0})) == 0.0
 
     @given(
         st.dictionaries(st.integers(0, 8), st.floats(min_value=0.01, max_value=9.0), max_size=8),
         st.dictionaries(st.integers(0, 8), st.floats(min_value=0.01, max_value=9.0), max_size=8),
     )
     def test_agrees_with_dense_arithmetic(self, ea, eb):
-        a, b = BowVector(ea), BowVector(eb)
+        a, b = bow(ea), bow(eb)
         dense_a = np.zeros(9)
         dense_b = np.zeros(9)
         for i, w in ea.items():
@@ -87,16 +115,16 @@ class TestCosineBow:
 
 BOWS = st.dictionaries(
     st.integers(0, 8), st.floats(min_value=0.01, max_value=9.0), max_size=5
-).map(BowVector)
+).map(bow)
 # "gone" is fixed by reports but lies outside the universe
 LINKED = ["a", "b", "c", "gone"]
 
 
 class TestBowFileScores:
     # cos(q, r1) = 0.8 and cos(q, r2) = 0.6 by construction
-    Q = BowVector({0: 1.0})
-    R1 = BowVector({0: 0.8, 1: 0.6})
-    R2 = BowVector({0: 0.6, 1: 0.8})
+    Q = bow({0: 1.0})
+    R1 = bow({0: 0.8, 1: 0.6})
+    R2 = bow({0: 0.6, 1: 0.8})
 
     def test_similarity_split_across_fixed_files(self):
         scores = bow_scores(
@@ -139,23 +167,21 @@ class TestBowFileScores:
     )
     def test_batch_matches_a_per_report_loop(self, queries, train):
         universe = ["a", "b", "c"]
-        train_bows = {f"r{i}": bow for i, (bow, _) in enumerate(train)}
-        fix_links = {f"r{i}": files for i, (_, files) in enumerate(train)}
-        index = build_bow_index(train_bows, fix_links, universe, 9)
-        batch = bow_file_scores(queries, index)
+        tfidf = sparse.vstack([row for row, _ in train], format="csr")
+        index = build_bow_index(tfidf, [files for _, files in train], universe)
+        batch = bow_file_scores(sparse.vstack(queries, format="csr"), index)
         assert batch.shape == (len(queries), len(universe))
         for query, row in zip(queries, batch):
             expected = dict.fromkeys(universe, 0.0)
-            for rid, bow in train_bows.items():
-                files = fix_links[rid]
+            for train_row, files in train:
                 for path in files:
                     if path in expected:
-                        expected[path] += cosine_bow(query, bow) / len(files)
+                        expected[path] += cosine_bow(query, train_row) / len(files)
             assert np.allclose(row, [expected[p] for p in universe], rtol=1e-12, atol=0.0)
 
     def test_orthogonal_query_scores_zero(self):
         scores = bow_scores(
-            BowVector({5: 1.0}), {"r1": self.R1}, {"r1": ["s1"]}, ["s1"]
+            bow({5: 1.0}), {"r1": self.R1}, {"r1": ["s1"]}, ["s1"]
         )
         assert scores == {"s1": 0.0}
 
@@ -177,9 +203,34 @@ def _model_and_table():
 
 
 def netreg_scores(tokens, model, table, vocab):
-    """netreg_file_scores keyed by the model's file paths."""
-    paths = [node.key for node in model.nodes if node.kind == "S"]
-    return dict(zip(paths, netreg_file_scores(tokens, model, table, vocab).tolist()))
+    """netreg_file_scores of one query keyed by the model's file paths."""
+    files = kind_slice(model.nodes, "S")
+    scores = netreg_file_scores(
+        bow_vectorize(tokens, vocab), term_matrix(vocab, table), prepare_rows(model.matrix[files])
+    )
+    return dict(zip([node.key for node in model.nodes[files]], scores[0].tolist()))
+
+
+class TestEmbedRows:
+    @given(
+        st.lists(st.lists(st.sampled_from("abcde"), max_size=5), min_size=1, max_size=5),
+        st.dictionaries(
+            st.sampled_from("abcdexy"),
+            st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=3),
+        ),
+        st.lists(st.lists(st.sampled_from("abcdexyz"), max_size=10), max_size=5),
+    )
+    def test_rows_match_embed_tokens_bit_for_bit(self, docs, vectors, token_lists):
+        vocab = build_vocabulary(docs)
+        table = EmbeddingTable(3, {term: np.array(v) for term, v in vectors.items()})
+        embedded = embed_rows(tfidf_rows(token_lists, vocab), term_matrix(vocab, table))
+        assert embedded.shape == (len(token_lists), 3)
+        for tokens, row in zip(token_lists, embedded):
+            weights = dict.fromkeys(tokens, 0.0)
+            for idx, weight in reference_tfidf(tokens, vocab).items():
+                weights[vocab.term_of(idx)] = weight
+            expected, _ = embed_tokens(tokens, weights, table)
+            assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestNetregFileScores:
@@ -211,6 +262,9 @@ class TestMinmaxRows:
     def test_constant_row_goes_to_zero(self):
         out = minmax_rows(np.array([[3.0, 3.0], [1.0, 2.0]]))
         assert out.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+    def test_rows_without_files_stay_empty(self):
+        assert minmax_rows(np.zeros((2, 0))).shape == (2, 0)
 
 
 # few distinct values, so ties and constant maps are common
