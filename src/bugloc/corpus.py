@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy import sparse
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +43,7 @@ def _parse_stopwords(text: str) -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stoplist file: one term per line, '#' comments allowed."""
-    with open(path, encoding="utf-8") as fh:
+    with read_text(path) as fh:
         return _parse_stopwords(fh.read())
 
 
@@ -172,7 +172,7 @@ def load_bug_reports(path, resolved_only: bool = False) -> list[BugReport]:
     """
     reports = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with read_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -199,7 +199,7 @@ def load_source_docs(path, rules: TokenRules) -> list[SourceDoc]:
     """Load source documents from JSONL with keys path, content; tokenizes content."""
     docs = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with read_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -263,16 +263,9 @@ def build_vocabulary(docs: Iterable[Iterable[str]]) -> Vocabulary:
     return Vocabulary(sorted(doc_freq), doc_freq, num_docs)
 
 
-def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
-    """Weight each token list by tf * ln(num_docs / doc_freq) under vocab,
-    one row per list, one column per vocabulary term.
-
-    Tokens outside the vocabulary are skipped; terms whose df equals the
-    corpus size weight to zero and are not stored. Each row's columns
-    ascend.
-    """
-    if vocab.num_docs < 1:
-        raise ValidationError("vocabulary has no documents")
+def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
+    """Term counts of each token list under vocab, one row per list, one column
+    per vocabulary term; out-of-vocabulary tokens are skipped, columns ascend."""
     index = vocab.index
     indptr = [0]
     columns: list[int] = []
@@ -283,6 +276,18 @@ def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> spars
     # duplicate columns of a row sum into its term counts
     rows = sparse.csr_array((np.ones(len(columns)), columns, indptr), shape=shape)
     rows.sum_duplicates()
+    return rows
+
+
+def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
+    """Weight each token list by tf * ln(num_docs / doc_freq) under vocab:
+    count_rows scaled by each term's idf.
+
+    Terms whose df equals the corpus size weight to zero and are not stored.
+    """
+    if vocab.num_docs < 1:
+        raise ValidationError("vocabulary has no documents")
+    rows = count_rows(token_lists, vocab)
     rows.data *= vocab.idf[rows.indices]
     rows.eliminate_zeros()
     return rows

@@ -10,24 +10,31 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 
 
 class EmbeddingTable:
-    """Token -> d-dimensional vector. All vectors share one dimensionality."""
+    """Token -> d-dimensional vector: row i of one (n, d) float64 matrix is
+    the vector of tokens[i]."""
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray]):
-        self.dim = dim
-        self.vectors = vectors
+    def __init__(self, tokens: Iterable[str], matrix: np.ndarray):
+        self.tokens = tuple(tokens)
+        self.matrix = matrix
+        self.row = {token: i for i, token in enumerate(self.tokens)}
+        self.dim = matrix.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.tokens)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.row
 
     def get(self, token: str):
-        return self.vectors.get(token)
+        return self.matrix[self.row[token]] if token in self.row else None
+
+    def rows_of(self, tokens: Iterable[str]) -> np.ndarray:
+        """The matrix row of each token, or -1 for a token the table lacks."""
+        return np.array([self.row.get(token, -1) for token in tokens], dtype=np.intp)
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -37,7 +44,7 @@ def load_embeddings(path) -> EmbeddingTable:
     dim (naming the token), duplicate tokens (naming the token), and
     non-finite components.
     """
-    with open(path, encoding="utf-8") as fh:
+    with read_text(path) as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
@@ -71,7 +78,7 @@ def load_embeddings(path) -> EmbeddingTable:
         raise ValidationError(
             f"{path}: header declares {count} rows but file holds {len(vectors)}"
         )
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable(vectors, np.array(list(vectors.values())).reshape(count, dim))
 
 
 def write_table_cache(table: EmbeddingTable, path, source_sha256: str) -> None:
@@ -83,13 +90,11 @@ def write_table_cache(table: EmbeddingTable, path, source_sha256: str) -> None:
     and renamed into place, so a reader sees the old file or the new one,
     never a torn one.
     """
-    tokens = list(table.vectors)
-    matrix = np.array(list(table.vectors.values()), dtype=np.float64).reshape(len(tokens), table.dim)
-    text = np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
+    text = np.frombuffer("\n".join(table.tokens).encode("utf-8"), dtype=np.uint8)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        np.savez(fh, tokens=text, matrix=matrix, sha256=np.array(source_sha256))
+        np.savez(fh, tokens=text, matrix=table.matrix, sha256=np.array(source_sha256))
     os.replace(tmp, path)
 
 
@@ -99,7 +104,7 @@ def read_table_cache(path, source_sha256: str) -> EmbeddingTable | None:
     A miss is a missing, torn or foreign file, a key other than
     source_sha256, or contents the text loader would not have produced:
     a matrix that is not float64 with one row per token, duplicate tokens
-    or a non-finite value. The vectors are rows of one matrix.
+    or a non-finite value. The loaded matrix is the table's own.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -118,21 +123,23 @@ def read_table_cache(path, source_sha256: str) -> EmbeddingTable | None:
         tokens = text.tobytes().decode("utf-8").split("\n") if len(matrix) else []
     except UnicodeDecodeError:
         return None
-    vectors = dict(zip(tokens, matrix))
-    if not len(tokens) == len(vectors) == len(matrix) or not np.isfinite(matrix).all():
+    table = EmbeddingTable(tokens, matrix)
+    if not len(table.row) == len(tokens) == len(matrix) or not np.isfinite(matrix).all():
         return None
-    return EmbeddingTable(dim=matrix.shape[1], vectors=vectors)
+    return table
 
 
 def embed_tokens(
     tokens: Iterable[str], weights: Mapping[str, float], table: EmbeddingTable
 ) -> tuple[np.ndarray, int]:
-    """Weighted mean of table vectors over the distinct in-table tokens.
+    """Weighted mean of table vectors over the distinct in-table tokens of
+    one token list: the reference that ranker.embed_rows, which embeds many
+    lists with one sparse product, must match bit for bit.
 
     Returns (vector, oov_count) where oov_count is the number of distinct
     tokens absent from the table. Weights must be defined and nonnegative
     for every distinct token; an all-OOV or all-zero-weight input yields
-    the zero vector.
+    the zero vector. Tokens are added in ascending order.
     """
     total = np.zeros(table.dim, dtype=np.float64)
     weight_sum = 0.0
@@ -147,7 +154,7 @@ def embed_tokens(
             raise ValidationError(f"no weight defined for token {token!r}") from exc
         if not math.isfinite(w) or w < 0.0:
             raise ValidationError(f"weight for token {token!r} must be finite and nonnegative")
-        total += w * table.vectors[token]
+        total += w * table.get(token)
         weight_sum += w
     if weight_sum > 0.0:
         return total / weight_sum, oov

@@ -9,7 +9,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 
 _HEADER = ["path", "metric", "value"]
 
@@ -43,7 +43,7 @@ def load_metrics(path) -> list[MetricRecord]:
     """
     records = []
     seen: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with read_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -9,7 +9,6 @@ import json
 import logging
 import os
 import types
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +24,7 @@ from .corpus import (
     Vocabulary,
     bow_vectorize,
     build_vocabulary,
+    count_rows,
     default_token_rules,
     load_bug_reports,
     load_source_docs,
@@ -33,12 +33,11 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingTable,
-    embed_tokens,
     load_embeddings,
     read_table_cache,
     write_table_cache,
 )
-from .errors import ValidationError
+from .errors import ValidationError, read_text
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
 from .network import HeteroNetwork, build_network, check_fix_links, kind_slice
 from .regularizer import RepresentationModel, SolverConfig
@@ -114,7 +113,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with read_text(path) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
@@ -151,7 +150,9 @@ class RunConfig:
             raise ValidationError("alpha must lie in [0, 1]")
         if self.k < 1:
             raise ValidationError("k must be >= 1")
-        # EvalConfig re-validates ks/alpha_grid/methods on use; split_reports checks split
+        self.eval_config()
+        self.solver_config()
+        split_reports((), self.split)
         for key in ("reports", "sources", "metrics", "embeddings"):
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
@@ -261,7 +262,7 @@ def _read_corpus_cache(cfg: RunConfig):
             and (payload.get("source_tokens") is None or _is_token_map(payload["source_tokens"]))
             and payload.get("key") == _cache_key(cfg)
         )
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
     return payload if fits else None
 
@@ -378,20 +379,15 @@ def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
     )
 
 
-def solve_index(index: Index, table: EmbeddingTable, cfg: RunConfig) -> RepresentationModel:
-    return regularizer.solve(index.network, table, cfg.solver_config())
-
-
 def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndarray:
-    """Token-frequency-weighted embedding mean per source file, one row per path."""
+    """Token-count-weighted embedding mean per source file, one row per path:
+    embed_rows over the files' term counts, as queries over their TF-IDF rows."""
     if dataset.source_tokens is None:
         raise ValidationError("the embedding method needs source docs, none configured")
-    vectors = np.zeros((len(universe), dataset.table.dim), dtype=np.float64)
-    for row, path in enumerate(universe):
-        tokens = dataset.source_tokens.get(path, [])
-        weights = {t: float(c) for t, c in Counter(tokens).items()}
-        vectors[row], _ = embed_tokens(tokens, weights, dataset.table)
-    return vectors
+    token_lists = [dataset.source_tokens.get(path, []) for path in universe]
+    vocab = build_vocabulary(token_lists)
+    terms = ranker.term_matrix(vocab, dataset.table)
+    return ranker.embed_rows(count_rows(token_lists, vocab), terms)
 
 
 class Scorer:
@@ -443,35 +439,26 @@ class Scorer:
 def prepare_scorer(
     dataset: Dataset,
     cfg: RunConfig,
-    index: Index | None = None,
     model: RepresentationModel | None = None,
     methods: Sequence[str] | None = None,
 ) -> Scorer:
-    """Build (or reuse) the index, solve the model, embed files as needed."""
+    """Build the index, solve the model unless given one, embed files as needed."""
     methods = tuple(methods) if methods is not None else tuple(cfg.methods)
-    if index is None:
-        index = build_index(dataset, cfg)
+    index = build_index(dataset, cfg)
     if model is None and evaluation.METHOD_NETREG in methods:
-        model = solve_index(index, dataset.table, cfg)
+        model = regularizer.solve(index.network, dataset.table, cfg.solver_config())
     file_vectors = None
     if evaluation.METHOD_EMBEDDING in methods:
         file_vectors = file_embedding_vectors(dataset, index.universe)
     return Scorer(index, dataset.table, model=model, file_vectors=file_vectors)
 
 
-def build_eval_context(
-    dataset: Dataset,
-    cfg: RunConfig,
-    model: RepresentationModel | None = None,
-    scorer: Scorer | None = None,
-) -> evaluation.EvalContext:
+def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> evaluation.EvalContext:
     """Precompute the raw components of every query for the configured methods.
 
     Queries with no ground-truth file inside the ranked universe are
     excluded from scoring and listed in the context.
     """
-    if scorer is None:
-        scorer = prepare_scorer(dataset, cfg, model=model)
     index = scorer.index
     column = {path: j for j, path in enumerate(index.universe)}
     queries: list[BugReport] = []

@@ -111,25 +111,25 @@ def bow_file_scores(query_rows: sparse.csr_array, index: BowIndex) -> np.ndarray
 def term_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
     """V x (d + 1): each vocabulary term's embedding, then 1.0 when the
     table knows the term; a term the table lacks has an all-zero row."""
+    rows = table.rows_of(vocab.terms)
+    known = rows >= 0
     terms = np.zeros((len(vocab), table.dim + 1))
-    for row, term in enumerate(vocab.terms):
-        vector = table.get(term)
-        if vector is not None:
-            terms[row, :-1] = vector
-            terms[row, -1] = 1.0
+    terms[known, :-1] = table.matrix[rows[known]]
+    terms[known, -1] = 1.0
     return terms
 
 
-def embed_rows(query_rows: sparse.csr_array, terms: np.ndarray) -> np.ndarray:
-    """TF-IDF-weighted mean of each query's in-table terms (the rows of
-    term_matrix): embed_tokens with the query's TF-IDF weights, bit for bit.
+def embed_rows(weights: sparse.csr_array, terms: np.ndarray) -> np.ndarray:
+    """Weighted mean of each row's in-table terms (the rows of term_matrix),
+    a row's entries being its terms' weights: embed_tokens with those
+    weights, bit for bit. Queries are weighted by TF-IDF, files by count.
 
     One sparse product gives the weighted sums and, in the last column, the
     weight sums, adding terms in ascending order as embed_tokens does.
     """
-    sums = query_rows @ terms
-    weights = sums[:, -1:]
-    return np.divide(sums[:, :-1], weights, out=np.zeros_like(sums[:, :-1]), where=weights > 0.0)
+    sums = weights @ terms
+    totals = sums[:, -1:]
+    return np.divide(sums[:, :-1], totals, out=np.zeros_like(sums[:, :-1]), where=totals > 0.0)
 
 
 def prepare_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 from scipy import sparse
@@ -44,6 +45,12 @@ _SWEEP_KINDS = ("T", "B", "S", "M", "S", "B")
 class SolverConfig:
     max_iters: int = 100
     tolerance: float = 1e-6
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
+        if self.tolerance <= 0.0:
+            raise ValidationError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,11 +104,12 @@ def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> Repr
     A T node missing from the table stays free, like B, S, and M nodes.
     """
     nodes = net.nodes
-    clamped = frozenset(node for node in nodes[kind_slice(nodes, "T")] if node.key in table)
-    model = RepresentationModel(nodes, np.zeros((len(nodes), table.dim)), clamped)
-    for node in clamped:
-        model.vector(node)[:] = table.vectors[node.key]
-    return model
+    terms = kind_slice(nodes, "T")
+    rows = table.rows_of(node.key for node in nodes[terms])
+    known = rows >= 0
+    matrix = np.zeros((len(nodes), table.dim))
+    matrix[terms][known] = table.matrix[rows[known]]
+    return RepresentationModel(nodes, matrix, frozenset(compress(nodes[terms], known)))
 
 
 def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
@@ -175,10 +183,6 @@ def solve(
     initialization.
     """
     config = config or SolverConfig()
-    if config.max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
-    if config.tolerance <= 0.0:
-        raise ValidationError("tolerance must be positive")
     model = initial if initial is not None else initialize_representation(net, table)
     _check_aligned(model, net)
     _isolate(model, net)

@@ -18,6 +18,7 @@ import numpy as np
 from bugloc.embeddings import EmbeddingTable
 from bugloc.network import HeteroNetwork, TypedNode
 from bugloc.regularizer import SolverConfig, energy, initialize_representation, sweep_update
+from tables import make_table
 
 
 def components(net: HeteroNetwork):
@@ -79,7 +80,7 @@ def random_network(rng: random.Random, dim: int | None = None):
         for s in files:
             if (s, m) not in linked and rng.random() < 0.15:
                 link(s, m)
-    table = EmbeddingTable(
+    table = make_table(
         dim,
         {
             t.key: np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])

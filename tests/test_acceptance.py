@@ -91,7 +91,7 @@ def test_criterion_03_maximum_principle_clamps_and_init_independence(oracle_runs
     runs, _ = oracle_runs
     for net, table, iterative, _ in runs:
         for node in iterative.clamped:
-            assert np.array_equal(iterative.vector(node), table.vectors[node.key])
+            assert np.array_equal(iterative.vector(node), table.get(node.key))
         for comp in components(net):
             clamped = [n for n in comp if n in iterative.clamped]
             if not clamped:

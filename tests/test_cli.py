@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bugloc
-from bugloc import regularizer
+from bugloc import pipeline, regularizer
 from bugloc.cli import main
 
 
@@ -380,6 +381,49 @@ class TestExitCodes:
         assert main(["solve", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "'alpha'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, config, shown",
+        [
+            (["--methods", "foo"], None, "unknown methods ['foo']; choose from"),
+            (["--max-iters", "0"], None, "max_iters must be >= 1"),
+            (["--tolerance", "0"], None, "tolerance must be positive"),
+            ([], {"ks": [10, 5]}, "ks must be ascending"),
+            ([], {"alpha_grid": [0.0, 2.0]}, "alpha_grid values must lie in [0, 1]"),
+            ([], {"split": 0.0}, "split must lie in (0, 1)"),
+        ],
+    )
+    def test_bad_evaluation_setting_fails_before_any_input_is_read(
+        self, cli_dataset, tmp_path, capsys, monkeypatch, flags, config, shown
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inputs read")
+
+        monkeypatch.setattr(pipeline, "load_dataset", refuse)
+        argv = ["eval", "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path), *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert shown in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name",
+        ["config.json", "reports.jsonl", "sources.jsonl", "metrics.csv", "embeddings.txt", "stop.txt"],
+    )
+    def test_input_that_is_not_utf8_is_a_validation_error(self, cli_dataset, tmp_path, capsys, name):
+        for base in ("reports.jsonl", "sources.jsonl", "metrics.csv", "embeddings.txt"):
+            shutil.copy(cli_dataset / base, tmp_path / base)
+        (tmp_path / "stop.txt").write_text("the\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"stopwords_file": "stop.txt"}), encoding="utf-8")
+        with open(tmp_path / name, "ab") as fh:
+            fh.write(b"\xff\n")
+        argv = ["ingest", "--config", str(config), "--dataset-dir", str(tmp_path)]
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}: not UTF-8 text" in err and "Traceback" not in err
 
     def test_bad_flag_value_is_usage_error(self, capsys):
         assert main(["eval", "--k", "not-a-number"]) == 1

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
+from bugloc.embeddings import embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
+from tables import make_table
 
 
 def _write(path, text):
@@ -21,6 +22,19 @@ class TestLoadEmbeddings:
         assert len(table) == 2
         assert "alpha" in table and "gamma" not in table
         np.testing.assert_array_equal(table.get("beta"), [0.0, 1.0, 0.5])
+
+    def test_rows_follow_the_file_in_one_matrix(self, tmp_path):
+        table = load_embeddings(_write(tmp_path / "e.txt", GOOD))
+        assert table.tokens == ("alpha", "beta")
+        assert table.matrix.dtype == np.float64
+        np.testing.assert_array_equal(table.matrix, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]])
+        assert table.rows_of(["beta", "gamma", "alpha"]).tolist() == [1, -1, 0]
+        assert table.get("gamma") is None
+
+    def test_empty_table_keeps_its_dim(self, tmp_path):
+        table = load_embeddings(_write(tmp_path / "e.txt", "0 4\n"))
+        assert len(table) == 0 and table.matrix.shape == (0, 4) and table.dim == 4
+        assert table.rows_of(["alpha"]).tolist() == [-1]
 
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="header"):
@@ -55,7 +69,7 @@ class TestLoadEmbeddings:
 
 
 def _table():
-    return EmbeddingTable(2, {
+    return make_table(2, {
         "aa": np.array([1.0, 0.0]),
         "bb": np.array([0.0, 1.0]),
         "cc": np.array([2.0, 2.0]),

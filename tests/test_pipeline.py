@@ -2,15 +2,18 @@ import dataclasses
 import hashlib
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bugloc import evaluation, pipeline
 from bugloc.corpus import BugReport
-from bugloc.embeddings import load_embeddings
+from bugloc.embeddings import embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
 from bugloc.network import kind_slice
+from tables import make_table
 
 from datetime import datetime, timezone
 
@@ -80,6 +83,29 @@ class TestRunConfig:
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValidationError, match="alpha"):
             pipeline.RunConfig.from_dict({"alpha": 2.0})
+
+    @pytest.mark.parametrize(
+        "raw, shown",
+        [
+            ({"methods": ["foo"]}, r"unknown methods \['foo'\]"),
+            ({"methods": []}, "unknown methods"),
+            ({"ks": [5, 1]}, "ks must be ascending"),
+            ({"ks": [0, 1]}, "ks must be ascending"),
+            ({"alpha_grid": [0.5, 1.5]}, "alpha_grid values"),
+            ({"alpha_grid": [1.0, 0.5]}, "alpha_grid must be strictly ascending"),
+            ({"split": 1.0}, "split must lie"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"tolerance": 0.0}, "tolerance"),
+        ],
+    )
+    def test_bad_evaluation_and_solver_settings_rejected_on_validate(self, raw, shown):
+        with pytest.raises(ValidationError, match=shown):
+            pipeline.RunConfig.from_dict(raw)
+        cfg = pipeline.RunConfig()
+        for key, value in raw.items():
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
+        with pytest.raises(ValidationError, match=shown):
+            cfg.validate()
 
     def test_apply_dataset_dir_finds_conventional_names(self, synth_dir):
         cfg = pipeline.RunConfig()
@@ -201,6 +227,17 @@ class TestDatasetLoadingAndCache:
         assert reloaded.report_tokens == fresh.report_tokens
         assert reloaded.source_tokens == fresh.source_tokens
 
+    def test_cache_that_is_not_utf8_ignored(self, synth_dir, tmp_path):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        fresh = pipeline.load_dataset(cfg, use_cache=False)
+        pipeline.write_corpus_cache(cfg, fresh)
+        with open(tmp_path / pipeline.CACHE_NAME, "ab") as fh:
+            fh.write(b"\xff")
+        reloaded = pipeline.load_dataset(cfg, use_cache=True)
+        assert reloaded.report_tokens == fresh.report_tokens
+        assert reloaded.source_tokens == fresh.source_tokens
+
     def test_embedding_cache_equals_text_parse_bit_for_bit(self, synth_dir, tmp_path, monkeypatch):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
         cfg.apply_dataset_dir(synth_dir)
@@ -302,10 +339,46 @@ def _cached_tokens(arrays):
 
 def _assert_same_table(table, parsed):
     assert table.dim == parsed.dim
-    assert list(table.vectors) == list(parsed.vectors)
-    for token, vector in parsed.vectors.items():
-        assert table.vectors[token].dtype == np.float64
-        np.testing.assert_array_equal(table.vectors[token].view(np.int64), vector.view(np.int64))
+    assert table.tokens == parsed.tokens
+    assert table.matrix.dtype == parsed.matrix.dtype == np.float64
+    np.testing.assert_array_equal(table.matrix.view(np.int64), parsed.matrix.view(np.int64))
+
+
+_PATHS = ["a.py", "b.py", "c.py", "d.py"]
+
+
+class TestFileEmbeddingVectors:
+    @given(
+        st.dictionaries(
+            st.sampled_from("abcdexy"),
+            st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=3),
+        ),
+        st.dictionaries(
+            st.sampled_from(_PATHS), st.lists(st.sampled_from("abcdexyz"), max_size=10)
+        ),
+        st.lists(st.sampled_from([*_PATHS, "no_doc.py"]), min_size=1, unique=True),
+    )
+    # repeated tokens in a one-file universe
+    @example({"a": [1.0, 2.0, 3.0], "b": [0.1, 0.2, 0.3]}, {"a.py": list("abaab")}, ["a.py"])
+    # a path without a source doc, and a file whose tokens the table lacks
+    @example({"a": [1.0, 2.0, 3.0]}, {"a.py": ["y", "z"], "b.py": ["a"]}, ["no_doc.py", "a.py", "b.py"])
+    def test_rows_match_embed_tokens_with_count_weights_bit_for_bit(
+        self, vectors, sources, universe
+    ):
+        table = make_table(3, vectors)
+        dataset = pipeline.Dataset("d", [], {}, sources, [], table)
+        rows = pipeline.file_embedding_vectors(dataset, universe)
+        assert rows.shape == (len(universe), 3)
+        for path, row in zip(universe, rows):
+            tokens = sources.get(path, [])
+            weights = {token: float(count) for token, count in Counter(tokens).items()}
+            expected, _ = embed_tokens(tokens, weights, table)
+            assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_needs_source_docs(self):
+        dataset = pipeline.Dataset("d", [], {}, None, [], make_table(1, {"a": [1.0]}))
+        with pytest.raises(ValidationError, match="source docs"):
+            pipeline.file_embedding_vectors(dataset, ["a.py"])
 
 
 class TestBuildIndex:

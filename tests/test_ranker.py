@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from scipy import sparse
 
 from bugloc.corpus import bow_vectorize, build_vocabulary, tfidf_rows
-from bugloc.embeddings import EmbeddingTable, embed_tokens
+from bugloc.embeddings import embed_tokens
 from bugloc.errors import ValidationError
 from bugloc.network import TypedNode, kind_slice
 from bugloc.ranker import (
@@ -25,6 +25,7 @@ from bugloc.ranker import (
 )
 from bugloc.regularizer import RepresentationModel
 from rankref import reference_rank
+from tables import make_table
 from tfidfref import reference_tfidf
 
 
@@ -187,7 +188,7 @@ class TestBowFileScores:
 
 
 def _model_and_table():
-    table = EmbeddingTable(2, {"socket": np.array([1.0, 0.0])})
+    table = make_table(2, {"socket": np.array([1.0, 0.0])})
     model = RepresentationModel(
         nodes=(
             TypedNode("B", "B-1"),
@@ -222,7 +223,7 @@ class TestEmbedRows:
     )
     def test_rows_match_embed_tokens_bit_for_bit(self, docs, vectors, token_lists):
         vocab = build_vocabulary(docs)
-        table = EmbeddingTable(3, {term: np.array(v) for term, v in vectors.items()})
+        table = make_table(3, {term: np.array(v) for term, v in vectors.items()})
         embedded = embed_rows(tfidf_rows(token_lists, vocab), term_matrix(vocab, table))
         assert embedded.shape == (len(token_lists), 3)
         for tokens, row in zip(token_lists, embedded):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bugloc import pipeline, synthgen
-from bugloc.embeddings import EmbeddingTable
 from bugloc.errors import ParseError, ValidationError
 from bugloc.network import HeteroNetwork, TypedNode, kind_slice
 from bugloc.regularizer import (
@@ -22,6 +21,7 @@ from bugloc.regularizer import (
     sweep_update,
 )
 from netgen import components, random_network, sweep_energies
+from tables import make_table
 
 T1 = TypedNode("T", "t1")
 T2 = TypedNode("T", "t2")
@@ -31,13 +31,13 @@ S1 = TypedNode("S", "s1.java")
 
 def _pair_net(*more_edges):
     net = HeteroNetwork.from_edges([(T1, B1, 2.0), *more_edges])
-    table = EmbeddingTable(1, {"t1": np.array([1.0])})
+    table = make_table(1, {"t1": np.array([1.0])})
     return net, table
 
 
 def _weighted_net():
     net = HeteroNetwork.from_edges([(T1, B1, 3.0), (T2, B1, 1.0)])
-    table = EmbeddingTable(1, {"t1": np.array([1.0]), "t2": np.array([0.0])})
+    table = make_table(1, {"t1": np.array([1.0]), "t2": np.array([0.0])})
     return net, table
 
 
@@ -54,7 +54,7 @@ class TestInitialize:
         net, table = _pair_net()
         model = initialize_representation(net, table)
         model.matrix[model.nodes.index(T1), 0] = 99.0
-        assert table.vectors["t1"][0] == 1.0
+        assert table.get("t1")[0] == 1.0
 
 
 class TestSweepAndEnergy:
@@ -134,7 +134,7 @@ class TestAgainstNodeByNodeReference:
 class TestSolve:
     def test_chain_converges_to_clamp(self):
         net = HeteroNetwork.from_edges([(T1, B1, 1.0), (B1, S1, 1.0)])
-        table = EmbeddingTable(1, {"t1": np.array([1.0])})
+        table = make_table(1, {"t1": np.array([1.0])})
         model = solve(net, table, SolverConfig(max_iters=50, tolerance=1e-12))
         assert model.convergence.converged
         np.testing.assert_allclose(model.vector(B1), [1.0], atol=1e-12)
@@ -160,7 +160,7 @@ class TestSolve:
         net = HeteroNetwork.from_edges(
             [(T1, B1, 1.0), (B1, S1, 1.0), (b2, S1, 1.0), (TypedNode("T", "t2"), b2, 1.0)]
         )
-        table = EmbeddingTable(1, {"t1": np.array([1.0]), "t2": np.array([-1.0])})
+        table = make_table(1, {"t1": np.array([1.0]), "t2": np.array([-1.0])})
         with caplog.at_level(logging.WARNING, logger="bugloc.regularizer"):
             model = solve(net, table, SolverConfig(max_iters=1, tolerance=1e-12))
         assert not model.convergence.converged
@@ -179,7 +179,7 @@ class TestSolve:
     def test_isolated_component_stays_zero_with_diagnostic(self):
         b2, s2 = TypedNode("B", "b2"), TypedNode("S", "s2.java")
         net = HeteroNetwork.from_edges([(T1, B1, 1.0), (b2, s2, 1.0)])
-        table = EmbeddingTable(1, {"t1": np.array([1.0])})
+        table = make_table(1, {"t1": np.array([1.0])})
         model = solve(net, table)
         np.testing.assert_array_equal(model.vector(b2), [0.0])
         np.testing.assert_array_equal(model.vector(s2), [0.0])
@@ -242,7 +242,7 @@ class TestInvariants:
             net, table = random_network(rng)
             model = solve(net, table, SolverConfig(max_iters=5000, tolerance=1e-10))
             for node in model.clamped:
-                np.testing.assert_array_equal(model.vector(node), table.vectors[node.key])
+                np.testing.assert_array_equal(model.vector(node), table.get(node.key))
 
     def test_solution_within_clamped_range_per_component(self):
         rng = random.Random(888)
@@ -349,7 +349,7 @@ class TestModelSerialization:
 
     def test_clamped_row_in_non_repr_form_still_loads(self, tmp_path):
         net = HeteroNetwork.from_edges([(T1, B1, 1.0), (T2, B1, 1.0)])
-        table = EmbeddingTable(1, {"t1": np.array([0.5]), "t2": np.array([0.25])})
+        table = make_table(1, {"t1": np.array([0.5]), "t2": np.array([0.25])})
         model = solve(net, table)
         path = tmp_path / "model.tsv"
         dump_model(model, path)
