@@ -293,14 +293,21 @@ def cmd_query(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _eval_setup(args):
+    """The set-up eval and sweep share: config, scorer (over --model if
+    given), evaluation context, and the output directory, created."""
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg)
     scorer = pipeline.prepare_scorer(dataset, cfg, model=_load_model_arg(args))
     ctx = pipeline.build_eval_context(dataset, cfg, scorer=scorer)
-    result = evaluation.evaluate_methods(ctx, cfg.eval_config())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return cfg, scorer, ctx, out
+
+
+def cmd_eval(args) -> int:
+    cfg, scorer, ctx, out = _eval_setup(args)
+    result = evaluation.evaluate_methods(ctx, cfg.eval_config())
     results_path = out / "results.csv"
     _write_rows_csv(results_path, result.rows)
     ttests_path = out / "ttests.csv"
@@ -329,13 +336,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    dataset = pipeline.load_dataset(cfg)
-    scorer = pipeline.prepare_scorer(dataset, cfg, model=_load_model_arg(args))
-    ctx = pipeline.build_eval_context(dataset, cfg, scorer=scorer)
+    cfg, _, ctx, out = _eval_setup(args)
     rows = evaluation.sweep_alpha(ctx, cfg.eval_config())
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep.csv"
     _write_rows_csv(sweep_path, rows)
     _write_manifest(

@@ -153,7 +153,7 @@ class RunConfig:
         self.eval_config()
         self.solver_config()
         split_reports((), self.split)
-        for key in ("reports", "sources", "metrics", "embeddings"):
+        for key in ("reports", "sources", "metrics", "embeddings", "stopwords_file"):
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
                 raise ValidationError(f"{key} path does not exist: {value}")
@@ -276,11 +276,9 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     rules = cfg.token_rules()
     reports = load_bug_reports(cfg.reports, resolved_only=cfg.resolved_only)
     cache = _read_corpus_cache(cfg) if use_cache else None
-    if cache is not None:
-        cached_tokens = cache["report_tokens"]
-        report_tokens = {
-            r.id: list(cached_tokens.get(r.id) or tokenize(r.text, rules)) for r in reports
-        }
+    # a cache that lacks any loaded report is a miss; a hit is used as it is
+    if cache is not None and all(r.id in cache["report_tokens"] for r in reports):
+        report_tokens = {r.id: cache["report_tokens"][r.id] for r in reports}
         source_tokens = cache.get("source_tokens")
     else:
         report_tokens = {r.id: tokenize(r.text, rules) for r in reports}

@@ -15,8 +15,8 @@ routes find that minimum, both on the network's arrays:
   no cap on the number of free nodes; the tests' oracle.
 
 Free nodes in a component with no clamped node have no information source;
-both routes leave them at zero and report a diagnostic, read from the
-network's single connected-component labelling.
+both routes leave them at zero and log a diagnostic, read from the
+network's single connected-component labelling; solve() keeps it in its report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import asdict, dataclass
 from itertools import compress
 
 import numpy as np
@@ -62,13 +63,7 @@ class ConvergenceReport:
     isolated_components: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_displacement": self.final_displacement,
-            "final_energy": self.final_energy,
-            "isolated_components": list(self.isolated_components),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -82,12 +77,10 @@ class RepresentationModel:
     matrix: np.ndarray  # len(nodes) x dim
     clamped: frozenset[TypedNode]
     convergence: ConvergenceReport | None = None
-    diagnostics: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValidationError("model nodes must be sorted and distinct")
-        self._row = {node: i for i, node in enumerate(self.nodes)}
         self._clamped_rows = np.array([node in self.clamped for node in self.nodes], dtype=bool)
 
     @property
@@ -95,7 +88,10 @@ class RepresentationModel:
         return self.matrix.shape[1]
 
     def vector(self, node: TypedNode) -> np.ndarray:
-        return self.matrix[self._row[node]]
+        row = bisect_left(self.nodes, node)
+        if row == len(self.nodes) or self.nodes[row] != node:
+            raise KeyError(node)
+        return self.matrix[row]
 
 
 def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
@@ -153,18 +149,18 @@ def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
     return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, net.adjacency @ x))
 
 
-def _isolate(model: RepresentationModel, net: HeteroNetwork) -> np.ndarray:
-    """Set and log one diagnostic per component with no clamped node;
-    return the rows of those components."""
+def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Find and log the components with no clamped node; return the mask of
+    their rows and one diagnostic per component."""
     isolated, components = net.components_without(model._clamped_rows)
-    model.diagnostics = [
+    messages = tuple(
         f"component of {size} free nodes (e.g. {sample.kind}:{sample.key}) "
         f"has no clamped node; vectors stay zero"
         for size, sample in components
-    ]
-    for msg in model.diagnostics:
+    )
+    for msg in messages:
         logger.warning("%s", msg)
-    return isolated
+    return isolated, messages
 
 
 def solve(
@@ -185,7 +181,7 @@ def solve(
     config = config or SolverConfig()
     model = initial if initial is not None else initialize_representation(net, table)
     _check_aligned(model, net)
-    _isolate(model, net)
+    _, isolated_components = _isolate(model, net)
     displacement = float("inf")
     iterations = 0
     converged = False
@@ -205,7 +201,7 @@ def solve(
         converged=converged,
         final_displacement=displacement,
         final_energy=energy(model, net),
-        isolated_components=tuple(model.diagnostics),
+        isolated_components=isolated_components,
     )
     return model
 
@@ -216,11 +212,11 @@ def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> Representati
 
     One sparse LU factorization of the free-node Laplacian block serves all
     d dimensions. Free components with no clamped node are left at zero
-    with a diagnostic; every other free node is connected to a clamped one,
+    and logged; every other free node is connected to a clamped one,
     so the block is nonsingular.
     """
     model = initialize_representation(net, table)
-    isolated = _isolate(model, net)
+    isolated, _ = _isolate(model, net)
     free = np.flatnonzero(~model._clamped_rows & ~isolated)
     if not free.size:
         return model
@@ -241,17 +237,8 @@ def _format_row(row: np.ndarray) -> str:
 
 
 def _clamped_record(node: TypedNode, text: str) -> bytes:
-    """What clamped_digest hashes for one clamped node and its row text."""
+    """What the header digest hashes for one clamped node and its row text."""
     return f"{node.kind}{node.key}\0{text}\n".encode()
-
-
-def clamped_digest(model: RepresentationModel) -> str:
-    """Stable hash of the clamped set and its vectors."""
-    matrix = np.asarray(model.matrix, dtype=np.float64)
-    h = hashlib.sha256()
-    for node in sorted(model.clamped):
-        h.update(_clamped_record(node, _format_row(matrix[model._row[node]])))
-    return h.hexdigest()
 
 
 def _header(model: RepresentationModel, digest: str) -> str:
@@ -291,12 +278,11 @@ def dump_model(model: RepresentationModel, path) -> None:
 
 
 def load_model(path) -> RepresentationModel:
-    """Read a model written by dump_model, verifying the clamped-set digest.
+    """Read a model exactly as dump_model writes it.
 
-    Rows are ordered by node, whatever their order in the file. The digest
-    is first checked against the clamped rows' own text; only if that text
-    differs from what dump_model writes (rows out of node order, or values
-    not in repr form) is it recomputed from the parsed values.
+    Rows must come in strictly increasing node order, one per line, and the
+    header digest must equal the sha256 of the clamped rows' text as read:
+    a hand-edited file is rejected, even one that only reformats a value.
     """
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -313,19 +299,14 @@ def load_model(path) -> RepresentationModel:
         capacity = min(max(declared_nodes, 0), size // (2 * max(dim, 0) + 5))
         matrix = np.empty((capacity, min(max(dim, 0), size)))
         nodes: list[TypedNode] = []
-        seen: set[TypedNode] = set()
         clamped = []
-        text_digest = hashlib.sha256()
+        digest = hashlib.sha256()
         for lineno, line in enumerate(fh, 2):
-            if not line.strip():
-                continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4:
                 raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
             kind, key, flag, raw = parts
             node = TypedNode(kind, key)
-            if node in seen:
-                raise ValidationError(f"{path}: line {lineno}: duplicate node {node}")
             try:
                 values = list(map(float, raw.split()))
             except ValueError as exc:
@@ -336,27 +317,23 @@ def load_model(path) -> RepresentationModel:
                 )
             if flag == "c":
                 clamped.append(node)
-                text_digest.update(_clamped_record(node, raw))
+                digest.update(_clamped_record(node, raw))
             elif flag != "f":
                 raise ParseError(f"{path}: line {lineno}: bad clamp flag {flag!r}")
             if len(nodes) == len(matrix):
                 raise ValidationError(
                     f"{path}: header declares {declared_nodes} nodes but file holds more"
                 )
+            if nodes and node <= nodes[-1]:
+                raise ValidationError(
+                    f"{path}: line {lineno}: node {node} is a duplicate or out of order"
+                )
             matrix[len(nodes)] = values
             nodes.append(node)
-            seen.add(node)
     if len(nodes) != declared_nodes:
         raise ValidationError(
             f"{path}: header declares {declared_nodes} nodes but file holds {len(nodes)}"
         )
-    in_order = all(a < b for a, b in zip(nodes, nodes[1:]))
-    if not in_order:
-        order = sorted(range(len(nodes)), key=nodes.__getitem__)
-        nodes = [nodes[i] for i in order]
-        matrix = matrix[order]
-    model = RepresentationModel(nodes=tuple(nodes), matrix=matrix, clamped=frozenset(clamped))
-    text_matches = in_order and text_digest.hexdigest() == declared_digest
-    if not text_matches and clamped_digest(model) != declared_digest:
+    if digest.hexdigest() != declared_digest:
         raise ValidationError(f"{path}: clamped-set digest mismatch")
-    return model
+    return RepresentationModel(nodes=tuple(nodes), matrix=matrix, clamped=frozenset(clamped))

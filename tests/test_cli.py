@@ -382,6 +382,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'alpha'" in err and "Traceback" not in err
 
+    def test_missing_stopwords_file_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"stopwords_file": "missing.txt"}), encoding="utf-8")
+        assert main(["ingest", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        shown = f"stopwords_file path does not exist: {tmp_path / 'missing.txt'}"
+        assert shown in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags, config, shown",
         [

@@ -191,6 +191,35 @@ class TestDatasetLoadingAndCache:
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
         assert reloaded.report_tokens == fresh.report_tokens
 
+    def test_cache_lacking_a_report_is_a_miss(self, synth_dir, tmp_path):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        fresh = pipeline.load_dataset(cfg, use_cache=False)
+        pipeline.write_corpus_cache(cfg, fresh)
+        cache_file = tmp_path / pipeline.CACHE_NAME
+        payload = json.loads(cache_file.read_text(encoding="utf-8"))
+        payload["report_tokens"] = {rid: ["poisoned"] for rid in list(payload["report_tokens"])[1:]}
+        cache_file.write_text(json.dumps(payload), encoding="utf-8")
+        reloaded = pipeline.load_dataset(cfg, use_cache=True)
+        assert reloaded.report_tokens == fresh.report_tokens
+
+    def test_cache_hit_tokenizes_nothing(self, synth_dir, tmp_path, monkeypatch):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        fresh = pipeline.load_dataset(cfg, use_cache=False)
+        emptied = next(iter(fresh.report_tokens))
+        fresh.report_tokens[emptied] = []
+        pipeline.write_corpus_cache(cfg, fresh)
+
+        def refuse(*args):
+            raise AssertionError("tokenize called on a cache hit")
+
+        monkeypatch.setattr(pipeline, "tokenize", refuse)
+        monkeypatch.setattr("bugloc.corpus.tokenize", refuse)
+        reloaded = pipeline.load_dataset(cfg, use_cache=True)
+        assert reloaded.report_tokens == fresh.report_tokens
+        assert reloaded.source_tokens == fresh.source_tokens
+
     @pytest.mark.parametrize(
         "mangle",
         [
