@@ -16,17 +16,20 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParseError, ValidationError, read_text
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 logger = logging.getLogger(__name__)
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
-# getX2 -> get, X2; XMLParser -> XML, Parser; word2vec stays whole
+# getX2 -> get, X2; XMLParser -> XML, Parser; word2vec stays whole. Every
+# piece is ASCII alphanumerics, so no match spans a non-alphanumeric
+# character and one pass over the text splits at both kinds of boundary.
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
 # Light suffix stripping, applied only when stemming is enabled.
@@ -84,16 +87,11 @@ def tokenize(text: str, rules: TokenRules) -> list[str]:
     and terms shorter than rules.min_length are dropped. Order and
     multiplicity are preserved.
     """
-    out = []
-    for word in _WORD_RE.findall(text):
-        for piece in _CAMEL_RE.findall(word):
-            term = piece.lower()
-            if rules.stem:
-                term = _stem(term)
-            if len(term) < rules.min_length or term in rules.stopwords:
-                continue
-            out.append(term)
-    return out
+    terms = map(str.lower, _CAMEL_RE.findall(text))
+    if rules.stem:
+        terms = map(_stem, terms)
+    min_length, stopwords = rules.min_length, rules.stopwords
+    return [term for term in terms if len(term) >= min_length and term not in stopwords]
 
 
 @dataclass(frozen=True)
@@ -266,6 +264,9 @@ def build_vocabulary(docs: Iterable[Iterable[str]]) -> Vocabulary:
 def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
     """Term counts of each token list under vocab, one row per list, one column
     per vocabulary term; out-of-vocabulary tokens are skipped, columns ascend."""
+    # imported here: scipy costs more start-up than all of bugloc, and ingest never needs it
+    from scipy import sparse
+
     index = vocab.index
     indptr = [0]
     columns: list[int] = []

@@ -13,14 +13,16 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import BugReport, Vocabulary
 from .errors import ValidationError
 from .metrics import MetricBucket
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -131,6 +133,8 @@ class HeteroNetwork:
         direction. Each row lists its neighbors in the order of the edges
         that join them, so sums over a row add in that order.
         """
+        from scipy import sparse
+
         nodes = list(nodes)
         ends = [node for a, b, _ in edges for node in (a, b)]
         distinct = dict.fromkeys(nodes + ends)
@@ -186,6 +190,8 @@ class HeteroNetwork:
 
     def edges(self):
         """Yield each undirected edge once as (a, b, weight) with a < b."""
+        from scipy import sparse
+
         upper = sparse.triu(self.adjacency, k=1, format="coo")
         for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
             yield self.nodes[i], self.nodes[j], w

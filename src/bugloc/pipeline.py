@@ -12,10 +12,9 @@ import types
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy import sparse
 
 from . import evaluation, ranker, regularizer
 from .corpus import (
@@ -41,6 +40,9 @@ from .errors import ValidationError, read_text
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
 from .network import HeteroNetwork, build_network, check_fix_links, kind_slice
 from .regularizer import RepresentationModel, SolverConfig
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -231,9 +233,8 @@ def write_corpus_cache(cfg: RunConfig, dataset: Dataset) -> Path:
         "source_tokens": dataset.source_tokens,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    # dumps runs the C encoder; dump to a file would run the pure-Python one
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
     return path
 
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Vocabulary
 from .embeddings import EmbeddingTable
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +74,8 @@ def build_bow_index(
     A report's count is all its fixed files, so links outside the universe
     still dilute its share; only links inside the universe get a column.
     """
+    from scipy import sparse
+
     column = {path: j for j, path in enumerate(universe)}
     rows, cols, counts = [], [], []
     for i, files in enumerate(fixed_files):

@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass
 from itertools import compress
 
 import numpy as np
-from scipy import sparse
 
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
@@ -220,13 +219,14 @@ def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> Representati
     free = np.flatnonzero(~model._clamped_rows & ~isolated)
     if not free.size:
         return model
+    # imported here: it loads scipy.linalg, which only the direct solve needs
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     clamped = np.flatnonzero(model._clamped_rows)
     to_free = net.adjacency[free]
     laplacian = sparse.diags_array(net.degree[free]) - to_free[:, free]
     rhs = to_free[:, clamped] @ model.matrix[clamped]
-    # imported here: it loads scipy.linalg, which only the direct solve needs
-    from scipy.sparse.linalg import splu
-
     model.matrix[free] = splu(sparse.csc_array(laplacian)).solve(rhs)
     return model
 

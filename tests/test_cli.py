@@ -314,23 +314,30 @@ class TestDeterminism:
             assert (again / name).read_bytes() == (cli_dataset / name).read_bytes()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads when a command first builds or multiplies a sparse matrix
     env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
-    probe = "import sys, bugloc.cli; print('scipy.stats' in sys.modules)"
+    probe = "import sys, bugloc.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # only building a network view or the direct solve needs it
+@pytest.mark.parametrize("command", ["ingest", "synth"])
+def test_ingest_and_synth_leave_scipy_unloaded(cli_dataset, tmp_path, command):
     env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
-    probe = "import sys, bugloc.cli; print('scipy.linalg' in sys.modules)"
+    source = ["--dataset-dir", str(cli_dataset)] if command == "ingest" else ["--seed", "3"]
+    argv = [command, *source, "--out-dir", str(tmp_path)]
+    probe = (
+        "import sys; from bugloc.cli import main; "
+        f"assert main({argv!r}) == 0; print('scipy' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert (tmp_path / "manifest.json").exists()
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("command", ["build", "solve"])

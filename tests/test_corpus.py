@@ -1,5 +1,6 @@
 import json
 import math
+import string
 from datetime import datetime, timezone
 
 import pytest
@@ -21,6 +22,14 @@ from bugloc.corpus import (
 from bugloc.errors import ParseError, ValidationError
 from bugloc.ranker import row_norms
 from tfidfref import reference_tfidf
+from tokref import reference_tokenize
+
+# ASCII letters, digits, '_', punctuation and whitespace, plus non-ASCII
+# letters that lowercase or casefold into ASCII ("İ", the Kelvin sign)
+TEXT_ALPHABET = string.ascii_letters + string.digits + string.punctuation + " \t\n" + "éßİ\u212a"
+# identifier-like fragments, so camel-case splits and suffixes come up often
+FRAGMENTS = ("get", "X", "XML", "Parser", "HTTP", "server2", "word2vec", "Items",
+             "ING", "ations", "the", "In", "_", " ", ".", "é", "ß", "İ", "\u212a")
 
 
 def _write_jsonl(path, records):
@@ -87,6 +96,19 @@ class TestTokenize:
             assert tok.isalnum()
         # retokenizing the joined output changes nothing
         assert tokenize(" ".join(tokens), rules) == tokens
+
+    @given(
+        st.one_of(
+            st.text(alphabet=TEXT_ALPHABET, max_size=200),
+            st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join),
+        ),
+        st.booleans(),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_the_two_level_reference(self, text, stem, min_length):
+        rules = TokenRules(stopwords=frozenset({"the", "in", "x", "get"}),
+                           min_length=min_length, stem=stem)
+        assert tokenize(text, rules) == reference_tokenize(text, rules)
 
 
 class TestStopwords:
