@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Subcommands: ingest, build, solve, query, eval, sweep, synth. Settings come
-from defaults, then an optional JSON config file, then flags; every flag
-overrides its config key. Each run writes a machine-readable manifest next
-to its outputs. Exit codes: 0 success, 1 validation failure, 2 runtime
-failure.
+from defaults, then an optional JSON config file, then the flags each
+subcommand reads. Each run writes a machine-readable manifest next to its
+outputs. Exit codes: 0 success, 1 validation failure, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -38,74 +38,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _methods(text: str) -> tuple[str, ...]:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# Every flag, declared once. An override flag's dest is the RunConfig field
+# it sets, and a synth spec flag's dest is the SynthSpec field it sets.
+_FLAGS = {
+    "--config": dict(help="JSON config file"),
+    "--dataset-dir": dict(help="directory holding reports.jsonl, sources.jsonl, metrics.csv, embeddings.txt"),
+    "--out-dir": dict(help="output directory"),
+    "--report": dict(required=True, help="JSON file with one report object, or JSONL batch"),
+    "--model": dict(help="model dump to load (defaults to solving fresh)"),
+    "--alpha": dict(type=float, help="combination weight in [0, 1]"),
+    "--k": dict(type=int, help="ranking depth"),
+    "--methods": dict(type=_methods, help="comma-separated subset of bow,embedding,netreg"),
+    "--buckets": dict(dest="buckets_per_metric", metavar="BUCKETS", type=int, help="quantile buckets per metric"),
+    "--max-iters": dict(type=int, help="solver sweep limit"),
+    "--tolerance": dict(type=float, help="solver convergence tolerance"),
+    "--seed": dict(type=int, help="random seed"),
+    "--num-reports": dict(type=int),
+    "--num-files": dict(type=int),
+    "--vocab-size": dict(type=int),
+    "--dim": dict(type=int),
+    "--topics": dict(dest="topic_count", metavar="TOPICS", type=int),
+    "--noise-rate": dict(type=float),
+    "--no-synonym-split": dict(dest="synonym_split", action="store_false", default=None),
+}
+_INPUTS = ("--config", "--dataset-dir", "--out-dir")
+_SOLVE = (*_INPUTS, "--buckets", "--max-iters", "--tolerance")
+_RUN_FIELDS = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
+_SPEC_FIELDS = {f.name for f in dataclasses.fields(synthgen.SynthSpec)}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bugloc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bugloc {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--dataset-dir", help="directory holding reports.jsonl, sources.jsonl, metrics.csv, embeddings.txt")
-        p.add_argument("--out-dir", help="output directory")
-        p.add_argument("--alpha", type=float, help="combination weight in [0, 1]")
-        p.add_argument("--k", type=int, help="ranking depth")
-        p.add_argument("--seed", type=int, help="random seed (synth)")
-        p.add_argument("--max-iters", type=int, help="solver sweep limit")
-        p.add_argument("--tolerance", type=float, help="solver convergence tolerance")
-        p.add_argument("--buckets", type=int, help="quantile buckets per metric")
-        p.add_argument("--methods", help="comma-separated subset of bow,embedding,netreg")
-        return p
-
-    common(sub.add_parser("ingest", help="validate inputs and cache the tokenized corpus and parsed embeddings"))
-    common(sub.add_parser("build", help="build the typed network and dump its edges"))
-    common(sub.add_parser("solve", help="solve the representation model and dump it"))
-    q = common(sub.add_parser("query", help="rank files for one report"))
-    q.add_argument("--report", required=True, help="JSON file with one report object, or JSONL batch")
-    q.add_argument("--model", help="model dump to load (defaults to solving fresh)")
-    e = common(sub.add_parser("eval", help="evaluate methods at their best alpha"))
-    e.add_argument("--model", help="model dump to load (defaults to solving fresh)")
-    w = common(sub.add_parser("sweep", help="MAP for every method at every grid alpha"))
-    w.add_argument("--model", help="model dump to load (defaults to solving fresh)")
-    s = common(sub.add_parser("synth", help="generate a synthetic dataset"))
-    s.add_argument("--num-reports", type=int)
-    s.add_argument("--num-files", type=int)
-    s.add_argument("--vocab-size", type=int)
-    s.add_argument("--dim", type=int)
-    s.add_argument("--topics", type=int)
-    s.add_argument("--noise-rate", type=float)
-    s.add_argument("--no-synonym-split", action="store_true")
+    for name, (_, flags, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _resolve_config(args) -> pipeline.RunConfig:
-    if getattr(args, "config", None):
-        cfg = pipeline.RunConfig.from_file(args.config)
-    else:
-        cfg = pipeline.RunConfig()
+    """Defaults, then --config, then --dataset-dir, then each override flag given."""
+    cfg = pipeline.RunConfig.from_file(args.config) if args.config else pipeline.RunConfig()
     if getattr(args, "dataset_dir", None):
         cfg.apply_dataset_dir(args.dataset_dir)
-    overrides = {
-        "out_dir": "out_dir",
-        "alpha": "alpha",
-        "k": "k",
-        "seed": "seed",
-        "max_iters": "max_iters",
-        "tolerance": "tolerance",
-        "buckets": "buckets_per_metric",
-    }
-    for arg_name, cfg_name in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(cfg, cfg_name, value)
-    if getattr(args, "methods", None):
-        cfg.methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    for name, value in vars(args).items():
+        if name in _RUN_FIELDS and value is not None:
+            setattr(cfg, name, value)
     cfg.validate()
     return cfg
 
 
 def _input_hashes(cfg: pipeline.RunConfig) -> dict:
     hashes = {}
-    for key in ("reports", "sources", "metrics", "embeddings", "stopwords_file"):
+    for key in pipeline.INPUT_PATHS:
         value = getattr(cfg, key)
         if value:
             hashes[key] = pipeline.sha256_file(value)
@@ -177,8 +168,7 @@ def _write_ttests_csv(path, result: evaluation.EvalResult, ks) -> None:
 
 
 def _load_model_arg(args):
-    path = getattr(args, "model", None)
-    return regularizer.load_model(path) if path else None
+    return regularizer.load_model(args.model) if args.model else None
 
 
 def cmd_ingest(args) -> int:
@@ -351,21 +341,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _resolve_config(args)
-    spec_kwargs = {"seed": cfg.seed}
-    for arg_name, field in (
-        ("num_reports", "num_reports"),
-        ("num_files", "num_files"),
-        ("vocab_size", "vocab_size"),
-        ("dim", "dim"),
-        ("topics", "topic_count"),
-        ("noise_rate", "noise_rate"),
-    ):
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            spec_kwargs[field] = value
-    if getattr(args, "no_synonym_split", False):
-        spec_kwargs["synonym_split"] = False
-    spec = synthgen.SynthSpec(**spec_kwargs)
+    given = {
+        name: value for name, value in vars(args).items()
+        if name in _SPEC_FIELDS and value is not None
+    }
+    spec = synthgen.SynthSpec(**{**given, "seed": cfg.seed})
     corpus = synthgen.generate(spec, cfg.out_dir)
     config_path = Path(cfg.out_dir) / "config.json"
     dataset_cfg = {
@@ -384,14 +364,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# name: (handler, the flags it reads, help); any other flag is a usage error
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "build": cmd_build,
-    "solve": cmd_solve,
-    "query": cmd_query,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "synth": cmd_synth,
+    "ingest": (cmd_ingest, _INPUTS, "validate inputs and cache the tokenized corpus and parsed embeddings"),
+    "build": (cmd_build, (*_INPUTS, "--buckets"), "build the typed network and dump its edges"),
+    "solve": (cmd_solve, _SOLVE, "solve the representation model and dump it"),
+    "query": (cmd_query, (*_SOLVE, "--report", "--model", "--alpha", "--k"), "rank files for one report"),
+    "eval": (cmd_eval, (*_SOLVE, "--model", "--methods"), "evaluate methods at their best alpha"),
+    "sweep": (cmd_sweep, (*_SOLVE, "--model", "--methods"), "MAP for every method at every grid alpha"),
+    "synth": (
+        cmd_synth,
+        ("--config", "--out-dir", "--seed", "--num-reports", "--num-files", "--vocab-size",
+         "--dim", "--topics", "--noise-rate", "--no-synonym-split"),
+        "generate a synthetic dataset",
+    ),
 }
 
 
@@ -403,7 +389,7 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_help()
             return 1
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

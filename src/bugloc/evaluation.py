@@ -88,7 +88,6 @@ class EvalContext:
     bow: np.ndarray
     learned: dict[str, np.ndarray]
     excluded: list[str] = field(default_factory=list)
-    num_train: int = 0
 
 
 @dataclass

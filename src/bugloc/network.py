@@ -238,8 +238,9 @@ def build_network(
     T-B edges carry the report's TF-IDF weight for the term, in ascending
     term order; B-S edges (report fixed file) and S-M edges (file sits in
     bucket) carry weight 1. Every source path becomes an S node even when
-    never fixed. A report whose row is empty still becomes a B node and logs
-    a warning; a fix link to a path outside source_paths is a validation error.
+    never fixed. A report whose row is empty still becomes a B node, and one
+    warning counts such reports; a fix link to a path outside source_paths
+    is a validation error.
     """
     if tfidf.shape[0] != len(reports):
         raise ValidationError(f"{tfidf.shape[0]} TF-IDF rows for {len(reports)} reports")
@@ -255,12 +256,16 @@ def build_network(
     for report, start, stop in zip(reports, bounds, bounds[1:]):
         b_node = TypedNode("B", report.id)
         nodes.append(b_node)
-        if start == stop:
-            logger.warning("report %s has an empty term vector; B node has no T edges", report.id)
         for idx, weight in zip(columns[start:stop], weights[start:stop]):
             edges.append((terms[idx], b_node, weight))
         for path in report.fixed_files:
             edges.append((b_node, files[path], 1.0))
+    empty = [report.id for report, start, stop in zip(reports, bounds, bounds[1:]) if start == stop]
+    if empty:
+        logger.warning(
+            "%d reports have an empty term vector (first %s); their B nodes have no T edges",
+            len(empty), empty[0],
+        )
     # a file sits in a bucket once, however often the bucket is listed
     in_bucket = dict.fromkeys(
         (files[path], TypedNode("M", bucket.node_key))

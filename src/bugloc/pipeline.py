@@ -55,6 +55,9 @@ DATASET_FILES = {
     "metrics": "metrics.csv",
     "embeddings": "embeddings.txt",
 }
+# the config keys that name input files: resolved against the config's
+# directory, checked to exist, and hashed into each manifest
+INPUT_PATHS = ("reports", "sources", "metrics", "embeddings", "stopwords_file")
 
 
 def _has_type(value, hint) -> bool:
@@ -134,11 +137,9 @@ class RunConfig:
             if not _has_type(value, hint):
                 expected = hint.__name__ if isinstance(hint, type) else hint
                 raise ValidationError(f"config key {key!r} must be {expected}, got {value!r}")
-            if key in ("ks", "alpha_grid", "methods") and value is not None:
-                value = tuple(value)
-            setattr(cfg, key, value)
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
         if base is not None:
-            for key in ("reports", "sources", "metrics", "embeddings", "stopwords_file"):
+            for key in INPUT_PATHS:
                 value = getattr(cfg, key)
                 if value is not None and not Path(value).is_absolute():
                     setattr(cfg, key, str(base / value))
@@ -155,7 +156,7 @@ class RunConfig:
         self.eval_config()
         self.solver_config()
         split_reports((), self.split)
-        for key in ("reports", "sources", "metrics", "embeddings", "stopwords_file"):
+        for key in INPUT_PATHS:
             value = getattr(self, key)
             if value is not None and not Path(value).exists():
                 raise ValidationError(f"{key} path does not exist: {value}")
@@ -322,7 +323,6 @@ def split_reports(
 class Index:
     """Training-side artifacts: vocabulary, TF-IDF rows, universe, network."""
 
-    dataset_name: str
     train_reports: list[BugReport]
     query_reports: list[BugReport]
     vocab: Vocabulary
@@ -368,7 +368,6 @@ def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
     token_lists = [dataset.report_tokens[r.id] for r in train]
     vocab = build_vocabulary(token_lists)
     return Index(
-        dataset_name=dataset.name,
         train_reports=train,
         query_reports=queries,
         vocab=vocab,
@@ -491,5 +490,4 @@ def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> eval
         bow=scorer.bow_matrix(rows),
         learned=learned,
         excluded=excluded,
-        num_train=len(index.train_reports),
     )

@@ -118,7 +118,10 @@ def term_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
     rows = table.rows_of(vocab.terms)
     known = rows >= 0
     terms = np.zeros((len(vocab), table.dim + 1))
-    terms[known, :-1] = table.matrix[rows[known]]
+    # copied 256 rows at a time, so no second V x d array is made at once
+    at = np.flatnonzero(known)
+    for block in np.split(at, range(256, len(at), 256)):
+        terms[block, :-1] = table.matrix[rows[block]]
     terms[known, -1] = 1.0
     return terms
 

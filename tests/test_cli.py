@@ -441,8 +441,60 @@ class TestExitCodes:
         assert f"{tmp_path / name}: not UTF-8 text" in err and "Traceback" not in err
 
     def test_bad_flag_value_is_usage_error(self, capsys):
-        assert main(["eval", "--k", "not-a-number"]) == 1
-        capsys.readouterr()
+        assert main(["query", "--k", "not-a-number"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: argument --k: invalid int value" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--report", "r.jsonl", "--methods", "bow"],
+            ["ingest", "--alpha", "0.5"],
+            ["eval", "--k", "5"],
+            ["build", "--seed", "3"],
+            ["synth", "--dataset-dir", "d"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_usage_error(self, cli_dataset, tmp_path, capsys, argv):
+        command, *flags = argv
+        source = [] if command == "synth" else ["--dataset-dir", str(cli_dataset)]
+        out = tmp_path / "out"
+        assert main([command, *source, "--out-dir", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: unrecognized arguments: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, key, value",
+        [
+            ("build", ["--buckets", "3"], "buckets_per_metric", 3),
+            ("solve", ["--buckets", "3"], "buckets_per_metric", 3),
+            ("solve", ["--max-iters", "7"], "max_iters", 7),
+            ("solve", ["--tolerance", "0.001"], "tolerance", 0.001),
+            ("query", ["--alpha", "0.4"], "alpha", 0.4),
+            ("query", ["--k", "3"], "k", 3),
+            ("query", ["--buckets", "2"], "buckets_per_metric", 2),
+            ("eval", ["--methods", "bow, netreg"], "methods", ["bow", "netreg"]),
+            ("sweep", ["--max-iters", "9"], "max_iters", 9),
+            ("synth", ["--seed", "5"], "seed", 5),
+            ("synth", ["--topics", "4"], "topic_count", 4),
+            ("synth", ["--no-synonym-split"], "synonym_split", False),
+        ],
+    )
+    def test_override_flag_reaches_the_manifest(self, cli_dataset, tmp_path, command, flags, key, value):
+        out = tmp_path / "out"
+        argv = [command, "--out-dir", str(out), *flags]
+        if command != "synth":
+            argv += ["--dataset-dir", str(cli_dataset)]
+        if command == "query":
+            # a batch of two writes the manifest
+            reports = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+            (tmp_path / "batch.jsonl").write_text("\n".join(reports) + "\n", encoding="utf-8")
+            argv += ["--report", str(tmp_path / "batch.jsonl")]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        # synth's manifest names the dataset config it wrote; its settings are the spec
+        assert manifest["spec" if command == "synth" else "config"][key] == value
 
     def test_unreadable_input_is_runtime_failure(self, tmp_path, capsys):
         reports_dir = tmp_path / "reports.jsonl"

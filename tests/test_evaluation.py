@@ -178,7 +178,6 @@ def _toy_context():
         bow=np.array([[0.0, 0.0, 1.0], [0.0, 0.2, 1.0]]),
         learned={"netreg": np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])},
         excluded=["q0"],
-        num_train=5,
     )
 
 

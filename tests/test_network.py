@@ -245,6 +245,14 @@ class TestBuildNetwork:
         b1 = TypedNode("B", "B-1")
         assert all(n.kind == "S" for n in net.neighbors(b1))
 
+    def test_empty_vector_reports_give_one_warning(self, caplog):
+        reports, _, vocab, paths, buckets = _tiny_corpus()
+        bows = tfidf_rows([[], []], vocab)
+        with caplog.at_level(logging.WARNING, logger="bugloc.network"):
+            build_network(reports, bows, vocab, paths, buckets)
+        assert len(caplog.records) == 1
+        assert "2 reports" in caplog.text and "B-1" in caplog.text
+
     def test_fix_to_unknown_path_names_report_and_path(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         reports[0].fixed_files = ("src/Gone.java",)

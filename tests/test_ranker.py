@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from scipy import sparse
 
 from bugloc.corpus import bow_vectorize, build_vocabulary, tfidf_rows
-from bugloc.embeddings import embed_tokens
+from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ValidationError
 from bugloc.network import TypedNode, kind_slice
 from bugloc.ranker import (
@@ -232,6 +233,23 @@ class TestEmbedRows:
                 weights[vocab.term_of(idx)] = weight
             expected, _ = embed_tokens(tokens, weights, table)
             assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_term_matrix_peak_stays_near_its_result(self):
+        # 4000 known terms of d = 100 and 1000 unknown ones: a 4 MB result
+        rng = np.random.default_rng(0)
+        known = [f"t{i:04d}" for i in range(4000)]
+        table = EmbeddingTable(known, rng.standard_normal((len(known), 100)))
+        vocab = build_vocabulary([known + [f"u{i:04d}" for i in range(1000)]])
+        tracemalloc.start()
+        try:
+            terms = term_matrix(vocab, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # filling through one V x d temporary would about double the peak
+        assert peak < 1.25 * terms.nbytes
+        assert terms[:4000, :-1].tolist() == table.matrix.tolist()
+        assert not terms[4000:].any() and terms[:4000, -1].all()
 
 
 class TestNetregFileScores:
