@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: ingest, build, solve, query, eval, sweep, synth. Settings come
-from defaults, then an optional JSON config file, then the flags each
-subcommand reads. Each run writes a machine-readable manifest next to its
-outputs. Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+Subcommands: ingest, build, solve, query, eval, synth, and sweep, an alias
+of eval. eval writes results.csv, ttests.csv and sweep.csv from one
+evaluation pass. Settings come from defaults, then an optional JSON config
+file, then the flags each subcommand reads. Each run writes a
+machine-readable manifest next to its outputs. Exit codes: 0 success, 1
+validation failure, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ _FLAGS = {
 }
 _INPUTS = ("--config", "--dataset-dir", "--out-dir")
 _SOLVE = (*_INPUTS, "--buckets", "--max-iters", "--tolerance")
+_EVAL = (*_SOLVE, "--model", "--methods")
 _RUN_FIELDS = {f.name for f in dataclasses.fields(pipeline.RunConfig)}
 _SPEC_FIELDS = {f.name for f in dataclasses.fields(synthgen.SynthSpec)}
 
@@ -115,8 +118,11 @@ def _write_manifest(cfg: pipeline.RunConfig, command: str, extra: dict | None = 
         "config_sha256": hashlib.sha256(blob).hexdigest(),
         "inputs": _input_hashes(cfg),
     }
-    if extra:
-        manifest.update(extra)
+    extra = extra or {}
+    clash = sorted(manifest.keys() & extra.keys())
+    if clash:
+        raise ValueError(f"manifest keys {clash} are set by every command")
+    manifest.update(extra)
     path = out / "manifest.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -283,25 +289,20 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _eval_setup(args):
-    """The set-up eval and sweep share: config, scorer (over --model if
-    given), evaluation context, and the output directory, created."""
+def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg)
     scorer = pipeline.prepare_scorer(dataset, cfg, model=_load_model_arg(args))
     ctx = pipeline.build_eval_context(dataset, cfg, scorer=scorer)
+    result = evaluation.evaluate_methods(ctx, cfg.eval_config())
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return cfg, scorer, ctx, out
-
-
-def cmd_eval(args) -> int:
-    cfg, scorer, ctx, out = _eval_setup(args)
-    result = evaluation.evaluate_methods(ctx, cfg.eval_config())
     results_path = out / "results.csv"
     _write_rows_csv(results_path, result.rows)
     ttests_path = out / "ttests.csv"
     _write_ttests_csv(ttests_path, result, cfg.ks)
+    sweep_path = out / "sweep.csv"
+    _write_rows_csv(sweep_path, result.sweep)
     convergence = (
         scorer.model.convergence.to_dict()
         if scorer.model is not None and scorer.model.convergence is not None
@@ -309,7 +310,7 @@ def cmd_eval(args) -> int:
     )
     _write_manifest(
         cfg,
-        "eval",
+        args.command,
         {
             "convergence": convergence,
             "num_queries": len(ctx.query_ids),
@@ -321,21 +322,7 @@ def cmd_eval(args) -> int:
             f"{row.method:10s} k={row.k:<3d} alpha={row.alpha:.2f} "
             f"map={row.map_value:.4f} queries={row.num_queries}"
         )
-    print(f"wrote {results_path} and {ttests_path}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg, _, ctx, out = _eval_setup(args)
-    rows = evaluation.sweep_alpha(ctx, cfg.eval_config())
-    sweep_path = out / "sweep.csv"
-    _write_rows_csv(sweep_path, rows)
-    _write_manifest(
-        cfg,
-        "sweep",
-        {"num_queries": len(ctx.query_ids), "excluded_queries": ctx.excluded},
-    )
-    print(f"wrote {sweep_path}")
+    print(f"wrote {results_path}, {ttests_path} and {sweep_path}")
     return 0
 
 
@@ -359,7 +346,7 @@ def cmd_synth(args) -> int:
     with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(dataset_cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(cfg, "synth", {"spec": spec.__dict__, "config": str(config_path)})
+    _write_manifest(cfg, "synth", {"spec": spec.__dict__, "dataset_config": str(config_path)})
     print(f"wrote dataset to {cfg.out_dir} (config: {config_path})")
     return 0
 
@@ -370,8 +357,12 @@ _COMMANDS = {
     "build": (cmd_build, (*_INPUTS, "--buckets"), "build the typed network and dump its edges"),
     "solve": (cmd_solve, _SOLVE, "solve the representation model and dump it"),
     "query": (cmd_query, (*_SOLVE, "--report", "--model", "--alpha", "--k"), "rank files for one report"),
-    "eval": (cmd_eval, (*_SOLVE, "--model", "--methods"), "evaluate methods at their best alpha"),
-    "sweep": (cmd_sweep, (*_SOLVE, "--model", "--methods"), "MAP for every method at every grid alpha"),
+    "eval": (
+        cmd_eval,
+        _EVAL,
+        "MAP of each method at its best alpha, paired t-tests, and MAP at every grid alpha",
+    ),
+    "sweep": (cmd_eval, _EVAL, "alias of eval; kept while the benchmark's eval-m round calls it"),
     "synth": (
         cmd_synth,
         ("--config", "--out-dir", "--seed", "--num-reports", "--num-files", "--vocab-size",

@@ -3,8 +3,9 @@ paired Student's t-test on per-query average precision.
 
 Rankings come from precomputed query x file score matrices; the
 combination weight alpha only affects the blend, so one component pass
-serves the whole grid, and one table of per-query AP over (method, alpha,
-k) serves both evaluate_methods and sweep_alpha.
+serves the whole grid. evaluate_methods reduces one table of per-query AP
+over (method, alpha, k) to one MAP per cell, and reads both the best-alpha
+rows and the full alpha sweep from it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ class EvalConfig:
         bad = [m for m in self.methods if m not in ALL_METHODS]
         if bad or not self.methods:
             raise ValidationError(f"unknown methods {bad!r}; choose from {ALL_METHODS}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValidationError(f"methods must not repeat, got {repeated!r} more than once")
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,12 @@ class EvalContext:
 
 @dataclass
 class EvalResult:
+    # each method at its best grid alpha, per k
     rows: list[EvalRow]
-    # (method, k) -> (alpha, per-query AP list aligned with query_ids)
+    # every method at every grid alpha, per k
+    sweep: list[EvalRow]
+    # (method, k) -> (best alpha, per-query AP list aligned with ctx.query_ids)
     per_query_ap: dict[tuple[str, int], tuple[float, list[float]]]
-    query_ids: list[str]
-    excluded: list[str]
 
 
 def average_precision_at_k(ranking: Sequence[str], relevant: set[str], k: int) -> float:
@@ -193,49 +198,35 @@ def ap_table(ctx: EvalContext, config: EvalConfig) -> dict[tuple[str, float, int
 
 
 def evaluate_methods(ctx: EvalContext, config: EvalConfig) -> EvalResult:
-    """Score each configured method at its best grid alpha for each k.
+    """MAP@k of each configured method at every grid alpha, and at its best.
 
-    The bow method is pinned to alpha 0; other methods take, per k, the
-    grid alpha maximizing MAP@k (ties go to the smallest alpha). Rows are
-    ordered by configured method order, then ascending k.
+    Each (method, alpha, k) MAP is computed once. The bow method ignores
+    alpha: it is scored at alpha 0, and its sweep rows repeat that value
+    across the grid, so at alpha 0 every method's sweep row matches bow's.
+    Other methods take, per k, the grid alpha maximizing MAP@k (ties go to
+    the smallest alpha). Rows are ordered by configured method order, then
+    ascending alpha (sweep only), then ascending k.
     """
     table = ap_table(ctx, config)
-    rows: list[EvalRow] = []
-    per_query: dict[tuple[str, int], tuple[float, list[float]]] = {}
     m = len(ctx.query_ids)
+    rows: list[EvalRow] = []
+    sweep: list[EvalRow] = []
+    per_query: dict[tuple[str, int], tuple[float, list[float]]] = {}
     for method in config.methods:
         grid = (0.0,) if method == METHOD_BOW else config.alpha_grid
+        maps = {(a, k): mean_average_precision(table[(method, a, k)]) for a in grid for k in config.ks}
         for k in config.ks:
-            best_alpha = None
-            best_map = -1.0
-            for alpha in grid:
-                value = mean_average_precision(table[(method, alpha, k)])
-                if value > best_map:
-                    best_map = value
-                    best_alpha = alpha
-            rows.append(EvalRow(method, ctx.dataset_name, best_alpha, k, best_map, m))
-            per_query[(method, k)] = (best_alpha, table[(method, best_alpha, k)].tolist())
-    return EvalResult(
-        rows=rows,
-        per_query_ap=per_query,
-        query_ids=list(ctx.query_ids),
-        excluded=list(ctx.excluded),
-    )
-
-
-def sweep_alpha(ctx: EvalContext, config: EvalConfig) -> list[EvalRow]:
-    """MAP@k for every configured method at every grid alpha.
-
-    The bow method ignores alpha, so its rows repeat one value across the
-    grid; at alpha 0 every method's row matches bow's exactly.
-    """
-    table = ap_table(ctx, config)
-    rows: list[EvalRow] = []
-    m = len(ctx.query_ids)
-    for method in config.methods:
+            # max keeps the first of equal values, so ties go to the smallest alpha
+            best = max(grid, key=lambda a: maps[(a, k)])
+            rows.append(EvalRow(method, ctx.dataset_name, best, k, maps[(best, k)], m))
+            per_query[(method, k)] = (best, table[(method, best, k)].tolist())
         for alpha in config.alpha_grid:
             effective = 0.0 if method == METHOD_BOW else alpha
             for k in config.ks:
-                value = mean_average_precision(table[(method, effective, k)])
-                rows.append(EvalRow(method, ctx.dataset_name, alpha, k, value, m))
-    return rows
+                sweep.append(EvalRow(method, ctx.dataset_name, alpha, k, maps[(effective, k)], m))
+    return EvalResult(rows=rows, sweep=sweep, per_query_ap=per_query)
+
+
+def sweep_alpha(ctx: EvalContext, config: EvalConfig) -> list[EvalRow]:
+    """The sweep rows of evaluate_methods; kept while bench/tracer.py wraps it."""
+    return evaluate_methods(ctx, config).sweep

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -45,6 +46,16 @@ class TestSynthCommand:
                     "--vocab-size", "120", "--topics", "4") == 0
         lines = (out / "reports.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 30
+
+    def test_manifest_records_the_settings_and_the_dataset_config(self, tmp_path):
+        out = tmp_path / "data"
+        assert _run("synth", "--out-dir", str(out), "--seed", "5", "--num-reports", "30",
+                    "--num-files", "8", "--vocab-size", "120", "--topics", "4") == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["seed"] == 5
+        blob = json.dumps(manifest["config"], sort_keys=True).encode()
+        assert manifest["config_sha256"] == hashlib.sha256(blob).hexdigest()
+        assert manifest["dataset_config"] == str(out / "config.json")
 
     def test_manifest_has_no_timestamps(self, cli_dataset):
         manifest = json.loads((cli_dataset / "manifest.json").read_text(encoding="utf-8"))
@@ -153,6 +164,24 @@ class TestSolveEvalSweepQuery:
         assert len(rows) == 2 * 21 * 3
         bow_maps = {r["map"] for r in rows if r["method"] == "bow" and r["k"] == "10"}
         assert len(bow_maps) == 1
+
+    def test_sweep_is_an_alias_of_eval(self, cli_dataset, tmp_path, capsys):
+        outs = {command: tmp_path / command for command in ("eval", "sweep")}
+        for command, out in outs.items():
+            assert _run(command, "--dataset-dir", str(cli_dataset), "--out-dir", str(out),
+                        "--methods", "bow,netreg") == 0
+        for name in ("results.csv", "ttests.csv", "sweep.csv"):
+            assert (outs["sweep"] / name).read_bytes() == (outs["eval"] / name).read_bytes(), name
+        manifests = {
+            command: json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            for command, out in outs.items()
+        }
+        assert [m["command"] for m in manifests.values()] == ["eval", "sweep"]
+        for key in ("convergence", "num_queries", "excluded_queries"):
+            assert manifests["sweep"][key] == manifests["eval"][key], key
+        printed = capsys.readouterr().out
+        assert f"wrote {outs['sweep'] / 'results.csv'}, " in printed
+        assert f" and {outs['sweep'] / 'sweep.csv'}" in printed
 
     def test_sweep_with_model_matches_plain_sweep_without_solving(
         self, cli_dataset, tmp_path, monkeypatch
@@ -304,7 +333,7 @@ class TestDeterminism:
         for out in outs:
             assert _run("eval", "--dataset-dir", str(cli_dataset),
                         "--out-dir", str(out), "--methods", "bow,netreg") == 0
-        for name in ("results.csv", "ttests.csv"):
+        for name in ("results.csv", "ttests.csv", "sweep.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_synth_reruns_are_byte_identical(self, cli_dataset, tmp_path):
@@ -406,6 +435,7 @@ class TestExitCodes:
             ([], {"ks": [10, 5]}, "ks must be ascending"),
             ([], {"alpha_grid": [0.0, 2.0]}, "alpha_grid values must lie in [0, 1]"),
             ([], {"split": 0.0}, "split must lie in (0, 1)"),
+            (["--methods", "bow,bow"], None, "methods must not repeat, got ['bow'] more than once"),
         ],
     )
     def test_bad_evaluation_setting_fails_before_any_input_is_read(
@@ -493,7 +523,7 @@ class TestExitCodes:
             argv += ["--report", str(tmp_path / "batch.jsonl")]
         assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        # synth's manifest names the dataset config it wrote; its settings are the spec
+        # synth's generator settings are SynthSpec fields, kept under spec
         assert manifest["spec" if command == "synth" else "config"][key] == value
 
     def test_unreadable_input_is_runtime_failure(self, tmp_path, capsys):

@@ -281,12 +281,22 @@ class TestEvaluateMethods:
         assert by[("bow", 1)].map_value == 0.0
 
     def test_per_query_ap_aligned_with_queries(self):
-        result = evaluate_methods(_toy_context(), self.CONFIG)
+        ctx = _toy_context()
+        result = evaluate_methods(ctx, self.CONFIG)
         alpha, aps = result.per_query_ap[("netreg", 1)]
         assert alpha == 0.5
-        assert aps == [1.0, 1.0]
-        assert result.query_ids == ["q1", "q2"]
-        assert result.excluded == ["q0"]
+        assert list(zip(ctx.query_ids, aps, strict=True)) == [("q1", 1.0), ("q2", 1.0)]
+
+    @given(contexts())
+    def test_best_alpha_rows_are_the_first_sweep_maximum(self, ctx):
+        config = TestApTable.CONFIG
+        result = evaluate_methods(ctx, config)
+        assert result.sweep == sweep_alpha(ctx, config)
+        for row in result.rows:
+            cells = [r for r in result.sweep if (r.method, r.k) == (row.method, row.k)]
+            best = max(r.map_value for r in cells)
+            assert row.map_value == best
+            assert row.alpha == next(r.alpha for r in cells if r.map_value == best)
 
     def test_empty_context_rejected(self):
         ctx = _toy_context()

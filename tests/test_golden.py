@@ -34,13 +34,14 @@ COUNTS_LINE = "info: counts: nodes B=119 T=345 S=24 M=15; edges B-S=134 B-T=1464
 
 def run_pipeline(root: Path, build_output: io.StringIO | None = None) -> dict[str, Path]:
     """Generate the default dataset under root, run ingest on it into one
-    output directory and build, solve, eval --model and sweep into another,
-    so that they tokenize the corpus themselves; return the path of each
-    golden file's output. What build prints goes to build_output when one is
-    given."""
+    output directory, build and solve into another, so that they tokenize
+    the corpus themselves, and eval --model alone into a third, so that all
+    three CSVs come from its one pass; return the path of each golden file's
+    output. What build prints goes to build_output when one is given."""
     data = root / "data"
     out = root / "out"
     ingested = root / "ingest"
+    evaluated = root / "eval"
     synthgen.generate(synthgen.SynthSpec(), data)
     config = {
         "dataset_name": "golden",
@@ -58,9 +59,9 @@ def run_pipeline(root: Path, build_output: io.StringIO | None = None) -> dict[st
     with contextlib.redirect_stdout(build_output or io.StringIO()):
         assert main(["build", *common]) == 0
     assert main(["solve", *common]) == 0
-    assert main(["eval", *common, "--model", str(out / "model.tsv")]) == 0
-    assert main(["sweep", *common]) == 0
-    produced = {name: out / name for name in (*BYTE_NAMES, "model.tsv")}
+    assert main(["eval", *common, "--model", str(out / "model.tsv"), "--out-dir", str(evaluated)]) == 0
+    produced = {name: out / name for name in ("network.csv", "model.tsv")}
+    produced.update({name: evaluated / name for name in ("results.csv", "sweep.csv", "ttests.csv")})
     produced["corpus_cache.json"] = ingested / "corpus_cache.json"
     return produced
 

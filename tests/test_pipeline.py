@@ -96,6 +96,7 @@ class TestRunConfig:
             ({"split": 1.0}, "split must lie"),
             ({"max_iters": 0}, "max_iters"),
             ({"tolerance": 0.0}, "tolerance"),
+            ({"methods": ["bow", "netreg", "bow"]}, r"methods must not repeat, got \['bow'\]"),
         ],
     )
     def test_bad_evaluation_and_solver_settings_rejected_on_validate(self, raw, shown):
