@@ -224,7 +224,8 @@ def load_source_docs(path, rules: TokenRules) -> list[SourceDoc]:
 
 
 class Vocabulary:
-    """Bidirectional term/index map with document frequencies.
+    """Bidirectional term/index map with document frequencies: `terms`
+    lists the terms by index and `index` maps each term to its index.
 
     Indices are dense, assigned in sorted term order so the mapping does
     not depend on document order.
@@ -243,12 +244,6 @@ class Vocabulary:
 
     def __contains__(self, term: str) -> bool:
         return term in self.index
-
-    def index_of(self, term: str) -> int:
-        return self.index[term]
-
-    def term_of(self, idx: int) -> str:
-        return self.terms[idx]
 
 
 def build_vocabulary(docs: Iterable[Iterable[str]]) -> Vocabulary:

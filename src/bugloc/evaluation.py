@@ -131,10 +131,9 @@ def mean_average_precision(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def paired_t_test(
-    ap_a: Sequence[float], ap_b: Sequence[float], confidence: float = 0.95
-) -> TTestResult:
-    """Paired Student's t-test on per-query AP differences.
+def paired_t_test(ap_a: Sequence[float], ap_b: Sequence[float]) -> TTestResult:
+    """Paired Student's t-test on per-query AP differences, two-sided,
+    significant when the p-value is below 0.05 (95% confidence).
 
     t = mean(d) / (sd(d) / sqrt(n)) with the sample standard deviation.
     Zero-variance differences yield a degenerate result that is never
@@ -145,8 +144,6 @@ def paired_t_test(
     n = len(ap_a)
     if n < 2:
         raise ValidationError("paired t-test needs at least 2 pairs")
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(f"confidence must lie in (0, 1), got {confidence!r}")
     diffs = [a - b for a, b in zip(ap_a, ap_b)]
     mean = math.fsum(diffs) / n
     var = math.fsum((d - mean) ** 2 for d in diffs) / (n - 1)
@@ -159,7 +156,7 @@ def paired_t_test(
     from scipy.special import stdtr
 
     p_value = 2.0 * float(stdtr(n - 1, -abs(t_stat)))
-    return TTestResult(t_stat, p_value < 1.0 - confidence, p_value, False)
+    return TTestResult(t_stat, p_value < 0.05, p_value, False)
 
 
 def _ap_at_ks(top: np.ndarray, relevant: np.ndarray, ks: Sequence[int]) -> dict[int, np.ndarray]:

@@ -1,4 +1,8 @@
-"""Per-file code metrics and equal-frequency bucketing."""
+"""Per-file code metrics and equal-frequency bucketing.
+
+A bucket is the pair (metric, bucket index); the network names its node by
+MetricBucket.node_key, `metric:index`.
+"""
 
 from __future__ import annotations
 
@@ -23,12 +27,10 @@ class MetricRecord:
 
 @dataclass(frozen=True)
 class MetricBucket:
-    """One quantile bucket of one metric. lo/hi describe the covered value range."""
+    """One quantile bucket of one metric; the network names it by node_key."""
 
     metric: str
     bucket_index: int
-    lo: float
-    hi: float
 
     @property
     def node_key(self) -> str:
@@ -84,8 +86,7 @@ def discretize(
 
     Buckets are computed per metric over all observed values; a value equal
     to a bucket boundary goes to the lower bucket. A constant metric puts
-    every file in bucket 0. Returns path -> buckets sorted by metric name;
-    equal (metric, bucket_index) pairs map to identical MetricBucket values.
+    every file in bucket 0. Returns path -> buckets sorted by metric name.
     """
     if buckets_per_metric < 1:
         raise ValidationError("buckets_per_metric must be >= 1")
@@ -101,14 +102,6 @@ def discretize(
         nb = buckets_per_metric
         # boundary j is the top of bucket j-1: the ceil(j*n/nb)-th smallest value
         boundaries = [values[min(math.ceil(j * n / nb), n) - 1] for j in range(1, nb)]
-        cache: dict[int, MetricBucket] = {}
         for rec in recs:
-            idx = bisect_left(boundaries, rec.value)
-            bucket = cache.get(idx)
-            if bucket is None:
-                lo = values[0] if idx == 0 else boundaries[idx - 1]
-                hi = values[-1] if idx == nb - 1 else boundaries[idx]
-                bucket = MetricBucket(metric=metric, bucket_index=idx, lo=lo, hi=hi)
-                cache[idx] = bucket
-            result[rec.path].append(bucket)
+            result[rec.path].append(MetricBucket(metric, bisect_left(boundaries, rec.value)))
     return {path: sorted(buckets, key=lambda b: b.metric) for path, buckets in result.items()}

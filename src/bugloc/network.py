@@ -247,7 +247,7 @@ def build_network(
     paths = set(source_paths)
     check_fix_links(reports, paths)
     # one node object per term and file, however many edges name it
-    terms = [TypedNode("T", vocab.term_of(idx)) for idx in range(len(vocab))]
+    terms = [TypedNode("T", term) for term in vocab.terms]
     files = {path: TypedNode("S", path) for path in paths}
     nodes = list(files.values())
     edges = []

@@ -38,7 +38,7 @@ from .embeddings import (
 )
 from .errors import ValidationError, read_text
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
-from .network import HeteroNetwork, build_network, check_fix_links, kind_slice
+from .network import KINDS, HeteroNetwork, build_network, check_fix_links, kind_slice
 from .regularizer import RepresentationModel, SolverConfig
 
 if TYPE_CHECKING:
@@ -388,6 +388,32 @@ def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndar
     return ranker.embed_rows(count_rows(token_lists, vocab), terms)
 
 
+def check_model_nodes(model: RepresentationModel, index: Index) -> None:
+    """Reject a model whose nodes differ from those of the network the index
+    implies, naming the first kind that differs; the network is not built.
+
+    A model solved under another split, bucket count or token rules has
+    other nodes, so its vectors would not fit this run.
+    """
+    weighed = np.flatnonzero(np.bincount(index.tfidf.indices)).tolist()
+    buckets = {bucket.node_key for listed in index.buckets.values() for bucket in listed}
+    expected = {
+        "B": ("training reports", sorted(report.id for report in index.train_reports)),
+        "T": ("terms with a nonzero TF-IDF weight", [index.vocab.terms[j] for j in weighed]),
+        "S": ("file universe", list(index.universe)),
+        "M": ("metric buckets", sorted(buckets)),
+    }
+    for kind in KINDS:
+        what, keys = expected[kind]
+        if [node.key for node in model.nodes[kind_slice(model.nodes, kind)]] != keys:
+            raise ValidationError(
+                f"the model's {kind} nodes differ from the dataset's {what} "
+                "under the current settings"
+            )
+    if len(model.nodes) != sum(len(keys) for _, keys in expected.values()):
+        raise ValidationError("the model holds nodes of an unknown kind")
+
+
 class Scorer:
     """Computes the raw per-file score components of queries given as
     TF-IDF rows, with files in universe order (ascending path)."""
@@ -405,9 +431,8 @@ class Scorer:
         # each learned method's file rows, prepared once for file_cosines
         self.files = {}
         if model is not None:
+            check_model_nodes(model, index)
             rows = kind_slice(model.nodes, "S")
-            if tuple(node.key for node in model.nodes[rows]) != index.universe:
-                raise ValidationError("the model's files differ from the dataset's file universe")
             self.files[evaluation.METHOD_NETREG] = ranker.prepare_rows(model.matrix[rows])
         if file_vectors is not None:
             self.files[evaluation.METHOD_EMBEDDING] = ranker.prepare_rows(file_vectors)

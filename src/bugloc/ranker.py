@@ -33,9 +33,6 @@ class QueryResult:
     query_id: str
     ranking: list[tuple[str, float]]
 
-    def paths(self) -> list[str]:
-        return [path for path, _ in self.ranking]
-
 
 def row_norms(rows: sparse.csr_array) -> np.ndarray:
     """Euclidean norm of each row, its squares summed exactly (math.fsum)."""

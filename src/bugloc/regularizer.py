@@ -27,6 +27,7 @@ import logging
 import os
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -49,8 +50,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValidationError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -67,20 +68,25 @@ class ConvergenceReport:
 
 @dataclass
 class RepresentationModel:
-    """One vector per network node, as rows of a matrix, plus the clamped term nodes.
+    """One vector per network node, as rows of a matrix, and which rows are
+    clamped, as a boolean mask over the rows.
 
-    `nodes` is sorted, so each kind's rows are contiguous.
+    `nodes` is sorted, so each kind's rows are contiguous. The mask is the
+    one record of the clamped set; `clamped` derives the nodes from it.
     """
 
     nodes: tuple[TypedNode, ...]
     matrix: np.ndarray  # len(nodes) x dim
-    clamped: frozenset[TypedNode]
+    clamped_rows: np.ndarray  # bool per row
     convergence: ConvergenceReport | None = None
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.nodes, self.nodes[1:])):
             raise ValidationError("model nodes must be sorted and distinct")
-        self._clamped_rows = np.array([node in self.clamped for node in self.nodes], dtype=bool)
+
+    @cached_property
+    def clamped(self) -> frozenset[TypedNode]:
+        return frozenset(compress(self.nodes, self.clamped_rows))
 
     @property
     def dim(self) -> int:
@@ -104,7 +110,9 @@ def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> Repr
     known = rows >= 0
     matrix = np.zeros((len(nodes), table.dim))
     matrix[terms][known] = table.matrix[rows[known]]
-    return RepresentationModel(nodes, matrix, frozenset(compress(nodes[terms], known)))
+    clamped = np.zeros(len(nodes), dtype=bool)
+    clamped[terms] = known
+    return RepresentationModel(nodes, matrix, clamped)
 
 
 def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
@@ -123,7 +131,7 @@ def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
     neighbors are left untouched. Clamped nodes never move.
     """
     _check_aligned(model, net)
-    movable = ~model._clamped_rows & (net.degree > 0)
+    movable = ~model.clamped_rows & (net.degree > 0)
     max_disp = 0.0
     for kind in _SWEEP_KINDS:
         block = kind_slice(net.nodes, kind)
@@ -151,7 +159,7 @@ def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
 def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray, tuple[str, ...]]:
     """Find and log the components with no clamped node; return the mask of
     their rows and one diagnostic per component."""
-    isolated, components = net.components_without(model._clamped_rows)
+    isolated, components = net.components_without(model.clamped_rows)
     messages = tuple(
         f"component of {size} free nodes (e.g. {sample.kind}:{sample.key}) "
         f"has no clamped node; vectors stay zero"
@@ -216,14 +224,14 @@ def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> Representati
     """
     model = initialize_representation(net, table)
     isolated, _ = _isolate(model, net)
-    free = np.flatnonzero(~model._clamped_rows & ~isolated)
+    free = np.flatnonzero(~model.clamped_rows & ~isolated)
     if not free.size:
         return model
     # imported here: it loads scipy.linalg, which only the direct solve needs
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    clamped = np.flatnonzero(model._clamped_rows)
+    clamped = np.flatnonzero(model.clamped_rows)
     to_free = net.adjacency[free]
     laplacian = sparse.diags_array(net.degree[free]) - to_free[:, free]
     rhs = to_free[:, clamped] @ model.matrix[clamped]
@@ -258,13 +266,11 @@ def dump_model(model: RepresentationModel, path) -> None:
     for node in model.nodes:
         if "\t" in node.key or "\n" in node.key:
             raise ValidationError(f"node key {node.key!r} cannot be serialized")
-    if len(model.clamped) != np.count_nonzero(model._clamped_rows):
-        raise ValidationError("the model's clamped nodes are not all among its nodes")
     matrix = np.asarray(model.matrix, dtype=np.float64)
     digest = hashlib.sha256()
 
     def lines():
-        for node, clamped, row in zip(model.nodes, model._clamped_rows, matrix):
+        for node, clamped, row in zip(model.nodes, model.clamped_rows, matrix):
             text = _format_row(row)
             if clamped:
                 digest.update(_clamped_record(node, text))
@@ -299,7 +305,7 @@ def load_model(path) -> RepresentationModel:
         capacity = min(max(declared_nodes, 0), size // (2 * max(dim, 0) + 5))
         matrix = np.empty((capacity, min(max(dim, 0), size)))
         nodes: list[TypedNode] = []
-        clamped = []
+        clamped: list[bool] = []
         digest = hashlib.sha256()
         for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
@@ -316,7 +322,6 @@ def load_model(path) -> RepresentationModel:
                     f"{path}: line {lineno}: vector has {len(values)} components, expected {dim}"
                 )
             if flag == "c":
-                clamped.append(node)
                 digest.update(_clamped_record(node, raw))
             elif flag != "f":
                 raise ParseError(f"{path}: line {lineno}: bad clamp flag {flag!r}")
@@ -330,10 +335,11 @@ def load_model(path) -> RepresentationModel:
                 )
             matrix[len(nodes)] = values
             nodes.append(node)
+            clamped.append(flag == "c")
     if len(nodes) != declared_nodes:
         raise ValidationError(
             f"{path}: header declares {declared_nodes} nodes but file holds {len(nodes)}"
         )
     if digest.hexdigest() != declared_digest:
         raise ValidationError(f"{path}: clamped-set digest mismatch")
-    return RepresentationModel(nodes=tuple(nodes), matrix=matrix, clamped=frozenset(clamped))
+    return RepresentationModel(tuple(nodes), matrix, np.array(clamped, dtype=bool))

@@ -151,11 +151,11 @@ def test_criterion_05_alpha_zero_reduces_every_method_to_bow(eval_bundle):
     checked = 0
     for row in range(len(ctx.query_ids)):
         bow = dict(zip(ctx.universe, ctx.bow[row].tolist()))
-        reference = combine_and_rank(bow, zeros, 0.0, depth).paths()
+        reference = combine_and_rank(bow, zeros, 0.0, depth).ranking
         for method in ("embedding", "netreg"):
             learned = dict(zip(ctx.universe, ctx.learned[method][row].tolist()))
-            paths = combine_and_rank(bow, learned, 0.0, depth).paths()
-            assert paths == reference
+            ranking = combine_and_rank(bow, learned, 0.0, depth).ranking
+            assert [path for path, _ in ranking] == [path for path, _ in reference]
             checked += 1
     print(
         f"ACCEPTANCE 5 PASS: alpha=0 rankings item-identical to the bow "

@@ -136,6 +136,36 @@ class TestSolveEvalSweepQuery:
                     "--model", str(solved / "model.tsv")) == 1
         assert "fixes unknown path 'src/Ghost.java'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    @pytest.mark.parametrize(
+        "flags, config, shown",
+        [
+            ([], {"split": 0.6}, "the model's B nodes differ from the dataset's training reports"),
+            (["--buckets", "3"], None,
+             "the model's M nodes differ from the dataset's metric buckets"),
+        ],
+    )
+    def test_model_solved_under_other_settings_rejected(
+        self, cli_dataset, tmp_path, capsys, command, flags, config, shown
+    ):
+        solved = tmp_path / "solved"
+        assert _run("solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(solved)) == 0
+        out = tmp_path / "out"
+        argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(out),
+                "--model", str(solved / "model.tsv"), *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        if command == "query":
+            report = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+            argv += ["--report", str(tmp_path / "bug.json")]
+        capsys.readouterr()
+        assert _run(*argv) == 1
+        captured = capsys.readouterr()
+        assert shown in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_eval_outputs_are_shaped_like_the_config(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert _run("eval", "--dataset-dir", str(cli_dataset), "--out-dir", str(out),
@@ -436,6 +466,10 @@ class TestExitCodes:
             ([], {"alpha_grid": [0.0, 2.0]}, "alpha_grid values must lie in [0, 1]"),
             ([], {"split": 0.0}, "split must lie in (0, 1)"),
             (["--methods", "bow,bow"], None, "methods must not repeat, got ['bow'] more than once"),
+            (["--tolerance", "nan"], None, "tolerance must be positive and finite, got nan"),
+            (["--tolerance", "inf"], None, "tolerance must be positive and finite, got inf"),
+            ([], {"tolerance": float("nan")}, "tolerance must be positive and finite, got nan"),
+            ([], {"tolerance": float("inf")}, "tolerance must be positive and finite, got inf"),
         ],
     )
     def test_bad_evaluation_setting_fails_before_any_input_is_read(

@@ -235,8 +235,8 @@ class TestVocabulary:
     def test_indices_follow_sorted_terms(self):
         vocab = build_vocabulary([["zeta", "alpha"], ["alpha", "midway"]])
         assert vocab.terms == ["alpha", "midway", "zeta"]
-        assert vocab.index_of("alpha") == 0
-        assert vocab.term_of(2) == "zeta"
+        assert vocab.index["alpha"] == 0
+        assert vocab.terms[2] == "zeta"
         assert len(vocab) == 3
         assert "zeta" in vocab and "missing" not in vocab
 
@@ -261,18 +261,18 @@ class TestBowVectorize:
     def test_df_equal_to_corpus_size_weights_zero(self):
         vocab = build_vocabulary([["null", "pointer"], ["null", "widget"]])
         bow = _entries(bow_vectorize(["null", "pointer"], vocab))
-        assert bow == {vocab.index_of("pointer"): pytest.approx(math.log(2), abs=1e-15)}
-        assert abs(bow[vocab.index_of("pointer")] - 0.6931471805599453) < 1e-15
+        assert bow == {vocab.index["pointer"]: pytest.approx(math.log(2), abs=1e-15)}
+        assert abs(bow[vocab.index["pointer"]] - 0.6931471805599453) < 1e-15
 
     def test_term_frequency_scales_weight(self):
         vocab = build_vocabulary([["rare"], ["common"], ["common"]])
         bow = _entries(bow_vectorize(["rare", "rare"], vocab))
-        assert bow[vocab.index_of("rare")] == pytest.approx(2 * math.log(3), abs=1e-12)
+        assert bow[vocab.index["rare"]] == pytest.approx(2 * math.log(3), abs=1e-12)
 
     def test_out_of_vocabulary_tokens_skipped(self):
         vocab = build_vocabulary([["known"], ["other"]])
         bow = _entries(bow_vectorize(["unseen", "known"], vocab))
-        assert set(bow) == {vocab.index_of("known")}
+        assert set(bow) == {vocab.index["known"]}
 
     def test_empty_when_nothing_survives(self):
         vocab = build_vocabulary([["all"], ["all"]])

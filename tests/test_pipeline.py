@@ -12,7 +12,8 @@ from bugloc import evaluation, pipeline
 from bugloc.corpus import BugReport
 from bugloc.embeddings import embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
-from bugloc.network import kind_slice
+from bugloc.network import TypedNode, kind_slice
+from bugloc.regularizer import RepresentationModel
 from tables import make_table
 
 from datetime import datetime, timezone
@@ -97,6 +98,8 @@ class TestRunConfig:
             ({"max_iters": 0}, "max_iters"),
             ({"tolerance": 0.0}, "tolerance"),
             ({"methods": ["bow", "netreg", "bow"]}, r"methods must not repeat, got \['bow'\]"),
+            ({"tolerance": float("nan")}, "tolerance must be positive and finite, got nan"),
+            ({"tolerance": float("inf")}, "tolerance must be positive and finite, got inf"),
         ],
     )
     def test_bad_evaluation_and_solver_settings_rejected_on_validate(self, raw, shown):
@@ -474,6 +477,27 @@ class TestEvalContext:
         other = dataclasses.replace(index, universe=index.universe[1:])
         with pytest.raises(ValidationError, match="universe"):
             pipeline.Scorer(other, eval_bundle.dataset.table, model=model)
+
+    def test_scorer_rejects_a_model_under_other_token_rules(self, eval_bundle, tmp_path):
+        model = eval_bundle.scorer.model
+        # a stop list of one of the model's terms, in place of the built-in list
+        stopwords = tmp_path / "stop.txt"
+        term = model.nodes[kind_slice(model.nodes, "T")][0].key
+        stopwords.write_text(term + "\n", encoding="utf-8")
+        cfg = dataclasses.replace(eval_bundle.cfg, stopwords_file=str(stopwords))
+        index = pipeline.build_index(pipeline.load_dataset(cfg, use_cache=False), cfg)
+        with pytest.raises(ValidationError, match="the model's T nodes differ"):
+            pipeline.Scorer(index, eval_bundle.dataset.table, model=model)
+
+    def test_scorer_rejects_a_model_with_a_node_of_unknown_kind(self, eval_bundle):
+        model = eval_bundle.scorer.model
+        extra = RepresentationModel(
+            (*model.nodes, TypedNode("X", "x")),
+            np.vstack([model.matrix, np.zeros((1, model.dim))]),
+            np.append(model.clamped_rows, False),
+        )
+        with pytest.raises(ValidationError, match="unknown kind"):
+            pipeline.Scorer(eval_bundle.scorer.index, eval_bundle.dataset.table, model=extra)
 
     def test_queries_follow_training_chronologically(self, eval_bundle):
         index = eval_bundle.scorer.index

@@ -81,13 +81,15 @@ class TestSweepAndEnergy:
     def test_energy_counts_each_edge_once(self):
         net = HeteroNetwork.from_edges([(T1, B1, 2.0)])
         model = RepresentationModel(
-            nodes=(B1, T1), matrix=np.array([[0.5], [1.0]]), clamped=frozenset()
+            nodes=(B1, T1), matrix=np.array([[0.5], [1.0]]), clamped_rows=np.zeros(2, bool)
         )
         assert energy(model, net) == 0.5  # 2.0 * (1.0 - 0.5)^2
 
     def test_energy_of_edgeless_network_is_zero(self):
         net = HeteroNetwork.from_edges([], nodes=[T1])
-        model = RepresentationModel(nodes=(T1,), matrix=np.array([[1.0]]), clamped=frozenset())
+        model = RepresentationModel(
+            nodes=(T1,), matrix=np.array([[1.0]]), clamped_rows=np.zeros(1, bool)
+        )
         assert energy(model, net) == 0.0
 
 
@@ -415,10 +417,14 @@ class TestModelSerialization:
 
     def test_unsorted_model_rejected(self):
         with pytest.raises(ValidationError, match="sorted"):
-            RepresentationModel(nodes=(T1, B1), matrix=np.zeros((2, 1)), clamped=frozenset())
+            RepresentationModel(
+                nodes=(T1, B1), matrix=np.zeros((2, 1)), clamped_rows=np.zeros(2, bool)
+            )
 
     def test_vector_of_unknown_node_raises_key_error(self):
-        model = RepresentationModel(nodes=(B1, T1), matrix=np.eye(2), clamped=frozenset({T1}))
+        model = RepresentationModel(
+            nodes=(B1, T1), matrix=np.eye(2), clamped_rows=np.array([False, True])
+        )
         np.testing.assert_array_equal(model.vector(T1), [0.0, 1.0])
         for node in (TypedNode("A", "a"), S1, TypedNode("Z", "z")):
             with pytest.raises(KeyError):
@@ -426,7 +432,9 @@ class TestModelSerialization:
 
     def test_tab_in_key_rejected(self):
         model = RepresentationModel(
-            nodes=(TypedNode("S", "bad\tname"),), matrix=np.array([[0.0]]), clamped=frozenset()
+            nodes=(TypedNode("S", "bad\tname"),),
+            matrix=np.array([[0.0]]),
+            clamped_rows=np.zeros(1, bool),
         )
         with pytest.raises(ValidationError, match="serialized"):
             dump_model(model, "/dev/null")
