@@ -346,7 +346,8 @@ def cmd_synth(args) -> int:
     with open(config_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(dataset_cfg, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(cfg, "synth", {"spec": spec.__dict__, "dataset_config": str(config_path)})
+    extra = {"spec": spec.__dict__, "allocation": corpus.allocation}
+    _write_manifest(cfg, "synth", {**extra, "dataset_config": str(config_path)})
     print(f"wrote dataset to {cfg.out_dir} (config: {config_path})")
     return 0
 

@@ -3,16 +3,18 @@ and metric buckets (M).
 
 Edges exist only between (T, B), (B, S), and (S, M); they are undirected,
 carry positive finite weights, and at most one edge joins a node pair.
+build_network makes only such edges, from the loaders' validated keys and
+the index's arrays, and HeteroNetwork.from_pairs rejects a repeated pair.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -27,16 +29,6 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 KINDS = ("B", "T", "S", "M")
-
-# canonical (min, max) kind pairs allowed to share an edge
-ALLOWED_KIND_PAIRS = frozenset({("B", "T"), ("B", "S"), ("M", "S")})
-
-_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
-# whether kinds with codes i and j may share an edge, in either order
-_ALLOWED_CODES = np.zeros((len(KINDS),) * 2, dtype=bool)
-for _pair in ALLOWED_KIND_PAIRS:
-    _ALLOWED_CODES[_KIND_CODE[_pair[0]], _KIND_CODE[_pair[1]]] = True
-_ALLOWED_CODES |= _ALLOWED_CODES.T
 
 
 class TypedNode(NamedTuple):
@@ -57,24 +49,6 @@ class Diagnostic:
     severity: str  # "warning" | "info"
     code: str
     message: str
-
-
-def _check_node(node: TypedNode) -> None:
-    if node.kind not in KINDS:
-        raise ValidationError(f"unknown node kind {node.kind!r}")
-    if not node.key:
-        raise ValidationError("node key must be nonempty")
-
-
-def _check_edge(a: TypedNode, b: TypedNode, weight: float) -> None:
-    if a == b:
-        raise ValidationError(f"self-loop on {a}")
-    if (min(a.kind, b.kind), max(a.kind, b.kind)) not in ALLOWED_KIND_PAIRS:
-        raise ValidationError(f"edge between kinds {a.kind} and {b.kind} is not allowed")
-    if not math.isfinite(weight) or weight <= 0.0:
-        raise ValidationError(f"edge weight must be positive and finite, got {weight!r}")
-    _check_node(a)
-    _check_node(b)
 
 
 def component_labels(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
@@ -110,7 +84,7 @@ class HeteroNetwork:
     """Undirected weighted graph over typed nodes with kind-pair constraints,
     held as arrays: row i of every array belongs to nodes[i].
 
-    Built by from_edges; the graph never changes afterwards.
+    Built by from_pairs; the graph never changes afterwards.
     """
 
     nodes: tuple[TypedNode, ...]  # sorted
@@ -120,63 +94,36 @@ class HeteroNetwork:
     kind_rows: dict[str, sparse.csr_array]  # each kind's rows of adjacency
 
     @classmethod
-    def from_edges(
-        cls,
-        edges: Sequence[tuple[TypedNode, TypedNode, float]],
-        nodes: Iterable[TypedNode] = (),
+    def from_pairs(
+        cls, nodes: tuple[TypedNode, ...], pairs: np.ndarray, weights: np.ndarray
     ) -> "HeteroNetwork":
-        """The network of the given (a, b, weight) edges plus any further nodes.
-
-        Rejects, naming the first offender, an unknown kind or empty key, a
-        self-loop, a disallowed kind pair, a weight that is not positive and
-        finite, and then a second edge between one node pair in either
-        direction. Each row lists its neighbors in the order of the edges
-        that join them, so sums over a row add in that order.
+        """The network over sorted, distinct nodes whose edge e joins rows
+        pairs[e] (an (m, 2) intp array) with weight weights[e]; each row
+        lists its neighbors in edge order, so sums over a row add in that
+        order. Rejects, naming it, a second edge between one node pair.
         """
         from scipy import sparse
 
-        nodes = list(nodes)
-        ends = [node for a, b, _ in edges for node in (a, b)]
-        distinct = dict.fromkeys(nodes + ends)
-        weights = np.array([w for _, _, w in edges], dtype=np.float64)
-        valid = all(node.kind in KINDS and node.key for node in distinct)
-        if valid:
-            order = tuple(sorted(distinct))
-            index = dict(zip(order, range(len(order))))
-            pairs = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
-            pairs = pairs.reshape(-1, 2)
-            kinds = np.array([_KIND_CODE[node.kind] for node in order], dtype=np.intp)
-            # no allowed pair joins one kind, so this also flags every self-loop
-            allowed = _ALLOWED_CODES[kinds[pairs[:, 0]], kinds[pairs[:, 1]]]
-            valid = (allowed & np.isfinite(weights) & (weights > 0.0)).all()
-        if not valid:
-            # name the first offender, as checking each node and then each edge in turn does
-            for node in nodes:
-                _check_node(node)
-            for edge in edges:
-                _check_edge(*edge)
-        _, first = np.unique(pairs.min(axis=1) * len(order) + pairs.max(axis=1), return_index=True)
+        _, first = np.unique(pairs.min(axis=1) * len(nodes) + pairs.max(axis=1), return_index=True)
         if len(first) < len(pairs):
-            repeats = np.ones(len(pairs), dtype=bool)
-            repeats[first] = False
-            a, b, _ = edges[int(np.argmax(repeats))]
-            raise ValidationError(f"duplicate edge between {a} and {b}")
+            a, b = pairs[np.setdiff1d(np.arange(len(pairs)), first)[0]].tolist()
+            raise ValidationError(f"duplicate edge between {nodes[a]} and {nodes[b]}")
         # each edge once per direction, a->b then b->a; a stable sort by row
         # keeps every row's entries in edge order
         rows, columns = pairs.ravel(), pairs[:, ::-1].ravel()
         by_row = np.argsort(rows, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(order)))))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(nodes)))))
         adjacency = sparse.csr_array(
             (np.repeat(weights, 2)[by_row], columns[by_row], indptr),
-            shape=(len(order),) * 2,
+            shape=(len(nodes),) * 2,
             dtype=np.float64,
         )
         return cls(
-            nodes=order,
+            nodes=nodes,
             adjacency=adjacency,
             degree=adjacency.sum(axis=1),
-            labels=component_labels(len(order), pairs),
-            kind_rows={kind: adjacency[kind_slice(order, kind)] for kind in KINDS},
+            labels=component_labels(len(nodes), pairs),
+            kind_rows={kind: adjacency[kind_slice(nodes, kind)] for kind in KINDS},
         )
 
     def neighbors(self, node: TypedNode) -> dict[TypedNode, float]:
@@ -226,6 +173,26 @@ def check_fix_links(reports: Sequence[BugReport], paths) -> None:
                 raise ValidationError(f"report {report.id!r} fixes unknown path {path!r}")
 
 
+def node_table(
+    report_ids: Iterable[str],
+    tfidf: sparse.csr_array,
+    vocab: Vocabulary,
+    paths: Iterable[str],
+    buckets: Mapping[str, Sequence[MetricBucket]],
+) -> tuple[TypedNode, ...]:
+    """The sorted nodes of the network over a training corpus: B the report
+    ids, M the keys of the paths' buckets, S the paths, and T the terms that
+    weigh in some TF-IDF row. build_network links them, and check_model_nodes
+    compares a model with them. Kinds sort as B < M < S < T, and vocabulary
+    indices follow sorted term order, so each kind's block comes out sorted.
+    """
+    paths = set(paths)
+    keys = {b.node_key for path, listed in buckets.items() if path in paths for b in listed}
+    terms = [vocab.terms[j] for j in np.flatnonzero(np.bincount(tfidf.indices)).tolist()]
+    blocks = zip("BMST", (sorted(report_ids), sorted(keys), sorted(paths), terms))
+    return tuple(node for kind, block in blocks for node in map(TypedNode, repeat(kind), block))
+
+
 def build_network(
     reports: Sequence[BugReport],
     tfidf: sparse.csr_array,
@@ -233,7 +200,8 @@ def build_network(
     source_paths: Iterable[str],
     buckets: Mapping[str, Sequence[MetricBucket]],
 ) -> HeteroNetwork:
-    """Assemble the typed network from a training corpus and its TF-IDF rows, in report order.
+    """Assemble the typed network over node_table from a training corpus and
+    its TF-IDF rows, in report order.
 
     T-B edges carry the report's TF-IDF weight for the term, in ascending
     term order; B-S edges (report fixed file) and S-M edges (file sits in
@@ -241,48 +209,49 @@ def build_network(
     never fixed. A report whose row is empty still becomes a B node, and one
     warning counts such reports; a fix link to a path outside source_paths
     is a validation error.
+
+    The edges come as T-B, then B-S in report order, then S-M in path
+    order, so each row lists its neighbors in the order of one pass over the
+    reports. tfidf_rows stores only positive finite weights.
     """
     if tfidf.shape[0] != len(reports):
         raise ValidationError(f"{tfidf.shape[0]} TF-IDF rows for {len(reports)} reports")
     paths = set(source_paths)
     check_fix_links(reports, paths)
-    # one node object per term and file, however many edges name it
-    terms = [TypedNode("T", term) for term in vocab.terms]
-    files = {path: TypedNode("S", path) for path in paths}
-    nodes = list(files.values())
-    edges = []
-    bounds = tfidf.indptr.tolist()
-    columns, weights = tfidf.indices.tolist(), tfidf.data.tolist()
-    for report, start, stop in zip(reports, bounds, bounds[1:]):
-        b_node = TypedNode("B", report.id)
-        nodes.append(b_node)
-        for idx, weight in zip(columns[start:stop], weights[start:stop]):
-            edges.append((terms[idx], b_node, weight))
-        for path in report.fixed_files:
-            edges.append((b_node, files[path], 1.0))
-    empty = [report.id for report, start, stop in zip(reports, bounds, bounds[1:]) if start == stop]
-    if empty:
-        logger.warning(
-            "%d reports have an empty term vector (first %s); their B nodes have no T edges",
-            len(empty), empty[0],
-        )
+    nodes = node_table([report.id for report in reports], tfidf, vocab, paths, buckets)
+    row = dict(zip(nodes, range(len(nodes))))
+    b_rows = [row["B", report.id] for report in reports]
+    counts = np.diff(tfidf.indptr)
+    t_rows = kind_slice(nodes, "T").start + np.unique(tfidf.indices, return_inverse=True)[1]
+    term_pairs = np.column_stack((t_rows, np.repeat(np.array(b_rows, dtype=np.intp), counts)))
+    fixes = [(b, row["S", path]) for b, r in zip(b_rows, reports) for path in r.fixed_files]
     # a file sits in a bucket once, however often the bucket is listed
     in_bucket = dict.fromkeys(
-        (files[path], TypedNode("M", bucket.node_key))
+        (row["S", path], row["M", bucket.node_key])
         for path in sorted(buckets)
         if path in paths
         for bucket in buckets[path]
     )
-    edges.extend((s_node, m_node, 1.0) for s_node, m_node in in_bucket)
-    return HeteroNetwork.from_edges(edges, nodes)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        logger.warning(
+            "%d reports have an empty term vector (first %s); their B nodes have no T edges",
+            empty.size, reports[empty[0]].id,
+        )
+    links = np.array(fixes + list(in_bucket), dtype=np.intp).reshape(-1, 2)
+    return HeteroNetwork.from_pairs(
+        nodes,
+        np.concatenate((term_pairs, links)),
+        np.concatenate((tfidf.data, np.ones(len(links)))),
+    )
 
 
 def validate_network(net: HeteroNetwork) -> list[Diagnostic]:
     """Scan the network and report diagnostics.
 
     Warnings: connected components that contain no T node (they can never
-    receive term information). Info: per-kind node and edge counts. The
-    network's constructor already rejects bad kinds, pairs and weights.
+    receive term information). Info: per-kind node and edge counts. Kinds,
+    pairs and weights need no check: build_network makes only valid ones.
     """
     diags = [
         Diagnostic(

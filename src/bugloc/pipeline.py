@@ -38,7 +38,7 @@ from .embeddings import (
 )
 from .errors import ValidationError, read_text
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
-from .network import KINDS, HeteroNetwork, build_network, check_fix_links, kind_slice
+from .network import KINDS, HeteroNetwork, build_network, check_fix_links, kind_slice, node_table
 from .regularizer import RepresentationModel, SolverConfig
 
 if TYPE_CHECKING:
@@ -388,30 +388,42 @@ def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndar
     return ranker.embed_rows(count_rows(token_lists, vocab), terms)
 
 
-def check_model_nodes(model: RepresentationModel, index: Index) -> None:
-    """Reject a model whose nodes differ from those of the network the index
-    implies, naming the first kind that differs; the network is not built.
+def check_model_nodes(model: RepresentationModel, index: Index, table: EmbeddingTable) -> None:
+    """Reject a model whose nodes differ from network.node_table over the
+    index, naming the first kind that differs, or whose clamped rows differ
+    from the embedding table's, naming the first term that differs.
 
-    A model solved under another split, bucket count or token rules has
-    other nodes, so its vectors would not fit this run.
+    A model solved under another split, bucket count, token rules or
+    embeddings file would not fit this run. The network is not built, and
+    the rows are compared 256 at a time, so no second copy is made at once.
     """
-    weighed = np.flatnonzero(np.bincount(index.tfidf.indices)).tolist()
-    buckets = {bucket.node_key for listed in index.buckets.values() for bucket in listed}
-    expected = {
-        "B": ("training reports", sorted(report.id for report in index.train_reports)),
-        "T": ("terms with a nonzero TF-IDF weight", [index.vocab.terms[j] for j in weighed]),
-        "S": ("file universe", list(index.universe)),
-        "M": ("metric buckets", sorted(buckets)),
-    }
+    ids = [report.id for report in index.train_reports]
+    expected = node_table(ids, index.tfidf, index.vocab, index.universe, index.buckets)
+    what = {"B": "training reports", "T": "terms with a nonzero TF-IDF weight",
+            "S": "file universe", "M": "metric buckets"}
     for kind in KINDS:
-        what, keys = expected[kind]
-        if [node.key for node in model.nodes[kind_slice(model.nodes, kind)]] != keys:
+        if model.nodes[kind_slice(model.nodes, kind)] != expected[kind_slice(expected, kind)]:
             raise ValidationError(
-                f"the model's {kind} nodes differ from the dataset's {what} "
+                f"the model's {kind} nodes differ from the dataset's {what[kind]} "
                 "under the current settings"
             )
-    if len(model.nodes) != sum(len(keys) for _, keys in expected.values()):
+    if len(model.nodes) != len(expected):
         raise ValidationError("the model holds nodes of an unknown kind")
+    if model.dim != table.dim:
+        raise ValidationError(f"the model has {model.dim} dimensions, the embeddings {table.dim}")
+    terms = kind_slice(model.nodes, "T")
+    rows = np.full(len(model.nodes), -1)
+    rows[terms] = table.rows_of(node.key for node in model.nodes[terms])
+    differs = model.clamped_rows != (rows >= 0)
+    clamped = np.flatnonzero(model.clamped_rows & (rows >= 0))
+    for block in np.split(clamped, range(256, len(clamped), 256)):
+        bits = model.matrix[block].view(np.uint64) != table.matrix[rows[block]].view(np.uint64)
+        differs[block] = bits.any(axis=1)
+    if differs.any():
+        node = model.nodes[np.argmax(differs)]
+        raise ValidationError(
+            f"the model's clamped rows differ from the embeddings at {node.kind}:{node.key}"
+        )
 
 
 class Scorer:
@@ -431,7 +443,7 @@ class Scorer:
         # each learned method's file rows, prepared once for file_cosines
         self.files = {}
         if model is not None:
-            check_model_nodes(model, index)
+            check_model_nodes(model, index, table)
             rows = kind_slice(model.nodes, "S")
             self.files[evaluation.METHOD_NETREG] = ranker.prepare_rows(model.matrix[rows])
         if file_vectors is not None:

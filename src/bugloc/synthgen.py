@@ -17,6 +17,7 @@ wall clock, repr-formatted floats.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .errors import ValidationError
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,7 @@ class GeneratedCorpus:
     sources_path: Path
     metrics_path: Path
     embeddings_path: Path
+    allocation: dict[str, int]  # the _allocate rung taken
 
 
 def _allocate(spec: SynthSpec) -> tuple[int, int, int]:
@@ -101,12 +105,16 @@ def generate(spec: SynthSpec, out_dir) -> GeneratedCorpus:
     """Write reports.jsonl, sources.jsonl, metrics.csv, embeddings.txt.
 
     Output bytes depend only on spec. Every emitted file passes the
-    package's ingestion validators.
+    package's ingestion validators. A vocabulary too tight to give files
+    words of their own is logged as a warning.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = random.Random(spec.seed)
     ct, cf, surfaces = _allocate(spec)
+    if cf == 0:
+        logger.warning("vocab_size %d leaves files no words of their own, so report text "
+                       "cannot tell one topic's files apart", spec.vocab_size)
 
     topic_of = [j % spec.topic_count for j in range(spec.num_files)]
     topic_dirs = [_unit(rng, spec.dim) for _ in range(spec.topic_count)]
@@ -236,4 +244,5 @@ def generate(spec: SynthSpec, out_dir) -> GeneratedCorpus:
         sources_path=sources_path,
         metrics_path=metrics_path,
         embeddings_path=embeddings_path,
+        allocation={"topic_words": ct, "file_words": cf, "surfaces": surfaces},
     )

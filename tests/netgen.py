@@ -1,4 +1,6 @@
-"""Seeded random typed networks for solver tests.
+"""Hand-built and seeded random typed networks for solver tests.
+
+network_of builds a HeteroNetwork from (a, b, weight) edge tuples.
 
 Every generated network keeps the kind-pair rules, stays at or below 30
 nodes, uses positive weights, and anchors every free component to at least
@@ -19,6 +21,18 @@ from bugloc.embeddings import EmbeddingTable
 from bugloc.network import HeteroNetwork, TypedNode
 from bugloc.regularizer import SolverConfig, energy, initialize_representation, sweep_update
 from tables import make_table
+
+
+def network_of(edges, nodes=()) -> HeteroNetwork:
+    """The network of the given (a, b, weight) edges plus any further nodes,
+    each row listing its neighbors in edge order."""
+    order = tuple(sorted({*nodes, *(node for a, b, _ in edges for node in (a, b))}))
+    row = {node: i for i, node in enumerate(order)}
+    return HeteroNetwork.from_pairs(
+        order,
+        np.array([(row[a], row[b]) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2),
+        np.array([weight for _, _, weight in edges], dtype=np.float64),
+    )
 
 
 def components(net: HeteroNetwork):
@@ -87,7 +101,7 @@ def random_network(rng: random.Random, dim: int | None = None):
             for t in clamped_t
         },
     )
-    return HeteroNetwork.from_edges(edges, clamped_t), table
+    return network_of(edges, clamped_t), table
 
 
 def sweep_energies(net: HeteroNetwork, table: EmbeddingTable, config: SolverConfig) -> list[float]:

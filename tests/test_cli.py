@@ -57,6 +57,14 @@ class TestSynthCommand:
         assert manifest["config_sha256"] == hashlib.sha256(blob).hexdigest()
         assert manifest["dataset_config"] == str(out / "config.json")
 
+    def test_manifest_records_the_allocation_rung(self, cli_dataset, tmp_path):
+        manifest = json.loads((cli_dataset / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["allocation"] == {"topic_words": 6, "file_words": 3, "surfaces": 2}
+        out = tmp_path / "tight"
+        assert _run("synth", "--out-dir", str(out), "--num-reports", "30", "--vocab-size", "30") == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["allocation"] == {"topic_words": 1, "file_words": 0, "surfaces": 2}
+
     def test_manifest_has_no_timestamps(self, cli_dataset):
         manifest = json.loads((cli_dataset / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "synth"
@@ -164,6 +172,39 @@ class TestSolveEvalSweepQuery:
         assert _run(*argv) == 1
         captured = capsys.readouterr()
         assert shown in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_model_solved_with_other_embeddings_rejected(
+        self, cli_dataset, tmp_path, capsys, command
+    ):
+        solved = tmp_path / "solved"
+        assert _run("solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(solved)) == 0
+        model = regularizer.load_model(solved / "model.tsv")
+        first = next(node for node, c in zip(model.nodes, model.clamped_rows) if c)
+        # the same tokens and dim, every vector negated
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("reports.jsonl", "sources.jsonl", "metrics.csv"):
+            (data / name).write_bytes((cli_dataset / name).read_bytes())
+        header, *rows = (cli_dataset / "embeddings.txt").read_text(encoding="utf-8").splitlines()
+        negated = [
+            " ".join([token, *(repr(-float(x)) for x in values)])
+            for token, *values in map(str.split, rows)
+        ]
+        (data / "embeddings.txt").write_text("\n".join([header, *negated]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--dataset-dir", str(data), "--out-dir", str(out),
+                "--model", str(solved / "model.tsv")]
+        if command == "query":
+            report = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+            argv += ["--report", str(tmp_path / "bug.json")]
+        capsys.readouterr()
+        assert _run(*argv) == 1
+        captured = capsys.readouterr()
+        assert f"the model's clamped rows differ from the embeddings at T:{first.key}" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
     def test_eval_outputs_are_shaped_like_the_config(self, cli_dataset, tmp_path, capsys):

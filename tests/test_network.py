@@ -1,5 +1,6 @@
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,18 +9,19 @@ from scipy import sparse
 
 from bugloc.corpus import build_vocabulary, tfidf_rows
 from bugloc.errors import ValidationError
-from bugloc.metrics import MetricRecord, discretize
+from bugloc.metrics import MetricBucket, MetricRecord, discretize
 from bugloc.network import (
     HeteroNetwork,
     TypedNode,
-    _check_edge,
-    _check_node,
     build_network,
     component_labels,
     kind_slice,
+    node_table,
     validate_network,
     write_edge_csv,
 )
+from netgen import network_of
+from netref import reference_network
 
 
 def _of_kind(net, kind):
@@ -30,54 +32,23 @@ class TestHeteroNetwork:
     def test_add_edge_and_lookups(self):
         t = TypedNode("T", "null")
         b = TypedNode("B", "BUG-1")
-        net = HeteroNetwork.from_edges([(t, b, 0.5)])
+        net = network_of([(t, b, 0.5)])
         assert net.nodes == (b, t)
         assert net.neighbors(b) == {t: 0.5}
         assert net.num_nodes() == 2
         assert net.num_edges() == 1
         assert list(net.edges()) == [(b, t, 0.5)]
 
-    def test_disallowed_kind_pairs_rejected(self):
-        with pytest.raises(ValidationError, match="not allowed"):
-            HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("T", "y"), 1.0)])
-        with pytest.raises(ValidationError, match="not allowed"):
-            HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("S", "a.java"), 1.0)])
-        with pytest.raises(ValidationError, match="not allowed"):
-            HeteroNetwork.from_edges([(TypedNode("B", "b"), TypedNode("M", "lines:0"), 1.0)])
-
-    def test_self_loop_rejected(self):
-        node = TypedNode("B", "BUG-1")
-        with pytest.raises(ValidationError, match="self-loop"):
-            HeteroNetwork.from_edges([(node, node, 1.0)])
-
     def test_duplicate_edge_rejected_either_direction(self):
-        t, b, s = TypedNode("T", "x"), TypedNode("B", "b"), TypedNode("S", "a.java")
+        b, s, t = TypedNode("B", "b"), TypedNode("S", "a.java"), TypedNode("T", "x")
+        nodes, weights = (b, s, t), np.ones(3)
         with pytest.raises(ValidationError, match="duplicate edge between .*'B'.*'b'.* and .*'T'.*'x'"):
-            HeteroNetwork.from_edges([(t, b, 1.0), (b, s, 1.0), (b, t, 2.0)])
+            HeteroNetwork.from_pairs(nodes, np.array([[2, 0], [0, 1], [0, 2]]), weights)
         with pytest.raises(ValidationError, match="duplicate"):
-            HeteroNetwork.from_edges([(t, b, 1.0), (t, b, 1.0)])
-
-    def test_bad_weights_rejected(self):
-        t, b = TypedNode("T", "x"), TypedNode("B", "b")
-        for weight in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValidationError, match="weight"):
-                HeteroNetwork.from_edges([(t, b, weight)])
-
-    def test_unknown_kind_and_empty_key_rejected(self):
-        with pytest.raises(ValidationError, match="kind"):
-            HeteroNetwork.from_edges([], nodes=[TypedNode("X", "x")])
-        with pytest.raises(ValidationError, match="key"):
-            HeteroNetwork.from_edges([], nodes=[TypedNode("B", "")])
-        with pytest.raises(ValidationError, match="key"):
-            HeteroNetwork.from_edges([(TypedNode("T", ""), TypedNode("B", "b"), 1.0)])
-
-    def test_first_bad_edge_is_named(self):
-        t, b = TypedNode("T", "x"), TypedNode("B", "b")
-        with pytest.raises(ValidationError, match="-1.0"):
-            HeteroNetwork.from_edges([(t, b, 1.0), (t, TypedNode("B", "c"), -1.0), (b, b, 1.0)])
+            HeteroNetwork.from_pairs(nodes, np.array([[2, 0], [2, 0]]), weights[:2])
 
     def test_nodes_of_kind_sorted(self):
-        net = HeteroNetwork.from_edges(
+        net = network_of(
             [], nodes=[TypedNode("S", "b.java"), TypedNode("S", "a.java"), TypedNode("B", "BUG-1")]
         )
         assert _of_kind(net, "S") == (TypedNode("S", "a.java"), TypedNode("S", "b.java"))
@@ -87,7 +58,7 @@ class TestHeteroNetwork:
     def test_rows_list_neighbors_in_edge_order(self):
         b = TypedNode("B", "b")
         t1, t2, s1 = TypedNode("T", "z"), TypedNode("T", "a"), TypedNode("S", "m.java")
-        net = HeteroNetwork.from_edges([(t1, b, 2.0), (b, s1, 1.0), (t2, b, 3.0)])
+        net = network_of([(t1, b, 2.0), (b, s1, 1.0), (t2, b, 3.0)])
         assert list(net.neighbors(b).items()) == [(t1, 2.0), (s1, 1.0), (t2, 3.0)]
         row = net.nodes.index(b)
         span = slice(*net.adjacency.indptr[row : row + 2])
@@ -96,54 +67,9 @@ class TestHeteroNetwork:
         assert (net.adjacency != net.adjacency.T).nnz == 0
 
     def test_unknown_node_has_no_neighbors_entry(self):
-        net = HeteroNetwork.from_edges([(TypedNode("T", "x"), TypedNode("B", "b"), 1.0)])
+        net = network_of([(TypedNode("T", "x"), TypedNode("B", "b"), 1.0)])
         with pytest.raises(KeyError):
             net.neighbors(TypedNode("B", "c"))
-
-
-def _first_offence(edges, nodes):
-    """The error of checking each node and then each edge in turn, or None."""
-    try:
-        for node in nodes:
-            _check_node(node)
-        for edge in edges:
-            _check_edge(*edge)
-    except ValidationError as exc:
-        return str(exc)
-    return None
-
-
-_NODE_POOL = [
-    TypedNode(kind, key) for kind in ("B", "T", "S", "M", "X") for key in ("a", "b", "")
-]
-# node pairs that pass every check but the weight's, so that a bad weight is often the only fault
-_ALLOWED_ENDS = [
-    (TypedNode(x, key_x), TypedNode(y, key_y))
-    for pair in (("B", "T"), ("B", "S"), ("M", "S"))
-    for x, y in (pair, pair[::-1])
-    for key_x in ("a", "b")
-    for key_y in ("a", "b")
-]
-_WEIGHTS = st.sampled_from([1.0, 0.5, 2, 3.0, 0.0, -1.0, math.inf, math.nan])
-_EDGES = st.one_of(
-    st.tuples(st.sampled_from(_ALLOWED_ENDS), _WEIGHTS).map(lambda e: (*e[0], e[1])),
-    st.tuples(st.sampled_from(_NODE_POOL), st.sampled_from(_NODE_POOL), _WEIGHTS),
-)
-
-
-@settings(max_examples=300)
-@given(st.lists(_EDGES, max_size=8), st.lists(st.sampled_from(_NODE_POOL), max_size=3))
-def test_array_checks_name_the_first_offence_of_a_loop(edges, nodes):
-    expected = _first_offence(edges, nodes)
-    if expected is None:
-        try:
-            HeteroNetwork.from_edges(edges, nodes)
-        except ValidationError as exc:
-            assert str(exc).startswith("duplicate edge")
-    else:
-        with pytest.raises(ValidationError) as info:
-            HeteroNetwork.from_edges(edges, nodes)
-        assert str(info.value) == expected
 
 
 def _csgraph_labels(num_nodes, pairs):
@@ -278,6 +204,82 @@ class TestBuildNetwork:
         assert net.neighbors(m0) == {TypedNode("S", "src/A.java"): 1.0}
 
 
+_KEYS = st.text(alphabet="az_Zé中-.", min_size=1, max_size=3)
+_TERMS = ("leak", "null", "socket", "widget", "ünï", "日本")
+_ALLOWED_KIND_PAIRS = {("B", "T"), ("B", "S"), ("M", "S")}
+
+
+@st.composite
+def _corpora(draw):
+    """build_network's inputs: report ids in an order of their own, up to
+    two fix links per report, TF-IDF rows that may be empty, and buckets
+    that may repeat or sit on paths outside the universe."""
+    paths = draw(st.lists(_KEYS.map("src/{}".format), min_size=1, max_size=5, unique=True))
+    fixes = st.lists(st.sampled_from(paths), max_size=2, unique=True).map(tuple)
+    ids = draw(st.lists(_KEYS, min_size=1, max_size=6, unique=True))
+    reports = [SimpleNamespace(id=rid, fixed_files=draw(fixes)) for rid in ids]
+    tokens = [draw(st.lists(st.sampled_from(_TERMS), max_size=5)) for _ in ids]
+    vocab = build_vocabulary(tokens)
+    metric_paths = st.sampled_from(paths) | _KEYS.map("lib/{}".format)
+    bucket = st.builds(MetricBucket, st.sampled_from(("lines", "fan-ö")), st.integers(0, 2))
+    buckets = {
+        path: draw(st.lists(bucket, max_size=3))
+        for path in draw(st.lists(metric_paths, max_size=6, unique=True))
+    }
+    return reports, tfidf_rows(tokens, vocab), vocab, paths, buckets
+
+
+def _assert_matches_reference(corpus):
+    """build_network equals the edge-list reference bit for bit, holds
+    node_table's nodes, and joins only allowed kinds, once, with positive
+    finite weights."""
+    net = build_network(*corpus)
+    nodes, adjacency, degree, labels = reference_network(*corpus)
+    assert net.nodes == nodes
+    assert net.nodes == node_table([report.id for report in corpus[0]], *corpus[1:])
+    np.testing.assert_array_equal(net.adjacency.indptr, adjacency.indptr)
+    np.testing.assert_array_equal(net.adjacency.indices, adjacency.indices)
+    np.testing.assert_array_equal(
+        net.adjacency.data.view(np.uint64), adjacency.data.view(np.uint64)
+    )
+    np.testing.assert_array_equal(net.degree.view(np.uint64), degree.view(np.uint64))
+    np.testing.assert_array_equal(net.labels, labels)
+    entries = net.adjacency.tocoo()
+    ends = list(zip(entries.row.tolist(), entries.col.tolist()))
+    assert len(set(ends)) == len(ends)
+    kinds = {tuple(sorted((net.nodes[i].kind, net.nodes[j].kind))) for i, j in ends}
+    assert kinds <= _ALLOWED_KIND_PAIRS
+    assert (np.isfinite(entries.data) & (entries.data > 0.0)).all()
+
+
+class TestAgainstEdgeListReference:
+    @settings(max_examples=200)
+    @given(_corpora())
+    def test_array_build_matches_the_edge_list_build(self, corpus):
+        _assert_matches_reference(corpus)
+
+    def test_listed_cases(self):
+        # chronological ids out of sorted order, an empty row, two-file
+        # fixes, a bucket listed twice, a metric path outside the universe,
+        # non-ASCII ids, terms and paths
+        paths = ["src/A.java", "src/ünï/日本.java", "src/Z.java"]
+        reports = [
+            SimpleNamespace(id="B-9", fixed_files=("src/Z.java", "src/A.java")),
+            SimpleNamespace(id="B-10", fixed_files=("src/ünï/日本.java",)),
+            SimpleNamespace(id="Ω-1", fixed_files=()),
+            SimpleNamespace(id="A-1", fixed_files=("src/A.java", "src/ünï/日本.java")),
+        ]
+        tokens = [["leak", "socket", "日本"], [], ["leak", "widget"], ["ünï", "socket", "socket"]]
+        vocab = build_vocabulary(tokens)
+        lines = MetricBucket("lines", 0)
+        buckets = {
+            "src/Z.java": [lines, MetricBucket("fan-ö", 1), lines],
+            "lib/Gone.java": [MetricBucket("lines", 2)],
+            "src/A.java": [lines],
+        }
+        _assert_matches_reference((reports, tfidf_rows(tokens, vocab), vocab, paths, buckets))
+
+
 class TestValidateNetwork:
     def test_clean_network_has_no_errors(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
@@ -289,7 +291,7 @@ class TestValidateNetwork:
         assert "B=2" in info[0].message
 
     def test_component_without_terms_warns(self):
-        net = HeteroNetwork.from_edges([(TypedNode("S", "a.java"), TypedNode("M", "lines:0"), 1.0)])
+        net = network_of([(TypedNode("S", "a.java"), TypedNode("M", "lines:0"), 1.0)])
         diags = validate_network(net)
         warned = [d for d in diags if d.code == "isolated-component"]
         assert len(warned) == 1

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 from collections import Counter
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from bugloc import evaluation, pipeline
 from bugloc.corpus import BugReport
-from bugloc.embeddings import embed_tokens, load_embeddings
+from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
 from bugloc.network import TypedNode, kind_slice
 from bugloc.regularizer import RepresentationModel
@@ -498,6 +500,31 @@ class TestEvalContext:
         )
         with pytest.raises(ValidationError, match="unknown kind"):
             pipeline.Scorer(eval_bundle.scorer.index, eval_bundle.dataset.table, model=extra)
+
+    @pytest.mark.parametrize("change", ["vectors", "last", "drop", "dim"])
+    def test_scorer_rejects_a_model_solved_with_other_embeddings(self, eval_bundle, change):
+        model, table = eval_bundle.scorer.model, eval_bundle.dataset.table
+        clamped = [node.key for node in compress(model.nodes, model.clamped_rows)]
+        tokens, matrix = list(table.tokens), table.matrix.copy()
+        first, last = table.row[clamped[0]], table.row[clamped[-1]]
+        if change == "vectors":
+            matrix *= 0.5
+            shown = f"the model's clamped rows differ from the embeddings at T:{clamped[0]}"
+        elif change == "last":
+            # one ulp in a row past the first 256-row block
+            assert len(clamped) > 256
+            matrix[last, -1] = np.nextafter(matrix[last, -1], np.inf)
+            shown = f"the model's clamped rows differ from the embeddings at T:{clamped[-1]}"
+        elif change == "drop":
+            del tokens[first]
+            matrix = np.delete(matrix, first, axis=0)
+            shown = f"the model's clamped rows differ from the embeddings at T:{clamped[0]}"
+        else:
+            matrix = matrix[:, :-1]
+            shown = f"the model has {model.dim} dimensions, the embeddings {model.dim - 1}"
+        other = EmbeddingTable(tokens, matrix)
+        with pytest.raises(ValidationError, match=re.escape(shown)):
+            pipeline.Scorer(eval_bundle.scorer.index, other, model=model)
 
     def test_queries_follow_training_chronologically(self, eval_bundle):
         index = eval_bundle.scorer.index

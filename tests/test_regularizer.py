@@ -7,7 +7,7 @@ import pytest
 
 from bugloc import pipeline, synthgen
 from bugloc.errors import ParseError, ValidationError
-from bugloc.network import HeteroNetwork, TypedNode, kind_slice
+from bugloc.network import TypedNode, kind_slice
 from bugloc.regularizer import (
     RepresentationModel,
     SolverConfig,
@@ -19,7 +19,7 @@ from bugloc.regularizer import (
     solve,
     sweep_update,
 )
-from netgen import components, random_network, sweep_energies
+from netgen import components, network_of, random_network, sweep_energies
 from tables import make_table
 
 T1 = TypedNode("T", "t1")
@@ -29,13 +29,13 @@ S1 = TypedNode("S", "s1.java")
 
 
 def _pair_net(*more_edges):
-    net = HeteroNetwork.from_edges([(T1, B1, 2.0), *more_edges])
+    net = network_of([(T1, B1, 2.0), *more_edges])
     table = make_table(1, {"t1": np.array([1.0])})
     return net, table
 
 
 def _weighted_net():
-    net = HeteroNetwork.from_edges([(T1, B1, 3.0), (T2, B1, 1.0)])
+    net = network_of([(T1, B1, 3.0), (T2, B1, 1.0)])
     table = make_table(1, {"t1": np.array([1.0]), "t2": np.array([0.0])})
     return net, table
 
@@ -79,14 +79,14 @@ class TestSweepAndEnergy:
         np.testing.assert_array_equal(model.vector(T2), [0.0])
 
     def test_energy_counts_each_edge_once(self):
-        net = HeteroNetwork.from_edges([(T1, B1, 2.0)])
+        net = network_of([(T1, B1, 2.0)])
         model = RepresentationModel(
             nodes=(B1, T1), matrix=np.array([[0.5], [1.0]]), clamped_rows=np.zeros(2, bool)
         )
         assert energy(model, net) == 0.5  # 2.0 * (1.0 - 0.5)^2
 
     def test_energy_of_edgeless_network_is_zero(self):
-        net = HeteroNetwork.from_edges([], nodes=[T1])
+        net = network_of([], nodes=[T1])
         model = RepresentationModel(
             nodes=(T1,), matrix=np.array([[1.0]]), clamped_rows=np.zeros(1, bool)
         )
@@ -134,7 +134,7 @@ class TestAgainstNodeByNodeReference:
 
 class TestSolve:
     def test_chain_converges_to_clamp(self):
-        net = HeteroNetwork.from_edges([(T1, B1, 1.0), (B1, S1, 1.0)])
+        net = network_of([(T1, B1, 1.0), (B1, S1, 1.0)])
         table = make_table(1, {"t1": np.array([1.0])})
         model = solve(net, table, SolverConfig(max_iters=50, tolerance=1e-12))
         assert model.convergence.converged
@@ -158,7 +158,7 @@ class TestSolve:
 
     def test_non_convergence_warns(self, caplog):
         b2 = TypedNode("B", "b2")
-        net = HeteroNetwork.from_edges(
+        net = network_of(
             [(T1, B1, 1.0), (B1, S1, 1.0), (b2, S1, 1.0), (TypedNode("T", "t2"), b2, 1.0)]
         )
         table = make_table(1, {"t1": np.array([1.0]), "t2": np.array([-1.0])})
@@ -179,7 +179,7 @@ class TestSolve:
 
     def test_isolated_component_stays_zero_with_diagnostic(self, caplog):
         b2, s2 = TypedNode("B", "b2"), TypedNode("S", "s2.java")
-        net = HeteroNetwork.from_edges([(T1, B1, 1.0), (b2, s2, 1.0)])
+        net = network_of([(T1, B1, 1.0), (b2, s2, 1.0)])
         table = make_table(1, {"t1": np.array([1.0])})
         model = solve(net, table)
         np.testing.assert_array_equal(model.vector(b2), [0.0])
@@ -351,7 +351,7 @@ class TestModelSerialization:
             load_model(path)
 
     def test_clamped_row_in_non_repr_form_rejected(self, tmp_path):
-        net = HeteroNetwork.from_edges([(T1, B1, 1.0), (T2, B1, 1.0)])
+        net = network_of([(T1, B1, 1.0), (T2, B1, 1.0)])
         table = make_table(1, {"t1": np.array([0.5]), "t2": np.array([0.25])})
         model = solve(net, table)
         path = tmp_path / "model.tsv"

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -115,3 +116,16 @@ class TestGenerate:
         assert len(table) <= 5
         reports = load_bug_reports(corpus.reports_path)
         assert len(reports) == 12
+
+    def test_tight_vocab_warns_that_files_have_no_words(self, tmp_path, caplog):
+        spec = SynthSpec(num_reports=12, vocab_size=30)
+        with caplog.at_level(logging.WARNING, logger="bugloc.synthgen"):
+            corpus = generate(spec, tmp_path)
+        assert corpus.allocation == {"topic_words": 1, "file_words": 0, "surfaces": 2}
+        assert "leaves files no words of their own" in caplog.text
+
+    def test_default_vocab_takes_a_rung_with_file_words_and_does_not_warn(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="bugloc.synthgen"):
+            corpus = generate(SynthSpec(num_reports=12), tmp_path)
+        assert corpus.allocation == {"topic_words": 6, "file_words": 3, "surfaces": 2}
+        assert not caplog.records
