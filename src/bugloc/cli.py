@@ -11,10 +11,8 @@ validation failure, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import logging
 import sys
@@ -23,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, evaluation, pipeline, ranker, regularizer, synthgen
 from .corpus import load_bug_reports, tfidf_rows, tokenize
-from .errors import ValidationError
+from .errors import ValidationError, write_csv
 from .network import validate_network, write_edge_csv
 
 logger = logging.getLogger(__name__)
@@ -130,47 +128,37 @@ def _write_manifest(cfg: pipeline.RunConfig, command: str, extra: dict | None = 
     return path
 
 
-def _write_rows_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "dataset", "alpha", "k", "map", "num_queries"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.method,
-                    row.dataset,
-                    f"{row.alpha:.2f}",
-                    row.k,
-                    f"{row.map_value:.6f}",
-                    row.num_queries,
-                ]
-            )
+_MAP_HEADER = ("method", "dataset", "alpha", "k", "map", "num_queries")
+_TTEST_HEADER = (
+    "method_a", "method_b", "k", "alpha_a", "alpha_b",
+    "t_statistic", "p_value", "significant", "degenerate",
+)
 
 
-def _write_ttests_csv(path, result: evaluation.EvalResult, ks) -> None:
-    methods = sorted({method for method, _ in result.per_query_ap})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["method_a", "method_b", "k", "alpha_a", "alpha_b",
-             "t_statistic", "p_value", "significant", "degenerate"]
+def _map_rows(rows):
+    for row in rows:
+        yield (
+            row.method, row.dataset, f"{row.alpha:.2f}", row.k,
+            f"{row.map_value:.6f}", row.num_queries,
         )
-        for i, method_a in enumerate(methods):
-            for method_b in methods[i + 1 :]:
-                for k in ks:
-                    alpha_a, aps_a = result.per_query_ap[(method_a, k)]
-                    alpha_b, aps_b = result.per_query_ap[(method_b, k)]
-                    if len(aps_a) < 2:
-                        continue
-                    test = evaluation.paired_t_test(aps_a, aps_b)
-                    writer.writerow(
-                        [
-                            method_a, method_b, k,
-                            f"{alpha_a:.2f}", f"{alpha_b:.2f}",
-                            f"{test.t_statistic:.6f}", f"{test.p_value:.6f}",
-                            int(test.significant), int(test.degenerate),
-                        ]
-                    )
+
+
+def _ttest_rows(result: evaluation.EvalResult, ks):
+    methods = sorted({method for method, _ in result.per_query_ap})
+    for i, method_a in enumerate(methods):
+        for method_b in methods[i + 1 :]:
+            for k in ks:
+                alpha_a, aps_a = result.per_query_ap[(method_a, k)]
+                alpha_b, aps_b = result.per_query_ap[(method_b, k)]
+                if len(aps_a) < 2:
+                    continue
+                test = evaluation.paired_t_test(aps_a, aps_b)
+                yield (
+                    method_a, method_b, k,
+                    f"{alpha_a:.2f}", f"{alpha_b:.2f}",
+                    f"{test.t_statistic:.6f}", f"{test.p_value:.6f}",
+                    int(test.significant), int(test.degenerate),
+                )
 
 
 def _load_model_arg(args):
@@ -206,7 +194,7 @@ def cmd_build(args) -> int:
     write_edge_csv(index.network, edge_path)
     diags = validate_network(index.network)
     for diag in diags:
-        print(f"{diag.severity}: {diag.code}: {diag.message}")
+        print(f"{diag['severity']}: {diag['code']}: {diag['message']}")
     _write_manifest(
         cfg,
         "build",
@@ -214,10 +202,7 @@ def cmd_build(args) -> int:
             "network": {
                 "nodes": index.network.num_nodes(),
                 "edges": index.network.num_edges(),
-                "diagnostics": [
-                    {"severity": d.severity, "code": d.code, "message": d.message}
-                    for d in diags
-                ],
+                "diagnostics": diags,
             }
         },
     )
@@ -271,18 +256,15 @@ def cmd_query(args) -> int:
         cfg.k,
     )
     out = Path(cfg.out_dir)
+    if batch:
+        out.mkdir(parents=True, exist_ok=True)
+    paths = scorer.index.universe
     for report, columns, values in zip(queries, top.tolist(), scores.tolist()):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["rank", "path", "score"])
-        for rank, (j, score) in enumerate(zip(columns, values), 1):
-            writer.writerow([rank, scorer.index.universe[j], f"{score:.8f}"])
-        text = buf.getvalue()
-        if batch:
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"query_{report.id}.csv").write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        write_csv(
+            out / f"query_{report.id}.csv" if batch else sys.stdout,
+            ("rank", "path", "score"),
+            ((rank, paths[j], f"{s:.8f}") for rank, (j, s) in enumerate(zip(columns, values), 1)),
+        )
     if batch:
         _write_manifest(cfg, "query", {"queries": [r.id for r in queries]})
         print(f"wrote {len(queries)} rankings to {out}")
@@ -298,11 +280,11 @@ def cmd_eval(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "results.csv"
-    _write_rows_csv(results_path, result.rows)
+    write_csv(results_path, _MAP_HEADER, _map_rows(result.rows))
     ttests_path = out / "ttests.csv"
-    _write_ttests_csv(ttests_path, result, cfg.ks)
+    write_csv(ttests_path, _TTEST_HEADER, _ttest_rows(result, cfg.ks))
     sweep_path = out / "sweep.csv"
-    _write_rows_csv(sweep_path, result.sweep)
+    write_csv(sweep_path, _MAP_HEADER, _map_rows(result.sweep))
     convergence = (
         scorer.model.convergence.to_dict()
         if scorer.model is not None and scorer.model.convergence is not None

@@ -1,7 +1,9 @@
-"""Shared exception types, and the UTF-8 reader that turns a decode error
-into one of them."""
+"""Shared exception types, the UTF-8 reader that turns a decode error into
+one of them, and the one CSV dialect every output is written in."""
 
+import csv
 from contextlib import contextmanager
+from pathlib import PurePath
 
 
 class ValidationError(Exception):
@@ -21,3 +23,16 @@ def read_text(path, newline=None):
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_csv(target, header, rows) -> None:
+    """Write a header and rows as CSV with "\\n" line ends and csv's minimal
+    quoting: to the file at target, as UTF-8, or to target itself when it is
+    an open text stream such as sys.stdout."""
+    if isinstance(target, (str, PurePath)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            write_csv(fh, header, rows)
+    else:
+        writer = csv.writer(target, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -5,22 +5,22 @@ Edges exist only between (T, B), (B, S), and (S, M); they are undirected,
 carry positive finite weights, and at most one edge joins a node pair.
 build_network makes only such edges, from the loaders' validated keys and
 the index's arrays, and HeteroNetwork.from_pairs rejects a repeated pair.
+The network lives in CSR arrays; validate_network counts it and
+write_edge_csv dumps it straight from them.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import BugReport, Vocabulary
-from .errors import ValidationError
+from .errors import ValidationError, write_csv
 from .metrics import MetricBucket
 
 if TYPE_CHECKING:
@@ -42,13 +42,6 @@ def kind_slice(nodes: Sequence[TypedNode], kind: str) -> slice:
     TypedNode sorts by kind first, so each kind's nodes are contiguous.
     """
     return slice(bisect_left(nodes, (kind,)), bisect_left(nodes, (kind + "\0",)))
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "warning" | "info"
-    code: str
-    message: str
 
 
 def component_labels(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
@@ -134,14 +127,6 @@ class HeteroNetwork:
         span = slice(*self.adjacency.indptr[row : row + 2])
         columns, weights = self.adjacency.indices[span], self.adjacency.data[span]
         return {self.nodes[j]: w for j, w in zip(columns.tolist(), weights.tolist())}
-
-    def edges(self):
-        """Yield each undirected edge once as (a, b, weight) with a < b."""
-        from scipy import sparse
-
-        upper = sparse.triu(self.adjacency, k=1, format="coo")
-        for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
-            yield self.nodes[i], self.nodes[j], w
 
     def num_nodes(self) -> int:
         return len(self.nodes)
@@ -246,35 +231,50 @@ def build_network(
     )
 
 
-def validate_network(net: HeteroNetwork) -> list[Diagnostic]:
-    """Scan the network and report diagnostics.
+def validate_network(net: HeteroNetwork) -> list[dict]:
+    """Scan the network and report diagnostics, as dicts of severity, code
+    and message.
 
     Warnings: connected components that contain no T node (they can never
-    receive term information). Info: per-kind node and edge counts. Kinds,
+    receive term information). Info: node counts per kind, and edge counts
+    per kind pair, pairs in sorted order, zero counts left out. Kinds,
     pairs and weights need no check: build_network makes only valid ones.
     """
     diags = [
-        Diagnostic(
-            "warning",
-            "isolated-component",
-            f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
+        {
+            "severity": "warning",
+            "code": "isolated-component",
+            "message": f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
             f"has no path to any T node",
-        )
+        }
         for size, sample in net.components_without(kind_slice(net.nodes, "T"))[1]
     ]
-    node_counts = Counter(node.kind for node in net.nodes)
-    edge_counts = Counter("-".join(sorted((a.kind, b.kind))) for a, b, _ in net.edges())
-    counts = " ".join(f"{k}={node_counts[k]}" for k in KINDS)
-    edges = " ".join(f"{label}={edge_counts[label]}" for label in sorted(edge_counts))
-    diags.append(Diagnostic("info", "counts", f"nodes {counts}; edges {edges}".rstrip()))
-    return diags
+    counts = " ".join(f"{k}={net.kind_rows[k].shape[0]}" for k in KINDS)
+    edges = " ".join(
+        f"{a}-{b}={n}"
+        for a, b in combinations(sorted(KINDS), 2)
+        if (n := net.kind_rows[a][:, kind_slice(net.nodes, b)].nnz)
+    )
+    message = f"nodes {counts}; edges {edges}".rstrip()
+    return diags + [{"severity": "info", "code": "counts", "message": message}]
 
 
 def write_edge_csv(net: HeteroNetwork, path) -> None:
-    """Dump the edge list as CSV kind1,key1,kind2,key2,weight (canonical order)."""
-    rows = sorted(net.edges())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["kind1", "key1", "kind2", "key2", "weight"])
-        for a, b, w in rows:
-            writer.writerow([a.kind, a.key, b.kind, b.key, repr(w)])
+    """Dump the edge list as CSV kind1,key1,kind2,key2,weight, each edge once
+    from its smaller node, in (kind1, key1, kind2, key2) order."""
+    from scipy import sparse
+
+    # each row lists its neighbors in edge order; with sorted indices the
+    # upper triangle runs in (row, col) order, which is node order
+    upper = sparse.triu(net.adjacency, k=1, format="csr")
+    upper.sort_indices()
+    upper = upper.tocoo()
+    nodes = net.nodes
+    write_csv(
+        path,
+        ("kind1", "key1", "kind2", "key2", "weight"),
+        (
+            (*nodes[i], *nodes[j], repr(w))
+            for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
+        ),
+    )

@@ -105,6 +105,12 @@ class TestIngestAndBuild:
         assert len(rows) > 100
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["network"]["nodes"] > 0
+        assert len(rows) == 1 + manifest["network"]["edges"]
+        # build prints each diagnostic it records, in order, then where it wrote
+        *diagnostic_lines, wrote = printed.splitlines()
+        assert wrote == f"wrote {out / 'network.csv'}"
+        recorded = manifest["network"]["diagnostics"]
+        assert diagnostic_lines == [f"{d['severity']}: {d['code']}: {d['message']}" for d in recorded]
 
 
 class TestSolveEvalSweepQuery:

@@ -1,5 +1,9 @@
+import csv
 import logging
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +15,7 @@ from bugloc.corpus import build_vocabulary, tfidf_rows
 from bugloc.errors import ValidationError
 from bugloc.metrics import MetricBucket, MetricRecord, discretize
 from bugloc.network import (
+    KINDS,
     HeteroNetwork,
     TypedNode,
     build_network,
@@ -21,7 +26,7 @@ from bugloc.network import (
     write_edge_csv,
 )
 from netgen import network_of
-from netref import reference_network
+from netref import reference_edges, reference_network
 
 
 def _of_kind(net, kind):
@@ -37,7 +42,11 @@ class TestHeteroNetwork:
         assert net.neighbors(b) == {t: 0.5}
         assert net.num_nodes() == 2
         assert net.num_edges() == 1
-        assert list(net.edges()) == [(b, t, 0.5)]
+        upper = sparse.triu(net.adjacency, k=1, format="coo")
+        assert [
+            (net.nodes[i], net.nodes[j], w)
+            for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
+        ] == [(b, t, 0.5)]
 
     def test_duplicate_edge_rejected_either_direction(self):
         b, s, t = TypedNode("B", "b"), TypedNode("S", "a.java"), TypedNode("T", "x")
@@ -204,7 +213,7 @@ class TestBuildNetwork:
         assert net.neighbors(m0) == {TypedNode("S", "src/A.java"): 1.0}
 
 
-_KEYS = st.text(alphabet="az_Zé中-.", min_size=1, max_size=3)
+_KEYS = st.text(alphabet='az_Zé中-.,"', min_size=1, max_size=3)
 _TERMS = ("leak", "null", "socket", "widget", "ünï", "日本")
 _ALLOWED_KIND_PAIRS = {("B", "T"), ("B", "S"), ("M", "S")}
 
@@ -221,7 +230,8 @@ def _corpora(draw):
     tokens = [draw(st.lists(st.sampled_from(_TERMS), max_size=5)) for _ in ids]
     vocab = build_vocabulary(tokens)
     metric_paths = st.sampled_from(paths) | _KEYS.map("lib/{}".format)
-    bucket = st.builds(MetricBucket, st.sampled_from(("lines", "fan-ö")), st.integers(0, 2))
+    metrics = st.sampled_from(("lines", "fan-ö", 'a,"b"'))
+    bucket = st.builds(MetricBucket, metrics, st.integers(0, 2))
     buckets = {
         path: draw(st.lists(bucket, max_size=3))
         for path in draw(st.lists(metric_paths, max_size=6, unique=True))
@@ -229,11 +239,37 @@ def _corpora(draw):
     return reports, tfidf_rows(tokens, vocab), vocab, paths, buckets
 
 
+def _reference_dump_and_counts(corpus, path):
+    """Write the edge-list reference's edges to path as the sorted
+    (smaller node, larger node, weight) tuples that define network.csv's
+    order, and return the counts line, from Counters over the same tuples."""
+    nodes = reference_network(*corpus)[0]
+    edges = sorted((min(a, b), max(a, b), w) for a, b, w in reference_edges(*corpus))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["kind1", "key1", "kind2", "key2", "weight"])
+        for a, b, w in edges:
+            writer.writerow([a.kind, a.key, b.kind, b.key, repr(w)])
+    node_counts = Counter(node.kind for node in nodes)
+    edge_counts = Counter("-".join(sorted((a.kind, b.kind))) for a, b, _ in edges)
+    counts = " ".join(f"{k}={node_counts[k]}" for k in KINDS)
+    pairs = " ".join(f"{label}={edge_counts[label]}" for label in sorted(edge_counts))
+    return f"nodes {counts}; edges {pairs}".rstrip()
+
+
 def _assert_matches_reference(corpus):
     """build_network equals the edge-list reference bit for bit, holds
     node_table's nodes, and joins only allowed kinds, once, with positive
-    finite weights."""
+    finite weights; its edge dump and counts line equal those made from
+    the reference's sorted edge tuples."""
     net = build_network(*corpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        dumped, expected = Path(tmp, "network.csv"), Path(tmp, "reference.csv")
+        write_edge_csv(net, dumped)
+        counts_line = _reference_dump_and_counts(corpus, expected)
+        assert dumped.read_bytes() == expected.read_bytes()
+    counts = {"severity": "info", "code": "counts", "message": counts_line}
+    assert validate_network(net)[-1] == counts
     nodes, adjacency, degree, labels = reference_network(*corpus)
     assert net.nodes == nodes
     assert net.nodes == node_table([report.id for report in corpus[0]], *corpus[1:])
@@ -261,23 +297,37 @@ class TestAgainstEdgeListReference:
     def test_listed_cases(self):
         # chronological ids out of sorted order, an empty row, two-file
         # fixes, a bucket listed twice, a metric path outside the universe,
-        # non-ASCII ids, terms and paths
-        paths = ["src/A.java", "src/ünï/日本.java", "src/Z.java"]
+        # non-ASCII ids, terms and paths, keys that CSV must quote
+        paths = ["src/A.java", "src/ünï/日本.java", "src/Z.java", 'src/a,"b".java']
         reports = [
             SimpleNamespace(id="B-9", fixed_files=("src/Z.java", "src/A.java")),
             SimpleNamespace(id="B-10", fixed_files=("src/ünï/日本.java",)),
             SimpleNamespace(id="Ω-1", fixed_files=()),
             SimpleNamespace(id="A-1", fixed_files=("src/A.java", "src/ünï/日本.java")),
+            SimpleNamespace(id='B,"7"', fixed_files=('src/a,"b".java',)),
         ]
-        tokens = [["leak", "socket", "日本"], [], ["leak", "widget"], ["ünï", "socket", "socket"]]
+        tokens = [
+            ["leak", "socket", "日本"], [], ["leak", "widget"], ["ünï", "socket", "socket"],
+            ["leak"],
+        ]
         vocab = build_vocabulary(tokens)
         lines = MetricBucket("lines", 0)
         buckets = {
             "src/Z.java": [lines, MetricBucket("fan-ö", 1), lines],
             "lib/Gone.java": [MetricBucket("lines", 2)],
             "src/A.java": [lines],
+            'src/a,"b".java': [MetricBucket('a,"b"', 0)],
         }
         _assert_matches_reference((reports, tfidf_rows(tokens, vocab), vocab, paths, buckets))
+
+    def test_edgeless_network(self):
+        reports = [SimpleNamespace(id="B-1", fixed_files=())]
+        tokens = [[]]
+        vocab = build_vocabulary(tokens)
+        corpus = (reports, tfidf_rows(tokens, vocab), vocab, ["src/A.java"], {})
+        _assert_matches_reference(corpus)
+        counts = validate_network(build_network(*corpus))[-1]["message"]
+        assert counts == "nodes B=1 T=0 S=1 M=0; edges"
 
 
 class TestValidateNetwork:
@@ -285,17 +335,17 @@ class TestValidateNetwork:
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         net = build_network(reports, bows, vocab, paths, buckets)
         diags = validate_network(net)
-        assert not [d for d in diags if d.severity == "error"]
-        info = [d for d in diags if d.code == "counts"]
+        assert not [d for d in diags if d["severity"] == "error"]
+        info = [d for d in diags if d["code"] == "counts"]
         assert len(info) == 1
-        assert "B=2" in info[0].message
+        assert "B=2" in info[0]["message"]
 
     def test_component_without_terms_warns(self):
         net = network_of([(TypedNode("S", "a.java"), TypedNode("M", "lines:0"), 1.0)])
         diags = validate_network(net)
-        warned = [d for d in diags if d.code == "isolated-component"]
+        warned = [d for d in diags if d["code"] == "isolated-component"]
         assert len(warned) == 1
-        assert "2 nodes" in warned[0].message
+        assert "2 nodes" in warned[0]["message"]
 
 
 class TestWriteEdgeCsv:

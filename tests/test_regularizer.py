@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from bugloc import pipeline, synthgen
 from bugloc.errors import ParseError, ValidationError
@@ -125,9 +126,12 @@ class TestAgainstNodeByNodeReference:
                 )
                 for node in model.nodes:
                     np.testing.assert_allclose(model.vector(node), vectors[node], rtol=0, atol=1e-12)
+                upper = sparse.triu(net.adjacency, k=1, format="coo")
+                rows, cols = upper.row.tolist(), upper.col.tolist()
+                ends = [(net.nodes[i], net.nodes[j]) for i, j in zip(rows, cols)]
                 edge_sum = sum(
                     w * float((vectors[a] - vectors[b]) @ (vectors[a] - vectors[b]))
-                    for a, b, w in net.edges()
+                    for (a, b), w in zip(ends, upper.data.tolist())
                 )
                 assert energy(model, net) == pytest.approx(edge_sum, rel=1e-12, abs=1e-12)
 
