@@ -4,7 +4,8 @@ and metric buckets (M).
 Edges exist only between (T, B), (B, S), and (S, M); they are undirected,
 carry positive finite weights, and at most one edge joins a node pair.
 build_network makes only such edges, from the loaders' validated keys and
-the index's arrays, and HeteroNetwork.from_pairs rejects a repeated pair.
+the index's arrays, its fix and bucket links already resolved to columns,
+and HeteroNetwork.from_pairs rejects a repeated pair.
 The network lives in CSR arrays; validate_network counts it and
 write_edge_csv dumps it straight from them.
 """
@@ -15,13 +16,12 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import BugReport, Vocabulary
+from .corpus import Vocabulary
 from .errors import ValidationError, write_csv
-from .metrics import MetricBucket
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -150,85 +150,71 @@ class HeteroNetwork:
         return members, [(int(size), self.nodes[row]) for row, size in sorted(zip(smallest, sizes))]
 
 
-def check_fix_links(reports: Sequence[BugReport], paths) -> None:
-    """Reject a report that fixes a path outside the ranked universe."""
-    for report in reports:
-        for path in report.fixed_files:
-            if path not in paths:
-                raise ValidationError(f"report {report.id!r} fixes unknown path {path!r}")
-
-
 def node_table(
     report_ids: Iterable[str],
     tfidf: sparse.csr_array,
     vocab: Vocabulary,
-    paths: Iterable[str],
-    buckets: Mapping[str, Sequence[MetricBucket]],
+    universe: Sequence[str],
+    bucket_keys: Sequence[str],
 ) -> tuple[TypedNode, ...]:
     """The sorted nodes of the network over a training corpus: B the report
-    ids, M the keys of the paths' buckets, S the paths, and T the terms that
-    weigh in some TF-IDF row. build_network links them, and check_model_nodes
-    compares a model with them. Kinds sort as B < M < S < T, and vocabulary
-    indices follow sorted term order, so each kind's block comes out sorted.
+    ids, M the bucket keys, S the universe's paths, and T the terms that
+    weigh in some TF-IDF row. The keys and paths come sorted and distinct.
+    build_network links them, and check_model_nodes compares a model with
+    them. Kinds sort as B < M < S < T, and vocabulary indices follow sorted
+    term order, so each kind's block comes out sorted.
     """
-    paths = set(paths)
-    keys = {b.node_key for path, listed in buckets.items() if path in paths for b in listed}
     terms = [vocab.terms[j] for j in np.flatnonzero(np.bincount(tfidf.indices)).tolist()]
-    blocks = zip("BMST", (sorted(report_ids), sorted(keys), sorted(paths), terms))
+    blocks = zip("BMST", (sorted(report_ids), bucket_keys, universe, terms))
     return tuple(node for kind, block in blocks for node in map(TypedNode, repeat(kind), block))
 
 
 def build_network(
-    reports: Sequence[BugReport],
+    report_ids: Sequence[str],
     tfidf: sparse.csr_array,
     vocab: Vocabulary,
-    source_paths: Iterable[str],
-    buckets: Mapping[str, Sequence[MetricBucket]],
+    universe: Sequence[str],
+    bucket_keys: Sequence[str],
+    fix_links: sparse.csr_array,
+    bucket_links: sparse.csr_array,
 ) -> HeteroNetwork:
-    """Assemble the typed network over node_table from a training corpus and
-    its TF-IDF rows, in report order.
+    """Assemble the typed network over node_table from a training corpus:
+    its TF-IDF rows and its fix links (report x universe file), in report
+    order, and the bucket links (universe file x bucket key).
 
     T-B edges carry the report's TF-IDF weight for the term, in ascending
     term order; B-S edges (report fixed file) and S-M edges (file sits in
-    bucket) carry weight 1. Every source path becomes an S node even when
-    never fixed. A report whose row is empty still becomes a B node, and one
-    warning counts such reports; a fix link to a path outside source_paths
-    is a validation error.
+    bucket) carry weight 1. Every path of the universe becomes an S node
+    even when never fixed. A report whose row is empty still becomes a B
+    node, and one warning counts such reports.
 
     The edges come as T-B, then B-S in report order, then S-M in path
-    order, so each row lists its neighbors in the order of one pass over the
-    reports. tfidf_rows stores only positive finite weights.
+    order, each link row in its listed order, so each row lists its
+    neighbors in the order of one pass over the reports. tfidf_rows stores
+    only positive finite weights.
     """
-    if tfidf.shape[0] != len(reports):
-        raise ValidationError(f"{tfidf.shape[0]} TF-IDF rows for {len(reports)} reports")
-    paths = set(source_paths)
-    check_fix_links(reports, paths)
-    nodes = node_table([report.id for report in reports], tfidf, vocab, paths, buckets)
-    row = dict(zip(nodes, range(len(nodes))))
-    b_rows = [row["B", report.id] for report in reports]
+    if tfidf.shape[0] != len(report_ids):
+        raise ValidationError(f"{tfidf.shape[0]} TF-IDF rows for {len(report_ids)} reports")
+    nodes = node_table(report_ids, tfidf, vocab, universe, bucket_keys)
+    # the B block comes first, in id order: a report's row is its id's rank
+    b_rows = np.empty(len(report_ids), dtype=np.intp)
+    b_rows[sorted(range(len(report_ids)), key=report_ids.__getitem__)] = range(len(report_ids))
+    s_start, m_start = kind_slice(nodes, "S").start, kind_slice(nodes, "M").start
     counts = np.diff(tfidf.indptr)
     t_rows = kind_slice(nodes, "T").start + np.unique(tfidf.indices, return_inverse=True)[1]
-    term_pairs = np.column_stack((t_rows, np.repeat(np.array(b_rows, dtype=np.intp), counts)))
-    fixes = [(b, row["S", path]) for b, r in zip(b_rows, reports) for path in r.fixed_files]
-    # a file sits in a bucket once, however often the bucket is listed
-    in_bucket = dict.fromkeys(
-        (row["S", path], row["M", bucket.node_key])
-        for path in sorted(buckets)
-        if path in paths
-        for bucket in buckets[path]
-    )
+    t_b = (t_rows, np.repeat(b_rows, counts))
+    b_s = (np.repeat(b_rows, np.diff(fix_links.indptr)), s_start + fix_links.indices)
+    s_rows = s_start + np.arange(len(universe))
+    s_m = (np.repeat(s_rows, np.diff(bucket_links.indptr)), m_start + bucket_links.indices)
+    pairs = np.concatenate([np.column_stack(ends) for ends in (t_b, b_s, s_m)])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         logger.warning(
             "%d reports have an empty term vector (first %s); their B nodes have no T edges",
-            empty.size, reports[empty[0]].id,
+            empty.size, report_ids[empty[0]],
         )
-    links = np.array(fixes + list(in_bucket), dtype=np.intp).reshape(-1, 2)
-    return HeteroNetwork.from_pairs(
-        nodes,
-        np.concatenate((term_pairs, links)),
-        np.concatenate((tfidf.data, np.ones(len(links)))),
-    )
+    links = fix_links.nnz + bucket_links.nnz
+    return HeteroNetwork.from_pairs(nodes, pairs, np.concatenate((tfidf.data, np.ones(links))))
 
 
 def validate_network(net: HeteroNetwork) -> list[dict]:

@@ -11,6 +11,7 @@ import os
 import types
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -38,7 +39,7 @@ from .embeddings import (
 )
 from .errors import ValidationError, read_text
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
-from .network import KINDS, HeteroNetwork, build_network, check_fix_links, kind_slice, node_table
+from .network import KINDS, HeteroNetwork, build_network, kind_slice, node_table
 from .regularizer import RepresentationModel, SolverConfig
 
 if TYPE_CHECKING:
@@ -321,28 +322,30 @@ def split_reports(
 
 @dataclass
 class Index:
-    """Training-side artifacts: vocabulary, TF-IDF rows, universe, network."""
+    """Training-side artifacts: vocabulary, TF-IDF rows, universe, the link
+    matrices over it, and the network."""
 
     train_reports: list[BugReport]
     query_reports: list[BugReport]
     vocab: Vocabulary
     tfidf: sparse.csr_array  # one row per training report, in training order
     universe: tuple[str, ...]
-    buckets: dict[str, list[MetricBucket]]
+    fix_links: sparse.csr_array  # training report x universe file, see fix_links
+    bucket_keys: tuple[str, ...]  # sorted
+    bucket_links: sparse.csr_array  # universe file x bucket key, see bucket_links
 
     @cached_property
     def network(self) -> HeteroNetwork:
         """Built on first use: a run that loads its model never needs it."""
         return build_network(
-            self.train_reports, self.tfidf, self.vocab, self.universe, self.buckets
+            [report.id for report in self.train_reports], self.tfidf, self.vocab,
+            self.universe, self.bucket_keys, self.fix_links, self.bucket_links,
         )
 
     @cached_property
     def bow_index(self) -> ranker.BowIndex:
         """Built on first use: solving and building the network never need it."""
-        return ranker.build_bow_index(
-            self.tfidf, [r.fixed_files for r in self.train_reports], self.universe
-        )
+        return ranker.build_bow_index(self.tfidf, self.fix_links)
 
 
 def file_universe(dataset: Dataset) -> tuple[str, ...]:
@@ -357,23 +360,70 @@ def file_universe(dataset: Dataset) -> tuple[str, ...]:
     return tuple(sorted(inventory))
 
 
+def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> sparse.csr_array:
+    """The 0/1 matrix whose row i links the entries of lists[i] to their
+    positions in keys, in listed order; an entry outside keys gets no
+    column. Fix links, bucket links and the ground truth all resolve their
+    paths and keys here."""
+    from scipy import sparse
+
+    column = {key: j for j, key in enumerate(keys)}
+    rows = [[column[key] for key in listed if key in column] for listed in lists]
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+    return sparse.csr_array(
+        (np.ones(len(indices)), indices, np.cumsum([0, *map(len, rows)])),
+        shape=(len(lists), len(keys)),
+    )
+
+
+def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> sparse.csr_array:
+    """The training reports' fix links, link_matrix over the universe: one
+    row per report, its fixed files in listed order. Rejects, naming it, a
+    report that fixes a path outside the universe."""
+    links = link_matrix([report.fixed_files for report in reports], universe)
+    short = np.flatnonzero(np.diff(links.indptr) < [len(r.fixed_files) for r in reports])
+    if short.size:
+        report = reports[short[0]]
+        path = next(path for path in report.fixed_files if path not in universe)
+        raise ValidationError(f"report {report.id!r} fixes unknown path {path!r}")
+    return links
+
+
+def bucket_links(
+    buckets: Mapping[str, Sequence[MetricBucket]], universe: Sequence[str]
+) -> tuple[tuple[str, ...], sparse.csr_array]:
+    """The sorted keys of the universe files' metric buckets, and the links
+    from each file (a row, in universe order) to its buckets in metric
+    order. A bucket listed twice for one file links once; the buckets of
+    paths outside the universe are left out."""
+    listed = [list(dict.fromkeys(b.node_key for b in buckets.get(path, ()))) for path in universe]
+    keys = tuple(sorted(set(chain.from_iterable(listed))))
+    return keys, link_matrix(listed, keys)
+
+
 def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
-    """Split chronologically and assemble the training-side index; the
-    network is built when first used."""
+    """Split chronologically and assemble the training-side index, each
+    path resolved to its universe column once; the network is built when
+    first used."""
     train, queries = split_reports(dataset.reports, cfg.split)
     if not train:
         raise ValidationError("the chronological split leaves no training reports")
     universe = file_universe(dataset)
-    check_fix_links(train, set(universe))
+    fixes = fix_links(train, universe)
     token_lists = [dataset.report_tokens[r.id] for r in train]
     vocab = build_vocabulary(token_lists)
+    keys, in_bucket = bucket_links(
+        discretize(dataset.metric_records, cfg.buckets_per_metric), universe
+    )
     return Index(
         train_reports=train,
         query_reports=queries,
         vocab=vocab,
         tfidf=tfidf_rows(token_lists, vocab),
         universe=universe,
-        buckets=discretize(dataset.metric_records, cfg.buckets_per_metric),
+        fix_links=fixes,
+        bucket_keys=keys,
+        bucket_links=in_bucket,
     )
 
 
@@ -398,7 +448,7 @@ def check_model_nodes(model: RepresentationModel, index: Index, table: Embedding
     the rows are compared 256 at a time, so no second copy is made at once.
     """
     ids = [report.id for report in index.train_reports]
-    expected = node_table(ids, index.tfidf, index.vocab, index.universe, index.buckets)
+    expected = node_table(ids, index.tfidf, index.vocab, index.universe, index.bucket_keys)
     what = {"B": "training reports", "T": "terms with a nonzero TF-IDF weight",
             "S": "file universe", "M": "metric buckets"}
     for kind in KINDS:
@@ -491,31 +541,23 @@ def prepare_scorer(
 def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> evaluation.EvalContext:
     """Precompute the raw components of every query for the configured methods.
 
-    Queries with no ground-truth file inside the ranked universe are
-    excluded from scoring and listed in the context.
+    A query's ground truth is link_matrix over its fixed files, as for the
+    training fix links, with the paths outside the ranked universe
+    dropped; queries left with none are excluded from scoring and listed
+    in the context.
     """
     index = scorer.index
-    column = {path: j for j, path in enumerate(index.universe)}
-    queries: list[BugReport] = []
-    truth: list[list[int]] = []
-    excluded: list[str] = []
-    for report in index.query_reports:
-        columns = [column[path] for path in report.fixed_files if path in column]
-        if columns:
-            queries.append(report)
-            truth.append(columns)
-        else:
-            excluded.append(report.id)
+    truth = link_matrix([report.fixed_files for report in index.query_reports], index.universe)
+    kept = np.diff(truth.indptr) > 0
+    queries = list(compress(index.query_reports, kept))
+    excluded = [report.id for report in compress(index.query_reports, ~kept)]
     if excluded:
         logger.warning(
             "excluded %d of %d queries with no ground-truth file in the universe",
             len(excluded),
             len(index.query_reports),
         )
-    shape = (len(queries), len(index.universe))
-    relevant = np.zeros(shape, dtype=bool)
-    for row, columns in enumerate(truth):
-        relevant[row, columns] = True
+    relevant = truth[kept].astype(bool).toarray()
     rows = tfidf_rows([dataset.report_tokens[report.id] for report in queries], index.vocab)
     methods = [method for method in cfg.methods if method != evaluation.METHOD_BOW]
     learned = {method: scorer.learned_matrix(method, rows) for method in methods}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -60,35 +60,15 @@ class BowIndex:
     links: sparse.csr_array
 
 
-def build_bow_index(
-    tfidf: sparse.csr_array,
-    fixed_files: Sequence[Sequence[str]],
-    universe: Sequence[str],
-) -> BowIndex:
-    """Index the training reports' TF-IDF rows and fixed files (one entry
-    per row) for bow_file_scores.
-
-    A report's count is all its fixed files, so links outside the universe
-    still dilute its share; only links inside the universe get a column.
-    """
-    from scipy import sparse
-
-    column = {path: j for j, path in enumerate(universe)}
-    rows, cols, counts = [], [], []
-    for i, files in enumerate(fixed_files):
-        counts.append(len(files))
-        for path in files:
-            if path in column:
-                rows.append(i)
-                cols.append(column[path])
-    links = sparse.csr_array(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(counts), len(universe))
-    )
+def build_bow_index(tfidf: sparse.csr_array, links: sparse.csr_array) -> BowIndex:
+    """Index the training reports' TF-IDF rows and their fix links (the
+    index's 0/1 report x file matrix, one row per TF-IDF row) for
+    bow_file_scores; a report's count is the length of its link row."""
     return BowIndex(
         tfidf=tfidf,
         norms=row_norms(tfidf),
         # a report without fixes has an empty link row; 1 avoids dividing by 0
-        counts=np.maximum(np.array(counts, dtype=np.float64), 1.0),
+        counts=np.maximum(np.diff(links.indptr), 1).astype(np.float64),
         links=links,
     )
 

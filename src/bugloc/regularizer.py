@@ -3,20 +3,19 @@
 Every node gets a d-dimensional vector, one row of the model's matrix.
 Term nodes with a known embedding are clamped to it; all remaining nodes
 are free and relax to the weighted average of their neighbors, which
-minimizes the edge-weighted sum of squared differences. Two independent
-routes find that minimum, both on the network's arrays:
+minimizes the edge-weighted sum of squared differences.
 
-* solve(): in-place Gauss-Seidel sweeps until the largest per-node move
-  drops below the tolerance. A sweep updates one kind at a time, each as
-  one sparse product: edges only join B-T, B-S and S-M, so nodes of one
-  kind never read each other and the whole-kind update is exactly the
-  node-by-node one;
-* closed_form_solve(): one sparse LU solve of the harmonic system, with
-  no cap on the number of free nodes; the tests' oracle.
+solve() finds that minimum on the network's arrays by in-place
+Gauss-Seidel sweeps, until the largest per-node move drops below the
+tolerance. A sweep updates one kind at a time, each as one sparse product:
+edges only join B-T, B-S and S-M, so nodes of one kind never read each
+other and the whole-kind update is exactly the node-by-node one. The tests
+check it against a second, independent route, one sparse LU solve of the
+harmonic system (tests/solveref.py).
 
 Free nodes in a component with no clamped node have no information source;
-both routes leave them at zero and log a diagnostic, read from the
-network's single connected-component labelling; solve() keeps it in its report.
+they stay at zero, and a diagnostic, read from the network's single
+connected-component labelling, is logged and kept in the solve's report.
 """
 
 from __future__ import annotations
@@ -213,32 +212,6 @@ def solve(
     return model
 
 
-def closed_form_solve(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
-    """Solve the harmonic system directly: every free node equals the
-    weighted average of its neighbors, with clamped values substituted.
-
-    One sparse LU factorization of the free-node Laplacian block serves all
-    d dimensions. Free components with no clamped node are left at zero
-    and logged; every other free node is connected to a clamped one,
-    so the block is nonsingular.
-    """
-    model = initialize_representation(net, table)
-    isolated, _ = _isolate(model, net)
-    free = np.flatnonzero(~model.clamped_rows & ~isolated)
-    if not free.size:
-        return model
-    # imported here: it loads scipy.linalg, which only the direct solve needs
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
-
-    clamped = np.flatnonzero(model.clamped_rows)
-    to_free = net.adjacency[free]
-    laplacian = sparse.diags_array(net.degree[free]) - to_free[:, free]
-    rhs = to_free[:, clamped] @ model.matrix[clamped]
-    model.matrix[free] = splu(sparse.csc_array(laplacian)).solve(rhs)
-    return model
-
-
 def _format_row(row: np.ndarray) -> str:
     """A float64 row as model text: the repr of each value, space-separated."""
     return " ".join(map(repr, row.tolist()))
@@ -290,7 +263,8 @@ def load_model(path) -> RepresentationModel:
     header digest must equal the sha256 of the clamped rows' text as read:
     a hand-edited file is rejected, even one that only reformats a value.
     """
-    with open(path, encoding="utf-8") as fh:
+    # lines end at "\n" only, as dump_model writes them: a key may hold "\r"
+    with open(path, encoding="utf-8", newline="\n") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)

@@ -24,8 +24,9 @@ from bugloc.evaluation import (
     sweep_alpha,
 )
 from bugloc.ranker import combine_and_rank
-from bugloc.regularizer import SolverConfig, closed_form_solve, initialize_representation, solve
+from bugloc.regularizer import SolverConfig, initialize_representation, solve
 from netgen import components, random_network, sweep_energies
+from solveref import closed_form_solve
 from test_evaluation import AP_FIXTURES
 
 # solver tolerance used for the oracle-equivalence runs; criterion 3's

@@ -130,6 +130,28 @@ class TestSolveEvalSweepQuery:
         assert (from_model / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
         assert (from_model / "ttests.csv").read_bytes() == (fresh / "ttests.csv").read_bytes()
 
+    def test_eval_with_a_model_over_a_report_id_holding_cr_matches_fresh_eval(
+        self, cli_dataset, tmp_path
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("sources.jsonl", "metrics.csv", "embeddings.txt"):
+            (data / name).write_bytes((cli_dataset / name).read_bytes())
+        lines = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()
+        report = json.loads(lines[3])
+        report["id"] = "SYN\r0003"
+        lines[3] = json.dumps(report)
+        (data / "reports.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        solved = tmp_path / "solved"
+        assert _run("solve", "--dataset-dir", str(data), "--out-dir", str(solved)) == 0
+        assert b"\tSYN\r0003\t" in (solved / "model.tsv").read_bytes()
+        from_model, fresh = tmp_path / "eval_model", tmp_path / "eval_fresh"
+        assert _run("eval", "--dataset-dir", str(data), "--out-dir", str(from_model),
+                    "--model", str(solved / "model.tsv")) == 0
+        assert _run("eval", "--dataset-dir", str(data), "--out-dir", str(fresh)) == 0
+        for name in ("results.csv", "ttests.csv", "sweep.csv"):
+            assert (from_model / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_eval_with_model_still_rejects_fix_outside_universe(
         self, cli_dataset, tmp_path, capsys
     ):

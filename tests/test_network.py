@@ -25,12 +25,24 @@ from bugloc.network import (
     validate_network,
     write_edge_csv,
 )
+from bugloc.pipeline import bucket_links, fix_links
 from netgen import network_of
 from netref import reference_edges, reference_network
 
 
 def _of_kind(net, kind):
     return net.nodes[kind_slice(net.nodes, kind)]
+
+
+def _build(reports, tfidf, vocab, paths, buckets):
+    """build_network over the link builders' matrices, fed as build_index
+    feeds it: the sorted paths are the universe."""
+    universe = tuple(sorted(paths))
+    keys, in_bucket = bucket_links(buckets, universe)
+    ids = [report.id for report in reports]
+    return build_network(
+        ids, tfidf, vocab, universe, keys, fix_links(reports, universe), in_bucket
+    )
 
 
 class TestHeteroNetwork:
@@ -148,7 +160,7 @@ def _tiny_corpus():
 class TestBuildNetwork:
     def test_counts_and_weights(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = build_network(reports, bows, vocab, paths, buckets)
+        net = _build(reports, bows, vocab, paths, buckets)
         # leak appears in both docs so its weight is 0 and no T node exists
         assert _of_kind(net, "T") == (
             TypedNode("T", "socket"), TypedNode("T", "widget"),
@@ -166,7 +178,7 @@ class TestBuildNetwork:
 
     def test_fix_share_splits_edges_not_weights(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = build_network(reports, bows, vocab, paths, buckets)
+        net = _build(reports, bows, vocab, paths, buckets)
         b2 = TypedNode("B", "B-2")
         assert net.neighbors(b2)[TypedNode("S", "src/A.java")] == 1.0
         assert net.neighbors(b2)[TypedNode("S", "src/B.java")] == 1.0
@@ -175,7 +187,7 @@ class TestBuildNetwork:
         reports, _, vocab, paths, buckets = _tiny_corpus()
         bows = tfidf_rows([[], ["leak", "widget"]], vocab)
         with caplog.at_level(logging.WARNING, logger="bugloc.network"):
-            net = build_network(reports, bows, vocab, paths, buckets)
+            net = _build(reports, bows, vocab, paths, buckets)
         assert "B-1" in caplog.text
         b1 = TypedNode("B", "B-1")
         assert all(n.kind == "S" for n in net.neighbors(b1))
@@ -184,7 +196,7 @@ class TestBuildNetwork:
         reports, _, vocab, paths, buckets = _tiny_corpus()
         bows = tfidf_rows([[], []], vocab)
         with caplog.at_level(logging.WARNING, logger="bugloc.network"):
-            build_network(reports, bows, vocab, paths, buckets)
+            _build(reports, bows, vocab, paths, buckets)
         assert len(caplog.records) == 1
         assert "2 reports" in caplog.text and "B-1" in caplog.text
 
@@ -192,23 +204,23 @@ class TestBuildNetwork:
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         reports[0].fixed_files = ("src/Gone.java",)
         with pytest.raises(ValidationError, match=r"B-1.*src/Gone\.java"):
-            build_network(reports, bows, vocab, paths, buckets)
+            _build(reports, bows, vocab, paths, buckets)
 
     def test_missing_vector_rejected(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         with pytest.raises(ValidationError, match="1 TF-IDF rows for 2 reports"):
-            build_network(reports, bows[:1], vocab, paths, buckets)
+            _build(reports, bows[:1], vocab, paths, buckets)
 
     def test_metrics_for_unknown_paths_ignored(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         buckets["src/Other.java"] = buckets["src/A.java"]
-        net = build_network(reports, bows, vocab, paths, buckets)
+        net = _build(reports, bows, vocab, paths, buckets)
         assert TypedNode("S", "src/Other.java") not in net.nodes
 
     def test_bucket_listed_twice_links_once(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         buckets["src/A.java"] = buckets["src/A.java"] * 2
-        net = build_network(reports, bows, vocab, paths, buckets)
+        net = _build(reports, bows, vocab, paths, buckets)
         m0 = TypedNode("M", "lines:0")
         assert net.neighbors(m0) == {TypedNode("S", "src/A.java"): 1.0}
 
@@ -262,7 +274,7 @@ def _assert_matches_reference(corpus):
     node_table's nodes, and joins only allowed kinds, once, with positive
     finite weights; its edge dump and counts line equal those made from
     the reference's sorted edge tuples."""
-    net = build_network(*corpus)
+    net = _build(*corpus)
     with tempfile.TemporaryDirectory() as tmp:
         dumped, expected = Path(tmp, "network.csv"), Path(tmp, "reference.csv")
         write_edge_csv(net, dumped)
@@ -272,7 +284,10 @@ def _assert_matches_reference(corpus):
     assert validate_network(net)[-1] == counts
     nodes, adjacency, degree, labels = reference_network(*corpus)
     assert net.nodes == nodes
-    assert net.nodes == node_table([report.id for report in corpus[0]], *corpus[1:])
+    reports, tfidf, vocab, paths, buckets = corpus
+    universe = tuple(sorted(paths))
+    keys = bucket_links(buckets, universe)[0]
+    assert net.nodes == node_table([report.id for report in reports], tfidf, vocab, universe, keys)
     np.testing.assert_array_equal(net.adjacency.indptr, adjacency.indptr)
     np.testing.assert_array_equal(net.adjacency.indices, adjacency.indices)
     np.testing.assert_array_equal(
@@ -326,14 +341,14 @@ class TestAgainstEdgeListReference:
         vocab = build_vocabulary(tokens)
         corpus = (reports, tfidf_rows(tokens, vocab), vocab, ["src/A.java"], {})
         _assert_matches_reference(corpus)
-        counts = validate_network(build_network(*corpus))[-1]["message"]
+        counts = validate_network(_build(*corpus))[-1]["message"]
         assert counts == "nodes B=1 T=0 S=1 M=0; edges"
 
 
 class TestValidateNetwork:
     def test_clean_network_has_no_errors(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = build_network(reports, bows, vocab, paths, buckets)
+        net = _build(reports, bows, vocab, paths, buckets)
         diags = validate_network(net)
         assert not [d for d in diags if d["severity"] == "error"]
         info = [d for d in diags if d["code"] == "counts"]
@@ -351,7 +366,7 @@ class TestValidateNetwork:
 class TestWriteEdgeCsv:
     def test_deterministic_and_round_trips(self, tmp_path):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = build_network(reports, bows, vocab, paths, buckets)
+        net = _build(reports, bows, vocab, paths, buckets)
         p1 = tmp_path / "edges1.csv"
         p2 = tmp_path / "edges2.csv"
         write_edge_csv(net, p1)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bugloc import evaluation, pipeline
-from bugloc.corpus import BugReport
+from bugloc import evaluation, pipeline, ranker
+from bugloc.corpus import BugReport, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
 from bugloc.network import TypedNode, kind_slice
 from bugloc.regularizer import RepresentationModel
+from linkref import bow_links, ground_truth
 from tables import make_table
 
 from datetime import datetime, timezone
@@ -531,3 +532,85 @@ class TestEvalContext:
         last_train = max(r.report_time for r in index.train_reports)
         for r in index.query_reports:
             assert r.report_time >= last_train
+
+
+_PATHS = st.text(alphabet="aZé中Ω/.,_", min_size=1, max_size=4)
+
+
+@st.composite
+def _linked_datasets(draw):
+    """An in-memory dataset whose universe is its source paths: training
+    reports fix files of the universe or none, and queries fix files in or
+    out of it, some or all of them outside; paths and ids may be non-ASCII."""
+    universe = draw(st.lists(_PATHS.map("src/{}".format), min_size=1, max_size=5, unique=True))
+    outside = draw(st.lists(_PATHS.map("lib/{}".format), min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(_PATHS, min_size=2, max_size=8, unique=True))
+    cut = len(ids) // 2
+    reports = []
+    for i, rid in enumerate(ids):
+        paths = universe if i < cut else universe + outside
+        files = draw(st.lists(st.sampled_from(paths), max_size=3, unique=True))
+        reports.append(_report(rid, 0, files))
+    words = st.lists(st.sampled_from(("leak", "socket", "widget")), max_size=4)
+    return pipeline.Dataset(
+        name="links",
+        reports=reports,
+        report_tokens={rid: draw(words) for rid in ids},
+        source_tokens={path: [] for path in universe},
+        metric_records=[],
+        table=make_table(1, {"leak": [1.0]}),
+    )
+
+
+def _assert_links_match_the_dict_loops(dataset):
+    cfg = pipeline.RunConfig(split=0.5, methods=(evaluation.METHOD_BOW,))
+    index = pipeline.build_index(dataset, cfg)
+    bow = index.bow_index
+    indptr, indices, counts = bow_links([r.fixed_files for r in index.train_reports], index.universe)
+    np.testing.assert_array_equal(bow.links.indptr, indptr)
+    np.testing.assert_array_equal(bow.links.indices, indices)
+    np.testing.assert_array_equal(bow.links.data, np.ones(len(indices)))
+    assert bow.counts.dtype == np.float64
+    np.testing.assert_array_equal(bow.counts, counts)
+    ctx = pipeline.build_eval_context(dataset, cfg, pipeline.Scorer(index, dataset.table))
+    query_ids, relevant, excluded = ground_truth(index.query_reports, index.universe)
+    assert ctx.query_ids == query_ids
+    assert ctx.excluded == excluded
+    assert ctx.relevant.dtype == np.bool_
+    np.testing.assert_array_equal(ctx.relevant, relevant)
+    # each link row keeps its fixed-file order; a row sorted by column
+    # gives the same scores, bit for bit
+    rows = tfidf_rows([dataset.report_tokens[qid] for qid in query_ids], index.vocab)
+    by_column = dataclasses.replace(bow, links=bow.links.sorted_indices())
+    np.testing.assert_array_equal(
+        ctx.bow.view(np.uint64), ranker.bow_file_scores(rows, by_column).view(np.uint64)
+    )
+    return ctx
+
+
+class TestLinksAgainstDictLoops:
+    @given(_linked_datasets())
+    def test_link_matrices_match_the_per_report_loops(self, dataset):
+        _assert_links_match_the_dict_loops(dataset)
+
+    def test_listed_cases(self):
+        # a training report without fixes, one fixing two files out of path
+        # order, a query with one fix outside the universe, one with all
+        # fixes outside, one with none; non-ASCII paths and ids
+        universe = ["src/A.java", "src/ünï/日本.java", "src/Z.java"]
+        files = [
+            (), ("src/Z.java", "src/A.java"), ("src/ünï/日本.java",),
+            ("lib/Gone.java", "src/Z.java"), ("lib/Gone.java", "lib/ß.java"), (),
+        ]
+        ids = ["B-1", "B-2", "Ω-3", "B-4", "B-5", "B-6"]
+        tokens = [["leak"], ["leak", "socket"], ["socket"], ["leak"], ["socket"], []]
+        dataset = pipeline.Dataset(
+            name="links",
+            reports=[_report(rid, 0, fixed) for rid, fixed in zip(ids, files)],
+            report_tokens=dict(zip(ids, tokens)),
+            source_tokens={path: [] for path in universe},
+            metric_records=[],
+            table=make_table(1, {"leak": [1.0]}),
+        )
+        ctx = _assert_links_match_the_dict_loops(dataset)
+        assert (ctx.query_ids, ctx.excluded) == (["B-4"], ["B-5", "B-6"])

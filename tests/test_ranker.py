@@ -11,6 +11,7 @@ from bugloc.corpus import bow_vectorize, build_vocabulary, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ValidationError
 from bugloc.network import TypedNode, kind_slice
+from bugloc.pipeline import link_matrix
 from bugloc.ranker import (
     bow_file_scores,
     build_bow_index,
@@ -45,7 +46,8 @@ def bow(entries, num_terms=9):
 def bow_scores(query, train_bows, fix_links, universe):
     """bow_file_scores of one query row, keyed by path."""
     tfidf = sparse.vstack(list(train_bows.values()), format="csr")
-    index = build_bow_index(tfidf, [fix_links.get(rid, ()) for rid in train_bows], universe)
+    links = link_matrix([fix_links.get(rid, ()) for rid in train_bows], universe)
+    index = build_bow_index(tfidf, links)
     return dict(zip(universe, bow_file_scores(query, index)[0].tolist()))
 
 
@@ -118,8 +120,6 @@ class TestCosineBow:
 BOWS = st.dictionaries(
     st.integers(0, 8), st.floats(min_value=0.01, max_value=9.0), max_size=5
 ).map(bow)
-# "gone" is fixed by reports but lies outside the universe
-LINKED = ["a", "b", "c", "gone"]
 
 
 class TestBowFileScores:
@@ -149,12 +149,6 @@ class TestBowFileScores:
         assert scores["s1"] == pytest.approx(1.0, abs=1e-12)
         assert scores["s2"] == pytest.approx(0.4, abs=1e-12)
 
-    def test_fix_links_outside_universe_still_dilute(self):
-        scores = bow_scores(
-            self.Q, {"r1": self.R1}, {"r1": ["s1", "gone"]}, ["s1"]
-        )
-        assert scores == {"s1": pytest.approx(0.4, abs=1e-12)}
-
     def test_reports_without_fixes_contribute_nothing(self):
         scores = bow_scores(self.Q, {"r1": self.R1}, {}, ["s1"])
         assert scores == {"s1": 0.0}
@@ -162,7 +156,7 @@ class TestBowFileScores:
     @given(
         st.lists(BOWS, min_size=1, max_size=4),
         st.lists(
-            st.tuples(BOWS, st.lists(st.sampled_from(LINKED), max_size=3, unique=True)),
+            st.tuples(BOWS, st.lists(st.sampled_from("abc"), max_size=3, unique=True)),
             min_size=1,
             max_size=6,
         ),
@@ -170,7 +164,7 @@ class TestBowFileScores:
     def test_batch_matches_a_per_report_loop(self, queries, train):
         universe = ["a", "b", "c"]
         tfidf = sparse.vstack([row for row, _ in train], format="csr")
-        index = build_bow_index(tfidf, [files for _, files in train], universe)
+        index = build_bow_index(tfidf, link_matrix([files for _, files in train], universe))
         batch = bow_file_scores(sparse.vstack(queries, format="csr"), index)
         assert batch.shape == (len(queries), len(universe))
         for query, row in zip(queries, batch):

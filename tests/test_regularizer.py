@@ -12,7 +12,6 @@ from bugloc.network import TypedNode, kind_slice
 from bugloc.regularizer import (
     RepresentationModel,
     SolverConfig,
-    closed_form_solve,
     dump_model,
     energy,
     initialize_representation,
@@ -21,6 +20,7 @@ from bugloc.regularizer import (
     sweep_update,
 )
 from netgen import components, network_of, random_network, sweep_energies
+from solveref import closed_form_solve
 from tables import make_table
 
 T1 = TypedNode("T", "t1")
@@ -291,6 +291,26 @@ class TestModelSerialization:
         assert loaded.clamped == model.clamped
         assert loaded.nodes == model.nodes
         np.testing.assert_array_equal(loaded.matrix, model.matrix)
+        again = tmp_path / "again.tsv"
+        dump_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_keys_holding_other_line_breaks_round_trip(self, tmp_path):
+        # str.splitlines and universal newlines break lines at these; the
+        # model format ends lines at "\n" only
+        nodes = (
+            TypedNode("B", "SYN\r0003"), TypedNode("S", "a\x85b.java"), TypedNode("T", "x\u2028y"),
+        )
+        model = RepresentationModel(
+            nodes, np.array([[0.1, -2.0], [1.0 / 3.0, 0.0], [5e-324, 1.5]]),
+            np.array([False, False, True]),
+        )
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        loaded = load_model(path)
+        assert loaded.nodes == nodes
+        np.testing.assert_array_equal(loaded.clamped_rows, model.clamped_rows)
+        np.testing.assert_array_equal(loaded.matrix.view(np.uint64), model.matrix.view(np.uint64))
         again = tmp_path / "again.tsv"
         dump_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
