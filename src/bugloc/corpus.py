@@ -16,14 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ParseError, ValidationError, read_text
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -256,26 +253,49 @@ def build_vocabulary(docs: Iterable[Iterable[str]]) -> Vocabulary:
     return Vocabulary(sorted(doc_freq), doc_freq, num_docs)
 
 
-def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
+@dataclass(frozen=True)
+class CSR:
+    """A sparse matrix in compressed sparse rows, held as plain numpy arrays
+    laid out as scipy.sparse lays them out: row i stores the columns
+    indices[indptr[i]:indptr[i + 1]] with the values at the same positions
+    of data. TF-IDF rows, term counts and link matrices come in this type,
+    so ranking a query never imports scipy."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+
+def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:
     """Term counts of each token list under vocab, one row per list, one column
     per vocabulary term; out-of-vocabulary tokens are skipped, columns ascend."""
-    # imported here: scipy costs more start-up than all of bugloc, and ingest never needs it
-    from scipy import sparse
-
     index = vocab.index
     indptr = [0]
     columns: list[int] = []
     for tokens in token_lists:
         columns.extend(index[term] for term in tokens if term in index)
         indptr.append(len(columns))
-    shape = (len(indptr) - 1, len(vocab))
-    # duplicate columns of a row sum into its term counts
-    rows = sparse.csr_array((np.ones(len(columns)), columns, indptr), shape=shape)
-    rows.sum_duplicates()
-    return rows
+    num_rows = len(indptr) - 1
+    # one cell number per token, row-major: the distinct cells, sorted, are
+    # the stored entries in row order with ascending columns, and a cell's
+    # duplicates sum into its term count
+    rows = np.repeat(np.arange(num_rows), np.diff(indptr))
+    cells, counts = np.unique(rows * len(vocab) + np.array(columns, dtype=np.intp), return_counts=True)
+    rows, cols = np.divmod(cells, len(vocab))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
+    return CSR(counts.astype(np.float64), cols, indptr, (num_rows, len(vocab)))
 
 
-def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> sparse.csr_array:
+def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:
     """Weight each token list by tf * ln(num_docs / doc_freq) under vocab:
     count_rows scaled by each term's idf.
 
@@ -283,12 +303,13 @@ def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> spars
     """
     if vocab.num_docs < 1:
         raise ValidationError("vocabulary has no documents")
-    rows = count_rows(token_lists, vocab)
-    rows.data *= vocab.idf[rows.indices]
-    rows.eliminate_zeros()
-    return rows
+    counts = count_rows(token_lists, vocab)
+    data = counts.data * vocab.idf[counts.indices]
+    kept = data != 0.0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[counts.indptr]
+    return CSR(data[kept], counts.indices[kept], indptr, counts.shape)
 
 
-def bow_vectorize(tokens: Iterable[str], vocab: Vocabulary) -> sparse.csr_array:
+def bow_vectorize(tokens: Iterable[str], vocab: Vocabulary) -> CSR:
     """The TF-IDF row of one token list: tfidf_rows([tokens], vocab)."""
     return tfidf_rows([tokens], vocab)

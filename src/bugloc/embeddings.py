@@ -134,7 +134,7 @@ def embed_tokens(
 ) -> tuple[np.ndarray, int]:
     """Weighted mean of table vectors over the distinct in-table tokens of
     one token list: the reference that ranker.embed_rows, which embeds many
-    lists with one sparse product, must match bit for bit.
+    lists at once, must match bit for bit.
 
     Returns (vector, oov_count) where oov_count is the number of distinct
     tokens absent from the table. Weights must be defined and nonnegative

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import CSR, Vocabulary
 from .errors import ValidationError, write_csv
 
 if TYPE_CHECKING:
@@ -152,7 +152,7 @@ class HeteroNetwork:
 
 def node_table(
     report_ids: Iterable[str],
-    tfidf: sparse.csr_array,
+    tfidf: CSR,
     vocab: Vocabulary,
     universe: Sequence[str],
     bucket_keys: Sequence[str],
@@ -171,12 +171,12 @@ def node_table(
 
 def build_network(
     report_ids: Sequence[str],
-    tfidf: sparse.csr_array,
+    tfidf: CSR,
     vocab: Vocabulary,
     universe: Sequence[str],
     bucket_keys: Sequence[str],
-    fix_links: sparse.csr_array,
-    bucket_links: sparse.csr_array,
+    fix_links: CSR,
+    bucket_links: CSR,
 ) -> HeteroNetwork:
     """Assemble the typed network over node_table from a training corpus:
     its TF-IDF rows and its fix links (report x universe file), in report

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import evaluation, ranker, regularizer
 from .corpus import (
     BugReport,
+    CSR,
     TokenRules,
     Vocabulary,
     bow_vectorize,
@@ -41,9 +42,6 @@ from .errors import ValidationError, read_text
 from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
 from .network import KINDS, HeteroNetwork, build_network, kind_slice, node_table
 from .regularizer import RepresentationModel, SolverConfig
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -328,11 +326,11 @@ class Index:
     train_reports: list[BugReport]
     query_reports: list[BugReport]
     vocab: Vocabulary
-    tfidf: sparse.csr_array  # one row per training report, in training order
+    tfidf: CSR  # one row per training report, in training order
     universe: tuple[str, ...]
-    fix_links: sparse.csr_array  # training report x universe file, see fix_links
+    fix_links: CSR  # training report x universe file, see fix_links
     bucket_keys: tuple[str, ...]  # sorted
-    bucket_links: sparse.csr_array  # universe file x bucket key, see bucket_links
+    bucket_links: CSR  # universe file x bucket key, see bucket_links
 
     @cached_property
     def network(self) -> HeteroNetwork:
@@ -360,23 +358,19 @@ def file_universe(dataset: Dataset) -> tuple[str, ...]:
     return tuple(sorted(inventory))
 
 
-def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> sparse.csr_array:
+def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> CSR:
     """The 0/1 matrix whose row i links the entries of lists[i] to their
     positions in keys, in listed order; an entry outside keys gets no
     column. Fix links, bucket links and the ground truth all resolve their
     paths and keys here."""
-    from scipy import sparse
-
     column = {key: j for j, key in enumerate(keys)}
     rows = [[column[key] for key in listed if key in column] for listed in lists]
     indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
-    return sparse.csr_array(
-        (np.ones(len(indices)), indices, np.cumsum([0, *map(len, rows)])),
-        shape=(len(lists), len(keys)),
-    )
+    indptr = np.cumsum([0, *map(len, rows)])
+    return CSR(np.ones(len(indices)), indices, indptr, (len(lists), len(keys)))
 
 
-def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> sparse.csr_array:
+def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> CSR:
     """The training reports' fix links, link_matrix over the universe: one
     row per report, its fixed files in listed order. Rejects, naming it, a
     report that fixes a path outside the universe."""
@@ -391,7 +385,7 @@ def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> sparse.c
 
 def bucket_links(
     buckets: Mapping[str, Sequence[MetricBucket]], universe: Sequence[str]
-) -> tuple[tuple[str, ...], sparse.csr_array]:
+) -> tuple[tuple[str, ...], CSR]:
     """The sorted keys of the universe files' metric buckets, and the links
     from each file (a row, in universe order) to its buckets in metric
     order. A bucket listed twice for one file links once; the buckets of
@@ -499,11 +493,11 @@ class Scorer:
         if file_vectors is not None:
             self.files[evaluation.METHOD_EMBEDDING] = ranker.prepare_rows(file_vectors)
 
-    def bow_matrix(self, query_rows: sparse.csr_array) -> np.ndarray:
+    def bow_matrix(self, query_rows: CSR) -> np.ndarray:
         """SimiScore of each query, one row per TF-IDF row."""
         return ranker.bow_file_scores(query_rows, self.index.bow_index)
 
-    def learned_matrix(self, method: str, query_rows: sparse.csr_array) -> np.ndarray:
+    def learned_matrix(self, method: str, query_rows: CSR) -> np.ndarray:
         """The learned-space component of the netreg or embedding method."""
         if method not in self.files:
             raise ValidationError(f"no file vectors for the {method} method available")
@@ -557,7 +551,9 @@ def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> eval
             len(excluded),
             len(index.query_reports),
         )
-    relevant = truth[kept].astype(bool).toarray()
+    relevant = np.zeros(truth.shape, dtype=bool)
+    relevant[truth.row_ids(), truth.indices] = True
+    relevant = relevant[kept]
     rows = tfidf_rows([dataset.report_tokens[report.id] for report in queries], index.vocab)
     methods = [method for method in cfg.methods if method != evaluation.METHOD_BOW]
     learned = {method: scorer.learned_matrix(method, rows) for method in methods}

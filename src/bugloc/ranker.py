@@ -12,16 +12,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import CSR, Vocabulary
 from .embeddings import EmbeddingTable
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -34,38 +31,43 @@ class QueryResult:
     ranking: list[tuple[str, float]]
 
 
-def row_norms(rows: sparse.csr_array) -> np.ndarray:
+def row_norms(rows: CSR) -> np.ndarray:
     """Euclidean norm of each row, its squares summed exactly (math.fsum)."""
     squares = (rows.data * rows.data).tolist()
     bounds = rows.indptr.tolist()
     return np.array([math.sqrt(math.fsum(squares[a:b])) for a, b in zip(bounds, bounds[1:])])
 
 
-def cosine_bow(a: sparse.csr_array, b: sparse.csr_array) -> float:
+def cosine_bow(a: CSR, b: CSR) -> float:
     """Cosine of two one-row TF-IDF matrices; 0.0 when either row is empty."""
     norms = row_norms(a)[0] * row_norms(b)[0]
-    return math.fsum(a.multiply(b).data.tolist()) / norms if norms else 0.0
+    _, at_a, at_b = np.intersect1d(a.indices, b.indices, assume_unique=True, return_indices=True)
+    return math.fsum((a.data[at_a] * b.data[at_b]).tolist()) / norms if norms else 0.0
 
 
 @dataclass(frozen=True)
 class BowIndex:
-    """Training side of SimiScore, one row per training report in training
-    order: the R x V TF-IDF matrix, the reports' norms, each report's
-    fixed-file count and the 0/1 R x F report-to-file links, whose columns
-    follow the universe."""
+    """Training side of SimiScore over R training reports in training order:
+    the V x R transpose of their TF-IDF rows (each term's reports, in
+    training order), the reports' norms, each report's fixed-file count and
+    the 0/1 R x F report-to-file links, whose columns follow the universe."""
 
-    tfidf: sparse.csr_array
+    by_term: CSR
     norms: np.ndarray
     counts: np.ndarray
-    links: sparse.csr_array
+    links: CSR
 
 
-def build_bow_index(tfidf: sparse.csr_array, links: sparse.csr_array) -> BowIndex:
+def build_bow_index(tfidf: CSR, links: CSR) -> BowIndex:
     """Index the training reports' TF-IDF rows and their fix links (the
     index's 0/1 report x file matrix, one row per TF-IDF row) for
     bow_file_scores; a report's count is the length of its link row."""
+    num_reports, num_terms = tfidf.shape
+    # a stable sort by term keeps each term's reports in training order
+    order = np.argsort(tfidf.indices, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(tfidf.indices, minlength=num_terms))))
     return BowIndex(
-        tfidf=tfidf,
+        by_term=CSR(tfidf.data[order], tfidf.row_ids()[order], indptr, (num_terms, num_reports)),
         norms=row_norms(tfidf),
         # a report without fixes has an empty link row; 1 avoids dividing by 0
         counts=np.maximum(np.diff(links.indptr), 1).astype(np.float64),
@@ -73,20 +75,56 @@ def build_bow_index(tfidf: sparse.csr_array, links: sparse.csr_array) -> BowInde
     )
 
 
-def bow_file_scores(query_rows: sparse.csr_array, index: BowIndex) -> np.ndarray:
+def _products(
+    rows: np.ndarray, columns: np.ndarray, values: np.ndarray, right: CSR
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of a sparse product left @ right, the left matrix's stored
+    entries given as (rows, columns, values): each entry times each stored
+    entry of right's row columns[e], with its cell numbered row-major,
+    rows[e] * right.shape[1] + column. They come in the order in which
+    scipy's sparse product (SMMP) adds them into each cell: the left entries
+    in the order given, each one along right's row in stored order."""
+    starts = right.indptr[columns]
+    lengths = right.indptr[columns + 1] - starts
+    # each entry's run of positions in right, runs laid end to end
+    at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    cells = np.repeat(rows, lengths) * right.shape[1] + right.indices[at]
+    return cells, np.repeat(values, lengths) * right.data[at]
+
+
+def _sum_by_cell(cells: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The sum of the values in each of size cells, each added in turn in
+    the order given. np.bincount gives integers when there are no values."""
+    return np.bincount(cells, weights=values, minlength=size).astype(np.float64, copy=False)
+
+
+def bow_file_scores(query_rows: CSR, index: BowIndex) -> np.ndarray:
     """BugLocator's SimiScore: transfer similar-report similarity to the
     files those reports fixed, one row per query, one column per file.
 
     score(q, f) = sum over training reports r fixing f of
     cos(q, r) / |files fixed by r|. Files never fixed score 0. Shares are
     summed in training order.
+
+    Both products add in scipy's order, so the scores match
+    (query_rows @ tfidf.T) @ links bit for bit. np.bincount sums each cell
+    in the order its terms come, and only the similarities that some
+    shared term makes are stored, so no Q x R array is made and a query
+    without terms keeps all-zero scores.
     """
-    sims = (query_rows @ index.tfidf.T).tocsr()
-    sims.sort_indices()
-    rows = np.repeat(np.arange(sims.shape[0]), np.diff(sims.indptr))
-    sims.data /= row_norms(query_rows)[rows] * index.norms[sims.indices]
-    sims.data /= index.counts[sims.indices]
-    return (sims @ index.links).toarray()
+    num_queries, num_reports = query_rows.shape[0], index.by_term.shape[1]
+    cells, products = _products(
+        query_rows.row_ids(), query_rows.indices, query_rows.data, index.by_term
+    )
+    # the distinct cells, sorted: the similarities in (query, report) order
+    cells, at = np.unique(cells, return_inverse=True)
+    sims = _sum_by_cell(at, products, len(cells))
+    queries, reports = np.divmod(cells, num_reports)
+    sims /= row_norms(query_rows)[queries] * index.norms[reports]
+    sims /= index.counts[reports]
+    num_files = index.links.shape[1]
+    cells, shares = _products(queries, reports, sims, index.links)
+    return _sum_by_cell(cells, shares, num_queries * num_files).reshape(num_queries, num_files)
 
 
 def term_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
@@ -103,15 +141,32 @@ def term_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
     return terms
 
 
-def embed_rows(weights: sparse.csr_array, terms: np.ndarray) -> np.ndarray:
+def embed_rows(weights: CSR, terms: np.ndarray) -> np.ndarray:
     """Weighted mean of each row's in-table terms (the rows of term_matrix),
     a row's entries being its terms' weights: embed_tokens with those
     weights, bit for bit. Queries are weighted by TF-IDF, files by count.
 
-    One sparse product gives the weighted sums and, in the last column, the
-    weight sums, adding terms in ascending order as embed_tokens does.
+    The weighted sums and, in the last column, the weight sums are taken
+    one position at a time across all rows: every row adds its p-th term
+    before any adds its (p + 1)-th. So each row adds its terms in ascending
+    order, one at a time, as embed_tokens and scipy's sparse-times-dense
+    product do.
     """
-    sums = weights @ terms
+    # rows longest first, so the rows holding a p-th entry are a prefix; the
+    # entries sorted by position, then by that rank, so each step is a slice
+    order = np.argsort(-np.diff(weights.indptr), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rows = weights.row_ids()
+    position = np.arange(weights.nnz) - weights.indptr[rows]
+    by_step = np.argsort(position * len(order) + rank[rows])
+    data, columns = weights.data[by_step, None], weights.indices[by_step]
+    sums = np.zeros((len(order), terms.shape[1]))
+    end = 0
+    for n in np.bincount(position).tolist():
+        start, end = end, end + n
+        sums[:n] += data[start:end] * terms[columns[start:end]]
+    sums[order] = sums.copy()  # back to row order
     totals = sums[:, -1:]
     return np.divide(sums[:, :-1], totals, out=np.zeros_like(sums[:, :-1]), where=totals > 0.0)
 
@@ -139,7 +194,7 @@ def file_cosines(queries: np.ndarray, files: tuple[np.ndarray, np.ndarray]) -> n
 
 
 def netreg_file_scores(
-    query_rows: sparse.csr_array, terms: np.ndarray, files: tuple[np.ndarray, np.ndarray]
+    query_rows: CSR, terms: np.ndarray, files: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Q x F cosines between each embedded query (embed_rows over the term
     matrix) and each file's learned vector (prepare_rows of the model's S

@@ -259,9 +259,10 @@ def dump_model(model: RepresentationModel, path) -> None:
 def load_model(path) -> RepresentationModel:
     """Read a model exactly as dump_model writes it.
 
-    Rows must come in strictly increasing node order, one per line, and the
-    header digest must equal the sha256 of the clamped rows' text as read:
-    a hand-edited file is rejected, even one that only reformats a value.
+    Rows must come in strictly increasing node order, one per line, every
+    value finite, and the header digest must equal the sha256 of the
+    clamped rows' text as read: a hand-edited file is rejected, even one
+    that only reformats a value.
     """
     # lines end at "\n" only, as dump_model writes them: a key may hold "\r"
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -316,4 +317,9 @@ def load_model(path) -> RepresentationModel:
         )
     if digest.hexdigest() != declared_digest:
         raise ValidationError(f"{path}: clamped-set digest mismatch")
+    # dump_model writes finite values only; row i sits on line i + 2
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        lineno = int(np.argmin(finite)) + 2
+        raise ValidationError(f"{path}: line {lineno}: vector holds a value that is not finite")
     return RepresentationModel(tuple(nodes), matrix, np.array(clamped, dtype=bool))

@@ -1,0 +1,59 @@
+"""scipy.sparse, a test dependency only, next to bugloc's numpy CSR.
+
+from_scipy and to_scipy convert between the two, so tests can build
+inputs with scipy. The scipy_* functions are the scipy statements that
+bugloc's numpy kernels replace; the kernels must match them bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import sparse
+
+from bugloc.corpus import CSR
+from bugloc.ranker import row_norms
+
+
+def from_scipy(matrix) -> CSR:
+    """The CSR of anything scipy.sparse.csr_array accepts, entries as stored."""
+    rows = sparse.csr_array(matrix)
+    return CSR(rows.data, rows.indices, rows.indptr, rows.shape)
+
+
+def to_scipy(rows: CSR) -> sparse.csr_array:
+    return sparse.csr_array((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+
+
+def scipy_count_rows(token_lists, vocab) -> sparse.csr_array:
+    """Each list's in-vocabulary tokens as a column each, duplicates summed."""
+    columns = [[vocab.index[t] for t in tokens if t in vocab.index] for tokens in token_lists]
+    indptr = np.cumsum([0, *map(len, columns)])
+    flat = [j for row in columns for j in row]
+    rows = sparse.csr_array((np.ones(len(flat)), flat, indptr), shape=(len(columns), len(vocab)))
+    rows.sum_duplicates()
+    return rows
+
+
+def scipy_tfidf_rows(token_lists, vocab) -> sparse.csr_array:
+    rows = scipy_count_rows(token_lists, vocab)
+    rows.data *= vocab.idf[rows.indices]
+    rows.eliminate_zeros()
+    return rows
+
+
+def scipy_simi_scores(query_rows: CSR, tfidf: CSR, links: CSR) -> np.ndarray:
+    """SimiScore as two scipy products: the stored cosines, each divided by
+    its report's fixed-file count (at least 1), times the links."""
+    sims = (to_scipy(query_rows) @ to_scipy(tfidf).T).tocsr()
+    sims.sort_indices()
+    rows = np.repeat(np.arange(sims.shape[0]), np.diff(sims.indptr))
+    sims.data /= row_norms(query_rows)[rows] * row_norms(tfidf)[sims.indices]
+    sims.data /= np.maximum(np.diff(links.indptr), 1)[sims.indices]
+    return (sims @ to_scipy(links)).toarray()
+
+
+def scipy_embed_rows(weights: CSR, terms: np.ndarray) -> np.ndarray:
+    """The weighted mean of term rows by one sparse-times-dense product."""
+    sums = to_scipy(weights) @ terms
+    totals = sums[:, -1:]
+    return np.divide(sums[:, :-1], totals, out=np.zeros_like(sums[:, :-1]), where=totals > 0.0)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -23,6 +24,16 @@ def cli_dataset(tmp_path_factory):
     """Dataset generated through the CLI itself, plus its config file."""
     root = tmp_path_factory.mktemp("cli_dataset")
     assert _run("synth", "--out-dir", str(root), "--seed", "7") == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def seed3(tmp_path_factory):
+    """synth --seed 3, ingested and solved into its out/ directory: 24 files."""
+    root = tmp_path_factory.mktemp("seed3")
+    assert _run("synth", "--out-dir", str(root), "--seed", "3") == 0
+    for command in ("ingest", "solve"):
+        assert _run(command, "--dataset-dir", str(root), "--out-dir", str(root / "out")) == 0
     return root
 
 
@@ -395,6 +406,67 @@ class TestSolveEvalSweepQuery:
         assert [row[0] for row in rows[1:]] == [str(i) for i in range(1, len(rows))]
         assert odd in {row[1] for row in rows[1:]}
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_model_holding_a_value_that_is_not_finite_rejected(
+        self, cli_dataset, cli_model, tmp_path, capsys, command, value
+    ):
+        # dump_model never writes one; a free row with it would change the rankings silently
+        lines = cli_model.read_text(encoding="utf-8").split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith("S\t") and "\tf\t" in line)
+        kind, key, flag, vector = lines[at].split("\t")
+        lines[at] = "\t".join([kind, key, flag, " ".join([value, *vector.split()[1:]])])
+        model = tmp_path / "model.tsv"
+        model.write_text("\n".join(lines), encoding="utf-8")
+        argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path / "out"),
+                "--model", str(model)]
+        if command == "query":
+            report = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+            argv += ["--report", str(tmp_path / "bug.json")]
+        capsys.readouterr()
+        assert _run(*argv) == 1
+        captured = capsys.readouterr()
+        assert f"line {at + 1}: vector holds a value that is not finite" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_all_oov_query_ranks_the_universe_in_path_order_at_zero(
+        self, seed3, tmp_path, capsys, caplog
+    ):
+        report = {
+            "id": "Q-1", "summary": "qqqzzz", "description": "xxjjvv wwkkpp",
+            "report_time": "2022-01-01T00:00:00Z", "status": "open", "fixed_files": [],
+        }
+        (tmp_path / "bug.json").write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING):
+            assert _run("query", "--dataset-dir", str(seed3), "--out-dir", str(seed3 / "out"),
+                        "--report", str(tmp_path / "bug.json"),
+                        "--model", str(seed3 / "out" / "model.tsv")) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        universe = sorted(
+            json.loads(line)["path"]
+            for line in (seed3 / "sources.jsonl").read_text(encoding="utf-8").splitlines()
+        )
+        assert [row[1] for row in rows] == universe[:10]
+        assert {row[2] for row in rows} == {"0.00000000"}
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["1 queries embed to the zero vector; all their file scores are 0"]
+
+    @pytest.mark.parametrize("model", [False, True])
+    def test_k_beyond_the_universe_writes_the_whole_universe(self, seed3, tmp_path, capsys, model):
+        report = (seed3 / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+        argv = ["query", "--dataset-dir", str(seed3), "--out-dir", str(seed3 / "out"),
+                "--report", str(tmp_path / "bug.json"), "--k", "1000"]
+        if model:
+            argv += ["--model", str(seed3 / "out" / "model.tsv")]
+        capsys.readouterr()
+        assert _run(*argv) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [row[0] for row in rows] == [str(rank) for rank in range(1, 25)]
+        assert len({row[1] for row in rows}) == 24
+
     def test_query_with_an_empty_universe_writes_only_headers(self, cli_dataset, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -495,6 +567,45 @@ def test_eval_leaves_scipy_stats_unloaded(cli_dataset, tmp_path):
     )
     assert len(_read_rows(tmp_path / "ttests.csv")) > 0
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def _scipy_modules_after(argv) -> set[str]:
+    """The scipy modules loaded after main(argv) exits 0 in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
+    probe = (
+        "import sys; from bugloc.cli import main; "
+        f"assert main({argv!r}) == 0; "
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.splitlines()[-1].split()) if out.stdout.strip() else set()
+
+
+@pytest.fixture(scope="module")
+def cli_model(cli_dataset, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_model")
+    assert _run("solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(out)) == 0
+    return out / "model.tsv"
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "query"])
+def test_commands_with_a_model_leave_scipy_unloaded(cli_dataset, cli_model, tmp_path, command):
+    # ranking and the t-test run on numpy alone; only the network build and the solver use scipy
+    argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path),
+            "--model", str(cli_model)]
+    if command == "query":
+        report = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+        argv += ["--report", str(tmp_path / "bug.json")]
+    assert _scipy_modules_after(argv) == set()
+
+
+def test_solve_loads_scipy_sparse_but_not_scipy_special(cli_dataset, tmp_path):
+    argv = ["solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path)]
+    loaded = _scipy_modules_after(argv)
+    assert "scipy.sparse" in loaded and "scipy.special" not in loaded
 
 
 class TestExitCodes:

@@ -3,14 +3,15 @@ import math
 import string
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import sparse
 
 from bugloc.corpus import (
     TokenRules,
     bow_vectorize,
     build_vocabulary,
+    count_rows,
     default_stopwords,
     default_token_rules,
     load_bug_reports,
@@ -21,6 +22,7 @@ from bugloc.corpus import (
 )
 from bugloc.errors import ParseError, ValidationError
 from bugloc.ranker import row_norms
+from sparseref import from_scipy, scipy_count_rows, scipy_tfidf_rows, to_scipy
 from tfidfref import reference_tfidf
 from tokref import reference_tokenize
 
@@ -279,7 +281,7 @@ class TestBowVectorize:
         assert bow_vectorize(["all"], vocab).nnz == 0
 
     def test_norm_is_euclidean(self):
-        rows = sparse.csr_array([[3.0, 4.0], [0.0, 0.0]])
+        rows = from_scipy([[3.0, 4.0], [0.0, 0.0]])
         assert row_norms(rows).tolist() == [5.0, 0.0]
 
     def test_rejects_empty_vocabulary(self):
@@ -309,10 +311,27 @@ class TestTfidfRows:
         vocab = build_vocabulary([doc + ["all"] * shared for doc in docs])
         rows = tfidf_rows(token_lists + [["all", "all", "oov"]], vocab)
         assert rows.shape == (len(token_lists) + 1, len(vocab))
-        assert rows.has_sorted_indices
+        assert to_scipy(rows).has_canonical_format
         for i, tokens in enumerate(token_lists + [["all", "all", "oov"]]):
             # dict equality compares the weights' floats exactly, and lists keep the order
             assert list(_entries(rows, i).items()) == list(reference_tfidf(tokens, vocab).items())
+
+    @given(
+        st.lists(st.lists(st.sampled_from(TERMS), max_size=6), min_size=1, max_size=6),
+        st.booleans(),
+        st.lists(st.lists(st.sampled_from(TERMS + ["all", "oov", "zzz"]), max_size=12), max_size=6),
+    )
+    def test_count_and_tfidf_rows_match_scipy_bit_for_bit(self, docs, shared, token_lists):
+        # OOV tokens, empty lists, and with shared a term whose df equals N
+        vocab = build_vocabulary([doc + ["all"] * shared for doc in docs])
+        for ours, theirs in (
+            (count_rows(token_lists, vocab), scipy_count_rows(token_lists, vocab)),
+            (tfidf_rows(token_lists, vocab), scipy_tfidf_rows(token_lists, vocab)),
+        ):
+            assert ours.shape == theirs.shape
+            assert ours.indptr.tolist() == theirs.indptr.tolist()
+            assert ours.indices.tolist() == theirs.indices.tolist()
+            assert ours.data.view(np.uint64).tolist() == theirs.data.view(np.uint64).tolist()
 
     def test_no_token_lists_give_no_rows(self):
         vocab = build_vocabulary([["ant"], ["bee"]])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bugloc.errors import ValidationError
 from bugloc.evaluation import (
@@ -15,6 +15,7 @@ from bugloc.evaluation import (
     mean_average_precision,
     paired_t_test,
     sweep_alpha,
+    t_test_p_value,
 )
 from rankref import reference_rank
 
@@ -136,7 +137,29 @@ class TestPairedTTest:
         b = (rng.random(n) + shift).tolist()
         result = paired_t_test(a, b)
         expected = 2.0 * float(stats.t.sf(abs(result.t_statistic), n - 1))
-        assert result.p_value == expected
+        # the series and scipy round apart by a few ulps; ttests.csv prints 6 decimals
+        assert f"{result.p_value:.6f}" == f"{expected:.6f}"
+        assert result.significant == (expected < 0.05)
+        assert abs(result.p_value - expected) < 1e-12
+
+    @settings(max_examples=1000)
+    @given(
+        st.integers(1, 5000),
+        st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 60.0), st.floats(0.0, 1e6)),
+    )
+    @example(df=1, t=0.0)
+    @example(df=2, t=1e300)
+    @example(df=5000, t=40.0)
+    def test_p_value_prints_and_decides_as_stdtr(self, df, t):
+        # stdtr itself is off by up to 5e-9 at df 1 and t near 1e-9, so only
+        # what ttests.csv shows is compared: six decimals and significance
+        from scipy.special import stdtr
+
+        p = t_test_p_value(t, df)
+        expected = 2.0 * float(stdtr(df, -t))
+        assert p >= 0.0
+        assert f"{p:.6f}" == f"{expected:.6f}"
+        assert (p < 0.05) == (expected < 0.05)
 
 
 class TestEvalConfig:

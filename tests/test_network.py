@@ -28,6 +28,7 @@ from bugloc.network import (
 from bugloc.pipeline import bucket_links, fix_links
 from netgen import network_of
 from netref import reference_edges, reference_network
+from sparseref import from_scipy, to_scipy
 
 
 def _of_kind(net, kind):
@@ -209,7 +210,7 @@ class TestBuildNetwork:
     def test_missing_vector_rejected(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()
         with pytest.raises(ValidationError, match="1 TF-IDF rows for 2 reports"):
-            _build(reports, bows[:1], vocab, paths, buckets)
+            _build(reports, from_scipy(to_scipy(bows)[:1]), vocab, paths, buckets)
 
     def test_metrics_for_unknown_paths_ignored(self):
         reports, bows, vocab, paths, buckets = _tiny_corpus()

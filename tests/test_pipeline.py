@@ -17,6 +17,7 @@ from bugloc.errors import ParseError, ValidationError
 from bugloc.network import TypedNode, kind_slice
 from bugloc.regularizer import RepresentationModel
 from linkref import bow_links, ground_truth
+from sparseref import from_scipy, to_scipy
 from tables import make_table
 
 from datetime import datetime, timezone
@@ -581,7 +582,7 @@ def _assert_links_match_the_dict_loops(dataset):
     # each link row keeps its fixed-file order; a row sorted by column
     # gives the same scores, bit for bit
     rows = tfidf_rows([dataset.report_tokens[qid] for qid in query_ids], index.vocab)
-    by_column = dataclasses.replace(bow, links=bow.links.sorted_indices())
+    by_column = dataclasses.replace(bow, links=from_scipy(to_scipy(bow.links).sorted_indices()))
     np.testing.assert_array_equal(
         ctx.bow.view(np.uint64), ranker.bow_file_scores(rows, by_column).view(np.uint64)
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import sparse
 
-from bugloc.corpus import bow_vectorize, build_vocabulary, tfidf_rows
+from bugloc.corpus import CSR, bow_vectorize, build_vocabulary, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ValidationError
 from bugloc.network import TypedNode, kind_slice
@@ -27,6 +27,7 @@ from bugloc.ranker import (
 )
 from bugloc.regularizer import RepresentationModel
 from rankref import reference_rank
+from sparseref import from_scipy, scipy_embed_rows, scipy_simi_scores, to_scipy
 from tables import make_table
 from tfidfref import reference_tfidf
 
@@ -40,12 +41,17 @@ def bow(entries, num_terms=9):
     """A one-row TF-IDF matrix holding the given column -> weight entries."""
     columns = sorted(entries)
     data = [entries[j] for j in columns]
-    return sparse.csr_array((data, columns, [0, len(columns)]), shape=(1, num_terms))
+    return from_scipy(sparse.csr_array((data, columns, [0, len(columns)]), shape=(1, num_terms)))
+
+
+def vstack(rows):
+    """One-row matrices stacked into one."""
+    return from_scipy(sparse.vstack([to_scipy(row) for row in rows], format="csr"))
 
 
 def bow_scores(query, train_bows, fix_links, universe):
     """bow_file_scores of one query row, keyed by path."""
-    tfidf = sparse.vstack(list(train_bows.values()), format="csr")
+    tfidf = vstack(train_bows.values())
     links = link_matrix([fix_links.get(rid, ()) for rid in train_bows], universe)
     index = build_bow_index(tfidf, links)
     return dict(zip(universe, bow_file_scores(query, index)[0].tolist()))
@@ -85,7 +91,7 @@ class TestRowNorms:
         rng = np.random.default_rng(5)
         dense = rng.random((50, 80)) * (rng.random((50, 80)) < 0.5)
         expected = [math.sqrt(math.fsum(w * w for w in row.tolist())) for row in dense]
-        assert row_norms(sparse.csr_array(dense)).tolist() == expected
+        assert row_norms(from_scipy(dense)).tolist() == expected
 
 
 class TestCosineBow:
@@ -117,6 +123,7 @@ class TestCosineBow:
         assert abs(cosine_bow(a, b) - cosine(dense_a, dense_b)) < 1e-12
 
 
+WORDS = ["ant", "bee", "cat", "doe", "elk", "fox"]
 BOWS = st.dictionaries(
     st.integers(0, 8), st.floats(min_value=0.01, max_value=9.0), max_size=5
 ).map(bow)
@@ -163,9 +170,9 @@ class TestBowFileScores:
     )
     def test_batch_matches_a_per_report_loop(self, queries, train):
         universe = ["a", "b", "c"]
-        tfidf = sparse.vstack([row for row, _ in train], format="csr")
+        tfidf = vstack([row for row, _ in train])
         index = build_bow_index(tfidf, link_matrix([files for _, files in train], universe))
-        batch = bow_file_scores(sparse.vstack(queries, format="csr"), index)
+        batch = bow_file_scores(vstack(queries), index)
         assert batch.shape == (len(queries), len(universe))
         for query, row in zip(queries, batch):
             expected = dict.fromkeys(universe, 0.0)
@@ -174,6 +181,31 @@ class TestBowFileScores:
                     if path in expected:
                         expected[path] += cosine_bow(query, train_row) / len(files)
             assert np.allclose(row, [expected[p] for p in universe], rtol=1e-12, atol=0.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(WORDS), max_size=8),
+                st.lists(st.sampled_from("abcd"), max_size=3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.lists(st.sampled_from(WORDS + ["oov"]), max_size=8), max_size=5),
+    )
+    def test_matches_scipy_bit_for_bit(self, train, queries):
+        # training reports without fixes or terms, queries without terms
+        universe = list("abcd")
+        vocab = build_vocabulary([tokens for tokens, _ in train])
+        tfidf = tfidf_rows([tokens for tokens, _ in train], vocab)
+        links = link_matrix([files for _, files in train], universe)
+        index = build_bow_index(tfidf, links)
+        rows = tfidf_rows(queries, vocab)
+        expected = scipy_simi_scores(rows, tfidf, links).view(np.uint64)
+        assert bow_file_scores(rows, index).view(np.uint64).tolist() == expected.tolist()
+        for tokens, row in zip(queries, expected):
+            one = bow_file_scores(bow_vectorize(tokens, vocab), index)
+            assert one.view(np.uint64).tolist() == [row.tolist()]
 
     def test_orthogonal_query_scores_zero(self):
         scores = bow_scores(
@@ -227,6 +259,30 @@ class TestEmbedRows:
                 weights[vocab.terms[idx]] = weight
             expected, _ = embed_tokens(tokens, weights, table)
             assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(0, 7), st.floats(0.01, 100.0), max_size=8), max_size=6
+        ),
+        st.lists(st.floats(-1e3, 1e3), min_size=24, max_size=24),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_matches_scipy_bit_for_bit(self, entries, values, known):
+        # rows of unequal length and empty rows, each row alone and all at once
+        terms = np.column_stack((np.reshape(values, (8, 3)), np.array(known, dtype=np.float64)))
+        columns = [sorted(row) for row in entries]
+        weights = CSR(
+            np.array([row[j] for row, cols in zip(entries, columns) for j in cols]),
+            np.array([j for cols in columns for j in cols], dtype=np.intp),
+            np.cumsum([0, *map(len, columns)]),
+            (len(entries), 8),
+        )
+        expected = scipy_embed_rows(weights, terms).view(np.uint64)
+        assert embed_rows(weights, terms).view(np.uint64).tolist() == expected.tolist()
+        for i, row in enumerate(expected):
+            span = slice(*weights.indptr[i : i + 2])
+            one = CSR(weights.data[span], weights.indices[span], np.array([0, span.stop - span.start]), (1, 8))
+            assert embed_rows(one, terms).view(np.uint64).tolist() == [row.tolist()]
 
     def test_term_matrix_peak_stays_near_its_result(self):
         # 4000 known terms of d = 100 and 1000 unknown ones: a 4 MB result
