@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,12 +106,6 @@ class BugReport:
         return self.summary + "\n" + self.description
 
 
-@dataclass(frozen=True)
-class SourceDoc:
-    path: str
-    tokens: tuple[str, ...]
-
-
 def _parse_time(raw, where: str) -> datetime:
     if not isinstance(raw, str):
         raise ParseError(f"{where}: report_time must be an ISO-8601 string")
@@ -157,6 +152,34 @@ def _parse_report(rec, where: str) -> BugReport:
     )
 
 
+def _read_jsonl(path, parse, what: str) -> dict:
+    """key -> item of each nonblank line of a JSONL file, in file order,
+    where parse(record, where) returns the (key, item) of one line's JSON.
+
+    A line that is not JSON raises ParseError naming the line; a key seen
+    before raises ValidationError naming both lines.
+    """
+    items: dict = {}
+    seen: dict[str, int] = {}
+    with read_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
+            key, item = parse(rec, where)
+            if key in seen:
+                raise ValidationError(
+                    f"{where}: duplicate {what} {key!r} (first seen on line {seen[key]})"
+                )
+            seen[key] = lineno
+            items[key] = item
+    return items
+
+
 def load_bug_reports(path, resolved_only: bool = False) -> list[BugReport]:
     """Load bug reports from a JSONL file, sorted ascending by report_time.
 
@@ -165,59 +188,33 @@ def load_bug_reports(path, resolved_only: bool = False) -> list[BugReport]:
     whose status is not "resolved" (case-insensitive) are dropped after
     parsing and duplicate checking.
     """
-    reports = []
-    seen: dict[str, int] = {}
-    with read_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
-            report = _parse_report(rec, where)
-            if report.id in seen:
-                raise ValidationError(
-                    f"{where}: duplicate report id {report.id!r} "
-                    f"(first seen on line {seen[report.id]})"
-                )
-            seen[report.id] = lineno
-            reports.append(report)
+
+    def parse(rec, where):
+        report = _parse_report(rec, where)
+        return report.id, report
+
+    reports = list(_read_jsonl(path, parse, "report id").values())
     if resolved_only:
         reports = [r for r in reports if r.status.strip().lower() == "resolved"]
     reports.sort(key=lambda r: r.report_time)
     return reports
 
 
-def load_source_docs(path, rules: TokenRules) -> list[SourceDoc]:
-    """Load source documents from JSONL with keys path, content; tokenizes content."""
-    docs = []
-    seen: dict[str, int] = {}
-    with read_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(rec, dict) or "path" not in rec or "content" not in rec:
-                raise ParseError(f"{where}: expected an object with keys path, content")
-            doc_path = rec["path"]
-            if not isinstance(doc_path, str) or not doc_path:
-                raise ParseError(f"{where}: path must be a nonempty string")
-            if not isinstance(rec["content"], str):
-                raise ParseError(f"{where}: content must be a string")
-            if doc_path in seen:
-                raise ValidationError(
-                    f"{where}: duplicate source path {doc_path!r} "
-                    f"(first seen on line {seen[doc_path]})"
-                )
-            seen[doc_path] = lineno
-            docs.append(SourceDoc(path=doc_path, tokens=tuple(tokenize(rec["content"], rules))))
-    return docs
+def load_source_docs(path, rules: TokenRules) -> dict[str, list[str]]:
+    """Load source documents from JSONL with keys path, content: each path
+    mapped to its content's tokens, in file order."""
+
+    def parse(rec, where):
+        if not isinstance(rec, dict) or "path" not in rec or "content" not in rec:
+            raise ParseError(f"{where}: expected an object with keys path, content")
+        doc_path = rec["path"]
+        if not isinstance(doc_path, str) or not doc_path:
+            raise ParseError(f"{where}: path must be a nonempty string")
+        if not isinstance(rec["content"], str):
+            raise ParseError(f"{where}: content must be a string")
+        return doc_path, tokenize(rec["content"], rules)
+
+    return _read_jsonl(path, parse, "source path")
 
 
 class Vocabulary:
@@ -273,6 +270,18 @@ class CSR:
     def row_ids(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+
+def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> CSR:
+    """The 0/1 matrix whose row i links the entries of lists[i] to their
+    positions in keys, in listed order; an entry outside keys gets no
+    column. Fix links, bucket links and the ground truth all resolve their
+    paths and keys here."""
+    column = {key: j for j, key in enumerate(keys)}
+    rows = [[column[key] for key in listed if key in column] for listed in lists]
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
+    indptr = np.cumsum([0, *map(len, rows)])
+    return CSR(np.ones(len(indices)), indices, indptr, (len(lists), len(keys)))
 
 
 def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:

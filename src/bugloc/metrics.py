@@ -1,7 +1,7 @@
 """Per-file code metrics and equal-frequency bucketing.
 
-A bucket is the pair (metric, bucket index); the network names its node by
-MetricBucket.node_key, `metric:index`.
+A bucket is the pair (metric, bucket index); its key, `metric:index`, names
+its node in the network.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from .corpus import CSR, link_matrix
 from .errors import ParseError, ValidationError, read_text
 
 _HEADER = ["path", "metric", "value"]
@@ -23,18 +24,6 @@ class MetricRecord:
     path: str
     metric: str
     value: float
-
-
-@dataclass(frozen=True)
-class MetricBucket:
-    """One quantile bucket of one metric; the network names it by node_key."""
-
-    metric: str
-    bucket_index: int
-
-    @property
-    def node_key(self) -> str:
-        return f"{self.metric}:{self.bucket_index}"
 
 
 def load_metrics(path) -> list[MetricRecord]:
@@ -80,13 +69,15 @@ def load_metrics(path) -> list[MetricRecord]:
 
 
 def discretize(
-    records: Iterable[MetricRecord], buckets_per_metric: int = 5
-) -> dict[str, list[MetricBucket]]:
+    records: Iterable[MetricRecord], buckets_per_metric: int, paths: Sequence[str]
+) -> tuple[tuple[str, ...], CSR]:
     """Assign each (path, metric) value to an equal-frequency quantile bucket.
 
     Buckets are computed per metric over all observed values; a value equal
     to a bucket boundary goes to the lower bucket. A constant metric puts
-    every file in bucket 0. Returns path -> buckets sorted by metric name.
+    every file in bucket 0. Returns the sorted keys, `metric:index`, of the
+    buckets some value falls in, and the link_matrix from each of paths (a
+    row, in the given order) to its buckets in metric order.
     """
     if buckets_per_metric < 1:
         raise ValidationError("buckets_per_metric must be >= 1")
@@ -94,14 +85,19 @@ def discretize(
     for rec in records:
         by_metric[rec.metric].append(rec)
 
-    result: dict[str, list[MetricBucket]] = defaultdict(list)
+    listed: dict[str, list[str]] = defaultdict(list)
+    keys: set[str] = set()
+    nb = buckets_per_metric
     for metric in sorted(by_metric):
         recs = by_metric[metric]
         values = sorted(r.value for r in recs)
         n = len(values)
-        nb = buckets_per_metric
         # boundary j is the top of bucket j-1: the ceil(j*n/nb)-th smallest value
         boundaries = [values[min(math.ceil(j * n / nb), n) - 1] for j in range(1, nb)]
+        names = [f"{metric}:{index}" for index in range(nb)]
         for rec in recs:
-            result[rec.path].append(MetricBucket(metric, bisect_left(boundaries, rec.value)))
-    return {path: sorted(buckets, key=lambda b: b.metric) for path, buckets in result.items()}
+            key = names[bisect_left(boundaries, rec.value)]
+            listed[rec.path].append(key)
+            keys.add(key)
+    ordered = tuple(sorted(keys))
+    return ordered, link_matrix([listed.get(path, ()) for path in paths], ordered)

@@ -11,7 +11,7 @@ import os
 import types
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -27,6 +27,7 @@ from .corpus import (
     build_vocabulary,
     count_rows,
     default_token_rules,
+    link_matrix,
     load_bug_reports,
     load_source_docs,
     tfidf_rows,
@@ -39,7 +40,7 @@ from .embeddings import (
     write_table_cache,
 )
 from .errors import ValidationError, read_text
-from .metrics import MetricBucket, MetricRecord, discretize, load_metrics
+from .metrics import MetricRecord, discretize, load_metrics
 from .network import KINDS, HeteroNetwork, build_network, kind_slice, node_table
 from .regularizer import RepresentationModel, SolverConfig
 
@@ -284,13 +285,10 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     else:
         report_tokens = {r.id: tokenize(r.text, rules) for r in reports}
         source_tokens = None
-    if cfg.sources:
-        if source_tokens is None:
-            source_tokens = {
-                doc.path: list(doc.tokens) for doc in load_source_docs(cfg.sources, rules)
-            }
-    else:
+    if not cfg.sources:
         source_tokens = None
+    elif source_tokens is None:
+        source_tokens = load_source_docs(cfg.sources, rules)
     metric_records = load_metrics(cfg.metrics) if cfg.metrics else []
     table = None
     if use_cache:
@@ -330,7 +328,7 @@ class Index:
     universe: tuple[str, ...]
     fix_links: CSR  # training report x universe file, see fix_links
     bucket_keys: tuple[str, ...]  # sorted
-    bucket_links: CSR  # universe file x bucket key, see bucket_links
+    bucket_links: CSR  # universe file x bucket key, see metrics.discretize
 
     @cached_property
     def network(self) -> HeteroNetwork:
@@ -358,18 +356,6 @@ def file_universe(dataset: Dataset) -> tuple[str, ...]:
     return tuple(sorted(inventory))
 
 
-def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> CSR:
-    """The 0/1 matrix whose row i links the entries of lists[i] to their
-    positions in keys, in listed order; an entry outside keys gets no
-    column. Fix links, bucket links and the ground truth all resolve their
-    paths and keys here."""
-    column = {key: j for j, key in enumerate(keys)}
-    rows = [[column[key] for key in listed if key in column] for listed in lists]
-    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp)
-    indptr = np.cumsum([0, *map(len, rows)])
-    return CSR(np.ones(len(indices)), indices, indptr, (len(lists), len(keys)))
-
-
 def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> CSR:
     """The training reports' fix links, link_matrix over the universe: one
     row per report, its fixed files in listed order. Rejects, naming it, a
@@ -383,18 +369,6 @@ def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> CSR:
     return links
 
 
-def bucket_links(
-    buckets: Mapping[str, Sequence[MetricBucket]], universe: Sequence[str]
-) -> tuple[tuple[str, ...], CSR]:
-    """The sorted keys of the universe files' metric buckets, and the links
-    from each file (a row, in universe order) to its buckets in metric
-    order. A bucket listed twice for one file links once; the buckets of
-    paths outside the universe are left out."""
-    listed = [list(dict.fromkeys(b.node_key for b in buckets.get(path, ()))) for path in universe]
-    keys = tuple(sorted(set(chain.from_iterable(listed))))
-    return keys, link_matrix(listed, keys)
-
-
 def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
     """Split chronologically and assemble the training-side index, each
     path resolved to its universe column once; the network is built when
@@ -406,9 +380,7 @@ def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
     fixes = fix_links(train, universe)
     token_lists = [dataset.report_tokens[r.id] for r in train]
     vocab = build_vocabulary(token_lists)
-    keys, in_bucket = bucket_links(
-        discretize(dataset.metric_records, cfg.buckets_per_metric), universe
-    )
+    keys, in_bucket = discretize(dataset.metric_records, cfg.buckets_per_metric, universe)
     return Index(
         train_reports=train,
         query_reports=queries,

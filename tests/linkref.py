@@ -1,5 +1,5 @@
 """Per-report dict loops over fixed files, kept apart from
-bugloc.pipeline.link_matrix so that tests can compare the two.
+bugloc.corpus.link_matrix so that tests can compare the two.
 
 bow_links is SimiScore's training side: each report's fixed files inside
 the universe as columns, in fixed-file order, and its count of fixed

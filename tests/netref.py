@@ -4,8 +4,9 @@ in bugloc.network so that tests can compare the two.
 One pass over the reports, in order, lists each report's T-B edges in the
 order of its TF-IDF row and then its B-S fix links, as (a, b, weight)
 tuples of typed nodes; the S-M links of every path in the universe follow
-in path order, each once. The nodes are every report, every path and
-every edge end, sorted. Each node's row lists its neighbors in edge order.
+in path order, each path's in the order of its list of bucket keys. The
+nodes are every report, every path and every edge end, sorted. Each node's
+row lists its neighbors in edge order.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ def reference_edges(reports, tfidf, vocab, paths, buckets):
             edges.append((TypedNode("T", vocab.terms[idx]), b_node, weight))
         for path in report.fixed_files:
             edges.append((b_node, TypedNode("S", path), 1.0))
-    in_bucket = dict.fromkeys(
-        (TypedNode("S", path), TypedNode("M", bucket.node_key))
-        for path in sorted(buckets)
-        if path in paths
-        for bucket in buckets[path]
+    edges.extend(
+        (TypedNode("S", path), TypedNode("M", key), 1.0)
+        for path in sorted(paths)
+        for key in buckets.get(path, ())
     )
-    edges.extend((s_node, m_node, 1.0) for s_node, m_node in in_bucket)
     return edges
 
 

@@ -498,6 +498,144 @@ class TestSolveEvalSweepQuery:
             )
 
 
+_WORDS = ("alpha", "beta", "gamma", "delta", "crash", "widget")
+_TOPICS = ("alpha crash", "beta widget", "gamma delta")
+
+
+def _bug(day, text, files, rid=None):
+    return {
+        "id": rid or f"B-{day}", "summary": text, "description": "",
+        "report_time": f"2021-01-{day:02d}T00:00:00Z", "status": "resolved",
+        "fixed_files": files,
+    }
+
+
+def _write_dataset(root, reports, sources=None, metrics=None):
+    """A hand-built dataset: the reports, the (path, content) sources and
+    (path, metric, value) metrics when given, and a 2-d embedding of _WORDS."""
+    root.mkdir(parents=True)
+    lines = {
+        "reports.jsonl": [json.dumps(r, ensure_ascii=False) for r in reports],
+        "sources.jsonl": sources and [
+            json.dumps({"path": p, "content": c}, ensure_ascii=False) for p, c in sources
+        ],
+        "metrics.csv": metrics and ["path,metric,value", *(f"{p},{m},{v}" for p, m, v in metrics)],
+        "embeddings.txt": [f"{len(_WORDS)} 2"] + [
+            f"{word} {i + 1}.0 {len(_WORDS) - i}.0" for i, word in enumerate(_WORDS)
+        ],
+    }
+    for name, listed in lines.items():
+        if listed is not None:
+            (root / name).write_text("".join(line + "\n" for line in listed), encoding="utf-8")
+    return root
+
+
+def _csv_lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+class TestDegenerateInputs:
+    """Inputs at the edge of what a run can use, each with a documented result."""
+
+    _FILES = ("src/A.java", "src/B.java", "src/C.java")
+
+    def test_empty_training_vocabulary(self, tmp_path, capsys, caplog):
+        # every training text is stopwords, so T is empty, every component
+        # lacks a term and every score is 0: each method ranks the universe
+        # in path order, where the queries' fixes sit at ranks 2 and 3
+        reports = [_bug(day, "the and of", [self._FILES[day % 3]]) for day in range(1, 9)]
+        reports += [_bug(9, "crash widget", ["src/B.java"]), _bug(10, "alpha", ["src/C.java"])]
+        data = _write_dataset(
+            tmp_path / "data", reports, [(path, "alpha beta gamma") for path in self._FILES],
+            [(path, "lines", i) for i, path in enumerate(self._FILES)],
+        )
+        args = ("--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"))
+        capsys.readouterr()
+        assert _run("build", "--dataset-dir", str(data), "--out-dir", str(tmp_path / "net")) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == [
+            f"warning: isolated-component: component of {size} nodes (e.g. B:{rid}) "
+            "has no path to any T node"
+            for size, rid in ((5, "B-1"), (5, "B-2"), (4, "B-3"))
+        ] + ["info: counts: nodes B=8 T=0 S=3 M=3; edges B-S=8 M-S=3"]
+        assert _run("eval", *args) == 0
+        assert [line.split(",")[-2] for line in _csv_lines(tmp_path / "out" / "results.csv")[1:]] == [
+            "0.000000", "0.416667", "0.416667"
+        ] * 3
+        ttests = _csv_lines(tmp_path / "out" / "ttests.csv")[1:]
+        assert len(ttests) == 9
+        assert {tuple(row.split(",")[-3:]) for row in ttests} == {("nan", "0", "1")}
+        (tmp_path / "bug.json").write_text(json.dumps(reports[-1]), encoding="utf-8")
+        caplog.clear()
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING):
+            assert _run("query", *args, "--report", str(tmp_path / "bug.json")) == 0
+        assert capsys.readouterr().out.splitlines() == ["rank,path,score"] + [
+            f"{rank},{path},0.00000000" for rank, path in enumerate(self._FILES, 1)
+        ]
+        warnings = [r.getMessage() for r in caplog.records if r.name == "bugloc.ranker"]
+        assert warnings == ["1 queries embed to the zero vector; all their file scores are 0"]
+
+    def test_one_file_universe(self, tmp_path, capsys):
+        reports = [_bug(day, _TOPICS[day % 3], ["src/A.java"]) for day in range(1, 11)]
+        data = _write_dataset(
+            tmp_path / "data", reports, [("src/A.java", "alpha beta")], [("src/A.java", "lines", 3)]
+        )
+        args = ("--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"))
+        assert _run("eval", *args) == 0
+        for name in ("results.csv", "sweep.csv"):
+            assert {row["map"] for row in _read_rows(tmp_path / "out" / name)} == {"1.000000"}
+        ttests = _csv_lines(tmp_path / "out" / "ttests.csv")[1:]
+        assert len(ttests) == 9
+        assert {tuple(row.split(",")[-3:]) for row in ttests} == {("nan", "0", "1")}
+        (tmp_path / "bug.json").write_text(json.dumps(reports[-1]), encoding="utf-8")
+        capsys.readouterr()
+        assert _run("query", *args, "--report", str(tmp_path / "bug.json")) == 0
+        # a constant score row min-maxes to 0
+        assert capsys.readouterr().out == "rank,path,score\n1,src/A.java,0.00000000\n"
+
+    def test_no_sources_and_no_metrics(self, tmp_path, capsys):
+        reports = [_bug(day, _TOPICS[day % 3], [self._FILES[day % 3]]) for day in range(1, 11)]
+        data = _write_dataset(tmp_path / "data", reports)
+        args = ("--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"))
+        capsys.readouterr()
+        assert _run("eval", *args) == 1
+        assert capsys.readouterr().err == (
+            "error: the embedding method needs source docs, none configured\n"
+        )
+        # the universe is the fixed files, and no record reaches discretize
+        assert _run("eval", *args, "--methods", "bow,netreg") == 0
+        rows = _read_rows(tmp_path / "out" / "results.csv")
+        assert [(row["method"], row["k"], row["map"]) for row in rows] == [
+            (method, k, "1.000000") for method in ("bow", "netreg") for k in ("1", "5", "10")
+        ]
+        ttests = _csv_lines(tmp_path / "out" / "ttests.csv")[1:]
+        assert {tuple(row.split(",")[-3:]) for row in ttests} == {("nan", "0", "1")}
+
+    def test_unicode_ids_and_paths_in_a_batch_query_with_a_model(self, tmp_path, capsys):
+        files = ("src/日本.java", "src/b c.java", "src/A.java")
+        reports = [
+            _bug(day, _TOPICS[day % 3], [files[day % 3]], rid=f"Ř-{day}") for day in range(1, 13)
+        ]
+        data = _write_dataset(
+            tmp_path / "data", reports, list(zip(files, _TOPICS)),
+            [(path, "lines", i) for i, path in enumerate(files)],
+        )
+        out = tmp_path / "out"
+        args = ("--dataset-dir", str(data), "--out-dir", str(out))
+        assert _run("solve", *args) == 0
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in reports[-2:]), encoding="utf-8"
+        )
+        assert _run("query", *args, "--report", str(batch), "--model", str(out / "model.tsv")) == 0
+        assert _csv_lines(out / "query_Ř-11.csv") == [
+            "rank,path,score", "1,src/A.java,1.00000000", "2,src/b c.java,0.00000000",
+            "3,src/日本.java,0.00000000",
+        ]
+        assert _csv_lines(out / "query_Ř-12.csv")[1].split(",")[1] == "src/日本.java"
+
+
 class TestDeterminism:
     def test_identical_eval_runs_are_byte_identical(self, cli_dataset, tmp_path):
         outs = [tmp_path / "run1", tmp_path / "run2"]

@@ -168,20 +168,6 @@ class TestLoadBugReports:
         assert [r.id for r in load_bug_reports(p)] == ["B-1", "B-2", "B-3"]
         assert [r.id for r in load_bug_reports(p, resolved_only=True)] == ["B-1", "B-3"]
 
-    def test_duplicate_id_names_id_and_first_line(self, tmp_path):
-        p = tmp_path / "r.jsonl"
-        _write_jsonl(p, [_report("B-9"), _report("B-9", time="2021-01-01T00:00:00Z")])
-        with pytest.raises(ValidationError, match=r"B-9.*line 1"):
-            load_bug_reports(p)
-
-    def test_malformed_json_names_physical_line(self, tmp_path):
-        p = tmp_path / "r.jsonl"
-        p.write_text(
-            json.dumps(_report("B-1")) + "\n\n{not json\n", encoding="utf-8"
-        )
-        with pytest.raises(ParseError, match="line 3"):
-            load_bug_reports(p)
-
     def test_missing_key_is_named(self, tmp_path):
         p = tmp_path / "r.jsonl"
         rec = _report("B-1")
@@ -209,22 +195,55 @@ class TestLoadBugReports:
         assert r.text == "crash\non start"
 
 
-class TestLoadSourceDocs:
+@pytest.mark.parametrize(
+    "load, record, repeated",
+    [
+        (lambda path, rules: load_bug_reports(path), _report, "report id 'K-1'"),
+        (load_source_docs, lambda key: {"path": key, "content": "x"}, "source path 'K-1'"),
+    ],
+    ids=["reports", "sources"],
+)
+class TestJsonlLoaderContract:
+    """Both JSONL loaders skip blank lines and name the physical line of
+    invalid JSON and of a repeated key, with the line that first held it."""
+
+    def _write(self, path, lines):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    def test_blank_lines_are_skipped(self, tmp_path, rules, load, record, repeated):
+        p = self._write(
+            tmp_path / "in.jsonl", [json.dumps(record("K-1")), "", "  \t", json.dumps(record("K-2"))]
+        )
+        assert len(load(p, rules)) == 2
+
+    def test_invalid_json_names_its_physical_line(self, tmp_path, rules, load, record, repeated):
+        p = self._write(tmp_path / "in.jsonl", [json.dumps(record("K-1")), "", "{not json"])
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads("{not json")
+        with pytest.raises(ParseError) as err:
+            load(p, rules)
+        assert str(err.value) == f"{p}: line 3: invalid JSON: {decode.value.msg}"
+
+    def test_repeated_key_names_both_lines(self, tmp_path, rules, load, record, repeated):
+        p = self._write(
+            tmp_path / "in.jsonl", [json.dumps(record("K-1")), "", json.dumps(record("K-1"))]
+        )
+        with pytest.raises(ValidationError) as err:
+            load(p, rules)
+        assert str(err.value) == f"{p}: line 3: duplicate {repeated} (first seen on line 1)"
+
+
+class TestLoadSources:
     def test_tokenizes_content(self, tmp_path, rules):
         p = tmp_path / "s.jsonl"
         _write_jsonl(p, [{"path": "src/A.java", "content": "ParseError handler"}])
-        (doc,) = load_source_docs(p, rules)
-        assert doc.path == "src/A.java"
-        assert doc.tokens == ("parse", "error", "handler")
+        assert load_source_docs(p, rules) == {"src/A.java": ["parse", "error", "handler"]}
 
-    def test_duplicate_path_rejected(self, tmp_path, rules):
+    def test_paths_keep_file_order(self, tmp_path, rules):
         p = tmp_path / "s.jsonl"
-        _write_jsonl(p, [
-            {"path": "src/A.java", "content": "x"},
-            {"path": "src/A.java", "content": "y"},
-        ])
-        with pytest.raises(ValidationError, match=r"src/A\.java"):
-            load_source_docs(p, rules)
+        _write_jsonl(p, [{"path": "src/B.java", "content": ""}, {"path": "src/A.java", "content": "x"}])
+        assert list(load_source_docs(p, rules)) == ["src/B.java", "src/A.java"]
 
     def test_missing_key_rejected(self, tmp_path, rules):
         p = tmp_path / "s.jsonl"

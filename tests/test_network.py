@@ -13,7 +13,8 @@ from scipy import sparse
 
 from bugloc.corpus import build_vocabulary, tfidf_rows
 from bugloc.errors import ValidationError
-from bugloc.metrics import MetricBucket, MetricRecord, discretize
+from bucketref import reference_buckets
+from bugloc.metrics import MetricRecord, discretize
 from bugloc.network import (
     KINDS,
     HeteroNetwork,
@@ -25,7 +26,7 @@ from bugloc.network import (
     validate_network,
     write_edge_csv,
 )
-from bugloc.pipeline import bucket_links, fix_links
+from bugloc.pipeline import fix_links
 from netgen import network_of
 from netref import reference_edges, reference_network
 from sparseref import from_scipy, to_scipy
@@ -35,11 +36,16 @@ def _of_kind(net, kind):
     return net.nodes[kind_slice(net.nodes, kind)]
 
 
-def _build(reports, tfidf, vocab, paths, buckets):
+# the bucket count of every corpus here
+_NB = 3
+
+
+def _build(reports, tfidf, vocab, paths, records):
     """build_network over the link builders' matrices, fed as build_index
-    feeds it: the sorted paths are the universe."""
+    feeds it: the sorted paths are the universe, and discretize buckets the
+    metric records over it."""
     universe = tuple(sorted(paths))
-    keys, in_bucket = bucket_links(buckets, universe)
+    keys, in_bucket = discretize(records, _NB, universe)
     ids = [report.id for report in reports]
     return build_network(
         ids, tfidf, vocab, universe, keys, fix_links(reports, universe), in_bucket
@@ -148,20 +154,17 @@ def _tiny_corpus():
 
     reports = [R("B-1", ["src/A.java"]), R("B-2", ["src/A.java", "src/B.java"])]
     paths = ["src/A.java", "src/B.java", "src/C.java"]
-    buckets = discretize(
-        [
-            MetricRecord("src/A.java", "lines", 10.0),
-            MetricRecord("src/B.java", "lines", 90.0),
-        ],
-        2,
-    )
-    return reports, bows, vocab, paths, buckets
+    records = [
+        MetricRecord("src/A.java", "lines", 10.0),
+        MetricRecord("src/B.java", "lines", 90.0),
+    ]
+    return reports, bows, vocab, paths, records
 
 
 class TestBuildNetwork:
     def test_counts_and_weights(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = _build(reports, bows, vocab, paths, buckets)
+        reports, bows, vocab, paths, records = _tiny_corpus()
+        net = _build(reports, bows, vocab, paths, records)
         # leak appears in both docs so its weight is 0 and no T node exists
         assert _of_kind(net, "T") == (
             TypedNode("T", "socket"), TypedNode("T", "widget"),
@@ -178,52 +181,39 @@ class TestBuildNetwork:
         assert net.neighbors(m0) == {TypedNode("S", "src/A.java"): 1.0}
 
     def test_fix_share_splits_edges_not_weights(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = _build(reports, bows, vocab, paths, buckets)
+        reports, bows, vocab, paths, records = _tiny_corpus()
+        net = _build(reports, bows, vocab, paths, records)
         b2 = TypedNode("B", "B-2")
         assert net.neighbors(b2)[TypedNode("S", "src/A.java")] == 1.0
         assert net.neighbors(b2)[TypedNode("S", "src/B.java")] == 1.0
 
     def test_empty_vector_report_warns_but_builds(self, caplog):
-        reports, _, vocab, paths, buckets = _tiny_corpus()
+        reports, _, vocab, paths, records = _tiny_corpus()
         bows = tfidf_rows([[], ["leak", "widget"]], vocab)
         with caplog.at_level(logging.WARNING, logger="bugloc.network"):
-            net = _build(reports, bows, vocab, paths, buckets)
+            net = _build(reports, bows, vocab, paths, records)
         assert "B-1" in caplog.text
         b1 = TypedNode("B", "B-1")
         assert all(n.kind == "S" for n in net.neighbors(b1))
 
     def test_empty_vector_reports_give_one_warning(self, caplog):
-        reports, _, vocab, paths, buckets = _tiny_corpus()
+        reports, _, vocab, paths, records = _tiny_corpus()
         bows = tfidf_rows([[], []], vocab)
         with caplog.at_level(logging.WARNING, logger="bugloc.network"):
-            _build(reports, bows, vocab, paths, buckets)
+            _build(reports, bows, vocab, paths, records)
         assert len(caplog.records) == 1
         assert "2 reports" in caplog.text and "B-1" in caplog.text
 
     def test_fix_to_unknown_path_names_report_and_path(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
+        reports, bows, vocab, paths, records = _tiny_corpus()
         reports[0].fixed_files = ("src/Gone.java",)
         with pytest.raises(ValidationError, match=r"B-1.*src/Gone\.java"):
-            _build(reports, bows, vocab, paths, buckets)
+            _build(reports, bows, vocab, paths, records)
 
     def test_missing_vector_rejected(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
+        reports, bows, vocab, paths, records = _tiny_corpus()
         with pytest.raises(ValidationError, match="1 TF-IDF rows for 2 reports"):
-            _build(reports, from_scipy(to_scipy(bows)[:1]), vocab, paths, buckets)
-
-    def test_metrics_for_unknown_paths_ignored(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        buckets["src/Other.java"] = buckets["src/A.java"]
-        net = _build(reports, bows, vocab, paths, buckets)
-        assert TypedNode("S", "src/Other.java") not in net.nodes
-
-    def test_bucket_listed_twice_links_once(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        buckets["src/A.java"] = buckets["src/A.java"] * 2
-        net = _build(reports, bows, vocab, paths, buckets)
-        m0 = TypedNode("M", "lines:0")
-        assert net.neighbors(m0) == {TypedNode("S", "src/A.java"): 1.0}
+            _build(reports, from_scipy(to_scipy(bows)[:1]), vocab, paths, records)
 
 
 _KEYS = st.text(alphabet='az_Zé中-.,"', min_size=1, max_size=3)
@@ -234,28 +224,33 @@ _ALLOWED_KIND_PAIRS = {("B", "T"), ("B", "S"), ("M", "S")}
 @st.composite
 def _corpora(draw):
     """build_network's inputs: report ids in an order of their own, up to
-    two fix links per report, TF-IDF rows that may be empty, and buckets
-    that may repeat or sit on paths outside the universe."""
+    two fix links per report, TF-IDF rows that may be empty, and metric
+    records on universe paths with unique (path, metric) pairs and tied
+    values."""
     paths = draw(st.lists(_KEYS.map("src/{}".format), min_size=1, max_size=5, unique=True))
     fixes = st.lists(st.sampled_from(paths), max_size=2, unique=True).map(tuple)
     ids = draw(st.lists(_KEYS, min_size=1, max_size=6, unique=True))
     reports = [SimpleNamespace(id=rid, fixed_files=draw(fixes)) for rid in ids]
     tokens = [draw(st.lists(st.sampled_from(_TERMS), max_size=5)) for _ in ids]
     vocab = build_vocabulary(tokens)
-    metric_paths = st.sampled_from(paths) | _KEYS.map("lib/{}".format)
     metrics = st.sampled_from(("lines", "fan-ö", 'a,"b"'))
-    bucket = st.builds(MetricBucket, metrics, st.integers(0, 2))
-    buckets = {
-        path: draw(st.lists(bucket, max_size=3))
-        for path in draw(st.lists(metric_paths, max_size=6, unique=True))
-    }
-    return reports, tfidf_rows(tokens, vocab), vocab, paths, buckets
+    cells = draw(st.lists(st.tuples(st.sampled_from(paths), metrics), max_size=10, unique=True))
+    records = [MetricRecord(path, metric, float(draw(st.integers(0, 4)))) for path, metric in cells]
+    return reports, tfidf_rows(tokens, vocab), vocab, paths, records
+
+
+def _reference_corpus(corpus):
+    """The corpus as netref reads it: the records turned into per-path
+    bucket key lists by the dict rule."""
+    *rest, records = corpus
+    return (*rest, reference_buckets(records, _NB))
 
 
 def _reference_dump_and_counts(corpus, path):
     """Write the edge-list reference's edges to path as the sorted
     (smaller node, larger node, weight) tuples that define network.csv's
     order, and return the counts line, from Counters over the same tuples."""
+    corpus = _reference_corpus(corpus)
     nodes = reference_network(*corpus)[0]
     edges = sorted((min(a, b), max(a, b), w) for a, b, w in reference_edges(*corpus))
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -283,11 +278,11 @@ def _assert_matches_reference(corpus):
         assert dumped.read_bytes() == expected.read_bytes()
     counts = {"severity": "info", "code": "counts", "message": counts_line}
     assert validate_network(net)[-1] == counts
-    nodes, adjacency, degree, labels = reference_network(*corpus)
+    nodes, adjacency, degree, labels = reference_network(*_reference_corpus(corpus))
     assert net.nodes == nodes
-    reports, tfidf, vocab, paths, buckets = corpus
+    reports, tfidf, vocab, paths, records = corpus
     universe = tuple(sorted(paths))
-    keys = bucket_links(buckets, universe)[0]
+    keys = discretize(records, _NB, universe)[0]
     assert net.nodes == node_table([report.id for report in reports], tfidf, vocab, universe, keys)
     np.testing.assert_array_equal(net.adjacency.indptr, adjacency.indptr)
     np.testing.assert_array_equal(net.adjacency.indices, adjacency.indices)
@@ -312,8 +307,8 @@ class TestAgainstEdgeListReference:
 
     def test_listed_cases(self):
         # chronological ids out of sorted order, an empty row, two-file
-        # fixes, a bucket listed twice, a metric path outside the universe,
-        # non-ASCII ids, terms and paths, keys that CSV must quote
+        # fixes, tied metric values, a path with no metrics, non-ASCII ids,
+        # terms, paths and metrics, keys that CSV must quote
         paths = ["src/A.java", "src/ünï/日本.java", "src/Z.java", 'src/a,"b".java']
         reports = [
             SimpleNamespace(id="B-9", fixed_files=("src/Z.java", "src/A.java")),
@@ -327,20 +322,25 @@ class TestAgainstEdgeListReference:
             ["leak"],
         ]
         vocab = build_vocabulary(tokens)
-        lines = MetricBucket("lines", 0)
-        buckets = {
-            "src/Z.java": [lines, MetricBucket("fan-ö", 1), lines],
-            "lib/Gone.java": [MetricBucket("lines", 2)],
-            "src/A.java": [lines],
-            'src/a,"b".java': [MetricBucket('a,"b"', 0)],
-        }
-        _assert_matches_reference((reports, tfidf_rows(tokens, vocab), vocab, paths, buckets))
+        records = [
+            MetricRecord("src/Z.java", "lines", 1.0),
+            MetricRecord("src/Z.java", "fan-ö", 5.0),
+            MetricRecord("src/A.java", "fan-ö", 1.0),
+            MetricRecord("src/A.java", "lines", 1.0),
+            MetricRecord('src/a,"b".java', "lines", 9.0),
+            MetricRecord('src/a,"b".java', 'a,"b"', 0.0),
+        ]
+        # lines:0 for Z and A, lines:2, fan-ö:0 and fan-ö:1, a,"b":0
+        assert discretize(records, _NB, sorted(paths))[0] == (
+            'a,"b":0', "fan-ö:0", "fan-ö:1", "lines:0", "lines:2",
+        )
+        _assert_matches_reference((reports, tfidf_rows(tokens, vocab), vocab, paths, records))
 
     def test_edgeless_network(self):
         reports = [SimpleNamespace(id="B-1", fixed_files=())]
         tokens = [[]]
         vocab = build_vocabulary(tokens)
-        corpus = (reports, tfidf_rows(tokens, vocab), vocab, ["src/A.java"], {})
+        corpus = (reports, tfidf_rows(tokens, vocab), vocab, ["src/A.java"], [])
         _assert_matches_reference(corpus)
         counts = validate_network(_build(*corpus))[-1]["message"]
         assert counts == "nodes B=1 T=0 S=1 M=0; edges"
@@ -348,8 +348,8 @@ class TestAgainstEdgeListReference:
 
 class TestValidateNetwork:
     def test_clean_network_has_no_errors(self):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = _build(reports, bows, vocab, paths, buckets)
+        reports, bows, vocab, paths, records = _tiny_corpus()
+        net = _build(reports, bows, vocab, paths, records)
         diags = validate_network(net)
         assert not [d for d in diags if d["severity"] == "error"]
         info = [d for d in diags if d["code"] == "counts"]
@@ -366,8 +366,8 @@ class TestValidateNetwork:
 
 class TestWriteEdgeCsv:
     def test_deterministic_and_round_trips(self, tmp_path):
-        reports, bows, vocab, paths, buckets = _tiny_corpus()
-        net = _build(reports, bows, vocab, paths, buckets)
+        reports, bows, vocab, paths, records = _tiny_corpus()
+        net = _build(reports, bows, vocab, paths, records)
         p1 = tmp_path / "edges1.csv"
         p2 = tmp_path / "edges2.csv"
         write_edge_csv(net, p1)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy import sparse
 
-from bugloc.corpus import CSR, bow_vectorize, build_vocabulary, tfidf_rows
+from bugloc.corpus import CSR, bow_vectorize, build_vocabulary, link_matrix, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ValidationError
 from bugloc.network import TypedNode, kind_slice
-from bugloc.pipeline import link_matrix
 from bugloc.ranker import (
     bow_file_scores,
     build_bow_index,
