@@ -121,6 +121,15 @@ def _parse_time(raw, where: str) -> datetime:
     return stamp.astimezone(timezone.utc)
 
 
+def _check_unicode(text: str, what: str, where: str) -> None:
+    """Reject a key that no UTF-8 output can hold: a JSON escape such as
+    "\\ud800" decodes to a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{where}: {what} {text!r} holds a lone surrogate") from None
+
+
 def _parse_report(rec, where: str) -> BugReport:
     if not isinstance(rec, dict):
         raise ParseError(f"{where}: expected a JSON object")
@@ -130,6 +139,7 @@ def _parse_report(rec, where: str) -> BugReport:
     rid = rec["id"]
     if not isinstance(rid, str) or not rid:
         raise ParseError(f"{where}: id must be a nonempty string")
+    _check_unicode(rid, "id", where)
     for key in ("summary", "description", "status"):
         if not isinstance(rec[key], str):
             raise ParseError(f"{where}: {key} must be a string")
@@ -140,6 +150,7 @@ def _parse_report(rec, where: str) -> BugReport:
     for item in raw_files:
         if not isinstance(item, str) or not item:
             raise ParseError(f"{where}: fixed_files entries must be nonempty strings")
+        _check_unicode(item, "fixed file", where)
         if item not in fixed:
             fixed.append(item)
     return BugReport(
@@ -210,6 +221,7 @@ def load_source_docs(path, rules: TokenRules) -> dict[str, list[str]]:
         doc_path = rec["path"]
         if not isinstance(doc_path, str) or not doc_path:
             raise ParseError(f"{where}: path must be a nonempty string")
+        _check_unicode(doc_path, "path", where)
         if not isinstance(rec["content"], str):
             raise ParseError(f"{where}: content must be a string")
         return doc_path, tokenize(rec["content"], rules)

@@ -4,6 +4,7 @@ one of them, and the one CSV dialect every output is written in."""
 import csv
 from contextlib import contextmanager
 from pathlib import PurePath
+from types import SimpleNamespace
 
 
 class ValidationError(Exception):
@@ -33,6 +34,10 @@ def write_csv(target, header, rows) -> None:
         with open(target, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, header, rows)
     else:
-        writer = csv.writer(target, lineterminator="\n")
+        # the writer quotes a field holding a character of its line end, so
+        # with "\r\n" it quotes a bare "\r", which a reader takes as one; each
+        # row it writes then ends in "\n" alone
+        rows_out = SimpleNamespace(write=lambda row: target.write(row[:-2] + "\n"))
+        writer = csv.writer(rows_out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -13,10 +13,10 @@ write_edge_csv dumps it straight from them.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from itertools import accumulate, chain, combinations, repeat
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 KINDS = ("B", "T", "S", "M")
+_ORDER = "BMST"
+_POSITION = {kind: i for i, kind in enumerate(_ORDER)}
 
 
 class TypedNode(NamedTuple):
@@ -36,12 +38,46 @@ class TypedNode(NamedTuple):
     key: str
 
 
-def kind_slice(nodes: Sequence[TypedNode], kind: str) -> slice:
-    """Positions of one kind's nodes in a sorted node sequence.
-
-    TypedNode sorts by kind first, so each kind's nodes are contiguous.
+@dataclass(frozen=True)
+class NodeTable:
+    """The typed nodes of a network or a model, one per row, in the one node
+    order: kinds as B < M < S < T, and each kind's keys sorted and distinct.
+    Row r holds keys[r], and kind _ORDER[i] rows bounds[i] to bounds[i + 1].
+    Indexing and iteration give TypedNodes.
     """
-    return slice(bisect_left(nodes, (kind,)), bisect_left(nodes, (kind + "\0",)))
+
+    keys: tuple[str, ...]
+    bounds: tuple[int, ...]
+
+    @classmethod
+    def of(cls, blocks: Mapping[str, Sequence[str]]) -> "NodeTable":
+        """The table of each kind's sorted, distinct keys; a kind left out has none."""
+        lists = [blocks.get(kind, ()) for kind in _ORDER]
+        return cls(tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0)))
+
+    def __len__(self) -> int:
+        return self.bounds[-1]
+
+    def rows(self, kind: str) -> slice:
+        """The rows of one kind; KeyError for a kind outside B, M, S, T."""
+        i = _POSITION[kind]
+        return slice(self.bounds[i], self.bounds[i + 1])
+
+    def row(self, node: TypedNode) -> int:
+        """The row of a node; KeyError for a node the table lacks."""
+        kind, key = node
+        span = self.rows(kind)
+        row = bisect_left(self.keys, key, span.start, span.stop)
+        if row == span.stop or self.keys[row] != key:
+            raise KeyError(node)
+        return row
+
+    def __getitem__(self, row: int) -> TypedNode:
+        return TypedNode(_ORDER[bisect_right(self.bounds, row) - 1], self.keys[row])
+
+    def __iter__(self):
+        for kind, start, stop in zip(_ORDER, self.bounds, self.bounds[1:]):
+            yield from map(TypedNode, repeat(kind), self.keys[start:stop])
 
 
 def component_labels(num_nodes: int, pairs: np.ndarray) -> np.ndarray:
@@ -80,7 +116,7 @@ class HeteroNetwork:
     Built by from_pairs; the graph never changes afterwards.
     """
 
-    nodes: tuple[TypedNode, ...]  # sorted
+    nodes: NodeTable
     adjacency: sparse.csr_array  # symmetric edge weights
     degree: np.ndarray  # row sums of adjacency
     labels: np.ndarray  # connected-component label per row
@@ -88,9 +124,9 @@ class HeteroNetwork:
 
     @classmethod
     def from_pairs(
-        cls, nodes: tuple[TypedNode, ...], pairs: np.ndarray, weights: np.ndarray
+        cls, nodes: NodeTable, pairs: np.ndarray, weights: np.ndarray
     ) -> "HeteroNetwork":
-        """The network over sorted, distinct nodes whose edge e joins rows
+        """The network over the table's nodes whose edge e joins rows
         pairs[e] (an (m, 2) intp array) with weight weights[e]; each row
         lists its neighbors in edge order, so sums over a row add in that
         order. Rejects, naming it, a second edge between one node pair.
@@ -99,8 +135,8 @@ class HeteroNetwork:
 
         _, first = np.unique(pairs.min(axis=1) * len(nodes) + pairs.max(axis=1), return_index=True)
         if len(first) < len(pairs):
-            a, b = pairs[np.setdiff1d(np.arange(len(pairs)), first)[0]].tolist()
-            raise ValidationError(f"duplicate edge between {nodes[a]} and {nodes[b]}")
+            a, b = (nodes[row] for row in pairs[np.setdiff1d(np.arange(len(pairs)), first)[0]])
+            raise ValidationError(f"duplicate edge between {a.kind}:{a.key} and {b.kind}:{b.key}")
         # each edge once per direction, a->b then b->a; a stable sort by row
         # keeps every row's entries in edge order
         rows, columns = pairs.ravel(), pairs[:, ::-1].ravel()
@@ -116,14 +152,12 @@ class HeteroNetwork:
             adjacency=adjacency,
             degree=adjacency.sum(axis=1),
             labels=component_labels(len(nodes), pairs),
-            kind_rows={kind: adjacency[kind_slice(nodes, kind)] for kind in KINDS},
+            kind_rows={kind: adjacency[nodes.rows(kind)] for kind in KINDS},
         )
 
     def neighbors(self, node: TypedNode) -> dict[TypedNode, float]:
         """A node's neighbors and edge weights, in edge order."""
-        row = bisect_left(self.nodes, node)
-        if row == len(self.nodes) or self.nodes[row] != node:
-            raise KeyError(node)
+        row = self.nodes.row(node)
         span = slice(*self.adjacency.indptr[row : row + 2])
         columns, weights = self.adjacency.indices[span], self.adjacency.data[span]
         return {self.nodes[j]: w for j, w in zip(columns.tolist(), weights.tolist())}
@@ -156,17 +190,15 @@ def node_table(
     vocab: Vocabulary,
     universe: Sequence[str],
     bucket_keys: Sequence[str],
-) -> tuple[TypedNode, ...]:
-    """The sorted nodes of the network over a training corpus: B the report
-    ids, M the bucket keys, S the universe's paths, and T the terms that
-    weigh in some TF-IDF row. The keys and paths come sorted and distinct.
-    build_network links them, and check_model_nodes compares a model with
-    them. Kinds sort as B < M < S < T, and vocabulary indices follow sorted
-    term order, so each kind's block comes out sorted.
+) -> NodeTable:
+    """The nodes of the network over a training corpus: B the report ids,
+    M the bucket keys, S the universe's paths, and T the terms that weigh
+    in some TF-IDF row. The keys and paths come sorted and distinct, and
+    vocabulary indices follow sorted term order. build_network links them,
+    and check_model_nodes compares a model with them.
     """
     terms = [vocab.terms[j] for j in np.flatnonzero(np.bincount(tfidf.indices)).tolist()]
-    blocks = zip("BMST", (sorted(report_ids), bucket_keys, universe, terms))
-    return tuple(node for kind, block in blocks for node in map(TypedNode, repeat(kind), block))
+    return NodeTable.of({"B": sorted(report_ids), "M": bucket_keys, "S": universe, "T": terms})
 
 
 def build_network(
@@ -199,9 +231,9 @@ def build_network(
     # the B block comes first, in id order: a report's row is its id's rank
     b_rows = np.empty(len(report_ids), dtype=np.intp)
     b_rows[sorted(range(len(report_ids)), key=report_ids.__getitem__)] = range(len(report_ids))
-    s_start, m_start = kind_slice(nodes, "S").start, kind_slice(nodes, "M").start
+    s_start, m_start = nodes.rows("S").start, nodes.rows("M").start
     counts = np.diff(tfidf.indptr)
-    t_rows = kind_slice(nodes, "T").start + np.unique(tfidf.indices, return_inverse=True)[1]
+    t_rows = nodes.rows("T").start + np.unique(tfidf.indices, return_inverse=True)[1]
     t_b = (t_rows, np.repeat(b_rows, counts))
     b_s = (np.repeat(b_rows, np.diff(fix_links.indptr)), s_start + fix_links.indices)
     s_rows = s_start + np.arange(len(universe))
@@ -233,13 +265,13 @@ def validate_network(net: HeteroNetwork) -> list[dict]:
             "message": f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
             f"has no path to any T node",
         }
-        for size, sample in net.components_without(kind_slice(net.nodes, "T"))[1]
+        for size, sample in net.components_without(net.nodes.rows("T"))[1]
     ]
     counts = " ".join(f"{k}={net.kind_rows[k].shape[0]}" for k in KINDS)
     edges = " ".join(
         f"{a}-{b}={n}"
         for a, b in combinations(sorted(KINDS), 2)
-        if (n := net.kind_rows[a][:, kind_slice(net.nodes, b)].nnz)
+        if (n := net.kind_rows[a][:, net.nodes.rows(b)].nnz)
     )
     message = f"nodes {counts}; edges {edges}".rstrip()
     return diags + [{"severity": "info", "code": "counts", "message": message}]
@@ -255,7 +287,7 @@ def write_edge_csv(net: HeteroNetwork, path) -> None:
     upper = sparse.triu(net.adjacency, k=1, format="csr")
     upper.sort_indices()
     upper = upper.tocoo()
-    nodes = net.nodes
+    nodes = tuple(net.nodes)
     write_csv(
         path,
         ("kind1", "key1", "kind2", "key2", "weight"),

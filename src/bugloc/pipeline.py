@@ -41,7 +41,7 @@ from .embeddings import (
 )
 from .errors import ValidationError, read_text
 from .metrics import MetricRecord, discretize, load_metrics
-from .network import KINDS, HeteroNetwork, build_network, kind_slice, node_table
+from .network import KINDS, HeteroNetwork, build_network, node_table
 from .regularizer import RepresentationModel, SolverConfig
 
 logger = logging.getLogger(__name__)
@@ -417,26 +417,25 @@ def check_model_nodes(model: RepresentationModel, index: Index, table: Embedding
     expected = node_table(ids, index.tfidf, index.vocab, index.universe, index.bucket_keys)
     what = {"B": "training reports", "T": "terms with a nonzero TF-IDF weight",
             "S": "file universe", "M": "metric buckets"}
+    nodes = model.nodes
     for kind in KINDS:
-        if model.nodes[kind_slice(model.nodes, kind)] != expected[kind_slice(expected, kind)]:
+        if nodes.keys[nodes.rows(kind)] != expected.keys[expected.rows(kind)]:
             raise ValidationError(
                 f"the model's {kind} nodes differ from the dataset's {what[kind]} "
                 "under the current settings"
             )
-    if len(model.nodes) != len(expected):
-        raise ValidationError("the model holds nodes of an unknown kind")
     if model.dim != table.dim:
         raise ValidationError(f"the model has {model.dim} dimensions, the embeddings {table.dim}")
-    terms = kind_slice(model.nodes, "T")
-    rows = np.full(len(model.nodes), -1)
-    rows[terms] = table.rows_of(node.key for node in model.nodes[terms])
+    terms = nodes.rows("T")
+    rows = np.full(len(nodes), -1)
+    rows[terms] = table.rows_of(nodes.keys[terms])
     differs = model.clamped_rows != (rows >= 0)
     clamped = np.flatnonzero(model.clamped_rows & (rows >= 0))
     for block in np.split(clamped, range(256, len(clamped), 256)):
         bits = model.matrix[block].view(np.uint64) != table.matrix[rows[block]].view(np.uint64)
         differs[block] = bits.any(axis=1)
     if differs.any():
-        node = model.nodes[np.argmax(differs)]
+        node = nodes[np.argmax(differs)]
         raise ValidationError(
             f"the model's clamped rows differ from the embeddings at {node.kind}:{node.key}"
         )
@@ -460,7 +459,7 @@ class Scorer:
         self.files = {}
         if model is not None:
             check_model_nodes(model, index, table)
-            rows = kind_slice(model.nodes, "S")
+            rows = model.nodes.rows("S")
             self.files[evaluation.METHOD_NETREG] = ranker.prepare_rows(model.matrix[rows])
         if file_vectors is not None:
             self.files[evaluation.METHOD_EMBEDDING] = ranker.prepare_rows(file_vectors)

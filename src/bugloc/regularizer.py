@@ -24,7 +24,6 @@ import hashlib
 import json
 import logging
 import os
-from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import compress
@@ -33,7 +32,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import ParseError, ValidationError
-from .network import HeteroNetwork, TypedNode, kind_slice
+from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
 
@@ -70,18 +69,14 @@ class RepresentationModel:
     """One vector per network node, as rows of a matrix, and which rows are
     clamped, as a boolean mask over the rows.
 
-    `nodes` is sorted, so each kind's rows are contiguous. The mask is the
-    one record of the clamped set; `clamped` derives the nodes from it.
+    Row i belongs to nodes[i]. The mask is the one record of the clamped
+    set; `clamped` derives the nodes from it.
     """
 
-    nodes: tuple[TypedNode, ...]
+    nodes: NodeTable
     matrix: np.ndarray  # len(nodes) x dim
     clamped_rows: np.ndarray  # bool per row
     convergence: ConvergenceReport | None = None
-
-    def __post_init__(self):
-        if any(a >= b for a, b in zip(self.nodes, self.nodes[1:])):
-            raise ValidationError("model nodes must be sorted and distinct")
 
     @cached_property
     def clamped(self) -> frozenset[TypedNode]:
@@ -92,10 +87,7 @@ class RepresentationModel:
         return self.matrix.shape[1]
 
     def vector(self, node: TypedNode) -> np.ndarray:
-        row = bisect_left(self.nodes, node)
-        if row == len(self.nodes) or self.nodes[row] != node:
-            raise KeyError(node)
-        return self.matrix[row]
+        return self.matrix[self.nodes.row(node)]
 
 
 def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
@@ -104,8 +96,8 @@ def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> Repr
     A T node missing from the table stays free, like B, S, and M nodes.
     """
     nodes = net.nodes
-    terms = kind_slice(nodes, "T")
-    rows = table.rows_of(node.key for node in nodes[terms])
+    terms = nodes.rows("T")
+    rows = table.rows_of(nodes.keys[terms])
     known = rows >= 0
     matrix = np.zeros((len(nodes), table.dim))
     matrix[terms][known] = table.matrix[rows[known]]
@@ -133,7 +125,7 @@ def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
     movable = ~model.clamped_rows & (net.degree > 0)
     max_disp = 0.0
     for kind in _SWEEP_KINDS:
-        block = kind_slice(net.nodes, kind)
+        block = net.nodes.rows(kind)
         rows = movable[block]
         if not rows.any():
             continue
@@ -217,9 +209,9 @@ def _format_row(row: np.ndarray) -> str:
     return " ".join(map(repr, row.tolist()))
 
 
-def _clamped_record(node: TypedNode, text: str) -> bytes:
+def _clamped_record(kind: str, key: str, text: str) -> bytes:
     """What the header digest hashes for one clamped node and its row text."""
-    return f"{node.kind}{node.key}\0{text}\n".encode()
+    return f"{kind}{key}\0{text}\n".encode()
 
 
 def _header(model: RepresentationModel, digest: str) -> str:
@@ -236,18 +228,18 @@ def dump_model(model: RepresentationModel, path) -> None:
     to the digest, and the header, whose length does not depend on the
     digest's value, is rewritten in place once the last row is out.
     """
-    for node in model.nodes:
-        if "\t" in node.key or "\n" in node.key:
-            raise ValidationError(f"node key {node.key!r} cannot be serialized")
+    for key in model.nodes.keys:
+        if "\t" in key or "\n" in key:
+            raise ValidationError(f"node key {key!r} cannot be serialized")
     matrix = np.asarray(model.matrix, dtype=np.float64)
     digest = hashlib.sha256()
 
     def lines():
-        for node, clamped, row in zip(model.nodes, model.clamped_rows, matrix):
+        for (kind, key), clamped, row in zip(model.nodes, model.clamped_rows, matrix):
             text = _format_row(row)
             if clamped:
-                digest.update(_clamped_record(node, text))
-            yield f"{node.kind}\t{node.key}\t{'c' if clamped else 'f'}\t{text}\n"
+                digest.update(_clamped_record(kind, key, text))
+            yield f"{kind}\t{key}\t{'c' if clamped else 'f'}\t{text}\n"
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_header(model, "0" * 64))
@@ -259,10 +251,10 @@ def dump_model(model: RepresentationModel, path) -> None:
 def load_model(path) -> RepresentationModel:
     """Read a model exactly as dump_model writes it.
 
-    Rows must come in strictly increasing node order, one per line, every
-    value finite, and the header digest must equal the sha256 of the
-    clamped rows' text as read: a hand-edited file is rejected, even one
-    that only reformats a value.
+    Rows must come in strictly increasing node order, one per line, each of
+    kind B, M, S or T, every value finite, and the header digest must equal
+    the sha256 of the clamped rows' text as read: a hand-edited file is
+    rejected, even one that only reformats a value.
     """
     # lines end at "\n" only, as dump_model writes them: a key may hold "\r"
     with open(path, encoding="utf-8", newline="\n") as fh:
@@ -279,15 +271,17 @@ def load_model(path) -> RepresentationModel:
         size = os.fstat(fh.fileno()).st_size
         capacity = min(max(declared_nodes, 0), size // (2 * max(dim, 0) + 5))
         matrix = np.empty((capacity, min(max(dim, 0), size)))
-        nodes: list[TypedNode] = []
+        blocks: dict[str, list[str]] = {kind: [] for kind in KINDS}
         clamped: list[bool] = []
+        last: tuple = ()  # below every (kind, key)
         digest = hashlib.sha256()
         for lineno, line in enumerate(fh, 2):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4:
                 raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
             kind, key, flag, raw = parts
-            node = TypedNode(kind, key)
+            if kind not in blocks:
+                raise ParseError(f"{path}: line {lineno}: node of unknown kind {kind!r}")
             try:
                 values = list(map(float, raw.split()))
             except ValueError as exc:
@@ -297,23 +291,24 @@ def load_model(path) -> RepresentationModel:
                     f"{path}: line {lineno}: vector has {len(values)} components, expected {dim}"
                 )
             if flag == "c":
-                digest.update(_clamped_record(node, raw))
+                digest.update(_clamped_record(kind, key, raw))
             elif flag != "f":
                 raise ParseError(f"{path}: line {lineno}: bad clamp flag {flag!r}")
-            if len(nodes) == len(matrix):
+            if len(clamped) == len(matrix):
                 raise ValidationError(
                     f"{path}: header declares {declared_nodes} nodes but file holds more"
                 )
-            if nodes and node <= nodes[-1]:
+            if (kind, key) <= last:
                 raise ValidationError(
-                    f"{path}: line {lineno}: node {node} is a duplicate or out of order"
+                    f"{path}: line {lineno}: node {kind}:{key} is a duplicate or out of order"
                 )
-            matrix[len(nodes)] = values
-            nodes.append(node)
+            matrix[len(clamped)] = values
+            blocks[kind].append(key)
             clamped.append(flag == "c")
-    if len(nodes) != declared_nodes:
+            last = kind, key
+    if len(clamped) != declared_nodes:
         raise ValidationError(
-            f"{path}: header declares {declared_nodes} nodes but file holds {len(nodes)}"
+            f"{path}: header declares {declared_nodes} nodes but file holds {len(clamped)}"
         )
     if digest.hexdigest() != declared_digest:
         raise ValidationError(f"{path}: clamped-set digest mismatch")
@@ -322,4 +317,4 @@ def load_model(path) -> RepresentationModel:
     if not finite.all():
         lineno = int(np.argmin(finite)) + 2
         raise ValidationError(f"{path}: line {lineno}: vector holds a value that is not finite")
-    return RepresentationModel(tuple(nodes), matrix, np.array(clamped, dtype=bool))
+    return RepresentationModel(NodeTable.of(blocks), matrix, np.array(clamped, dtype=bool))

@@ -1,6 +1,7 @@
 """Hand-built and seeded random typed networks for solver tests.
 
-network_of builds a HeteroNetwork from (a, b, weight) edge tuples.
+table_of turns TypedNodes into a NodeTable, and network_of builds a
+HeteroNetwork from (a, b, weight) edge tuples.
 
 Every generated network keeps the kind-pair rules, stays at or below 30
 nodes, uses positive weights, and anchors every free component to at least
@@ -18,19 +19,26 @@ import random
 import numpy as np
 
 from bugloc.embeddings import EmbeddingTable
-from bugloc.network import HeteroNetwork, TypedNode
+from bugloc.network import HeteroNetwork, NodeTable, TypedNode
 from bugloc.regularizer import SolverConfig, energy, initialize_representation, sweep_update
 from tables import make_table
+
+
+def table_of(nodes) -> NodeTable:
+    """The node table of some TypedNodes, given in any order."""
+    blocks = {}
+    for kind, key in sorted(set(nodes)):
+        blocks.setdefault(kind, []).append(key)
+    return NodeTable.of(blocks)
 
 
 def network_of(edges, nodes=()) -> HeteroNetwork:
     """The network of the given (a, b, weight) edges plus any further nodes,
     each row listing its neighbors in edge order."""
-    order = tuple(sorted({*nodes, *(node for a, b, _ in edges for node in (a, b))}))
-    row = {node: i for i, node in enumerate(order)}
+    table = table_of([*nodes, *(node for a, b, _ in edges for node in (a, b))])
     return HeteroNetwork.from_pairs(
-        order,
-        np.array([(row[a], row[b]) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2),
+        table,
+        np.array([(table.row(a), table.row(b)) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2),
         np.array([weight for _, _, weight in edges], dtype=np.float64),
     )
 

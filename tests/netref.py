@@ -11,11 +11,18 @@ row lists its neighbors in edge order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from bugloc.network import TypedNode
+
+
+def kind_slice(nodes, kind):
+    """The positions of one kind in sorted TypedNodes, which sort by kind first."""
+    return slice(bisect_left(nodes, (kind,)), bisect_left(nodes, (kind + "\0",)))
 
 
 def reference_edges(reports, tfidf, vocab, paths, buckets):

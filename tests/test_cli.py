@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -383,28 +384,29 @@ class TestSolveEvalSweepQuery:
         assert sorted(p.name for p in tmp_path.rglob("*.csv")) == []
 
     def test_query_rows_quote_paths_with_commas_and_quotes(self, cli_dataset, tmp_path, capsys):
-        odd = 'src/topic00/File,00 "v2".java'
-        data = tmp_path / "data"
-        data.mkdir()
-        # no metrics.csv, so the universe is the source paths
-        for name in ("reports.jsonl", "sources.jsonl"):
-            text = (cli_dataset / name).read_text(encoding="utf-8")
-            text = text.replace("src/topic00/File00.java", json.dumps(odd)[1:-1])
-            (data / name).write_text(text, encoding="utf-8")
-        (data / "embeddings.txt").write_bytes((cli_dataset / "embeddings.txt").read_bytes())
-        report = {
-            "id": "Q-1", "summary": "top00w00a fil00w00a", "description": "fil00w01a",
-            "report_time": "2022-01-01T00:00:00Z", "status": "open", "fixed_files": [],
-        }
-        report_path = tmp_path / "query.jsonl"
-        report_path.write_text(json.dumps(report) + "\n", encoding="utf-8")
-        assert _run("query", "--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"),
-                    "--report", str(report_path), "--k", "100") == 0
-        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        assert rows[0] == ["rank", "path", "score"]
-        assert all(len(row) == 3 for row in rows)
-        assert [row[0] for row in rows[1:]] == [str(i) for i in range(1, len(rows))]
-        assert odd in {row[1] for row in rows[1:]}
+        # a bare "\r" must be quoted too: a CSV reader takes it as a line end
+        for case, odd in enumerate(['src/topic00/File,00 "v2".java', "src/topic00/File\r00.java"]):
+            data = tmp_path / f"data{case}"
+            data.mkdir()
+            # no metrics.csv, so the universe is the source paths
+            for name in ("reports.jsonl", "sources.jsonl"):
+                text = (cli_dataset / name).read_text(encoding="utf-8")
+                text = text.replace("src/topic00/File00.java", json.dumps(odd)[1:-1])
+                (data / name).write_text(text, encoding="utf-8")
+            (data / "embeddings.txt").write_bytes((cli_dataset / "embeddings.txt").read_bytes())
+            report = {
+                "id": "Q-1", "summary": "top00w00a fil00w00a", "description": "fil00w01a",
+                "report_time": "2022-01-01T00:00:00Z", "status": "open", "fixed_files": [],
+            }
+            report_path = tmp_path / "query.jsonl"
+            report_path.write_text(json.dumps(report) + "\n", encoding="utf-8")
+            assert _run("query", "--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"),
+                        "--report", str(report_path), "--k", "100") == 0
+            rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+            assert rows[0] == ["rank", "path", "score"]
+            assert all(len(row) == 3 for row in rows)
+            assert [row[0] for row in rows[1:]] == [str(i) for i in range(1, len(rows))]
+            assert odd in {row[1] for row in rows[1:]}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["eval", "query"])
@@ -634,6 +636,42 @@ class TestDegenerateInputs:
             "3,src/日本.java,0.00000000",
         ]
         assert _csv_lines(out / "query_Ř-12.csv")[1].split(",")[1] == "src/日本.java"
+
+
+    @pytest.mark.parametrize("where", ["report id", "source path", "query id"])
+    def test_lone_surrogate_in_an_id_or_path_is_an_error(self, tmp_path, capsys, where):
+        # a JSON escape can name one, but no UTF-8 output can hold it
+        reports = [_bug(day, _TOPICS[day % 3], [self._FILES[day % 3]]) for day in range(1, 11)]
+        sources = [(path, "alpha beta") for path in self._FILES]
+        data = _write_dataset(tmp_path / "data", reports, sources)
+        batch = tmp_path / "batch.jsonl"
+        queries = [dict(reports[-1], id="Q-1"), dict(reports[-1], id="Q-2")]
+        if where == "report id":
+            reports[4]["id"] = "B-\ud800"
+            bad, line, shown = data / "reports.jsonl", 5, "id 'B-\\ud800'"
+        elif where == "source path":
+            sources.append(("src/\udcffD.java", "gamma"))
+            bad, line, shown = data / "sources.jsonl", 4, "path 'src/\\udcffD.java'"
+        else:
+            queries[1]["id"] = "Q-\ud800"
+            bad, line, shown = batch, 2, "id 'Q-\\ud800'"
+        # JSON escapes keep the surrogate through a UTF-8 file
+        for path, records in (
+            (data / "reports.jsonl", reports),
+            (data / "sources.jsonl", [{"path": p, "content": c} for p, c in sources]),
+            (batch, queries),
+        ):
+            path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        args = ("--dataset-dir", str(data), "--out-dir", str(tmp_path / "out"))
+        commands = [("query", *args, "--report", str(batch))]
+        if where != "query id":
+            commands = [("build", *args), ("solve", *args), *commands]
+        for argv in commands:
+            capsys.readouterr()
+            assert _run(*argv) == 1
+            shown_line = f"error: {bad}: line {line}: {shown} holds a lone surrogate\n"
+            assert capsys.readouterr().err == shown_line
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

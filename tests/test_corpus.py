@@ -194,6 +194,25 @@ class TestLoadBugReports:
         (r,) = load_bug_reports(p)
         assert r.text == "crash\non start"
 
+    @pytest.mark.parametrize(
+        "report, shown",
+        [
+            (_report("B-\ud800"), "id 'B-\\ud800'"),
+            (
+                _report("B-2", files=("src/A.java", "src/\udcffB.java")),
+                "fixed file 'src/\\udcffB.java'",
+            ),
+        ],
+        ids=["id", "fixed file"],
+    )
+    def test_lone_surrogate_rejected(self, tmp_path, report, shown):
+        # a JSON escape can name one, but no UTF-8 output can hold it
+        p = tmp_path / "r.jsonl"
+        _write_jsonl(p, [_report("B-1"), report])
+        with pytest.raises(ParseError) as err:
+            load_bug_reports(p)
+        assert str(err.value) == f"{p}: line 2: {shown} holds a lone surrogate"
+
 
 @pytest.mark.parametrize(
     "load, record, repeated",
@@ -250,6 +269,13 @@ class TestLoadSources:
         _write_jsonl(p, [{"path": "src/A.java"}])
         with pytest.raises(ParseError, match="content"):
             load_source_docs(p, rules)
+
+    def test_lone_surrogate_in_path_rejected(self, tmp_path, rules):
+        p = tmp_path / "s.jsonl"
+        _write_jsonl(p, [{"path": "src/\ud800A.java", "content": "x"}])
+        with pytest.raises(ParseError) as err:
+            load_source_docs(p, rules)
+        assert str(err.value) == f"{p}: line 1: path 'src/\\ud800A.java' holds a lone surrogate"
 
 
 class TestVocabulary:

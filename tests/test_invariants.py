@@ -1,0 +1,229 @@
+"""End-to-end invariants of the CLI over tiny generated datasets with
+mutated inputs.
+
+Each example writes a small synth dataset, applies up to three mutations
+from MUTATIONS to its files, and runs ingest, build, solve (twice), eval
+and query (one report and a batch), fresh and with the solved model,
+through cli.main in process. Whatever the inputs:
+
+- every command exits 0 or 1, and exit 1 prints exactly one `error:` line
+  and no traceback;
+- after solve, eval --model writes a fresh eval's three CSVs byte for byte,
+  and query --model prints and writes what a fresh query does;
+- two identical solve runs write identical model.tsv and manifest.json;
+- every manifest is strict JSON;
+- a ranking lists distinct universe paths, and its scores never rise.
+
+Stdout is a strict UTF-8 stream, as a terminal's is, so text that cannot be
+encoded fails as it would in a real run.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import random
+import re
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from bugloc import synthgen
+from bugloc.cli import main
+
+SPEC = dict(num_reports=20, num_files=5, vocab_size=60, dim=3, topic_count=2)
+MUTATIONS = (
+    "one_file",  # every report fixes one file, the only one with sources and metrics
+    "odd_id",  # unicode, commas, quotes or "\r" inside a report id
+    "odd_path",  # the same inside a path, everywhere it is named
+    "drop_embeddings",  # some embedding rows gone, so some T nodes are free
+    "drop_metrics",  # some metrics rows gone
+    "stopword_report",  # a report whose text is all stopwords
+    "surrogate",  # a lone surrogate, from a JSON escape, inside an id or a path
+)
+ODD = st.text(alphabet="Ř日,\"' \r", min_size=1, max_size=3)
+QUERY_BATCH = 3
+
+
+def _strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+class Inputs:
+    """A synth dataset's files as records, mutated in place, then written back."""
+
+    def __init__(self, root: Path):
+        self.root = root
+        read = lambda name: (root / name).read_text(encoding="utf-8").splitlines()  # noqa: E731
+        self.reports = [json.loads(line) for line in read("reports.jsonl")]
+        self.sources = [json.loads(line) for line in read("sources.jsonl")]
+        with open(root / "metrics.csv", encoding="utf-8", newline="") as fh:
+            self.metrics = list(csv.reader(fh))[1:]
+        self.embeddings = read("embeddings.txt")[1:]
+
+    def rename_path(self, old: str, new: str, metrics: bool = True) -> None:
+        for doc in self.sources:
+            doc["path"] = new if doc["path"] == old else doc["path"]
+        for report in self.reports:
+            report["fixed_files"] = [new if p == old else p for p in report["fixed_files"]]
+        self.metrics = [
+            [new, *row[1:]] if row[0] == old else row
+            for row in self.metrics
+            if metrics or row[0] != old
+        ]
+
+    def universe(self) -> set[str]:
+        return {doc["path"] for doc in self.sources} | {row[0] for row in self.metrics}
+
+    def write(self) -> None:
+        # JSON escapes every non-ASCII character, so a lone surrogate survives
+        def jsonl(name, records):
+            text = "".join(json.dumps(record) + "\n" for record in records)
+            (self.root / name).write_text(text, encoding="utf-8")
+
+        jsonl("reports.jsonl", self.reports)
+        jsonl("sources.jsonl", self.sources)
+        jsonl("query.jsonl", self.reports[-1:])
+        jsonl("batch.jsonl", self.reports[-QUERY_BATCH:])
+        with open(self.root / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["path", "metric", "value"], *self.metrics])
+        dim = SPEC["dim"]
+        lines = [f"{len(self.embeddings)} {dim}", *self.embeddings]
+        (self.root / "embeddings.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _insert(text: str, at: int, piece: str) -> str:
+    return text[:at] + piece + text[at:]
+
+
+def _mutate(data: Inputs, name: str, draw) -> None:
+    pick = lambda items: items[draw(st.integers(0, len(items) - 1))]  # noqa: E731
+    if name == "one_file":
+        keep = data.sources[0]["path"]
+        data.sources = data.sources[:1]
+        data.metrics = [row for row in data.metrics if row[0] == keep]
+        for report in data.reports:
+            report["fixed_files"] = [keep]
+    elif name == "odd_id":
+        report = pick(data.reports)
+        report["id"] = _insert(report["id"], 2, draw(ODD))
+    elif name == "odd_path":
+        path = pick(data.sources)["path"]
+        data.rename_path(path, _insert(path, 4, draw(ODD)))
+    elif name in ("drop_embeddings", "drop_metrics"):
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        share = draw(st.sampled_from((0.3, 0.7)))
+        rows = data.embeddings if name == "drop_embeddings" else data.metrics
+        rows[:] = [row for row in rows if rng.random() >= share]
+    elif name == "stopword_report":
+        report = pick(data.reports)
+        report["summary"], report["description"] = "the of and", "is a"
+    elif name == "surrogate":
+        lone = draw(st.sampled_from(("\ud800", "\udcff")))
+        if draw(st.booleans()):
+            report = pick(data.reports)
+            report["id"] = _insert(report["id"], 2, lone)
+        else:
+            # metrics.csv is UTF-8 text and cannot hold it: that path loses its metrics
+            path = pick(data.sources)["path"]
+            data.rename_path(path, _insert(path, 4, lone), metrics=False)
+
+
+def _run(*argv) -> tuple[int, str]:
+    """Run one command; check its exit code and stderr; return both the
+    code and what it printed."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    out.flush()
+    printed, errors = out.buffer.getvalue().decode("utf-8"), err.getvalue()
+    assert code in (0, 1), (argv[0], code, errors)
+    assert "Traceback" not in errors, errors
+    if code == 1:
+        assert re.fullmatch(r"error: [^\n]*\n", errors), errors
+    return code, printed
+
+
+def _manifest(out: Path) -> None:
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        json.loads(fh.read(), parse_constant=_strict)
+
+
+def _ranking(text: str, universe: set[str]) -> None:
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["rank", "path", "score"], rows
+    paths = [row[1] for row in rows[1:]]
+    scores = [float(row[2]) for row in rows[1:]]
+    assert [row[0] for row in rows[1:]] == [str(rank) for rank in range(1, len(rows))]
+    assert len(set(paths)) == len(paths) and set(paths) <= universe, paths
+    assert all(a >= b for a, b in zip(scores, scores[1:])), scores
+
+
+def _batch(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in out.glob("query_*.csv")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    mutations=st.lists(st.sampled_from(MUTATIONS), max_size=3, unique=True),
+    data=st.data(),
+)
+def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        dataset = root / "data"
+        synthgen.generate(synthgen.SynthSpec(seed=seed, **SPEC), dataset)
+        inputs = Inputs(dataset)
+        for name in sorted(mutations, key=MUTATIONS.index):
+            _mutate(inputs, name, data.draw)
+        inputs.write()
+        universe = inputs.universe()
+        out, fresh, net = root / "out", root / "fresh", root / "net"
+
+        def run(command, target, *extra):
+            return _run(command, "--dataset-dir", dataset, "--out-dir", target, *extra)
+
+        if run("ingest", out)[0] == 0:
+            _manifest(out)
+        if run("build", net)[0] == 0:
+            _manifest(net)
+
+        solved = run("solve", out)[0] == 0
+        if solved:
+            _manifest(out)
+            first = [(out / name).read_bytes() for name in ("model.tsv", "manifest.json")]
+            assert run("solve", out)[0] == 0
+            assert [(out / name).read_bytes() for name in ("model.tsv", "manifest.json")] == first
+        model = ("--model", out / "model.tsv")
+
+        names = ("results.csv", "ttests.csv", "sweep.csv")
+        if run("eval", fresh)[0] == 0:
+            _manifest(fresh)
+            if solved:
+                assert run("eval", out, *model)[0] == 0
+                _manifest(out)
+                assert [(out / n).read_bytes() for n in names] == [
+                    (fresh / n).read_bytes() for n in names
+                ]
+
+        single = ("--report", dataset / "query.jsonl")
+        code, printed = run("query", fresh, *single)
+        if code == 0:
+            _ranking(printed, universe)
+            if solved:
+                assert run("query", out, *single, *model) == (0, printed)
+
+        batch = ("--report", dataset / "batch.jsonl")
+        if run("query", fresh, *batch)[0] == 0:
+            _manifest(fresh)
+            rankings = _batch(fresh)
+            assert len(rankings) == QUERY_BATCH
+            for text in rankings.values():
+                _ranking(text.decode("utf-8"), universe)
+            if solved:
+                assert run("query", out, *batch, *model)[0] == 0
+                _manifest(out)
+                assert _batch(out) == rankings

@@ -21,19 +21,18 @@ from bugloc.network import (
     TypedNode,
     build_network,
     component_labels,
-    kind_slice,
     node_table,
     validate_network,
     write_edge_csv,
 )
 from bugloc.pipeline import fix_links
-from netgen import network_of
-from netref import reference_edges, reference_network
+from netgen import network_of, table_of
+from netref import kind_slice, reference_edges, reference_network
 from sparseref import from_scipy, to_scipy
 
 
 def _of_kind(net, kind):
-    return net.nodes[kind_slice(net.nodes, kind)]
+    return tuple(net.nodes)[net.nodes.rows(kind)]
 
 
 # the bucket count of every corpus here
@@ -57,7 +56,7 @@ class TestHeteroNetwork:
         t = TypedNode("T", "null")
         b = TypedNode("B", "BUG-1")
         net = network_of([(t, b, 0.5)])
-        assert net.nodes == (b, t)
+        assert tuple(net.nodes) == (b, t)
         assert net.neighbors(b) == {t: 0.5}
         assert net.num_nodes() == 2
         assert net.num_edges() == 1
@@ -69,10 +68,10 @@ class TestHeteroNetwork:
 
     def test_duplicate_edge_rejected_either_direction(self):
         b, s, t = TypedNode("B", "b"), TypedNode("S", "a.java"), TypedNode("T", "x")
-        nodes, weights = (b, s, t), np.ones(3)
-        with pytest.raises(ValidationError, match="duplicate edge between .*'B'.*'b'.* and .*'T'.*'x'"):
+        nodes, weights = table_of((b, s, t)), np.ones(3)
+        with pytest.raises(ValidationError, match="^duplicate edge between B:b and T:x$"):
             HeteroNetwork.from_pairs(nodes, np.array([[2, 0], [0, 1], [0, 2]]), weights)
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ValidationError, match="^duplicate edge between T:x and B:b$"):
             HeteroNetwork.from_pairs(nodes, np.array([[2, 0], [2, 0]]), weights[:2])
 
     def test_nodes_of_kind_sorted(self):
@@ -80,7 +79,7 @@ class TestHeteroNetwork:
             [], nodes=[TypedNode("S", "b.java"), TypedNode("S", "a.java"), TypedNode("B", "BUG-1")]
         )
         assert _of_kind(net, "S") == (TypedNode("S", "a.java"), TypedNode("S", "b.java"))
-        assert net.nodes == (TypedNode("B", "BUG-1"), *_of_kind(net, "S"))
+        assert tuple(net.nodes) == (TypedNode("B", "BUG-1"), *_of_kind(net, "S"))
         assert net.num_edges() == 0 and not net.neighbors(TypedNode("B", "BUG-1"))
 
     def test_rows_list_neighbors_in_edge_order(self):
@@ -88,7 +87,7 @@ class TestHeteroNetwork:
         t1, t2, s1 = TypedNode("T", "z"), TypedNode("T", "a"), TypedNode("S", "m.java")
         net = network_of([(t1, b, 2.0), (b, s1, 1.0), (t2, b, 3.0)])
         assert list(net.neighbors(b).items()) == [(t1, 2.0), (s1, 1.0), (t2, 3.0)]
-        row = net.nodes.index(b)
+        row = net.nodes.row(b)
         span = slice(*net.adjacency.indptr[row : row + 2])
         assert [net.nodes[j] for j in net.adjacency.indices[span]] == [t1, s1, t2]
         assert net.degree[row] == 6.0
@@ -269,7 +268,9 @@ def _assert_matches_reference(corpus):
     """build_network equals the edge-list reference bit for bit, holds
     node_table's nodes, and joins only allowed kinds, once, with positive
     finite weights; its edge dump and counts line equal those made from
-    the reference's sorted edge tuples."""
+    the reference's sorted edge tuples. The node table lists the
+    reference's sorted nodes, each kind's rows where bisecting them finds
+    it, and finds each node at its own row."""
     net = _build(*corpus)
     with tempfile.TemporaryDirectory() as tmp:
         dumped, expected = Path(tmp, "network.csv"), Path(tmp, "reference.csv")
@@ -279,11 +280,24 @@ def _assert_matches_reference(corpus):
     counts = {"severity": "info", "code": "counts", "message": counts_line}
     assert validate_network(net)[-1] == counts
     nodes, adjacency, degree, labels = reference_network(*_reference_corpus(corpus))
-    assert net.nodes == nodes
+    assert tuple(net.nodes) == nodes
     reports, tfidf, vocab, paths, records = corpus
     universe = tuple(sorted(paths))
     keys = discretize(records, _NB, universe)[0]
-    assert net.nodes == node_table([report.id for report in reports], tfidf, vocab, universe, keys)
+    table = node_table([report.id for report in reports], tfidf, vocab, universe, keys)
+    assert net.nodes == table
+    assert tuple(table) == nodes and len(table) == len(nodes)
+    for kind in KINDS:
+        assert table.rows(kind) == kind_slice(nodes, kind)
+    assert [table.row(table[row]) for row in range(len(table))] == list(range(len(table)))
+    for kind, key in table:
+        # sorts right after a key of the table, so inside its kind's block
+        with pytest.raises(KeyError):
+            table.row(TypedNode(kind, key + "\0"))
+    for kind in ("A", "Z", "X"):
+        for key in (*table.keys[:1], "x"):
+            with pytest.raises(KeyError):
+                table.row(TypedNode(kind, key))
     np.testing.assert_array_equal(net.adjacency.indptr, adjacency.indptr)
     np.testing.assert_array_equal(net.adjacency.indices, adjacency.indices)
     np.testing.assert_array_equal(

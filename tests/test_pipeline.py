@@ -14,8 +14,6 @@ from bugloc import evaluation, pipeline, ranker
 from bugloc.corpus import BugReport, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
-from bugloc.network import TypedNode, kind_slice
-from bugloc.regularizer import RepresentationModel
 from linkref import bow_links, ground_truth
 from sparseref import from_scipy, to_scipy
 from tables import make_table
@@ -426,7 +424,7 @@ class TestBuildIndex:
             eval_bundle.dataset.reports
         )
         assert len(index.universe) == 24
-        assert index.network.nodes[kind_slice(index.network.nodes, "M")]
+        assert index.network.nodes.keys[index.network.nodes.rows("M")]
         assert index.tfidf.shape == (len(index.train_reports), len(index.vocab))
 
     def test_vocabulary_covers_training_reports_only(self, eval_bundle):
@@ -486,22 +484,12 @@ class TestEvalContext:
         model = eval_bundle.scorer.model
         # a stop list of one of the model's terms, in place of the built-in list
         stopwords = tmp_path / "stop.txt"
-        term = model.nodes[kind_slice(model.nodes, "T")][0].key
+        term = model.nodes.keys[model.nodes.rows("T")][0]
         stopwords.write_text(term + "\n", encoding="utf-8")
         cfg = dataclasses.replace(eval_bundle.cfg, stopwords_file=str(stopwords))
         index = pipeline.build_index(pipeline.load_dataset(cfg, use_cache=False), cfg)
         with pytest.raises(ValidationError, match="the model's T nodes differ"):
             pipeline.Scorer(index, eval_bundle.dataset.table, model=model)
-
-    def test_scorer_rejects_a_model_with_a_node_of_unknown_kind(self, eval_bundle):
-        model = eval_bundle.scorer.model
-        extra = RepresentationModel(
-            (*model.nodes, TypedNode("X", "x")),
-            np.vstack([model.matrix, np.zeros((1, model.dim))]),
-            np.append(model.clamped_rows, False),
-        )
-        with pytest.raises(ValidationError, match="unknown kind"):
-            pipeline.Scorer(eval_bundle.scorer.index, eval_bundle.dataset.table, model=extra)
 
     @pytest.mark.parametrize("change", ["vectors", "last", "drop", "dim"])
     def test_scorer_rejects_a_model_solved_with_other_embeddings(self, eval_bundle, change):

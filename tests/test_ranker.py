@@ -10,7 +10,7 @@ from scipy import sparse
 from bugloc.corpus import CSR, bow_vectorize, build_vocabulary, link_matrix, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ValidationError
-from bugloc.network import TypedNode, kind_slice
+from bugloc.network import TypedNode
 from bugloc.ranker import (
     bow_file_scores,
     build_bow_index,
@@ -25,6 +25,7 @@ from bugloc.ranker import (
     term_matrix,
 )
 from bugloc.regularizer import RepresentationModel
+from netgen import table_of
 from rankref import reference_rank
 from sparseref import from_scipy, scipy_embed_rows, scipy_simi_scores, to_scipy
 from tables import make_table
@@ -216,12 +217,12 @@ class TestBowFileScores:
 def _model_and_table():
     table = make_table(2, {"socket": np.array([1.0, 0.0])})
     model = RepresentationModel(
-        nodes=(
+        nodes=table_of((
             TypedNode("B", "B-1"),
             TypedNode("S", "a.java"),
             TypedNode("S", "b.java"),
             TypedNode("T", "socket"),
-        ),
+        )),
         matrix=np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
         clamped_rows=np.array([False, False, False, True]),
     )
@@ -231,11 +232,11 @@ def _model_and_table():
 
 def netreg_scores(tokens, model, table, vocab):
     """netreg_file_scores of one query keyed by the model's file paths."""
-    files = kind_slice(model.nodes, "S")
+    files = model.nodes.rows("S")
     scores = netreg_file_scores(
         bow_vectorize(tokens, vocab), term_matrix(vocab, table), prepare_rows(model.matrix[files])
     )
-    return dict(zip([node.key for node in model.nodes[files]], scores[0].tolist()))
+    return dict(zip(model.nodes.keys[files], scores[0].tolist()))
 
 
 class TestEmbedRows:

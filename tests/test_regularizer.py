@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import random
@@ -8,7 +9,7 @@ from scipy import sparse
 
 from bugloc import pipeline, synthgen
 from bugloc.errors import ParseError, ValidationError
-from bugloc.network import TypedNode, kind_slice
+from bugloc.network import TypedNode
 from bugloc.regularizer import (
     RepresentationModel,
     SolverConfig,
@@ -19,7 +20,7 @@ from bugloc.regularizer import (
     solve,
     sweep_update,
 )
-from netgen import components, network_of, random_network, sweep_energies
+from netgen import components, network_of, random_network, sweep_energies, table_of
 from solveref import closed_form_solve
 from tables import make_table
 
@@ -53,7 +54,7 @@ class TestInitialize:
     def test_clamped_vector_is_a_copy(self):
         net, table = _pair_net()
         model = initialize_representation(net, table)
-        model.matrix[model.nodes.index(T1), 0] = 99.0
+        model.matrix[model.nodes.row(T1), 0] = 99.0
         assert table.get("t1")[0] == 1.0
 
 
@@ -82,14 +83,14 @@ class TestSweepAndEnergy:
     def test_energy_counts_each_edge_once(self):
         net = network_of([(T1, B1, 2.0)])
         model = RepresentationModel(
-            nodes=(B1, T1), matrix=np.array([[0.5], [1.0]]), clamped_rows=np.zeros(2, bool)
+            table_of((B1, T1)), np.array([[0.5], [1.0]]), clamped_rows=np.zeros(2, bool)
         )
         assert energy(model, net) == 0.5  # 2.0 * (1.0 - 0.5)^2
 
     def test_energy_of_edgeless_network_is_zero(self):
         net = network_of([], nodes=[T1])
         model = RepresentationModel(
-            nodes=(T1,), matrix=np.array([[1.0]]), clamped_rows=np.zeros(1, bool)
+            nodes=table_of((T1,)), matrix=np.array([[1.0]]), clamped_rows=np.zeros(1, bool)
         )
         assert energy(model, net) == 0.0
 
@@ -99,7 +100,7 @@ def _node_by_node_sweep(net, vectors, clamped):
     one node at a time in sorted order within each kind."""
     max_disp = 0.0
     for kind in ("T", "B", "S", "M", "S", "B"):
-        for node in net.nodes[kind_slice(net.nodes, kind)]:
+        for node in tuple(net.nodes)[net.nodes.rows(kind)]:
             nbrs = net.neighbors(node)
             if node in clamped or not nbrs:
                 continue
@@ -302,13 +303,13 @@ class TestModelSerialization:
             TypedNode("B", "SYN\r0003"), TypedNode("S", "a\x85b.java"), TypedNode("T", "x\u2028y"),
         )
         model = RepresentationModel(
-            nodes, np.array([[0.1, -2.0], [1.0 / 3.0, 0.0], [5e-324, 1.5]]),
+            table_of(nodes), np.array([[0.1, -2.0], [1.0 / 3.0, 0.0], [5e-324, 1.5]]),
             np.array([False, False, True]),
         )
         path = tmp_path / "model.tsv"
         dump_model(model, path)
         loaded = load_model(path)
-        assert loaded.nodes == nodes
+        assert tuple(loaded.nodes) == nodes
         np.testing.assert_array_equal(loaded.clamped_rows, model.clamped_rows)
         np.testing.assert_array_equal(loaded.matrix.view(np.uint64), model.matrix.view(np.uint64))
         again = tmp_path / "again.tsv"
@@ -439,15 +440,29 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="bad vector"):
             load_model(path)
 
-    def test_unsorted_model_rejected(self):
-        with pytest.raises(ValidationError, match="sorted"):
-            RepresentationModel(
-                nodes=(T1, B1), matrix=np.zeros((2, 1)), clamped_rows=np.zeros(2, bool)
-            )
+    def test_unsorted_model_rejected(self, tmp_path):
+        path = tmp_path / "model.tsv"
+        header = {"clamped_digest": hashlib.sha256().hexdigest(), "dim": 1, "nodes": 2}
+        rows = ["T\tt1\tf\t0.0", "B\tb1\tf\t0.0"]
+        path.write_text("\n".join([json.dumps(header), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=": line 3: node B:b1 is a duplicate or out of order$"):
+            load_model(path)
+
+    def test_row_of_unknown_kind_rejected(self, tmp_path):
+        net, table = _weighted_net()
+        path = tmp_path / "model.tsv"
+        dump_model(solve(net, table), path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        fields = json.loads(header)
+        fields["nodes"] += 1
+        rows.append("X\tx\tf\t0.0")
+        path.write_text("\n".join([json.dumps(fields), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f": line {len(rows) + 1}: node of unknown kind 'X'$"):
+            load_model(path)
 
     def test_vector_of_unknown_node_raises_key_error(self):
         model = RepresentationModel(
-            nodes=(B1, T1), matrix=np.eye(2), clamped_rows=np.array([False, True])
+            nodes=table_of((B1, T1)), matrix=np.eye(2), clamped_rows=np.array([False, True])
         )
         np.testing.assert_array_equal(model.vector(T1), [0.0, 1.0])
         for node in (TypedNode("A", "a"), S1, TypedNode("Z", "z")):
@@ -456,7 +471,7 @@ class TestModelSerialization:
 
     def test_tab_in_key_rejected(self):
         model = RepresentationModel(
-            nodes=(TypedNode("S", "bad\tname"),),
+            nodes=table_of((TypedNode("S", "bad\tname"),)),
             matrix=np.array([[0.0]]),
             clamped_rows=np.zeros(1, bool),
         )
