@@ -214,7 +214,7 @@ def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg)
     index = pipeline.build_index(dataset, cfg)
-    model = regularizer.solve(index.network, dataset.table, cfg.solver_config())
+    model = pipeline.solve_model(index, dataset.table, cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model_path = out / MODEL_NAME

@@ -1,5 +1,5 @@
-"""Shared exception types, the UTF-8 reader that turns a decode error into
-one of them, and the one CSV dialect every output is written in."""
+"""Shared exception types, the UTF-8 reader that turns an open or decode
+error into one of them, and the one CSV dialect every output is written in."""
 
 import csv
 from contextlib import contextmanager
@@ -16,11 +16,16 @@ class ParseError(ValidationError):
 
 
 @contextmanager
-def read_text(path, newline=None):
-    """Open path as UTF-8 text; bytes that are not UTF-8 raise a ParseError
-    naming the file."""
+def read_text(path, newline=None, what="file"):
+    """Open path as UTF-8 text. A file that cannot be opened raises a
+    ValidationError, "cannot read <what> <path>: <reason>", and bytes that
+    are not UTF-8 a ParseError naming the file."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        fh = open(path, encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -118,7 +118,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with read_text(path) as fh:
+            with read_text(path, what="config") as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
@@ -147,6 +147,13 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
+        # results.csv is UTF-8 text, which a lone surrogate cannot be written in
+        try:
+            self.dataset_name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValidationError(
+                f"config key 'dataset_name' must be valid Unicode, got {self.dataset_name!r}"
+            ) from exc
         if self.buckets_per_metric < 1:
             raise ValidationError("buckets_per_metric must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
@@ -393,6 +400,31 @@ def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
     )
 
 
+def network_digest(index: Index) -> str:
+    """sha256 of everything the network is built from: the training ids in
+    order, the vocabulary, the universe and the bucket keys, then the
+    tfidf, fix_links and bucket_links arrays, each array as its length
+    and its values in a fixed dtype. A model solved over another network
+    has another digest; the index alone is read, so no network is built.
+    """
+    ids = [report.id for report in index.train_reports]
+    # JSON escapes every non-ASCII character, so a lone surrogate hashes too
+    names = [ids, list(index.vocab.terms), list(index.universe), list(index.bucket_keys)]
+    digest = hashlib.sha256(json.dumps(names).encode())
+    for rows in (index.tfidf, index.fix_links, index.bucket_links):
+        for values, dtype in ((rows.indptr, "<i8"), (rows.indices, "<i8"), (rows.data, "<f8")):
+            digest.update(len(values).to_bytes(8, "little"))
+            digest.update(np.asarray(values, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+def solve_model(index: Index, table: EmbeddingTable, cfg: RunConfig) -> RepresentationModel:
+    """Solve the model over the index's network, stamped with its network_digest."""
+    model = regularizer.solve(index.network, table, cfg.solver_config())
+    model.network_digest = network_digest(index)
+    return model
+
+
 def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndarray:
     """Token-count-weighted embedding mean per source file, one row per path:
     embed_rows over the files' term counts, as queries over their TF-IDF rows."""
@@ -400,18 +432,20 @@ def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndar
         raise ValidationError("the embedding method needs source docs, none configured")
     token_lists = [dataset.source_tokens.get(path, []) for path in universe]
     vocab = build_vocabulary(token_lists)
-    terms = ranker.term_matrix(vocab, dataset.table)
-    return ranker.embed_rows(count_rows(token_lists, vocab), terms)
+    rows = dataset.table.rows_of(vocab.terms)
+    return ranker.embed_rows(count_rows(token_lists, vocab), rows, dataset.table.matrix)
 
 
 def check_model_nodes(model: RepresentationModel, index: Index, table: EmbeddingTable) -> None:
     """Reject a model whose nodes differ from network.node_table over the
-    index, naming the first kind that differs, or whose clamped rows differ
-    from the embedding table's, naming the first term that differs.
+    index, naming the first kind that differs; whose network_digest
+    differs from the index's; or whose clamped rows differ from those of
+    regularizer.clamp_rows, naming the first term that differs.
 
-    A model solved under another split, bucket count, token rules or
-    embeddings file would not fit this run. The network is not built, and
-    the rows are compared 256 at a time, so no second copy is made at once.
+    A model solved under another split, bucket count, token rules, fix
+    links, report text, metrics or embeddings file would not fit this run.
+    The network is not built, and the rows are compared 256 at a time, so
+    no second copy is made at once.
     """
     ids = [report.id for report in index.train_reports]
     expected = node_table(ids, index.tfidf, index.vocab, index.universe, index.bucket_keys)
@@ -424,11 +458,14 @@ def check_model_nodes(model: RepresentationModel, index: Index, table: Embedding
                 f"the model's {kind} nodes differ from the dataset's {what[kind]} "
                 "under the current settings"
             )
+    if model.network_digest != network_digest(index):
+        raise ValidationError(
+            "the model was solved over another network: its fix links, report text or "
+            "metric buckets differ from the dataset's under the current settings"
+        )
     if model.dim != table.dim:
         raise ValidationError(f"the model has {model.dim} dimensions, the embeddings {table.dim}")
-    terms = nodes.rows("T")
-    rows = np.full(len(nodes), -1)
-    rows[terms] = table.rows_of(nodes.keys[terms])
+    rows = regularizer.clamp_rows(nodes, table)
     differs = model.clamped_rows != (rows >= 0)
     clamped = np.flatnonzero(model.clamped_rows & (rows >= 0))
     for block in np.split(clamped, range(256, len(clamped), 256)):
@@ -454,7 +491,7 @@ class Scorer:
     ):
         self.index = index
         self.model = model
-        self.terms = ranker.term_matrix(index.vocab, table)
+        self.rows, self.matrix = table.rows_of(index.vocab.terms), table.matrix
         # each learned method's file rows, prepared once for file_cosines
         self.files = {}
         if model is not None:
@@ -473,8 +510,9 @@ class Scorer:
         if method not in self.files:
             raise ValidationError(f"no file vectors for the {method} method available")
         if method == evaluation.METHOD_NETREG:
-            return ranker.netreg_file_scores(query_rows, self.terms, self.files[method])
-        return ranker.file_cosines(ranker.embed_rows(query_rows, self.terms), self.files[method])
+            return ranker.netreg_file_scores(query_rows, self.rows, self.matrix, self.files[method])
+        queries = ranker.embed_rows(query_rows, self.rows, self.matrix)
+        return ranker.file_cosines(queries, self.files[method])
 
     def bow_scores(self, query_tokens: Sequence[str]) -> dict[str, float]:
         row = bow_vectorize(query_tokens, self.index.vocab)
@@ -496,7 +534,7 @@ def prepare_scorer(
     methods = tuple(methods) if methods is not None else tuple(cfg.methods)
     index = build_index(dataset, cfg)
     if model is None and evaluation.METHOD_NETREG in methods:
-        model = regularizer.solve(index.network, dataset.table, cfg.solver_config())
+        model = solve_model(index, dataset.table, cfg)
     file_vectors = None
     if evaluation.METHOD_EMBEDDING in methods:
         file_vectors = file_embedding_vectors(dataset, index.universe)

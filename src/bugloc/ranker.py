@@ -16,8 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import CSR, Vocabulary
-from .embeddings import EmbeddingTable
+from .corpus import CSR
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -127,48 +126,41 @@ def bow_file_scores(query_rows: CSR, index: BowIndex) -> np.ndarray:
     return _sum_by_cell(cells, shares, num_queries * num_files).reshape(num_queries, num_files)
 
 
-def term_matrix(vocab: Vocabulary, table: EmbeddingTable) -> np.ndarray:
-    """V x (d + 1): each vocabulary term's embedding, then 1.0 when the
-    table knows the term; a term the table lacks has an all-zero row."""
-    rows = table.rows_of(vocab.terms)
-    known = rows >= 0
-    terms = np.zeros((len(vocab), table.dim + 1))
-    # copied 256 rows at a time, so no second V x d array is made at once
-    at = np.flatnonzero(known)
-    for block in np.split(at, range(256, len(at), 256)):
-        terms[block, :-1] = table.matrix[rows[block]]
-    terms[known, -1] = 1.0
-    return terms
+def embed_rows(weights: CSR, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Weighted mean of each row's in-table terms, a row's entries being its
+    terms' weights, read in place from a table's matrix: rows[j] is term
+    j's matrix row, or -1 for a term the table lacks, whose weight is 0.
+    This is embed_tokens with those weights, bit for bit. Queries are
+    weighted by TF-IDF, files by count.
 
-
-def embed_rows(weights: CSR, terms: np.ndarray) -> np.ndarray:
-    """Weighted mean of each row's in-table terms (the rows of term_matrix),
-    a row's entries being its terms' weights: embed_tokens with those
-    weights, bit for bit. Queries are weighted by TF-IDF, files by count.
-
-    The weighted sums and, in the last column, the weight sums are taken
-    one position at a time across all rows: every row adds its p-th term
-    before any adds its (p + 1)-th. So each row adds its terms in ascending
-    order, one at a time, as embed_tokens and scipy's sparse-times-dense
-    product do.
+    The weighted sums are taken one position at a time across all rows:
+    every row adds its p-th term before any adds its (p + 1)-th. So each
+    row adds its terms in ascending order, one at a time, as embed_tokens
+    and scipy's sparse-times-dense product do, and so does np.bincount
+    with the weights.
     """
+    num_rows, dim = weights.shape[0], matrix.shape[1]
+    if not len(matrix):  # no term has a row, so every mean is 0
+        return np.zeros((num_rows, dim))
+    ids, at = weights.row_ids(), rows[weights.indices]
+    data = np.where(at >= 0, weights.data, 0.0)
+    totals = np.bincount(ids, weights=data, minlength=num_rows)[:, None]
     # rows longest first, so the rows holding a p-th entry are a prefix; the
     # entries sorted by position, then by that rank, so each step is a slice
     order = np.argsort(-np.diff(weights.indptr), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    rows = weights.row_ids()
-    position = np.arange(weights.nnz) - weights.indptr[rows]
-    by_step = np.argsort(position * len(order) + rank[rows])
-    data, columns = weights.data[by_step, None], weights.indices[by_step]
-    sums = np.zeros((len(order), terms.shape[1]))
+    position = np.arange(weights.nnz) - weights.indptr[ids]
+    by_step = np.argsort(position * len(order) + rank[ids])
+    data, at = data[by_step, None], at[by_step]
+    sums = np.zeros((num_rows, dim))
     end = 0
     for n in np.bincount(position).tolist():
         start, end = end, end + n
-        sums[:n] += data[start:end] * terms[columns[start:end]]
+        # an entry of weight 0 at row -1 adds zeros, which change no sum
+        sums[:n] += data[start:end] * matrix[at[start:end]]
     sums[order] = sums.copy()  # back to row order
-    totals = sums[:, -1:]
-    return np.divide(sums[:, :-1], totals, out=np.zeros_like(sums[:, :-1]), where=totals > 0.0)
+    return np.divide(sums, totals, out=np.zeros_like(sums), where=totals > 0.0)
 
 
 def prepare_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,14 +186,14 @@ def file_cosines(queries: np.ndarray, files: tuple[np.ndarray, np.ndarray]) -> n
 
 
 def netreg_file_scores(
-    query_rows: CSR, terms: np.ndarray, files: tuple[np.ndarray, np.ndarray]
+    query_rows: CSR, rows: np.ndarray, matrix: np.ndarray, files: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Q x F cosines between each embedded query (embed_rows over the term
-    matrix) and each file's learned vector (prepare_rows of the model's S
-    rows, in ascending path). A query that embeds to zero scores every file
-    0, and a warning counts such queries.
+    """Q x F cosines between each embedded query (embed_rows) and each
+    file's learned vector (prepare_rows of the model's S rows, in ascending
+    path). A query that embeds to zero scores every file 0, and a warning
+    counts such queries.
     """
-    queries = embed_rows(query_rows, terms)
+    queries = embed_rows(query_rows, rows, matrix)
     zero = np.count_nonzero(~queries.any(axis=1))
     if zero:
         logger.warning("%d queries embed to the zero vector; all their file scores are 0", zero)

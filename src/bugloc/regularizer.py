@@ -31,7 +31,7 @@ from itertools import compress
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_text
 from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
@@ -70,13 +70,15 @@ class RepresentationModel:
     clamped, as a boolean mask over the rows.
 
     Row i belongs to nodes[i]. The mask is the one record of the clamped
-    set; `clamped` derives the nodes from it.
+    set; `clamped` derives the nodes from it. network_digest names the
+    network it was solved over (pipeline.network_digest).
     """
 
     nodes: NodeTable
     matrix: np.ndarray  # len(nodes) x dim
     clamped_rows: np.ndarray  # bool per row
     convergence: ConvergenceReport | None = None
+    network_digest: str = ""
 
     @cached_property
     def clamped(self) -> frozenset[TypedNode]:
@@ -90,20 +92,23 @@ class RepresentationModel:
         return self.matrix[self.nodes.row(node)]
 
 
-def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
-    """Clamp T nodes found in the table to their embedding; zero everything else.
-
-    A T node missing from the table stays free, like B, S, and M nodes.
-    """
-    nodes = net.nodes
+def clamp_rows(nodes: NodeTable, table: EmbeddingTable) -> np.ndarray:
+    """The table row each node is clamped to, or -1 for a free node: a T
+    node whose term the table holds is clamped to its embedding, and every
+    other node, a T node missing from the table too, is free."""
+    rows = np.full(len(nodes), -1)
     terms = nodes.rows("T")
-    rows = table.rows_of(nodes.keys[terms])
-    known = rows >= 0
-    matrix = np.zeros((len(nodes), table.dim))
-    matrix[terms][known] = table.matrix[rows[known]]
-    clamped = np.zeros(len(nodes), dtype=bool)
-    clamped[terms] = known
-    return RepresentationModel(nodes, matrix, clamped)
+    rows[terms] = table.rows_of(nodes.keys[terms])
+    return rows
+
+
+def initialize_representation(net: HeteroNetwork, table: EmbeddingTable) -> RepresentationModel:
+    """Clamp nodes to their clamp_rows embedding; zero everything else."""
+    rows = clamp_rows(net.nodes, table)
+    clamped = rows >= 0
+    matrix = np.zeros((len(net.nodes), table.dim))
+    matrix[clamped] = table.matrix[rows[clamped]]
+    return RepresentationModel(net.nodes, matrix, clamped)
 
 
 def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
@@ -216,6 +221,7 @@ def _clamped_record(kind: str, key: str, text: str) -> bytes:
 
 def _header(model: RepresentationModel, digest: str) -> str:
     header = {"dim": model.dim, "nodes": len(model.nodes), "clamped_digest": digest}
+    header["network_digest"] = model.network_digest
     return json.dumps(header, sort_keys=True) + "\n"
 
 
@@ -252,12 +258,13 @@ def load_model(path) -> RepresentationModel:
     """Read a model exactly as dump_model writes it.
 
     Rows must come in strictly increasing node order, one per line, each of
-    kind B, M, S or T, every value finite, and the header digest must equal
-    the sha256 of the clamped rows' text as read: a hand-edited file is
-    rejected, even one that only reformats a value.
+    kind B, M, S or T, every value finite, and the header's clamped digest
+    must equal the sha256 of the clamped rows' text as read: a hand-edited
+    file is rejected, even one that only reformats a value. The header must
+    hold a network_digest, which the model keeps.
     """
     # lines end at "\n" only, as dump_model writes them: a key may hold "\r"
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    with read_text(path, newline="\n", what="model") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
@@ -266,6 +273,8 @@ def load_model(path) -> RepresentationModel:
             declared_digest = header["clamped_digest"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad model header") from exc
+        if not isinstance(network := header.get("network_digest"), str):
+            raise ValidationError(f"{path}: the model header holds no network_digest; solve again")
         # a valid row holds dim values in at least 2 * dim + 5 bytes, so a
         # corrupt header cannot make this allocate more than the file could fill
         size = os.fstat(fh.fileno()).st_size
@@ -317,4 +326,6 @@ def load_model(path) -> RepresentationModel:
     if not finite.all():
         lineno = int(np.argmin(finite)) + 2
         raise ValidationError(f"{path}: line {lineno}: vector holds a value that is not finite")
-    return RepresentationModel(NodeTable.of(blocks), matrix, np.array(clamped, dtype=bool))
+    return RepresentationModel(
+        NodeTable.of(blocks), matrix, np.array(clamped, dtype=bool), network_digest=network
+    )

@@ -52,8 +52,14 @@ def scipy_simi_scores(query_rows: CSR, tfidf: CSR, links: CSR) -> np.ndarray:
     return (sims @ to_scipy(links)).toarray()
 
 
-def scipy_embed_rows(weights: CSR, terms: np.ndarray) -> np.ndarray:
-    """The weighted mean of term rows by one sparse-times-dense product."""
+def scipy_embed_rows(weights: CSR, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """The weighted mean of term rows by one sparse-times-dense product over
+    a copied term matrix: each term's table row (rows[j], or zeros when
+    rows[j] is -1), then 1.0 for a term in the table."""
+    known = rows >= 0
+    terms = np.zeros((len(rows), matrix.shape[1] + 1))
+    terms[known, :-1] = matrix[rows[known]]
+    terms[known, -1] = 1.0
     sums = to_scipy(weights) @ terms
     totals = sums[:, -1:]
     return np.divide(sums[:, :-1], totals, out=np.zeros_like(sums[:, :-1]), where=totals > 0.0)

@@ -247,6 +247,38 @@ class TestSolveEvalSweepQuery:
         assert "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("change", ["moved_fix", "token_count", "metric_bucket"])
+    def test_model_solved_over_another_network_rejected(self, seed3, tmp_path, capsys, change):
+        # the same ids, terms, files and buckets as the model's, other edges among them
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("reports.jsonl", "sources.jsonl", "metrics.csv", "embeddings.txt"):
+            shutil.copy(seed3 / name, data / name)
+        lines = (data / "reports.jsonl").read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])  # the earliest report, which trains
+        if change == "moved_fix":
+            assert "src/topic00/File00.java" not in first["fixed_files"]
+            first["fixed_files"][0] = "src/topic00/File00.java"
+        elif change == "token_count":
+            first["description"] += " " + first["summary"].split()[0]
+        else:
+            text = (data / "metrics.csv").read_text(encoding="utf-8")
+            line = next(row for row in text.splitlines() if row.startswith("src/topic00/File00.java,lines,"))
+            text = text.replace(line, "src/topic00/File00.java,lines,1000000.0")
+            (data / "metrics.csv").write_text(text, encoding="utf-8")
+        lines[0] = json.dumps(first)
+        (data / "reports.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert _run("eval", "--dataset-dir", str(data), "--out-dir", str(out),
+                    "--model", str(seed3 / "out" / "model.tsv")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the model was solved over another network: its fix links, report text or "
+            "metric buckets differ from the dataset's under the current settings\n"
+        )
+        assert not out.exists()
+
     def test_eval_outputs_are_shaped_like_the_config(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert _run("eval", "--dataset-dir", str(cli_dataset), "--out-dir", str(out),
@@ -916,7 +948,7 @@ class TestExitCodes:
         # synth's generator settings are SynthSpec fields, kept under spec
         assert manifest["spec" if command == "synth" else "config"][key] == value
 
-    def test_unreadable_input_is_runtime_failure(self, tmp_path, capsys):
+    def test_unreadable_input_is_a_validation_error(self, tmp_path, capsys):
         reports_dir = tmp_path / "reports.jsonl"
         reports_dir.mkdir()
         cfg = {
@@ -926,8 +958,55 @@ class TestExitCodes:
         (tmp_path / "embeddings.txt").write_text("1 1\nx 0.5\n", encoding="utf-8")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["eval", "--config", str(cfg_path)]) == 2
+        assert main(["eval", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read file {reports_dir}: [Errno 21] Is a directory: '{reports_dir}'\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_model_that_cannot_be_read_is_a_validation_error(self, seed3, tmp_path, capsys, kind):
+        model = tmp_path / "model.tsv"
+        if kind == "directory":
+            model.mkdir()
+        elif kind == "not_utf8":
+            model.write_bytes(b"\xff\xfe\n")
         capsys.readouterr()
+        assert main(["eval", "--dataset-dir", str(seed3), "--out-dir", str(tmp_path / "out"),
+                     "--model", str(model)]) == 1
+        err = capsys.readouterr().err
+        shown = f"{model}: not UTF-8 text" if kind == "not_utf8" else f"cannot read model {model}: "
+        assert err.startswith(f"error: {shown}") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_report_file_is_a_validation_error(self, seed3, tmp_path, capsys):
+        report = tmp_path / "missing.jsonl"
+        capsys.readouterr()
+        assert main(["query", "--dataset-dir", str(seed3), "--out-dir", str(tmp_path / "out"),
+                     "--report", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read file {report}: [Errno 2] No such file or directory: '{report}'\n"
+
+    @pytest.mark.parametrize("route", ["config", "dataset_dir"])
+    def test_dataset_name_that_is_not_valid_unicode_is_a_validation_error(
+        self, seed3, tmp_path, capsys, route
+    ):
+        argv = ["eval", "--out-dir", str(tmp_path / "out"), "--methods", "bow"]
+        if route == "config":
+            (tmp_path / "cfg.json").write_text(json.dumps({"dataset_name": "x\ud800"}), encoding="utf-8")
+            argv += ["--config", str(tmp_path / "cfg.json"), "--dataset-dir", str(seed3)]
+            name = "x\ud800"
+        else:
+            # a directory name holding the byte 0xff, which Python reads as "\udcff"
+            data = tmp_path / os.fsdecode(b"data\xff")
+            data.mkdir()
+            for base in ("reports.jsonl", "sources.jsonl", "metrics.csv", "embeddings.txt"):
+                shutil.copy(seed3 / base, data / base)
+            argv += ["--dataset-dir", str(data)]
+            name = "data\udcff"
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key 'dataset_name' must be valid Unicode, got {name!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,9 @@ through cli.main in process. Whatever the inputs:
   and query --model prints and writes what a fresh query does;
 - two identical solve runs write identical model.tsv and manifest.json;
 - every manifest is strict JSON;
-- a ranking lists distinct universe paths, and its scores never rise.
+- a ranking lists distinct universe paths, and its scores never rise;
+- once one training fix has moved to another file, eval with the model
+  solved before the move exits 1.
 
 Stdout is a strict UTF-8 stream, as a terminal's is, so text that cannot be
 encoded fails as it would in a real run.
@@ -41,6 +43,10 @@ MUTATIONS = (
     "drop_metrics",  # some metrics rows gone
     "stopword_report",  # a report whose text is all stopwords
     "surrogate",  # a lone surrogate, from a JSON escape, inside an id or a path
+    "drop_source",  # one source file gone
+    "fix_outside",  # a report fixes a path outside the universe
+    "repeated_fix",  # a report lists one fixed file twice
+    "stale_model",  # after solve, a training fix moves to another file
 )
 ODD = st.text(alphabet="Ř日,\"' \r", min_size=1, max_size=3)
 QUERY_BATCH = 3
@@ -128,6 +134,25 @@ def _mutate(data: Inputs, name: str, draw) -> None:
             # metrics.csv is UTF-8 text and cannot hold it: that path loses its metrics
             path = pick(data.sources)["path"]
             data.rename_path(path, _insert(path, 4, lone), metrics=False)
+    elif name == "drop_source" and data.sources:
+        data.sources.remove(pick(data.sources))
+    elif name == "fix_outside":
+        pick(data.reports)["fixed_files"].append("src/Ghost.java")
+    elif name == "repeated_fix":
+        report = pick([report for report in data.reports if report["fixed_files"]])
+        report["fixed_files"].append(report["fixed_files"][0])
+
+
+def _move_training_fix(data: Inputs) -> bool:
+    """Move the first fixed file of the earliest resolved report, which
+    trains, to a universe file it does not fix; False when there is none."""
+    resolved = [report for report in data.reports if report["status"].lower() == "resolved"]
+    first = min(resolved, key=lambda report: report["report_time"])
+    others = sorted(data.universe() - set(first["fixed_files"]))
+    if not first["fixed_files"] or not others:
+        return False
+    first["fixed_files"][0] = others[0]
+    return True
 
 
 def _run(*argv) -> tuple[int, str]:
@@ -227,3 +252,7 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
                 assert run("query", out, *batch, *model)[0] == 0
                 _manifest(out)
                 assert _batch(out) == rankings
+
+        if solved and "stale_model" in mutations and _move_training_fix(inputs):
+            inputs.write()
+            assert run("eval", root / "stale", *model)[0] == 1

@@ -1,6 +1,5 @@
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from bugloc.ranker import (
     netreg_file_scores,
     prepare_rows,
     row_norms,
-    term_matrix,
 )
 from bugloc.regularizer import RepresentationModel
 from netgen import table_of
@@ -234,7 +232,10 @@ def netreg_scores(tokens, model, table, vocab):
     """netreg_file_scores of one query keyed by the model's file paths."""
     files = model.nodes.rows("S")
     scores = netreg_file_scores(
-        bow_vectorize(tokens, vocab), term_matrix(vocab, table), prepare_rows(model.matrix[files])
+        bow_vectorize(tokens, vocab),
+        table.rows_of(vocab.terms),
+        table.matrix,
+        prepare_rows(model.matrix[files]),
     )
     return dict(zip(model.nodes.keys[files], scores[0].tolist()))
 
@@ -251,7 +252,7 @@ class TestEmbedRows:
     def test_rows_match_embed_tokens_bit_for_bit(self, docs, vectors, token_lists):
         vocab = build_vocabulary(docs)
         table = make_table(3, {term: np.array(v) for term, v in vectors.items()})
-        embedded = embed_rows(tfidf_rows(token_lists, vocab), term_matrix(vocab, table))
+        embedded = embed_rows(tfidf_rows(token_lists, vocab), table.rows_of(vocab.terms), table.matrix)
         assert embedded.shape == (len(token_lists), 3)
         for tokens, row in zip(token_lists, embedded):
             weights = dict.fromkeys(tokens, 0.0)
@@ -268,8 +269,10 @@ class TestEmbedRows:
         st.lists(st.booleans(), min_size=8, max_size=8),
     )
     def test_matches_scipy_bit_for_bit(self, entries, values, known):
-        # rows of unequal length and empty rows, each row alone and all at once
-        terms = np.column_stack((np.reshape(values, (8, 3)), np.array(known, dtype=np.float64)))
+        # rows of unequal length and empty rows, each row alone and all at once;
+        # the table holds the known terms' rows in reverse order
+        matrix = np.reshape(values, (8, 3))[::-1]
+        rows = np.where(known, np.arange(8)[::-1], -1)
         columns = [sorted(row) for row in entries]
         weights = CSR(
             np.array([row[j] for row, cols in zip(entries, columns) for j in cols]),
@@ -277,29 +280,19 @@ class TestEmbedRows:
             np.cumsum([0, *map(len, columns)]),
             (len(entries), 8),
         )
-        expected = scipy_embed_rows(weights, terms).view(np.uint64)
-        assert embed_rows(weights, terms).view(np.uint64).tolist() == expected.tolist()
+        expected = scipy_embed_rows(weights, rows, matrix).view(np.uint64)
+        assert embed_rows(weights, rows, matrix).view(np.uint64).tolist() == expected.tolist()
         for i, row in enumerate(expected):
             span = slice(*weights.indptr[i : i + 2])
             one = CSR(weights.data[span], weights.indices[span], np.array([0, span.stop - span.start]), (1, 8))
-            assert embed_rows(one, terms).view(np.uint64).tolist() == [row.tolist()]
+            assert embed_rows(one, rows, matrix).view(np.uint64).tolist() == [row.tolist()]
 
-    def test_term_matrix_peak_stays_near_its_result(self):
-        # 4000 known terms of d = 100 and 1000 unknown ones: a 4 MB result
-        rng = np.random.default_rng(0)
-        known = [f"t{i:04d}" for i in range(4000)]
-        table = EmbeddingTable(known, rng.standard_normal((len(known), 100)))
-        vocab = build_vocabulary([known + [f"u{i:04d}" for i in range(1000)]])
-        tracemalloc.start()
-        try:
-            terms = term_matrix(vocab, table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # filling through one V x d temporary would about double the peak
-        assert peak < 1.25 * terms.nbytes
-        assert terms[:4000, :-1].tolist() == table.matrix.tolist()
-        assert not terms[4000:].any() and terms[:4000, -1].all()
+    def test_an_empty_table_embeds_every_row_to_zero(self):
+        vocab = build_vocabulary([["leak", "socket"]])
+        table = EmbeddingTable([], np.empty((0, 3)))
+        weights = tfidf_rows([["socket"], [], ["leak", "socket", "leak"]], vocab)
+        embedded = embed_rows(weights, table.rows_of(vocab.terms), table.matrix)
+        assert embedded.shape == (3, 3) and not embedded.any()
 
 
 class TestNetregFileScores:

@@ -13,6 +13,7 @@ from bugloc.network import TypedNode
 from bugloc.regularizer import (
     RepresentationModel,
     SolverConfig,
+    clamp_rows,
     dump_model,
     energy,
     initialize_representation,
@@ -43,6 +44,12 @@ def _weighted_net():
 
 
 class TestInitialize:
+    def test_clamp_rows_name_the_table_row_of_known_terms_only(self):
+        nodes = table_of((TypedNode("B", "t1"), TypedNode("S", "t2"), TypedNode("T", "oov"), T1, T2))
+        table = make_table(1, {"t2": [0.0], "t1": [1.0]})
+        # a B or S key that the table holds is no term: its node stays free
+        assert clamp_rows(nodes, table).tolist() == [-1, -1, -1, 1, 0]
+
     def test_clamps_known_terms_and_zeros_the_rest(self):
         net, table = _pair_net((TypedNode("T", "oov"), B1, 1.0))
         model = initialize_representation(net, table)
@@ -296,6 +303,25 @@ class TestModelSerialization:
         dump_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_network_digest_round_trips(self, tmp_path):
+        net, table = _weighted_net()
+        model = solve(net, table)
+        model.network_digest = hashlib.sha256(b"network").hexdigest()
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        assert load_model(path).network_digest == model.network_digest
+
+    def test_header_without_network_digest_rejected(self, tmp_path):
+        net, table = _weighted_net()
+        path = tmp_path / "model.tsv"
+        dump_model(solve(net, table), path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        fields = json.loads(header)
+        del fields["network_digest"]
+        path.write_text("\n".join([json.dumps(fields), *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="holds no network_digest; solve again$"):
+            load_model(path)
+
     def test_keys_holding_other_line_breaks_round_trip(self, tmp_path):
         # str.splitlines and universal newlines break lines at these; the
         # model format ends lines at "\n" only
@@ -442,7 +468,9 @@ class TestModelSerialization:
 
     def test_unsorted_model_rejected(self, tmp_path):
         path = tmp_path / "model.tsv"
-        header = {"clamped_digest": hashlib.sha256().hexdigest(), "dim": 1, "nodes": 2}
+        header = {
+            "clamped_digest": hashlib.sha256().hexdigest(), "dim": 1, "nodes": 2, "network_digest": ""
+        }
         rows = ["T\tt1\tf\t0.0", "B\tb1\tf\t0.0"]
         path.write_text("\n".join([json.dumps(header), *rows]) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=": line 3: node B:b1 is a duplicate or out of order$"):
