@@ -20,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from . import __version__, evaluation, pipeline, ranker, regularizer, synthgen
-from .corpus import load_bug_reports, tfidf_rows, tokenize
+from .corpus import load_query_reports, tfidf_rows, tokenize
 from .errors import ValidationError, write_csv
 from .network import validate_network, write_edge_csv
 
@@ -232,7 +232,7 @@ _UNSAFE_ID_PARTS = ("/", "\\", "..", "\0")
 def cmd_query(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg)
-    queries = load_bug_reports(args.report)
+    queries = load_query_reports(args.report)
     if not queries:
         raise ValidationError(f"{args.report} holds no reports")
     batch = len(queries) > 1

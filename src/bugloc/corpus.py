@@ -211,6 +211,21 @@ def load_bug_reports(path, resolved_only: bool = False) -> list[BugReport]:
     return reports
 
 
+def load_query_reports(path) -> list[BugReport]:
+    """Load the reports of a query file: a file whose whole text is one JSON
+    object, pretty-printed or not, is that one report; any other file is
+    JSONL, read by load_bug_reports."""
+    with read_text(path) as fh:
+        text = fh.read()
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError:
+        rec = None
+    if isinstance(rec, dict):
+        return [_parse_report(rec, str(path))]
+    return load_bug_reports(path)
+
+
 def load_source_docs(path, rules: TokenRules) -> dict[str, list[str]]:
     """Load source documents from JSONL with keys path, content: each path
     mapped to its content's tokens, in file order."""

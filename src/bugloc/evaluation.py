@@ -50,8 +50,10 @@ class EvalConfig:
             raise ValidationError(
                 f"alpha_grid must be strictly ascending, got {self.alpha_grid!r}"
             )
+        if not self.methods:
+            raise ValidationError(f"methods must name at least one of {ALL_METHODS}")
         bad = [m for m in self.methods if m not in ALL_METHODS]
-        if bad or not self.methods:
+        if bad:
             raise ValidationError(f"unknown methods {bad!r}; choose from {ALL_METHODS}")
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import CSR, link_matrix
 from .errors import ParseError, ValidationError, read_text
@@ -73,11 +74,13 @@ def discretize(
 ) -> tuple[tuple[str, ...], CSR]:
     """Assign each (path, metric) value to an equal-frequency quantile bucket.
 
-    Buckets are computed per metric over all observed values; a value equal
-    to a bucket boundary goes to the lower bucket. A constant metric puts
-    every file in bucket 0. Returns the sorted keys, `metric:index`, of the
-    buckets some value falls in, and the link_matrix from each of paths (a
-    row, in the given order) to its buckets in metric order.
+    Per metric, a value with r of the metric's n values strictly below it
+    goes to bucket floor(r * nb / n), nb being buckets_per_metric. Equal
+    values share a bucket, a constant metric puts every file in bucket 0,
+    and nothing is built per bucket, so the cost does not grow with nb.
+    Returns the sorted keys, `metric:index`, of the buckets some value falls
+    in, and the link_matrix from each of paths (a row, in the given order)
+    to its buckets in metric order.
     """
     if buckets_per_metric < 1:
         raise ValidationError("buckets_per_metric must be >= 1")
@@ -86,18 +89,14 @@ def discretize(
         by_metric[rec.metric].append(rec)
 
     listed: dict[str, list[str]] = defaultdict(list)
-    keys: set[str] = set()
-    nb = buckets_per_metric
     for metric in sorted(by_metric):
         recs = by_metric[metric]
-        values = sorted(r.value for r in recs)
-        n = len(values)
-        # boundary j is the top of bucket j-1: the ceil(j*n/nb)-th smallest value
-        boundaries = [values[min(math.ceil(j * n / nb), n) - 1] for j in range(1, nb)]
-        names = [f"{metric}:{index}" for index in range(nb)]
-        for rec in recs:
-            key = names[bisect_left(boundaries, rec.value)]
-            listed[rec.path].append(key)
-            keys.add(key)
-    ordered = tuple(sorted(keys))
-    return ordered, link_matrix([listed.get(path, ()) for path in paths], ordered)
+        values = np.array([rec.value for rec in recs])
+        below = np.searchsorted(np.sort(values), values).tolist()
+        # Python ints, so r * nb is exact for any bucket count
+        index = [r * buckets_per_metric // len(recs) for r in below]
+        names = {i: f"{metric}:{i}" for i in set(index)}
+        for rec, i in zip(recs, index):
+            listed[rec.path].append(names[i])
+    keys = tuple(sorted({key for row in listed.values() for key in row}))
+    return keys, link_matrix([listed.get(path, ()) for path in paths], keys)

@@ -501,6 +501,41 @@ class TestSolveEvalSweepQuery:
         assert [row[0] for row in rows] == [str(rank) for rank in range(1, 25)]
         assert len({row[1] for row in rows}) == 24
 
+    def test_pretty_printed_report_ranks_as_its_one_line_form(self, seed3, tmp_path, capsys):
+        # the README's single-report file: one JSON object, here over several lines
+        line = (seed3 / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        (tmp_path / "line.json").write_text(line, encoding="utf-8")
+        pretty = json.dumps(json.loads(line), indent=2)
+        (tmp_path / "pretty.json").write_text(pretty + "\n", encoding="utf-8")
+        rankings = []
+        for name in ("line.json", "pretty.json"):
+            capsys.readouterr()
+            assert _run("query", "--dataset-dir", str(seed3), "--out-dir", str(seed3 / "out"),
+                        "--report", str(tmp_path / name),
+                        "--model", str(seed3 / "out" / "model.tsv")) == 0
+            rankings.append(capsys.readouterr().out)
+        assert rankings[0] == rankings[1] and len(rankings[0].splitlines()) == 11
+
+    @pytest.mark.parametrize(
+        "texts, shown",
+        [
+            # one object over several lines goes through the per-report checks
+            ([json.dumps({"id": "Q-1", "summary": "crash"}, indent=2)], ": missing key "),
+            # two of them are neither one object nor JSONL
+            ([json.dumps({"id": "Q-1"}, indent=2)] * 2, ": line 1: invalid JSON: "),
+        ],
+    )
+    def test_bad_report_file_is_rejected_naming_the_file(
+        self, seed3, tmp_path, capsys, texts, shown
+    ):
+        path = tmp_path / "bug.json"
+        path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert _run("query", "--dataset-dir", str(seed3), "--out-dir", str(seed3 / "out"),
+                    "--report", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{shown}") and err.count("\n") == 1, err
+
     def test_query_with_an_empty_universe_writes_only_headers(self, cli_dataset, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -858,6 +893,8 @@ class TestExitCodes:
             (["--tolerance", "inf"], None, "tolerance must be positive and finite, got inf"),
             ([], {"tolerance": float("nan")}, "tolerance must be positive and finite, got nan"),
             ([], {"tolerance": float("inf")}, "tolerance must be positive and finite, got inf"),
+            (["--methods", ""], None, "methods must name at least one of ('bow', 'embedding', 'netreg')"),
+            (["--methods", ","], None, "methods must name at least one of ('bow', 'embedding', 'netreg')"),
         ],
     )
     def test_bad_evaluation_setting_fails_before_any_input_is_read(

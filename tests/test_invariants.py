@@ -13,6 +13,9 @@ through cli.main in process. Whatever the inputs:
 - two identical solve runs write identical model.tsv and manifest.json;
 - every manifest is strict JSON;
 - a ranking lists distinct universe paths, and its scores never rise;
+- a query ranking lists the top k files by raw blended score descending,
+  then path ascending, the raw scores recomputed in process, since the
+  printed ones are rounded;
 - once one training fix has moved to another file, eval with the model
   solved before the move exits 1.
 
@@ -31,8 +34,9 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from bugloc import synthgen
+from bugloc import pipeline, ranker, synthgen
 from bugloc.cli import main
+from bugloc.corpus import load_query_reports, tfidf_rows, tokenize
 
 SPEC = dict(num_reports=20, num_files=5, vocab_size=60, dim=3, topic_count=2)
 MUTATIONS = (
@@ -47,6 +51,7 @@ MUTATIONS = (
     "fix_outside",  # a report fixes a path outside the universe
     "repeated_fix",  # a report lists one fixed file twice
     "stale_model",  # after solve, a training fix moves to another file
+    "stopword_query",  # the queried report's text is all stopwords, so every file ties
 )
 ODD = st.text(alphabet="Ř日,\"' \r", min_size=1, max_size=3)
 QUERY_BATCH = 3
@@ -122,8 +127,8 @@ def _mutate(data: Inputs, name: str, draw) -> None:
         share = draw(st.sampled_from((0.3, 0.7)))
         rows = data.embeddings if name == "drop_embeddings" else data.metrics
         rows[:] = [row for row in rows if rng.random() >= share]
-    elif name == "stopword_report":
-        report = pick(data.reports)
+    elif name in ("stopword_report", "stopword_query"):
+        report = pick(data.reports) if name == "stopword_report" else data.reports[-1]
         report["summary"], report["description"] = "the of and", "is a"
     elif name == "surrogate":
         lone = draw(st.sampled_from(("\ud800", "\udcff")))
@@ -176,14 +181,49 @@ def _manifest(out: Path) -> None:
         json.loads(fh.read(), parse_constant=_strict)
 
 
-def _ranking(text: str, universe: set[str]) -> None:
+def _ranking(text: str, universe: set[str], expected: list[list[str]]) -> None:
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows[0] == ["rank", "path", "score"], rows
+    assert rows[1:] == expected
     paths = [row[1] for row in rows[1:]]
     scores = [float(row[2]) for row in rows[1:]]
     assert [row[0] for row in rows[1:]] == [str(rank) for rank in range(1, len(rows))]
     assert len(set(paths)) == len(paths) and set(paths) <= universe, paths
     assert all(a >= b for a, b in zip(scores, scores[1:])), scores
+
+
+class RawRankings:
+    """query's ranking of each report in a report file, restated over the
+    raw blended scores: the components from prepare_scorer, bow_matrix and
+    learned_matrix, each through minmax_rows, then blended with alpha. The
+    scorer is prepared on first use, as a fresh query prepares it."""
+
+    def __init__(self, dataset: Path):
+        self.cfg = pipeline.RunConfig()
+        self.cfg.apply_dataset_dir(dataset)
+        self.scorer = None
+
+    def __call__(self, report_path: Path) -> dict[str, list[list[str]]]:
+        """Report id -> the rows of its ranking: the top k files by raw
+        blended score descending, then path ascending."""
+        cfg = self.cfg
+        if self.scorer is None:
+            dataset = pipeline.load_dataset(cfg, use_cache=False)
+            self.scorer = pipeline.prepare_scorer(dataset, cfg, methods=("netreg",))
+        reports = load_query_reports(report_path)
+        tokens = [tokenize(report.text, cfg.token_rules()) for report in reports]
+        rows = tfidf_rows(tokens, self.scorer.index.vocab)
+        bow = ranker.minmax_rows(self.scorer.bow_matrix(rows))
+        learned = ranker.minmax_rows(self.scorer.learned_matrix("netreg", rows))
+        blended = ((1.0 - cfg.alpha) * bow + cfg.alpha * learned).tolist()
+        rankings = {}
+        for report, scores in zip(reports, blended):
+            best = sorted(zip(scores, self.scorer.index.universe), key=lambda s: (-s[0], s[1]))
+            rankings[report.id] = [
+                [str(rank), path, f"{score:.8f}"]
+                for rank, (score, path) in enumerate(best[: cfg.k], 1)
+            ]
+        return rankings
 
 
 def _batch(out: Path) -> dict[str, bytes]:
@@ -234,10 +274,12 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
                     (fresh / n).read_bytes() for n in names
                 ]
 
+        raw = RawRankings(dataset)
         single = ("--report", dataset / "query.jsonl")
         code, printed = run("query", fresh, *single)
         if code == 0:
-            _ranking(printed, universe)
+            (expected,) = raw(dataset / "query.jsonl").values()
+            _ranking(printed, universe, expected)
             if solved:
                 assert run("query", out, *single, *model) == (0, printed)
 
@@ -246,8 +288,8 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
             _manifest(fresh)
             rankings = _batch(fresh)
             assert len(rankings) == QUERY_BATCH
-            for text in rankings.values():
-                _ranking(text.decode("utf-8"), universe)
+            for rid, expected in raw(dataset / "batch.jsonl").items():
+                _ranking(rankings[f"query_{rid}.csv"].decode("utf-8"), universe, expected)
             if solved:
                 assert run("query", out, *batch, *model)[0] == 0
                 _manifest(out)

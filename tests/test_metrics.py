@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -94,13 +95,13 @@ _VALUES = st.integers(-2, 2).map(float) | st.floats(min_value=-1e9, max_value=1e
 @st.composite
 def _bucket_inputs(draw):
     """Records in shuffled order with unique (path, metric) pairs, as
-    load_metrics returns them, a bucket count up to 8, and a universe in an
-    order of its own that holds every record path and maybe paths with no
-    metrics."""
+    load_metrics returns them, a bucket count up to 64, often more than a
+    metric's values, and a universe in an order of its own that holds every
+    record path and maybe paths with no metrics."""
     paths = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=8, unique=True))
     cells = draw(st.lists(st.tuples(st.sampled_from(paths), _METRICS), max_size=20, unique=True))
     records = [MetricRecord(path, metric, draw(_VALUES)) for path, metric in cells]
-    return draw(st.permutations(records)), draw(st.integers(1, 8)), draw(st.permutations(paths))
+    return draw(st.permutations(records)), draw(st.integers(1, 64)), draw(st.permutations(paths))
 
 
 class TestDiscretize:
@@ -176,6 +177,18 @@ class TestDiscretize:
         keys, links = discretize(records, nb, universe)
         assert keys == expected_keys
         _assert_same_links(links, link_matrix(listed, expected_keys))
+
+    def test_memory_does_not_grow_with_the_bucket_count(self, synth_dir):
+        records = load_metrics(synth_dir / "metrics.csv")
+        paths = sorted({rec.path for rec in records})
+        tracemalloc.start()
+        try:
+            keys, _ = discretize(records, 10**5, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) <= len(records)
+        assert peak < 2**20, peak
 
     @given(
         st.lists(

@@ -91,7 +91,7 @@ class TestRunConfig:
         "raw, shown",
         [
             ({"methods": ["foo"]}, r"unknown methods \['foo'\]"),
-            ({"methods": []}, "unknown methods"),
+            ({"methods": []}, "methods must name at least one of"),
             ({"ks": [5, 1]}, "ks must be ascending"),
             ({"ks": [0, 1]}, "ks must be ascending"),
             ({"alpha_grid": [0.5, 1.5]}, "alpha_grid values"),
