@@ -231,7 +231,7 @@ _UNSAFE_ID_PARTS = ("/", "\\", "..", "\0")
 
 def cmd_query(args) -> int:
     cfg = _resolve_config(args)
-    dataset = pipeline.load_dataset(cfg)
+    # check the report file before the dataset load, the slow part of the set-up
     queries = load_query_reports(args.report)
     if not queries:
         raise ValidationError(f"{args.report} holds no reports")
@@ -243,6 +243,7 @@ def cmd_query(args) -> int:
                 raise ValidationError(
                     f"{args.report}: report id {report.id!r} cannot name an output file"
                 )
+    dataset = pipeline.load_dataset(cfg)
     model = _load_model_arg(args)
     scorer = pipeline.prepare_scorer(
         dataset, cfg, model=model, methods=(evaluation.METHOD_NETREG,)

@@ -1,7 +1,9 @@
 """Shared exception types, the UTF-8 reader that turns an open or decode
-error into one of them, and the one CSV dialect every output is written in."""
+error into one of them, the one file hash, and the one CSV dialect every
+output is written in."""
 
 import csv
+import hashlib
 from contextlib import contextmanager
 from pathlib import PurePath
 from types import SimpleNamespace
@@ -29,6 +31,15 @@ def read_text(path, newline=None, what="file"):
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def file_sha256(path) -> str:
+    """Hex sha256 of a file's bytes, read in chunks; OSError if it cannot be read."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def write_csv(target, header, rows) -> None:

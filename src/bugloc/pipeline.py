@@ -39,7 +39,7 @@ from .embeddings import (
     read_table_cache,
     write_table_cache,
 )
-from .errors import ValidationError, read_text
+from .errors import ValidationError, file_sha256, read_text
 from .metrics import MetricRecord, discretize, load_metrics
 from .network import KINDS, HeteroNetwork, build_network, node_table
 from .regularizer import RepresentationModel, SolverConfig
@@ -83,11 +83,7 @@ def sha256_file(path) -> str:
 
 @functools.lru_cache(maxsize=32)
 def _sha256_file(path: str, inode: int, size: int, mtime_ns: int) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return file_sha256(path)
 
 
 @dataclass

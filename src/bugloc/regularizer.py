@@ -23,21 +23,26 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ParseError, ValidationError, read_text
+from .errors import ParseError, ValidationError, file_sha256, read_text
 from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
 
 # order in which free nodes are visited within one sweep
 _SWEEP_KINDS = ("T", "B", "S", "M", "S", "B")
+
+# the version of the binary twin's layout, which its header records
+_TWIN_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -237,7 +242,7 @@ def dump_model(model: RepresentationModel, path) -> None:
     for key in model.nodes.keys:
         if "\t" in key or "\n" in key:
             raise ValidationError(f"node key {key!r} cannot be serialized")
-    matrix = np.asarray(model.matrix, dtype=np.float64)
+    matrix = np.ascontiguousarray(model.matrix, dtype=np.float64)
     digest = hashlib.sha256()
 
     def lines():
@@ -252,6 +257,109 @@ def dump_model(model: RepresentationModel, path) -> None:
         fh.writelines(lines())
         fh.seek(0)
         fh.write(_header(model, digest.hexdigest()))
+    _dump_twin(model, matrix, path)
+
+
+def twin_path(path) -> Path:
+    """Where dump_model writes the binary twin of the model text at path."""
+    path = Path(path)
+    return path.with_name(path.name + ".bin")
+
+
+def _dump_twin(model: RepresentationModel, matrix: np.ndarray, path) -> None:
+    """Write the binary twin of the finished model text at path: four .npy
+    records, a JSON header keyed by the text's sha256, the node keys as
+    UTF-8 joined by "\n", the clamped mask and the float64 matrix.
+
+    The bytes depend on the model alone. The twin is written to a
+    temporary name and renamed into place, so a reader sees the old twin
+    or the new one, never a torn one.
+    """
+    header = {
+        "version": _TWIN_VERSION,
+        "sha256": file_sha256(path),
+        "dim": matrix.shape[1],
+        "nodes": len(model.nodes),
+        "bounds": list(model.nodes.bounds),
+        "network_digest": model.network_digest,
+    }
+    records = (
+        np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
+        np.frombuffer("\n".join(model.nodes.keys).encode("utf-8"), dtype=np.uint8),
+        np.asarray(model.clamped_rows, dtype=bool),
+        matrix,
+    )
+    twin = twin_path(path)
+    tmp = twin.with_name(twin.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        for record in records:
+            np.lib.format.write_array(fh, record, version=(1, 0), allow_pickle=False)
+    os.replace(tmp, twin)
+
+
+def _read_record(fh, dtype: np.dtype, shape: tuple | None = None) -> np.ndarray:
+    """The next .npy record of a twin: a C-order array of dtype, of the given
+    shape, or 1-D of any length when shape is None. ValueError when the
+    record is another, or the file ends before its data does."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 record")
+    found, fortran, found_dtype = np.lib.format.read_array_header_1_0(fh)
+    if fortran or found_dtype != dtype or (len(found) != 1 if shape is None else found != shape):
+        raise ValueError("unexpected record")
+    nbytes = math.prod(found) * dtype.itemsize
+    # checked before allocating, so a corrupt shape cannot ask for more than the file holds
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("torn record")
+    array = np.empty(found, dtype)
+    if fh.readinto(array) != nbytes:
+        raise ValueError("torn record")
+    return array
+
+
+def _read_twin(fh, path) -> RepresentationModel:
+    """The model in an open twin of the model text at path, as the text
+    parser would build it; ValueError on any miss: a foreign or torn twin,
+    a key other than the text's sha256, nodes out of node order, or a value
+    that is not finite."""
+    header = json.loads(_read_record(fh, np.dtype(np.uint8)).tobytes())
+    if not isinstance(header, dict) or header.get("version") != _TWIN_VERSION:
+        raise ValueError("not a model twin")
+    if header.get("sha256") != file_sha256(path):
+        raise ValueError("stale twin")
+    nodes, bounds, network = header.get("nodes"), header.get("bounds"), header.get("network_digest")
+    text = _read_record(fh, np.dtype(np.uint8)).tobytes().decode("utf-8")
+    clamped = _read_record(fh, np.dtype(bool), (nodes,))
+    matrix = _read_record(fh, np.dtype(np.float64), (nodes, header.get("dim")))
+    keys = tuple(text.split("\n")) if nodes else ()
+    well_formed = (
+        not fh.read(1)
+        and len(keys) == nodes
+        and isinstance(network, str)
+        and isinstance(bounds, list)
+        and len(bounds) == len(KINDS) + 1
+        and all(type(bound) is int for bound in bounds)
+        and bounds == sorted(bounds)
+        and bounds[0] == 0
+        and bounds[-1] == nodes
+        and np.isfinite(matrix).all()
+    )
+    if not well_formed:
+        raise ValueError("malformed twin")
+    table = NodeTable(keys, tuple(bounds))
+    for kind in KINDS:
+        block = keys[table.rows(kind)]
+        if any(a >= b for a, b in zip(block, block[1:])):
+            raise ValueError("nodes out of node order")
+    return RepresentationModel(table, matrix, clamped, network_digest=network)
+
+
+def _load_twin(path) -> RepresentationModel | None:
+    """The model in the twin of the model text at path, or None on any miss."""
+    try:
+        with open(twin_path(path), "rb") as fh:
+            return _read_twin(fh, path)
+    except (OSError, ValueError):
+        return None
 
 
 def load_model(path) -> RepresentationModel:
@@ -262,7 +370,13 @@ def load_model(path) -> RepresentationModel:
     must equal the sha256 of the clamped rows' text as read: a hand-edited
     file is rejected, even one that only reformats a value. The header must
     hold a network_digest, which the model keeps.
+
+    When the binary twin that dump_model wrote beside the text is whole and
+    keyed by the text's sha256, the model is read from it instead, without
+    the float parse; any miss reads the text.
     """
+    if (model := _load_twin(path)) is not None:
+        return model
     # lines end at "\n" only, as dump_model writes them: a key may hold "\r"
     with read_text(path, newline="\n", what="model") as fh:
         header_line = fh.readline()

@@ -388,8 +388,12 @@ class TestSolveEvalSweepQuery:
 
     @pytest.mark.parametrize("bad_id", ["dir/../../escaped", "..", "dir\\escaped", "nul\0id"])
     def test_query_batch_rejects_ids_that_leave_the_out_dir(
-        self, cli_dataset, tmp_path, capsys, bad_id
+        self, cli_dataset, tmp_path, capsys, monkeypatch, bad_id
     ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataset loaded before the report ids were checked")
+
+        monkeypatch.setattr(pipeline, "load_dataset", refuse)
         reports = [
             {
                 "id": rid,
@@ -523,13 +527,18 @@ class TestSolveEvalSweepQuery:
             ([json.dumps({"id": "Q-1", "summary": "crash"}, indent=2)], ": missing key "),
             # two of them are neither one object nor JSONL
             ([json.dumps({"id": "Q-1"}, indent=2)] * 2, ": line 1: invalid JSON: "),
+            ([], " holds no reports"),
         ],
     )
     def test_bad_report_file_is_rejected_naming_the_file(
-        self, seed3, tmp_path, capsys, texts, shown
+        self, seed3, tmp_path, capsys, monkeypatch, texts, shown
     ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataset loaded before the report file was checked")
+
+        monkeypatch.setattr(pipeline, "load_dataset", refuse)
         path = tmp_path / "bug.json"
-        path.write_text("\n".join(texts) + "\n", encoding="utf-8")
+        path.write_text("".join(text + "\n" for text in texts), encoding="utf-8")
         capsys.readouterr()
         assert _run("query", "--dataset-dir", str(seed3), "--out-dir", str(seed3 / "out"),
                     "--report", str(path)) == 1

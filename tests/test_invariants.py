@@ -9,8 +9,10 @@ through cli.main in process. Whatever the inputs:
 - every command exits 0 or 1, and exit 1 prints exactly one `error:` line
   and no traceback;
 - after solve, eval --model writes a fresh eval's three CSVs byte for byte,
-  and query --model prints and writes what a fresh query does;
-- two identical solve runs write identical model.tsv and manifest.json;
+  and query --model prints and writes what a fresh query does, each run
+  once with the model's binary twin and once without it, from the text;
+- two identical solve runs write identical model.tsv, binary twin and
+  manifest.json;
 - every manifest is strict JSON;
 - a ranking lists distinct universe paths, and its scores never rise;
 - a query ranking lists the top k files by raw blended score descending,
@@ -37,6 +39,7 @@ from hypothesis import given, settings, strategies as st
 from bugloc import pipeline, ranker, synthgen
 from bugloc.cli import main
 from bugloc.corpus import load_query_reports, tfidf_rows, tokenize
+from bugloc.regularizer import twin_path
 
 SPEC = dict(num_reports=20, num_files=5, vocab_size=60, dim=3, topic_count=2)
 MUTATIONS = (
@@ -230,6 +233,19 @@ def _batch(out: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in out.glob("query_*.csv")}
 
 
+def _twin_states(model: Path):
+    """Yield twice: with the model's binary twin in place, then with it
+    moved aside, so that a --model run reads the text; then restore it."""
+    twin = twin_path(model)
+    aside = twin.with_name(twin.name + ".aside")
+    yield
+    twin.rename(aside)
+    try:
+        yield
+    finally:
+        aside.rename(twin)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
@@ -259,15 +275,16 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         solved = run("solve", out)[0] == 0
         if solved:
             _manifest(out)
-            first = [(out / name).read_bytes() for name in ("model.tsv", "manifest.json")]
+            solved_files = ("model.tsv", "model.tsv.bin", "manifest.json")
+            first = [(out / name).read_bytes() for name in solved_files]
             assert run("solve", out)[0] == 0
-            assert [(out / name).read_bytes() for name in ("model.tsv", "manifest.json")] == first
+            assert [(out / name).read_bytes() for name in solved_files] == first
         model = ("--model", out / "model.tsv")
 
         names = ("results.csv", "ttests.csv", "sweep.csv")
         if run("eval", fresh)[0] == 0:
             _manifest(fresh)
-            if solved:
+            for _ in _twin_states(out / "model.tsv") if solved else ():
                 assert run("eval", out, *model)[0] == 0
                 _manifest(out)
                 assert [(out / n).read_bytes() for n in names] == [
@@ -280,7 +297,7 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         if code == 0:
             (expected,) = raw(dataset / "query.jsonl").values()
             _ranking(printed, universe, expected)
-            if solved:
+            for _ in _twin_states(out / "model.tsv") if solved else ():
                 assert run("query", out, *single, *model) == (0, printed)
 
         batch = ("--report", dataset / "batch.jsonl")
@@ -290,7 +307,9 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
             assert len(rankings) == QUERY_BATCH
             for rid, expected in raw(dataset / "batch.jsonl").items():
                 _ranking(rankings[f"query_{rid}.csv"].decode("utf-8"), universe, expected)
-            if solved:
+            for _ in _twin_states(out / "model.tsv") if solved else ():
+                for stale in out.glob("query_*.csv"):
+                    stale.unlink()
                 assert run("query", out, *batch, *model)[0] == 0
                 _manifest(out)
                 assert _batch(out) == rankings

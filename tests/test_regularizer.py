@@ -1,18 +1,23 @@
 import hashlib
 import json
 import logging
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from bugloc import pipeline, synthgen
+from bugloc import pipeline, regularizer, synthgen
 from bugloc.errors import ParseError, ValidationError
-from bugloc.network import TypedNode
+from bugloc.network import NodeTable, TypedNode
 from bugloc.regularizer import (
     RepresentationModel,
     SolverConfig,
+    _load_twin,
     clamp_rows,
     dump_model,
     energy,
@@ -20,6 +25,7 @@ from bugloc.regularizer import (
     load_model,
     solve,
     sweep_update,
+    twin_path,
 )
 from netgen import components, network_of, random_network, sweep_energies, table_of
 from solveref import closed_form_solve
@@ -349,6 +355,8 @@ class TestModelSerialization:
         dump_model(model, p1)
         dump_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        assert twin_path(p1).read_bytes() == twin_path(p2).read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["m1.tsv", "m1.tsv.bin", "m2.tsv", "m2.tsv.bin"]
 
     def test_tampered_clamped_vector_fails_digest(self, tmp_path):
         net, table = _weighted_net()
@@ -505,3 +513,130 @@ class TestModelSerialization:
         )
         with pytest.raises(ValidationError, match="serialized"):
             dump_model(model, "/dev/null")
+
+
+GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.tsv"
+TWIN_KEYS = st.text(alphabet="aZ Ř日\r\x85\u2028", max_size=3)
+
+
+def _assert_same_model(a, b):
+    """Equal nodes, digest and mask, and the matrices equal bit for bit."""
+    assert a.nodes == b.nodes and a.network_digest == b.network_digest
+    assert a.clamped_rows.dtype == b.clamped_rows.dtype == bool
+    np.testing.assert_array_equal(a.clamped_rows, b.clamped_rows)
+    assert a.matrix.dtype == b.matrix.dtype == np.float64 and a.matrix.shape == b.matrix.shape
+    np.testing.assert_array_equal(a.matrix.view(np.uint64), b.matrix.view(np.uint64))
+
+
+def _text_load(path):
+    """What load_model builds from the text alone, with the twin moved aside."""
+    twin = twin_path(path)
+    aside = twin.with_name(twin.name + ".aside")
+    twin.rename(aside)
+    try:
+        return load_model(path)
+    finally:
+        aside.rename(twin)
+
+
+class TestModelTwin:
+    def test_golden_model_loads_from_its_twin_as_from_its_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.tsv"
+        dump_model(load_model(GOLDEN_MODEL), path)
+        text = _text_load(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model text was parsed")
+
+        monkeypatch.setattr(regularizer, "read_text", refuse)
+        loaded = load_model(path)
+        _assert_same_model(loaded, text)
+        assert loaded.matrix.flags.writeable and loaded.matrix.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        blocks=st.fixed_dictionaries({kind: st.sets(TWIN_KEYS, max_size=3) for kind in "BMST"}),
+        dim=st.integers(0, 3),
+        digest=st.text(alphabet="0af", max_size=4),
+        data=st.data(),
+    )
+    def test_twin_load_equals_text_load_bit_for_bit(self, blocks, dim, digest, data):
+        nodes = NodeTable.of({kind: sorted(keys) for kind, keys in blocks.items()})
+        size = len(nodes)
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        matrix = data.draw(st.lists(values, min_size=size * dim, max_size=size * dim))
+        clamped = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        model = RepresentationModel(
+            nodes, np.array(matrix, dtype=np.float64).reshape(size, dim),
+            np.array(clamped, dtype=bool), network_digest=digest,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.tsv"
+            dump_model(model, path)
+            twin = _load_twin(path)
+            assert twin is not None
+            _assert_same_model(twin, model)
+            _assert_same_model(twin, _text_load(path))
+
+    @pytest.mark.parametrize(
+        "damage", ["missing", "torn", "trailing", "foreign", "other_model", "directory"]
+    )
+    def test_a_damaged_twin_is_a_miss(self, tmp_path, damage):
+        model = solve(*_weighted_net())
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        twin = twin_path(path)
+        if damage == "missing":
+            twin.unlink()
+        elif damage == "torn":
+            twin.write_bytes(twin.read_bytes()[:-8])
+        elif damage == "trailing":
+            twin.write_bytes(twin.read_bytes() + b"\0")
+        elif damage == "foreign":
+            with open(twin, "wb") as fh:
+                np.save(fh, np.arange(3))
+        elif damage == "other_model":
+            other = tmp_path / "other.tsv"
+            dump_model(solve(*_pair_net()), other)
+            os.replace(twin_path(other), twin)
+        else:
+            twin.unlink()
+            twin.mkdir()
+        assert _load_twin(path) is None
+        _assert_same_model(load_model(path), model)
+
+    def test_an_edited_text_loads_its_edit(self, tmp_path):
+        path = tmp_path / "model.tsv"
+        dump_model(solve(*_weighted_net()), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        at = next(i for i, line in enumerate(lines) if "\tf\t" in line)
+        kind, key, flag, _ = lines[at].split("\t")
+        lines[at] = "\t".join([kind, key, flag, "0.125"])
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert twin_path(path).exists() and _load_twin(path) is None
+        loaded = load_model(path)
+        assert loaded.vector(TypedNode(kind, key))[0] == 0.125
+
+    @pytest.mark.parametrize(
+        "model, shown",
+        [
+            (
+                RepresentationModel(
+                    table_of((B1, T1)), np.array([[np.nan], [1.0]]), np.array([False, True])
+                ),
+                ": line 2: vector holds a value that is not finite$",
+            ),
+            (
+                RepresentationModel(
+                    NodeTable(("b2", "b1"), (0, 2, 2, 2, 2)), np.zeros((2, 1)), np.zeros(2, bool)
+                ),
+                ": line 3: node B:b1 is a duplicate or out of order$",
+            ),
+        ],
+    )
+    def test_a_model_the_text_rejects_is_rejected_with_its_twin_present(self, tmp_path, model, shown):
+        path = tmp_path / "model.tsv"
+        dump_model(model, path)
+        assert twin_path(path).exists()
+        with pytest.raises(ValidationError, match=shown):
+            load_model(path)
