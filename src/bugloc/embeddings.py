@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import zipfile
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -79,54 +76,6 @@ def load_embeddings(path) -> EmbeddingTable:
             f"{path}: header declares {count} rows but file holds {len(vectors)}"
         )
     return EmbeddingTable(vectors, np.array(list(vectors.values())).reshape(count, dim))
-
-
-def write_table_cache(table: EmbeddingTable, path, source_sha256: str) -> None:
-    """Save a parsed table as one .npz keyed by the sha256 of its text file.
-
-    The tokens are stored as their UTF-8 text joined by newlines, which no
-    token holds; a fixed-width string array would spend the longest
-    token's width on every token. The file is written to a temporary name
-    and renamed into place, so a reader sees the old file or the new one,
-    never a torn one.
-    """
-    text = np.frombuffer("\n".join(table.tokens).encode("utf-8"), dtype=np.uint8)
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, tokens=text, matrix=table.matrix, sha256=np.array(source_sha256))
-    os.replace(tmp, path)
-
-
-def read_table_cache(path, source_sha256: str) -> EmbeddingTable | None:
-    """The table saved by write_table_cache, or None on any miss.
-
-    A miss is a missing, torn or foreign file, a key other than
-    source_sha256, or contents the text loader would not have produced:
-    a matrix that is not float64 with one row per token, duplicate tokens
-    or a non-finite value. The loaded matrix is the table's own.
-    """
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            sha, text, matrix = npz["sha256"], npz["tokens"], npz["matrix"]
-    # a foreign .npy loads as an array, which is no context manager (TypeError)
-    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile):
-        return None
-    fits = (
-        str(sha) == source_sha256
-        and text.dtype == np.uint8 and text.ndim == 1
-        and matrix.dtype == np.float64 and matrix.ndim == 2 and matrix.shape[1] >= 1
-    )
-    if not fits:
-        return None
-    try:
-        tokens = text.tobytes().decode("utf-8").split("\n") if len(matrix) else []
-    except UnicodeDecodeError:
-        return None
-    table = EmbeddingTable(tokens, matrix)
-    if not len(table.row) == len(tokens) == len(matrix) or not np.isfinite(matrix).all():
-        return None
-    return table
 
 
 def embed_tokens(

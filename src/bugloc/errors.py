@@ -1,12 +1,21 @@
 """Shared exception types, the UTF-8 reader that turns an open or decode
-error into one of them, the one file hash, and the one CSV dialect every
-output is written in."""
+error into one of them, the one file hash, the one CSV dialect every
+output is written in, and the one record format of the binary files."""
 
 import csv
 import hashlib
+import json
+import math
+import os
 from contextlib import contextmanager
-from pathlib import PurePath
+from pathlib import Path, PurePath
 from types import SimpleNamespace
+
+import numpy as np
+
+# the layout version of every record file, which its header holds: a change
+# to any record file's layout raises it, and older files become misses
+RECORDS_VERSION = 1
 
 
 class ValidationError(Exception):
@@ -57,3 +66,77 @@ def write_csv(target, header, rows) -> None:
         writer = csv.writer(rows_out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+@contextmanager
+def replacing(path, mode="wb", **open_args):
+    """Open a temporary file beside path for writing, making its directory,
+    and rename it onto path once the block ends, so a reader sees the old
+    file or the new one."""
+    tmp = Path(f"{path}.tmp")
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    with open(tmp, mode, **open_args) as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def write_records(path, header: dict, records) -> None:
+    """Write a record file: .npy version 1.0 records, the first the header
+    as JSON text, with RECORDS_VERSION added, then each of records, an array
+    or a tuple of strings stored as their UTF-8 text joined by "\n", which
+    no string may hold."""
+    header = json.dumps({**header, "version": RECORDS_VERSION}, sort_keys=True)
+    with replacing(path) as fh:
+        for record in (header, *records):
+            if not isinstance(record, np.ndarray):
+                text = record if isinstance(record, str) else "\n".join(record)
+                record = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+            np.lib.format.write_array(fh, record, version=(1, 0), allow_pickle=False)
+
+
+def read_array(fh, dtype, shape: tuple) -> np.ndarray:
+    """The next record of an open record file: a C-order array of dtype
+    whose shape matches shape, where None matches any length. ValueError
+    when the record is another, or the file ends before its data does."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 record")
+    found, fortran, found_dtype = np.lib.format.read_array_header_1_0(fh)
+    fits = len(found) == len(shape) and all(n in (None, m) for n, m in zip(shape, found))
+    if fortran or found_dtype != dtype or not fits:
+        raise ValueError("unexpected record")
+    nbytes = math.prod(found) * found_dtype.itemsize
+    # checked before allocating, so a corrupt shape cannot ask for more than the file holds
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError("torn record")
+    array = np.empty(found, dtype)
+    if fh.readinto(array) != nbytes:
+        raise ValueError("torn record")
+    return array
+
+
+def read_strings(fh, count) -> tuple[str, ...]:
+    """The next record of an open record file as count strings; ValueError
+    when it holds another number of them or is not UTF-8."""
+    text = read_array(fh, np.uint8, (None,)).tobytes().decode("utf-8")
+    strings = tuple(text.split("\n")) if count else ()
+    if len(strings) != count:
+        raise ValueError("unexpected string count")
+    return strings
+
+
+def read_records(path, parse):
+    """parse(header, fh) for the record file at path, with fh open past the
+    header, or None on any miss: a file that cannot be opened, is torn or
+    foreign or holds bytes past its last record, a header that is not a
+    JSON object of RECORDS_VERSION, or a ValueError from parse, which reads
+    the records with read_array and read_strings and checks them."""
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(read_array(fh, np.uint8, (None,)).tobytes())
+            if not isinstance(header, dict) or header.get("version") != RECORDS_VERSION:
+                return None
+            result = parse(header, fh)
+            return None if fh.read(1) else result
+    # a header nested too deep for the decoder raises RecursionError
+    except (OSError, ValueError, RecursionError):
+        return None

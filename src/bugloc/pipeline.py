@@ -33,13 +33,11 @@ from .corpus import (
     tfidf_rows,
     tokenize,
 )
-from .embeddings import (
-    EmbeddingTable,
-    load_embeddings,
-    read_table_cache,
-    write_table_cache,
+from .embeddings import EmbeddingTable, load_embeddings
+from .errors import (
+    ValidationError, file_sha256, read_array, read_records, read_strings, read_text, replacing,
+    write_records,
 )
-from .errors import ValidationError, file_sha256, read_text
 from .metrics import MetricRecord, discretize, load_metrics
 from .network import KINDS, HeteroNetwork, build_network, node_table
 from .regularizer import RepresentationModel, SolverConfig
@@ -47,7 +45,7 @@ from .regularizer import RepresentationModel, SolverConfig
 logger = logging.getLogger(__name__)
 
 CACHE_NAME = "corpus_cache.json"
-EMBEDDING_CACHE_NAME = "embeddings_cache.npz"
+EMBEDDING_CACHE_NAME = "embeddings_cache.bin"
 
 DATASET_FILES = {
     "reports": "reports.jsonl",
@@ -116,7 +114,8 @@ class RunConfig:
         try:
             with read_text(path, what="config") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        # a config nested too deep for the decoder raises RecursionError
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError(f"config {path} must hold a JSON object")
@@ -236,27 +235,44 @@ def write_corpus_cache(cfg: RunConfig, dataset: Dataset) -> Path:
         "report_tokens": dataset.report_tokens,
         "source_tokens": dataset.source_tokens,
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # dumps runs the C encoder; dump to a file would run the pure-Python one
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8", newline="\n")
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
+        # dumps runs the C encoder; dump to a file would run the pure-Python one
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
     return path
 
 
 def write_embedding_cache(cfg: RunConfig, table: EmbeddingTable) -> None:
-    """Persist the parsed embedding table so later subcommands skip the text parse."""
+    """Persist the parsed embedding table so later subcommands skip the text
+    parse, as a record file (errors.write_records): a header holding the
+    sha256 of the embeddings file, its key, and the token count, then the
+    tokens and the matrix."""
     path = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_table_cache(table, path, sha256_file(cfg.embeddings))
+    header = {"sha256": sha256_file(cfg.embeddings), "count": len(table)}
+    write_records(path, header, (table.tokens, table.matrix))
+
+
+def _parse_embedding_cache(key: str, header: dict, fh) -> EmbeddingTable:
+    """The table in an embedding cache keyed by key; ValueError unless it is
+    one the text loader builds: a float64 matrix with one row per token and
+    at least one column, distinct tokens and finite values."""
+    if header.get("sha256") != key:
+        raise ValueError("stale cache")
+    tokens = read_strings(fh, header.get("count"))
+    matrix = read_array(fh, np.float64, (len(tokens), None))
+    table = EmbeddingTable(tokens, matrix)
+    if not matrix.shape[1] >= 1 or len(table.row) != len(tokens) or not np.isfinite(matrix).all():
+        raise ValueError("not a table the text loader would build")
+    return table
 
 
 def _is_token_map(value) -> bool:
-    return isinstance(value, dict) and all(isinstance(tokens, list) for tokens in value.values())
+    return isinstance(value, dict) and all(
+        isinstance(tokens, list) and set(map(type, tokens)) <= {str} for tokens in value.values()
+    )
 
 
 def _read_corpus_cache(cfg: RunConfig):
     path = Path(cfg.out_dir) / CACHE_NAME
-    if not path.exists():
-        return None
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -267,7 +283,8 @@ def _read_corpus_cache(cfg: RunConfig):
             and (payload.get("source_tokens") is None or _is_token_map(payload["source_tokens"]))
             and payload.get("key") == _cache_key(cfg)
         )
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+    # a payload nested too deep for the decoder raises RecursionError
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
         return None
     return payload if fits else None
 
@@ -295,8 +312,8 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     metric_records = load_metrics(cfg.metrics) if cfg.metrics else []
     table = None
     if use_cache:
-        path = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
-        table = read_table_cache(path, sha256_file(cfg.embeddings))
+        parse = functools.partial(_parse_embedding_cache, sha256_file(cfg.embeddings))
+        table = read_records(Path(cfg.out_dir) / EMBEDDING_CACHE_NAME, parse)
     if table is None:
         table = load_embeddings(cfg.embeddings)
     return Dataset(

@@ -23,26 +23,25 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ParseError, ValidationError, file_sha256, read_text
+from .errors import (
+    ParseError, ValidationError, file_sha256, read_array, read_records, read_strings, read_text,
+    write_records,
+)
 from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
 
 # order in which free nodes are visited within one sweep
 _SWEEP_KINDS = ("T", "B", "S", "M", "S", "B")
-
-# the version of the binary twin's layout, which its header records
-_TWIN_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -257,83 +256,36 @@ def dump_model(model: RepresentationModel, path) -> None:
         fh.writelines(lines())
         fh.seek(0)
         fh.write(_header(model, digest.hexdigest()))
-    _dump_twin(model, matrix, path)
-
-
-def twin_path(path) -> Path:
-    """Where dump_model writes the binary twin of the model text at path."""
-    path = Path(path)
-    return path.with_name(path.name + ".bin")
-
-
-def _dump_twin(model: RepresentationModel, matrix: np.ndarray, path) -> None:
-    """Write the binary twin of the finished model text at path: four .npy
-    records, a JSON header keyed by the text's sha256, the node keys as
-    UTF-8 joined by "\n", the clamped mask and the float64 matrix.
-
-    The bytes depend on the model alone. The twin is written to a
-    temporary name and renamed into place, so a reader sees the old twin
-    or the new one, never a torn one.
-    """
+    # then the binary twin (twin_path), a record file keyed by the finished text's sha256
     header = {
-        "version": _TWIN_VERSION,
         "sha256": file_sha256(path),
         "dim": matrix.shape[1],
         "nodes": len(model.nodes),
         "bounds": list(model.nodes.bounds),
         "network_digest": model.network_digest,
     }
-    records = (
-        np.frombuffer(json.dumps(header, sort_keys=True).encode(), dtype=np.uint8),
-        np.frombuffer("\n".join(model.nodes.keys).encode("utf-8"), dtype=np.uint8),
-        np.asarray(model.clamped_rows, dtype=bool),
-        matrix,
-    )
-    twin = twin_path(path)
-    tmp = twin.with_name(twin.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        for record in records:
-            np.lib.format.write_array(fh, record, version=(1, 0), allow_pickle=False)
-    os.replace(tmp, twin)
+    records = (model.nodes.keys, np.asarray(model.clamped_rows, dtype=bool), matrix)
+    write_records(twin_path(path), header, records)
 
 
-def _read_record(fh, dtype: np.dtype, shape: tuple | None = None) -> np.ndarray:
-    """The next .npy record of a twin: a C-order array of dtype, of the given
-    shape, or 1-D of any length when shape is None. ValueError when the
-    record is another, or the file ends before its data does."""
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError("not a version 1.0 record")
-    found, fortran, found_dtype = np.lib.format.read_array_header_1_0(fh)
-    if fortran or found_dtype != dtype or (len(found) != 1 if shape is None else found != shape):
-        raise ValueError("unexpected record")
-    nbytes = math.prod(found) * dtype.itemsize
-    # checked before allocating, so a corrupt shape cannot ask for more than the file holds
-    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
-        raise ValueError("torn record")
-    array = np.empty(found, dtype)
-    if fh.readinto(array) != nbytes:
-        raise ValueError("torn record")
-    return array
+def twin_path(path) -> Path:
+    """Where dump_model writes the binary twin of the model text at path."""
+    return Path(f"{path}.bin")
 
 
-def _read_twin(fh, path) -> RepresentationModel:
-    """The model in an open twin of the model text at path, as the text
-    parser would build it; ValueError on any miss: a foreign or torn twin,
-    a key other than the text's sha256, nodes out of node order, or a value
-    that is not finite."""
-    header = json.loads(_read_record(fh, np.dtype(np.uint8)).tobytes())
-    if not isinstance(header, dict) or header.get("version") != _TWIN_VERSION:
-        raise ValueError("not a model twin")
+def _parse_twin(path, header: dict, fh) -> RepresentationModel:
+    """The model in the twin of the model text at path, as the text parser
+    would build it; ValueError on any miss: a key other than the text's
+    sha256, nodes out of node order, or a value that is not finite."""
     if header.get("sha256") != file_sha256(path):
-        raise ValueError("stale twin")
-    nodes, bounds, network = header.get("nodes"), header.get("bounds"), header.get("network_digest")
-    text = _read_record(fh, np.dtype(np.uint8)).tobytes().decode("utf-8")
-    clamped = _read_record(fh, np.dtype(bool), (nodes,))
-    matrix = _read_record(fh, np.dtype(np.float64), (nodes, header.get("dim")))
-    keys = tuple(text.split("\n")) if nodes else ()
+        raise ValueError("not the twin of this text")
+    nodes, dim, bounds = header.get("nodes"), header.get("dim"), header.get("bounds")
+    network = header.get("network_digest")
+    keys = read_strings(fh, nodes)
+    clamped = read_array(fh, bool, (nodes,))
+    matrix = read_array(fh, np.float64, (nodes, dim))
     well_formed = (
-        not fh.read(1)
-        and len(keys) == nodes
+        type(dim) is int  # a null dim would match any width
         and isinstance(network, str)
         and isinstance(bounds, list)
         and len(bounds) == len(KINDS) + 1
@@ -355,11 +307,7 @@ def _read_twin(fh, path) -> RepresentationModel:
 
 def _load_twin(path) -> RepresentationModel | None:
     """The model in the twin of the model text at path, or None on any miss."""
-    try:
-        with open(twin_path(path), "rb") as fh:
-            return _read_twin(fh, path)
-    except (OSError, ValueError):
-        return None
+    return read_records(twin_path(path), partial(_parse_twin, path))
 
 
 def load_model(path) -> RepresentationModel:
@@ -385,7 +333,8 @@ def load_model(path) -> RepresentationModel:
             dim = int(header["dim"])
             declared_nodes = int(header["nodes"])
             declared_digest = header["clamped_digest"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # a header nested too deep for the decoder raises RecursionError
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: bad model header") from exc
         if not isinstance(network := header.get("network_digest"), str):
             raise ValidationError(f"{path}: the model header holds no network_digest; solve again")

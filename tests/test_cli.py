@@ -92,7 +92,7 @@ class TestIngestAndBuild:
         assert summary["reports"] == 149
         assert summary["source_docs"] == 24
         assert (out / "corpus_cache.json").exists()
-        assert (out / "embeddings_cache.npz").exists()
+        assert (out / "embeddings_cache.bin").exists()
         assert (out / "manifest.json").exists()
 
     def test_solve_writes_the_same_model_with_and_without_the_embedding_cache(
@@ -103,9 +103,34 @@ class TestIngestAndBuild:
         assert _run("ingest", *args) == 0
         assert _run("solve", *args) == 0
         with_cache = (out / "model.tsv").read_bytes()
-        (out / "embeddings_cache.npz").unlink()
+        (out / "embeddings_cache.bin").unlink()
         assert _run("solve", *args) == 0
         assert (out / "model.tsv").read_bytes() == with_cache
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: {
+                **payload,
+                "report_tokens": {**payload["report_tokens"], min(payload["report_tokens"]): [5, None]},
+            },
+            lambda payload: "[" * 100_000,
+        ],
+        ids=["token-not-a-string", "too-deep"],
+    )
+    def test_solve_over_a_damaged_corpus_cache_writes_the_uncached_model(
+        self, cli_dataset, tmp_path, damage
+    ):
+        out = tmp_path / "out"
+        args = ("--dataset-dir", str(cli_dataset), "--out-dir", str(out))
+        assert _run("solve", *args) == 0
+        uncached = (out / "model.tsv").read_bytes()
+        assert _run("ingest", *args) == 0
+        cache = out / "corpus_cache.json"
+        damaged = damage(json.loads(cache.read_text(encoding="utf-8")))
+        cache.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged), encoding="utf-8")
+        assert _run("solve", *args) == 0
+        assert (out / "model.tsv").read_bytes() == uncached
 
     def test_build_writes_edges_and_diagnostics(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "out"

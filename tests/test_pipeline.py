@@ -15,6 +15,7 @@ from bugloc.corpus import BugReport, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
 from linkref import bow_links, ground_truth
+from recordref import read_raw, write_raw
 from sparseref import from_scipy, to_scipy
 from tables import make_table
 
@@ -54,6 +55,12 @@ class TestRunConfig:
         cfg = pipeline.RunConfig.from_file(cfg_path)
         assert cfg.reports == str(synth_dir / "reports.jsonl")
         assert cfg.dataset_name == "synthetic"
+
+    def test_config_nested_too_deep_rejected(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(ValidationError, match="cannot read config .*: maximum recursion depth"):
+            pipeline.RunConfig.from_file(cfg_path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="mystery"):
@@ -289,14 +296,16 @@ class TestDatasetLoadingAndCache:
     @pytest.mark.parametrize(
         "mangle",
         [
-            lambda arrays: {**arrays, "sha256": np.array("0" * 64)},
-            lambda arrays: {**arrays, "matrix": arrays["matrix"].astype(np.float32)},
-            lambda arrays: {**arrays, "matrix": arrays["matrix"][:-1]},
-            lambda arrays: {**arrays, "matrix": arrays["matrix"].reshape(-1)},
-            lambda arrays: {**arrays, "matrix": np.where(arrays["matrix"] > 0, np.inf, arrays["matrix"])},
-            lambda arrays: {**arrays, "tokens": _tokens_array(["dup", "dup", *_cached_tokens(arrays)[2:]])},
-            lambda arrays: {**arrays, "tokens": np.array(_cached_tokens(arrays), dtype=object)},
-            lambda arrays: {key: value for key, value in arrays.items() if key != "sha256"},
+            lambda records: {**records, "header": {**records["header"], "sha256": "0" * 64}},
+            lambda records: {**records, "matrix": records["matrix"].astype(np.float32)},
+            lambda records: {**records, "matrix": records["matrix"][:-1]},
+            lambda records: {**records, "matrix": records["matrix"].reshape(-1)},
+            lambda records: {**records, "matrix": np.where(records["matrix"] > 0, np.inf, records["matrix"])},
+            lambda records: {**records, "tokens": _tokens_array(["dup", "dup", *_cached_tokens(records)[2:]])},
+            lambda records: {**records, "tokens": np.array(_cached_tokens(records), dtype=object)},
+            lambda records: {
+                **records, "header": {k: v for k, v in records["header"].items() if k != "sha256"}
+            },
         ],
         ids=[
             "stale-sha",
@@ -315,12 +324,10 @@ class TestDatasetLoadingAndCache:
         parsed = load_embeddings(cfg.embeddings)
         pipeline.write_embedding_cache(cfg, parsed)
         path = tmp_path / pipeline.EMBEDDING_CACHE_NAME
-        with np.load(path) as npz:
-            arrays = dict(npz)
+        header, (tokens, matrix) = read_raw(path)
         # poisoned values: a table read from this cache would differ from the parse
-        arrays["matrix"] = arrays["matrix"] + 1.0
-        with open(path, "wb") as fh:
-            np.savez(fh, **mangle(arrays))
+        records = mangle({"header": header, "tokens": tokens, "matrix": matrix + 1.0})
+        write_raw(path, records["header"], (records["tokens"], records["matrix"]))
         _assert_same_table(pipeline.load_dataset(cfg).table, parsed)
 
     @pytest.mark.parametrize("size", [0, 1, 100, "half", "all-but-one"])
@@ -338,8 +345,7 @@ class TestDatasetLoadingAndCache:
     def test_foreign_npy_behind_the_cache_name_is_a_miss(self, synth_dir, tmp_path):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
         cfg.apply_dataset_dir(synth_dir)
-        with open(tmp_path / pipeline.EMBEDDING_CACHE_NAME, "wb") as fh:
-            np.save(fh, np.zeros((3, 2)))
+        write_raw(tmp_path / pipeline.EMBEDDING_CACHE_NAME, np.zeros((3, 2)), ())
         _assert_same_table(pipeline.load_dataset(cfg).table, load_embeddings(cfg.embeddings))
 
     def test_invalid_embeddings_behind_a_cache_still_rejected(self, synth_dir, tmp_path):
@@ -368,8 +374,8 @@ def _tokens_array(tokens):
     return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
 
 
-def _cached_tokens(arrays):
-    return arrays["tokens"].tobytes().decode("utf-8").split("\n")
+def _cached_tokens(records):
+    return records["tokens"].tobytes().decode("utf-8").split("\n")
 
 
 def _assert_same_table(table, parsed):

@@ -389,6 +389,12 @@ class TestModelSerialization:
         with pytest.raises(ParseError, match="components"):
             load_model(bad_vec)
 
+    def test_header_nested_too_deep_rejected(self, tmp_path):
+        path = tmp_path / "model.tsv"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="bad model header"):
+            load_model(path)
+
     def test_header_node_count_checked(self, tmp_path):
         net, table = _weighted_net()
         model = solve(net, table)
