@@ -181,6 +181,8 @@ def _read_jsonl(path, parse, what: str) -> dict:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{where}: invalid JSON: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise ParseError(f"{where}: JSON nested too deep to decode") from exc
             key, item = parse(rec, where)
             if key in seen:
                 raise ValidationError(
@@ -219,7 +221,8 @@ def load_query_reports(path) -> list[BugReport]:
         text = fh.read()
     try:
         rec = json.loads(text)
-    except json.JSONDecodeError:
+    # the JSONL reader names the line of either failure
+    except (json.JSONDecodeError, RecursionError):
         rec = None
     if isinstance(rec, dict):
         return [_parse_report(rec, str(path))]

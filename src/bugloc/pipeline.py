@@ -290,7 +290,9 @@ def _read_corpus_cache(cfg: RunConfig):
 
 
 def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
-    """Load, validate, and tokenize everything the configuration references."""
+    """Load, validate, and tokenize everything the configuration references.
+    With use_cache, a cache in cfg.out_dir that is missing, stale or damaged
+    is logged at INFO, naming the file, and its input is read instead."""
     if not cfg.reports:
         raise ValidationError("config sets no reports path")
     if not cfg.embeddings:
@@ -303,6 +305,8 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
         report_tokens = {r.id: cache["report_tokens"][r.id] for r in reports}
         source_tokens = cache.get("source_tokens")
     else:
+        if use_cache:
+            logger.info("not using %s; tokenizing the corpus", Path(cfg.out_dir) / CACHE_NAME)
         report_tokens = {r.id: tokenize(r.text, rules) for r in reports}
         source_tokens = None
     if not cfg.sources:
@@ -313,7 +317,10 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     table = None
     if use_cache:
         parse = functools.partial(_parse_embedding_cache, sha256_file(cfg.embeddings))
-        table = read_records(Path(cfg.out_dir) / EMBEDDING_CACHE_NAME, parse)
+        embedding_cache = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
+        table = read_records(embedding_cache, parse)
+        if table is None:
+            logger.info("not using %s; parsing %s", embedding_cache, cfg.embeddings)
     if table is None:
         table = load_embeddings(cfg.embeddings)
     return Dataset(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import compress
@@ -32,10 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import (
-    ParseError, ValidationError, file_sha256, read_array, read_records, read_strings, read_text,
-    write_records,
-)
+from .errors import ValidationError, file_sha256, read_array, read_records, read_strings, write_records
 from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
@@ -218,11 +214,6 @@ def _format_row(row: np.ndarray) -> str:
     return " ".join(map(repr, row.tolist()))
 
 
-def _clamped_record(kind: str, key: str, text: str) -> bytes:
-    """What the header digest hashes for one clamped node and its row text."""
-    return f"{kind}{key}\0{text}\n".encode()
-
-
 def _header(model: RepresentationModel, digest: str) -> str:
     header = {"dim": model.dim, "nodes": len(model.nodes), "clamped_digest": digest}
     header["network_digest"] = model.network_digest
@@ -231,9 +222,10 @@ def _header(model: RepresentationModel, digest: str) -> str:
 
 def dump_model(model: RepresentationModel, path) -> None:
     """Write the model as a text table: header JSON line, then one node per
-    line, in node order.
+    line, in node order; then its record file (twin_path), which load_model
+    reads. The text is an export for people and other tools.
 
-    Floats are written with repr so loading restores them bit-exactly. Each
+    Floats are written with repr, so the text holds them bit-exactly. Each
     row is formatted once: the clamped rows' text goes both to the file and
     to the digest, and the header, whose length does not depend on the
     digest's value, is rewritten in place once the last row is out.
@@ -248,7 +240,7 @@ def dump_model(model: RepresentationModel, path) -> None:
         for (kind, key), clamped, row in zip(model.nodes, model.clamped_rows, matrix):
             text = _format_row(row)
             if clamped:
-                digest.update(_clamped_record(kind, key, text))
+                digest.update(f"{kind}{key}\0{text}\n".encode())
             yield f"{kind}\t{key}\t{'c' if clamped else 'f'}\t{text}\n"
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -256,7 +248,7 @@ def dump_model(model: RepresentationModel, path) -> None:
         fh.writelines(lines())
         fh.seek(0)
         fh.write(_header(model, digest.hexdigest()))
-    # then the binary twin (twin_path), a record file keyed by the finished text's sha256
+    # then the record file (twin_path), keyed by the finished text's sha256
     header = {
         "sha256": file_sha256(path),
         "dim": matrix.shape[1],
@@ -269,16 +261,17 @@ def dump_model(model: RepresentationModel, path) -> None:
 
 
 def twin_path(path) -> Path:
-    """Where dump_model writes the binary twin of the model text at path."""
+    """Where dump_model writes the record of the model text at path, the
+    file load_model reads."""
     return Path(f"{path}.bin")
 
 
 def _parse_twin(path, header: dict, fh) -> RepresentationModel:
-    """The model in the twin of the model text at path, as the text parser
-    would build it; ValueError on any miss: a key other than the text's
-    sha256, nodes out of node order, or a value that is not finite."""
+    """The model in the record of the model text at path; ValueError on any
+    miss: a key other than the text's sha256, kind bounds that do not split
+    the nodes, nodes out of node order, or a value that is not finite."""
     if header.get("sha256") != file_sha256(path):
-        raise ValueError("not the twin of this text")
+        raise ValueError("not the record of this text")
     nodes, dim, bounds = header.get("nodes"), header.get("dim"), header.get("bounds")
     network = header.get("network_digest")
     keys = read_strings(fh, nodes)
@@ -296,7 +289,7 @@ def _parse_twin(path, header: dict, fh) -> RepresentationModel:
         and np.isfinite(matrix).all()
     )
     if not well_formed:
-        raise ValueError("malformed twin")
+        raise ValueError("malformed record")
     table = NodeTable(keys, tuple(bounds))
     for kind in KINDS:
         block = keys[table.rows(kind)]
@@ -305,90 +298,14 @@ def _parse_twin(path, header: dict, fh) -> RepresentationModel:
     return RepresentationModel(table, matrix, clamped, network_digest=network)
 
 
-def _load_twin(path) -> RepresentationModel | None:
-    """The model in the twin of the model text at path, or None on any miss."""
-    return read_records(twin_path(path), partial(_parse_twin, path))
-
-
 def load_model(path) -> RepresentationModel:
-    """Read a model exactly as dump_model writes it.
-
-    Rows must come in strictly increasing node order, one per line, each of
-    kind B, M, S or T, every value finite, and the header's clamped digest
-    must equal the sha256 of the clamped rows' text as read: a hand-edited
-    file is rejected, even one that only reformats a value. The header must
-    hold a network_digest, which the model keeps.
-
-    When the binary twin that dump_model wrote beside the text is whole and
-    keyed by the text's sha256, the model is read from it instead, without
-    the float parse; any miss reads the text.
-    """
-    if (model := _load_twin(path)) is not None:
-        return model
-    # lines end at "\n" only, as dump_model writes them: a key may hold "\r"
-    with read_text(path, newline="\n", what="model") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            dim = int(header["dim"])
-            declared_nodes = int(header["nodes"])
-            declared_digest = header["clamped_digest"]
-        # a header nested too deep for the decoder raises RecursionError
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ParseError(f"{path}: bad model header") from exc
-        if not isinstance(network := header.get("network_digest"), str):
-            raise ValidationError(f"{path}: the model header holds no network_digest; solve again")
-        # a valid row holds dim values in at least 2 * dim + 5 bytes, so a
-        # corrupt header cannot make this allocate more than the file could fill
-        size = os.fstat(fh.fileno()).st_size
-        capacity = min(max(declared_nodes, 0), size // (2 * max(dim, 0) + 5))
-        matrix = np.empty((capacity, min(max(dim, 0), size)))
-        blocks: dict[str, list[str]] = {kind: [] for kind in KINDS}
-        clamped: list[bool] = []
-        last: tuple = ()  # below every (kind, key)
-        digest = hashlib.sha256()
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{path}: line {lineno}: expected 4 tab-separated fields")
-            kind, key, flag, raw = parts
-            if kind not in blocks:
-                raise ParseError(f"{path}: line {lineno}: node of unknown kind {kind!r}")
-            try:
-                values = list(map(float, raw.split()))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad vector") from exc
-            if len(values) != dim:
-                raise ParseError(
-                    f"{path}: line {lineno}: vector has {len(values)} components, expected {dim}"
-                )
-            if flag == "c":
-                digest.update(_clamped_record(kind, key, raw))
-            elif flag != "f":
-                raise ParseError(f"{path}: line {lineno}: bad clamp flag {flag!r}")
-            if len(clamped) == len(matrix):
-                raise ValidationError(
-                    f"{path}: header declares {declared_nodes} nodes but file holds more"
-                )
-            if (kind, key) <= last:
-                raise ValidationError(
-                    f"{path}: line {lineno}: node {kind}:{key} is a duplicate or out of order"
-                )
-            matrix[len(clamped)] = values
-            blocks[kind].append(key)
-            clamped.append(flag == "c")
-            last = kind, key
-    if len(clamped) != declared_nodes:
-        raise ValidationError(
-            f"{path}: header declares {declared_nodes} nodes but file holds {len(clamped)}"
-        )
-    if digest.hexdigest() != declared_digest:
-        raise ValidationError(f"{path}: clamped-set digest mismatch")
-    # dump_model writes finite values only; row i sits on line i + 2
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        lineno = int(np.argmin(finite)) + 2
-        raise ValidationError(f"{path}: line {lineno}: vector holds a value that is not finite")
-    return RepresentationModel(
-        NodeTable.of(blocks), matrix, np.array(clamped, dtype=bool), network_digest=network
-    )
+    """The model that dump_model wrote to path, read from its record file
+    (twin_path). The text at path is only hashed: the record must be keyed
+    by its sha256 and pass every check of _parse_twin. Any miss, the record
+    missing, damaged, foreign or written for another text, raises a
+    ValidationError naming the record file."""
+    record = twin_path(path)
+    model = read_records(record, partial(_parse_twin, path))
+    if model is None:
+        raise ValidationError(f"{record}: missing, damaged or not the record of {path}; solve again")
+    return model

@@ -474,15 +474,13 @@ class TestSolveEvalSweepQuery:
     def test_model_holding_a_value_that_is_not_finite_rejected(
         self, cli_dataset, cli_model, tmp_path, capsys, command, value
     ):
-        # dump_model never writes one; a free row with it would change the rankings silently
-        lines = cli_model.read_text(encoding="utf-8").split("\n")
-        at = next(i for i, line in enumerate(lines) if line.startswith("S\t") and "\tf\t" in line)
-        kind, key, flag, vector = lines[at].split("\t")
-        lines[at] = "\t".join([kind, key, flag, " ".join([value, *vector.split()[1:]])])
-        model = tmp_path / "model.tsv"
-        model.write_text("\n".join(lines), encoding="utf-8")
+        # solve never writes one; a free row with it would change the rankings silently
+        model = regularizer.load_model(cli_model)
+        model.matrix[model.nodes.rows("S").start, 0] = float(value)
+        path = tmp_path / "model.tsv"
+        regularizer.dump_model(model, path)
         argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path / "out"),
-                "--model", str(model)]
+                "--model", str(path)]
         if command == "query":
             report = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
             (tmp_path / "bug.json").write_text(report, encoding="utf-8")
@@ -490,7 +488,9 @@ class TestSolveEvalSweepQuery:
         capsys.readouterr()
         assert _run(*argv) == 1
         captured = capsys.readouterr()
-        assert f"line {at + 1}: vector holds a value that is not finite" in captured.err
+        assert captured.err == (
+            f"error: {path}.bin: missing, damaged or not the record of {path}; solve again\n"
+        )
         assert captured.out == "" and not (tmp_path / "out").exists()
 
     def test_all_oov_query_ranks_the_universe_in_path_order_at_zero(
@@ -553,6 +553,8 @@ class TestSolveEvalSweepQuery:
             # two of them are neither one object nor JSONL
             ([json.dumps({"id": "Q-1"}, indent=2)] * 2, ": line 1: invalid JSON: "),
             ([], " holds no reports"),
+            # too deep for the decoder as one text and as a line
+            (["[" * 100_000], ": line 1: JSON nested too deep to decode"),
         ],
     )
     def test_bad_report_file_is_rejected_naming_the_file(
@@ -905,6 +907,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'alpha'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["reports.jsonl", "sources.jsonl"])
+    def test_input_nested_too_deep_is_a_parse_error(self, cli_dataset, tmp_path, capsys, name):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        (data / name).write_text("[" * 100_000 + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--dataset-dir", str(data), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data / name}: line 1: JSON nested too deep to decode\n"
+
     def test_missing_stopwords_file_is_validation_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"stopwords_file": "missing.txt"}), encoding="utf-8")
@@ -1033,19 +1045,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: cannot read file {reports_dir}: [Errno 21] Is a directory: '{reports_dir}'\n"
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "record_aside"])
     def test_model_that_cannot_be_read_is_a_validation_error(self, seed3, tmp_path, capsys, kind):
         model = tmp_path / "model.tsv"
         if kind == "directory":
             model.mkdir()
         elif kind == "not_utf8":
             model.write_bytes(b"\xff\xfe\n")
+        elif kind == "record_aside":
+            shutil.copy(seed3 / "out" / "model.tsv", model)
         capsys.readouterr()
         assert main(["eval", "--dataset-dir", str(seed3), "--out-dir", str(tmp_path / "out"),
                      "--model", str(model)]) == 1
         err = capsys.readouterr().err
-        shown = f"{model}: not UTF-8 text" if kind == "not_utf8" else f"cannot read model {model}: "
-        assert err.startswith(f"error: {shown}") and err.count("\n") == 1, err
+        assert err == f"error: {model}.bin: missing, damaged or not the record of {model}; solve again\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_report_file_is_a_validation_error(self, seed3, tmp_path, capsys):

@@ -9,9 +9,9 @@ through cli.main in process. Whatever the inputs:
 - every command exits 0 or 1, and exit 1 prints exactly one `error:` line
   and no traceback;
 - after solve, eval --model writes a fresh eval's three CSVs byte for byte,
-  and query --model prints and writes what a fresh query does, each run
-  once with the model's binary twin and once without it, from the text;
-- two identical solve runs write identical model.tsv, binary twin and
+  and query --model prints and writes what a fresh query does; with the
+  model's record file moved aside, each exits 1;
+- two identical solve runs write identical model.tsv, record file and
   manifest.json;
 - every manifest is strict JSON;
 - a ranking lists distinct universe paths, and its scores never rise;
@@ -234,14 +234,14 @@ def _batch(out: Path) -> dict[str, bytes]:
 
 
 def _twin_states(model: Path):
-    """Yield twice: with the model's binary twin in place, then with it
-    moved aside, so that a --model run reads the text; then restore it."""
+    """Yield True with the model's record file in place, then False with it
+    moved aside, so that a --model run has no model to load; then restore it."""
     twin = twin_path(model)
     aside = twin.with_name(twin.name + ".aside")
-    yield
+    yield True
     twin.rename(aside)
     try:
-        yield
+        yield False
     finally:
         aside.rename(twin)
 
@@ -284,12 +284,13 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         names = ("results.csv", "ttests.csv", "sweep.csv")
         if run("eval", fresh)[0] == 0:
             _manifest(fresh)
-            for _ in _twin_states(out / "model.tsv") if solved else ():
-                assert run("eval", out, *model)[0] == 0
-                _manifest(out)
-                assert [(out / n).read_bytes() for n in names] == [
-                    (fresh / n).read_bytes() for n in names
-                ]
+            for present in _twin_states(out / "model.tsv") if solved else ():
+                assert run("eval", out, *model)[0] == (0 if present else 1)
+                if present:
+                    _manifest(out)
+                    assert [(out / n).read_bytes() for n in names] == [
+                        (fresh / n).read_bytes() for n in names
+                    ]
 
         raw = RawRankings(dataset)
         single = ("--report", dataset / "query.jsonl")
@@ -297,8 +298,8 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         if code == 0:
             (expected,) = raw(dataset / "query.jsonl").values()
             _ranking(printed, universe, expected)
-            for _ in _twin_states(out / "model.tsv") if solved else ():
-                assert run("query", out, *single, *model) == (0, printed)
+            for present in _twin_states(out / "model.tsv") if solved else ():
+                assert run("query", out, *single, *model) == ((0, printed) if present else (1, ""))
 
         batch = ("--report", dataset / "batch.jsonl")
         if run("query", fresh, *batch)[0] == 0:
@@ -307,12 +308,13 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
             assert len(rankings) == QUERY_BATCH
             for rid, expected in raw(dataset / "batch.jsonl").items():
                 _ranking(rankings[f"query_{rid}.csv"].decode("utf-8"), universe, expected)
-            for _ in _twin_states(out / "model.tsv") if solved else ():
+            for present in _twin_states(out / "model.tsv") if solved else ():
                 for stale in out.glob("query_*.csv"):
                     stale.unlink()
-                assert run("query", out, *batch, *model)[0] == 0
-                _manifest(out)
-                assert _batch(out) == rankings
+                assert run("query", out, *batch, *model)[0] == (0 if present else 1)
+                if present:
+                    _manifest(out)
+                assert _batch(out) == (rankings if present else {})
 
         if solved and "stale_model" in mutations and _move_training_fix(inputs):
             inputs.write()

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 import shutil
 from collections import Counter
@@ -203,6 +204,24 @@ class TestDatasetLoadingAndCache:
         cache_file.write_text(json.dumps(payload), encoding="utf-8")
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
         assert reloaded.report_tokens == fresh.report_tokens
+
+    @pytest.mark.parametrize("cached, use_cache", [(True, True), (False, True), (False, False)],
+                             ids=["hit", "miss", "not-asked"])
+    def test_a_cache_not_used_is_logged_naming_it(self, synth_dir, tmp_path, caplog, cached, use_cache):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        if cached:
+            fresh = pipeline.load_dataset(cfg, use_cache=False)
+            pipeline.write_corpus_cache(cfg, fresh)
+            pipeline.write_embedding_cache(cfg, fresh.table)
+        with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
+            pipeline.load_dataset(cfg, use_cache=use_cache)
+        logged = [record.getMessage() for record in caplog.records if record.name == "bugloc.pipeline"]
+        missed = [
+            f"not using {tmp_path / pipeline.CACHE_NAME}; tokenizing the corpus",
+            f"not using {tmp_path / pipeline.EMBEDDING_CACHE_NAME}; parsing {cfg.embeddings}",
+        ]
+        assert logged == (missed if use_cache and not cached else [])
 
     def test_cache_lacking_a_report_is_a_miss(self, synth_dir, tmp_path):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))

@@ -1,6 +1,6 @@
 """The one record format of bugloc's binary files (errors.write_records and
 errors.read_records): a round trip, and one table of damaged files run
-against both artifacts that use it, the model's binary twin and the
+against both artifacts that use it, the model's record file and the
 embedding cache, each of which must read as a miss."""
 
 import tempfile
@@ -16,10 +16,9 @@ from hypothesis.extra import numpy as npst
 from bugloc import pipeline
 from bugloc.embeddings import load_embeddings
 from bugloc.errors import read_array, read_records, read_strings, write_records
-from bugloc.regularizer import _load_twin, dump_model, load_model, twin_path
+from bugloc.regularizer import _parse_twin, dump_model, twin_path
 from recordref import read_raw, record_spans, write_raw
-
-GOLDEN_MODEL = Path(__file__).parent / "golden" / "model.tsv"
+from test_golden import GOLDEN, model_of
 
 # any text a key may hold: no "\n", which joins the keys, and no lone surrogate
 KEYS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=4)
@@ -69,8 +68,9 @@ def test_a_shape_pattern_matches_lengths_and_ranks():
 
 def _twin(tmp_path, synth_dir):
     path = tmp_path / "model.tsv"
-    dump_model(load_model(GOLDEN_MODEL), path)
-    return twin_path(path), lambda: _load_twin(path)
+    dump_model(model_of(GOLDEN / "model.tsv"), path)
+    record = twin_path(path)
+    return record, lambda: read_records(record, partial(_parse_twin, path))
 
 
 def _embedding_cache(tmp_path, synth_dir):
