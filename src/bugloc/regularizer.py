@@ -222,8 +222,9 @@ def _header(model: RepresentationModel, digest: str) -> str:
 
 def dump_model(model: RepresentationModel, path) -> None:
     """Write the model as a text table: header JSON line, then one node per
-    line, in node order; then its record file (twin_path), which load_model
-    reads. The text is an export for people and other tools.
+    line, in node order; then its record file (record_path), which load_model
+    reads. The text is an export for people and other tools, and the
+    record's key: load_model needs both.
 
     Floats are written with repr, so the text holds them bit-exactly. Each
     row is formatted once: the clamped rows' text goes both to the file and
@@ -248,7 +249,7 @@ def dump_model(model: RepresentationModel, path) -> None:
         fh.writelines(lines())
         fh.seek(0)
         fh.write(_header(model, digest.hexdigest()))
-    # then the record file (twin_path), keyed by the finished text's sha256
+    # then the record file (record_path), keyed by the finished text's sha256
     header = {
         "sha256": file_sha256(path),
         "dim": matrix.shape[1],
@@ -257,21 +258,21 @@ def dump_model(model: RepresentationModel, path) -> None:
         "network_digest": model.network_digest,
     }
     records = (model.nodes.keys, np.asarray(model.clamped_rows, dtype=bool), matrix)
-    write_records(twin_path(path), header, records)
+    write_records(record_path(path), header, records)
 
 
-def twin_path(path) -> Path:
+def record_path(path) -> Path:
     """Where dump_model writes the record of the model text at path, the
     file load_model reads."""
     return Path(f"{path}.bin")
 
 
-def _parse_twin(path, header: dict, fh) -> RepresentationModel:
-    """The model in the record of the model text at path; ValueError on any
-    miss: a key other than the text's sha256, kind bounds that do not split
-    the nodes, nodes out of node order, or a value that is not finite."""
-    if header.get("sha256") != file_sha256(path):
-        raise ValueError("not the record of this text")
+def _parse_record(sha256: str, header: dict, fh) -> RepresentationModel:
+    """The model in a record file of the model text whose sha256 is given;
+    ValueError on any miss: another key, kind bounds that do not split the
+    nodes, nodes out of node order, or a value that is not finite."""
+    if header.get("sha256") != sha256:
+        raise ValueError("keyed by another text")
     nodes, dim, bounds = header.get("nodes"), header.get("dim"), header.get("bounds")
     network = header.get("network_digest")
     keys = read_strings(fh, nodes)
@@ -300,12 +301,17 @@ def _parse_twin(path, header: dict, fh) -> RepresentationModel:
 
 def load_model(path) -> RepresentationModel:
     """The model that dump_model wrote to path, read from its record file
-    (twin_path). The text at path is only hashed: the record must be keyed
-    by its sha256 and pass every check of _parse_twin. Any miss, the record
-    missing, damaged, foreign or written for another text, raises a
-    ValidationError naming the record file."""
-    record = twin_path(path)
-    model = read_records(record, partial(_parse_twin, path))
+    (record_path). The text at path keys the record and is only hashed: a
+    text that cannot be read raises a ValidationError naming it. The record
+    must be keyed by the text's sha256 and pass every check of
+    _parse_record; any miss, the record missing, damaged, foreign or
+    written for another text, raises a ValidationError naming the record."""
+    try:
+        sha256 = file_sha256(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read model {path}: {exc}") from exc
+    record = record_path(path)
+    model = read_records(record, partial(_parse_record, sha256))
     if model is None:
         raise ValidationError(f"{record}: missing, damaged or not the record of {path}; solve again")
     return model

@@ -1045,20 +1045,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: cannot read file {reports_dir}: [Errno 21] Is a directory: '{reports_dir}'\n"
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8", "record_aside"])
+    @pytest.mark.parametrize(
+        "kind", ["missing", "directory", "text_missing", "not_utf8", "record_aside"]
+    )
     def test_model_that_cannot_be_read_is_a_validation_error(self, seed3, tmp_path, capsys, kind):
         model = tmp_path / "model.tsv"
-        if kind == "directory":
+        refused = f"{model}.bin: missing, damaged or not the record of {model}; solve again"
+        if kind == "missing":
+            refused = f"cannot read model {model}: [Errno 2] No such file or directory: '{model}'"
+        elif kind == "directory":
             model.mkdir()
+            refused = f"cannot read model {model}: [Errno 21] Is a directory: '{model}'"
+        elif kind == "text_missing":
+            # an intact record whose text is gone: the text is named, since it keys the record
+            shutil.copy(seed3 / "out" / "model.tsv.bin", f"{model}.bin")
+            refused = f"cannot read model {model}: [Errno 2] No such file or directory: '{model}'"
         elif kind == "not_utf8":
             model.write_bytes(b"\xff\xfe\n")
-        elif kind == "record_aside":
+        else:
             shutil.copy(seed3 / "out" / "model.tsv", model)
         capsys.readouterr()
         assert main(["eval", "--dataset-dir", str(seed3), "--out-dir", str(tmp_path / "out"),
                      "--model", str(model)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {model}.bin: missing, damaged or not the record of {model}; solve again\n"
+        assert capsys.readouterr().err == f"error: {refused}\n"
         assert not (tmp_path / "out").exists()
 
     def test_missing_report_file_is_a_validation_error(self, seed3, tmp_path, capsys):

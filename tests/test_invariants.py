@@ -39,7 +39,7 @@ from hypothesis import given, settings, strategies as st
 from bugloc import pipeline, ranker, synthgen
 from bugloc.cli import main
 from bugloc.corpus import load_query_reports, tfidf_rows, tokenize
-from bugloc.regularizer import twin_path
+from bugloc.regularizer import record_path
 
 SPEC = dict(num_reports=20, num_files=5, vocab_size=60, dim=3, topic_count=2)
 MUTATIONS = (
@@ -233,17 +233,17 @@ def _batch(out: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in out.glob("query_*.csv")}
 
 
-def _twin_states(model: Path):
+def _record_states(model: Path):
     """Yield True with the model's record file in place, then False with it
     moved aside, so that a --model run has no model to load; then restore it."""
-    twin = twin_path(model)
-    aside = twin.with_name(twin.name + ".aside")
+    record = record_path(model)
+    aside = record.with_name(record.name + ".aside")
     yield True
-    twin.rename(aside)
+    record.rename(aside)
     try:
         yield False
     finally:
-        aside.rename(twin)
+        aside.rename(record)
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,7 +284,7 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         names = ("results.csv", "ttests.csv", "sweep.csv")
         if run("eval", fresh)[0] == 0:
             _manifest(fresh)
-            for present in _twin_states(out / "model.tsv") if solved else ():
+            for present in _record_states(out / "model.tsv") if solved else ():
                 assert run("eval", out, *model)[0] == (0 if present else 1)
                 if present:
                     _manifest(out)
@@ -298,7 +298,7 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         if code == 0:
             (expected,) = raw(dataset / "query.jsonl").values()
             _ranking(printed, universe, expected)
-            for present in _twin_states(out / "model.tsv") if solved else ():
+            for present in _record_states(out / "model.tsv") if solved else ():
                 assert run("query", out, *single, *model) == ((0, printed) if present else (1, ""))
 
         batch = ("--report", dataset / "batch.jsonl")
@@ -308,7 +308,7 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
             assert len(rankings) == QUERY_BATCH
             for rid, expected in raw(dataset / "batch.jsonl").items():
                 _ranking(rankings[f"query_{rid}.csv"].decode("utf-8"), universe, expected)
-            for present in _twin_states(out / "model.tsv") if solved else ():
+            for present in _record_states(out / "model.tsv") if solved else ():
                 for stale in out.glob("query_*.csv"):
                     stale.unlink()
                 assert run("query", out, *batch, *model)[0] == (0 if present else 1)

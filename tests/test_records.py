@@ -15,8 +15,8 @@ from hypothesis.extra import numpy as npst
 
 from bugloc import pipeline
 from bugloc.embeddings import load_embeddings
-from bugloc.errors import read_array, read_records, read_strings, write_records
-from bugloc.regularizer import _parse_twin, dump_model, twin_path
+from bugloc.errors import file_sha256, read_array, read_records, read_strings, write_records
+from bugloc.regularizer import _parse_record, dump_model, record_path
 from recordref import read_raw, record_spans, write_raw
 from test_golden import GOLDEN, model_of
 
@@ -66,11 +66,11 @@ def test_a_shape_pattern_matches_lengths_and_ranks():
             assert read_records(path, partial(parse, shape)) is None
 
 
-def _twin(tmp_path, synth_dir):
+def _model_record(tmp_path, synth_dir):
     path = tmp_path / "model.tsv"
     dump_model(model_of(GOLDEN / "model.tsv"), path)
-    record = twin_path(path)
-    return record, lambda: read_records(record, partial(_parse_twin, path))
+    record = record_path(path)
+    return record, lambda: read_records(record, partial(_parse_record, file_sha256(path)))
 
 
 def _embedding_cache(tmp_path, synth_dir):
@@ -138,7 +138,7 @@ DAMAGE = {
 }
 
 
-@pytest.mark.parametrize("artifact", [_twin, _embedding_cache], ids=["twin", "embedding-cache"])
+@pytest.mark.parametrize("artifact", [_model_record, _embedding_cache], ids=["model", "embedding-cache"])
 @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
 def test_a_damaged_record_file_is_a_miss(tmp_path, synth_dir, artifact, damage):
     path, read = artifact(tmp_path, synth_dir)

@@ -23,7 +23,7 @@ from bugloc.regularizer import (
     load_model,
     solve,
     sweep_update,
-    twin_path,
+    record_path,
 )
 from netgen import components, network_of, random_network, sweep_energies, table_of
 from recordref import read_raw, write_raw
@@ -346,7 +346,7 @@ class TestModelSerialization:
         dump_model(model, p1)
         dump_model(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert twin_path(p1).read_bytes() == twin_path(p2).read_bytes()
+        assert record_path(p1).read_bytes() == record_path(p2).read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["m1.tsv", "m1.tsv.bin", "m2.tsv", "m2.tsv.bin"]
 
     @pytest.mark.parametrize("edit", ["clamped-value", "free-value", "reformatted-value", "blank-line"])
@@ -390,7 +390,7 @@ class TestModelSerialization:
             dump_model(model, "/dev/null")
 
 
-TWIN_KEYS = st.text(alphabet="aZ Ř日\r\x85\u2028", max_size=3)
+NODE_KEYS = st.text(alphabet="aZ Ř日\r\x85\u2028", max_size=3)
 
 
 def _assert_same_model(a, b):
@@ -433,7 +433,7 @@ HEADER_EDITS = {
 class TestModelRecord:
     @settings(max_examples=40, deadline=None)
     @given(
-        blocks=st.fixed_dictionaries({kind: st.sets(TWIN_KEYS, max_size=3) for kind in "BMST"}),
+        blocks=st.fixed_dictionaries({kind: st.sets(NODE_KEYS, max_size=3) for kind in "BMST"}),
         dim=st.integers(0, 3),
         digest=st.text(alphabet="0af", max_size=4),
         data=st.data(),
@@ -479,23 +479,23 @@ class TestModelRecord:
     def test_a_damaged_record_is_refused(self, tmp_path, damage):
         path = tmp_path / "model.tsv"
         dump_model(solve(*_weighted_net()), path)
-        twin = twin_path(path)
+        record = record_path(path)
         if damage == "missing":
-            twin.unlink()
+            record.unlink()
         elif damage == "torn":
-            twin.write_bytes(twin.read_bytes()[:-8])
+            record.write_bytes(record.read_bytes()[:-8])
         elif damage == "trailing":
-            twin.write_bytes(twin.read_bytes() + b"\0")
+            record.write_bytes(record.read_bytes() + b"\0")
         elif damage == "foreign":
-            with open(twin, "wb") as fh:
+            with open(record, "wb") as fh:
                 np.save(fh, np.arange(3))
         elif damage == "other_model":
             other = tmp_path / "other.tsv"
             dump_model(solve(*_pair_net()), other)
-            os.replace(twin_path(other), twin)
+            os.replace(record_path(other), record)
         else:
-            twin.unlink()
-            twin.mkdir()
+            record.unlink()
+            record.mkdir()
         with pytest.raises(ValidationError, match=REFUSED):
             load_model(path)
 
@@ -503,8 +503,8 @@ class TestModelRecord:
     def test_a_record_header_that_does_not_fit_is_refused(self, tmp_path, edit):
         path = tmp_path / "model.tsv"
         dump_model(solve(*_weighted_net()), path)
-        header, records = read_raw(twin_path(path))
-        write_raw(twin_path(path), edit(header), records)
+        header, records = read_raw(record_path(path))
+        write_raw(record_path(path), edit(header), records)
         with pytest.raises(ValidationError, match=REFUSED):
             load_model(path)
 
@@ -521,6 +521,6 @@ class TestModelRecord:
     def test_a_model_solve_never_writes_is_refused(self, tmp_path, model):
         path = tmp_path / "model.tsv"
         dump_model(model, path)
-        assert twin_path(path).exists()
+        assert record_path(path).exists()
         with pytest.raises(ValidationError, match=REFUSED):
             load_model(path)
