@@ -168,13 +168,13 @@ def _load_model_arg(args):
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg, use_cache=False)
-    cache_path = pipeline.write_corpus_cache(cfg, dataset)
+    corpus = dataset.corpus
+    cache_path = pipeline.write_corpus_cache(cfg, corpus)
     pipeline.write_embedding_cache(cfg, dataset.table)
-    empty = sum(1 for toks in dataset.report_tokens.values() if not toks)
     summary = {
-        "reports": len(dataset.reports),
-        "reports_without_tokens": empty,
-        "source_docs": len(dataset.source_tokens) if dataset.source_tokens else 0,
+        "reports": len(corpus.report_ids),
+        "reports_without_tokens": int((corpus.report_tokens.lengths() == 0).sum()),
+        "source_docs": len(corpus.source_paths or ()),
         "metric_records": len(dataset.metric_records),
         "embedding_tokens": len(dataset.table),
         "cache": str(cache_path),
@@ -243,8 +243,9 @@ def cmd_query(args) -> int:
                 raise ValidationError(
                     f"{args.report}: report id {report.id!r} cannot name an output file"
                 )
-    dataset = pipeline.load_dataset(cfg)
+    # and the model, so that one that cannot be loaded fails before the load too
     model = _load_model_arg(args)
+    dataset = pipeline.load_dataset(cfg)
     scorer = pipeline.prepare_scorer(
         dataset, cfg, model=model, methods=(evaluation.METHOD_NETREG,)
     )
@@ -274,8 +275,10 @@ def cmd_query(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
+    # a model that cannot be loaded fails before the dataset load, the slow part
+    model = _load_model_arg(args)
     dataset = pipeline.load_dataset(cfg)
-    scorer = pipeline.prepare_scorer(dataset, cfg, model=_load_model_arg(args))
+    scorer = pipeline.prepare_scorer(dataset, cfg, model=model)
     ctx = pipeline.build_eval_context(dataset, cfg, scorer=scorer)
     result = evaluation.evaluate_methods(ctx, cfg.eval_config())
     out = Path(cfg.out_dir)

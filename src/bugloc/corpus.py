@@ -1,4 +1,5 @@
-"""Bug-report corpus handling: ingestion, tokenization, vocabulary, TF-IDF.
+"""Bug-report corpus handling: ingestion, tokenization, the corpus as token
+ids, vocabulary, TF-IDF.
 
 Bug reports arrive as JSONL, one report per line, and are kept in
 chronological order so that a time-based train/query split is just a list
@@ -314,6 +315,20 @@ def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> CSR:
     return CSR(np.ones(len(indices)), indices, indptr, (len(lists), len(keys)))
 
 
+def _count_cells(indptr, columns: np.ndarray, width: int) -> CSR:
+    """The term counts of rows whose token columns are given run by run:
+    row i holds columns[indptr[i]:indptr[i + 1]]; columns ascend."""
+    num_rows = len(indptr) - 1
+    # one cell number per token, row-major: the distinct cells, sorted, are
+    # the stored entries in row order with ascending columns, and a cell's
+    # duplicates sum into its term count
+    rows = np.repeat(np.arange(num_rows), np.diff(indptr))
+    cells, counts = np.unique(rows * width + columns, return_counts=True)
+    rows, cols = np.divmod(cells, width)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
+    return CSR(counts.astype(np.float64), cols, indptr, (num_rows, width))
+
+
 def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:
     """Term counts of each token list under vocab, one row per list, one column
     per vocabulary term; out-of-vocabulary tokens are skipped, columns ascend."""
@@ -323,30 +338,124 @@ def count_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:
     for tokens in token_lists:
         columns.extend(index[term] for term in tokens if term in index)
         indptr.append(len(columns))
-    num_rows = len(indptr) - 1
-    # one cell number per token, row-major: the distinct cells, sorted, are
-    # the stored entries in row order with ascending columns, and a cell's
-    # duplicates sum into its term count
-    rows = np.repeat(np.arange(num_rows), np.diff(indptr))
-    cells, counts = np.unique(rows * len(vocab) + np.array(columns, dtype=np.intp), return_counts=True)
-    rows, cols = np.divmod(cells, len(vocab))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=num_rows))))
-    return CSR(counts.astype(np.float64), cols, indptr, (num_rows, len(vocab)))
+    return _count_cells(indptr, np.array(columns, dtype=np.intp), len(vocab))
 
 
-def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:
-    """Weight each token list by tf * ln(num_docs / doc_freq) under vocab:
-    count_rows scaled by each term's idf.
+def weigh_counts(counts: CSR, vocab: Vocabulary) -> CSR:
+    """Weigh term counts under vocab by tf * ln(num_docs / doc_freq): each
+    count scaled by its term's idf.
 
     Terms whose df equals the corpus size weight to zero and are not stored.
     """
     if vocab.num_docs < 1:
         raise ValidationError("vocabulary has no documents")
-    counts = count_rows(token_lists, vocab)
     data = counts.data * vocab.idf[counts.indices]
     kept = data != 0.0
     indptr = np.concatenate(([0], np.cumsum(kept)))[counts.indptr]
     return CSR(data[kept], counts.indices[kept], indptr, counts.shape)
+
+
+def tfidf_rows(token_lists: Iterable[Iterable[str]], vocab: Vocabulary) -> CSR:
+    """The TF-IDF rows of token lists under vocab: weigh_counts of their count_rows."""
+    return weigh_counts(count_rows(token_lists, vocab), vocab)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenIds:
+    """Token lists as ids into a sorted dictionary of terms: list i is the
+    terms of ids[indptr[i]:indptr[i + 1]], in order and with repeats. As
+    the dictionary is sorted, id order is term order."""
+
+    indptr: np.ndarray  # int64, ascending from 0 to len(ids)
+    ids: np.ndarray  # int32
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TokenIds) and all(
+            mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+            for mine, theirs in ((self.indptr, other.indptr), (self.ids, other.ids))
+        )
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def take(self, rows) -> "TokenIds":
+        """The lists at rows, in that order; a row of -1 is an empty list."""
+        rows = np.asarray(rows, dtype=np.intp)
+        found = rows >= 0
+        starts = np.zeros(len(rows), dtype=np.int64)
+        lengths = np.zeros(len(rows), dtype=np.int64)
+        starts[found] = self.indptr[rows[found]]
+        lengths[found] = self.lengths()[rows[found]]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        # each taken token's position: its list's start, plus its place in the list
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return TokenIds(indptr, self.ids[at])
+
+    def count_rows(self, columns: np.ndarray, width: int) -> CSR:
+        """count_rows over ids: the counts of each list in width columns,
+        where id i counts in column columns[i], or not at all if that is -1."""
+        cols = columns[self.ids]
+        kept = cols >= 0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[self.indptr]
+        return _count_cells(indptr, cols[kept], width)
+
+
+def id_vocabulary(lists: TokenIds, dictionary: Sequence[str]) -> tuple[Vocabulary, CSR]:
+    """build_vocabulary and count_rows over token ids: the vocabulary of the
+    terms the lists hold, and the lists' term counts under it. As the
+    dictionary is sorted, these equal what the lists' strings build."""
+    held = np.zeros(len(dictionary), dtype=bool)
+    held[lists.ids] = True
+    term_ids = np.flatnonzero(held)
+    columns = np.full(len(dictionary), -1, dtype=np.intp)
+    columns[term_ids] = np.arange(len(term_ids))
+    counts = lists.count_rows(columns, len(term_ids))
+    terms = [dictionary[i] for i in term_ids.tolist()]
+    doc_freq = np.bincount(counts.indices, minlength=len(terms)).tolist()
+    return Vocabulary(terms, dict(zip(terms, doc_freq)), len(lists)), counts
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """The kept reports, in chronological order, with their fixed files
+    and token lists, and the source files' paths and token lists (None
+    without sources), the lists as ids into one sorted dictionary, terms."""
+
+    report_ids: tuple[str, ...]
+    fixed_files: tuple[tuple[str, ...], ...]
+    terms: tuple[str, ...]
+    report_tokens: TokenIds
+    source_paths: tuple[str, ...] | None
+    source_tokens: TokenIds | None
+
+    @classmethod
+    def of(
+        cls,
+        reports: Sequence[BugReport],
+        report_tokens: Sequence[Sequence[str]],
+        sources: Mapping[str, Sequence[str]] | None,
+    ) -> "Corpus":
+        """The corpus of reports with the token list of each, and sources,
+        each path mapped to its token list."""
+        groups = [report_tokens, *([] if sources is None else [list(sources.values())])]
+        terms = tuple(sorted({term for lists in groups for tokens in lists for term in tokens}))
+        index = {term: i for i, term in enumerate(terms)}
+        encoded = []
+        for lists in groups:
+            indptr = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+            tokens = map(index.__getitem__, chain.from_iterable(lists))
+            encoded.append(TokenIds(indptr, np.fromiter(tokens, dtype=np.int32, count=indptr[-1])))
+        return cls(
+            report_ids=tuple(report.id for report in reports),
+            fixed_files=tuple(report.fixed_files for report in reports),
+            terms=terms,
+            report_tokens=encoded[0],
+            source_paths=None if sources is None else tuple(sources),
+            source_tokens=None if sources is None else encoded[1],
+        )
 
 
 def bow_vectorize(tokens: Iterable[str], vocab: Vocabulary) -> CSR:

@@ -124,12 +124,45 @@ def read_strings(fh, count) -> tuple[str, ...]:
     return strings
 
 
+def string_table(strings) -> tuple[np.ndarray, np.ndarray]:
+    """Strings that may hold any character, "\n" too, as two records for
+    write_records: the int64 offsets, in code points, at which each string
+    starts, then the end of the last, and their UTF-8 text, joined with
+    nothing between."""
+    strings = tuple(strings)
+    offsets = np.cumsum([0, *map(len, strings)], dtype=np.int64)
+    return offsets, np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8)
+
+
+def read_offsets(fh, count) -> np.ndarray:
+    """The next record of an open record file as the count + 1 int64
+    offsets of count runs, such as the indptr of a CSR; ValueError unless
+    they ascend, not strictly, from 0."""
+    if type(count) is not int:
+        raise ValueError("no count")
+    offsets = read_array(fh, np.int64, (count + 1,))
+    if offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        raise ValueError("offsets out of order")
+    return offsets
+
+
+def read_string_table(fh, count) -> tuple[str, ...]:
+    """The next two records of an open record file, written from
+    string_table, as count strings; ValueError when the offsets do not end
+    at the text's end or the text is not UTF-8."""
+    offsets = read_offsets(fh, count).tolist()
+    text = read_array(fh, np.uint8, (None,)).tobytes().decode("utf-8")
+    if offsets[-1] != len(text):
+        raise ValueError("offsets past the text")
+    return tuple(text[start:end] for start, end in zip(offsets, offsets[1:]))
+
+
 def read_records(path, parse):
     """parse(header, fh) for the record file at path, with fh open past the
     header, or None on any miss: a file that cannot be opened, is torn or
     foreign or holds bytes past its last record, a header that is not a
     JSON object of RECORDS_VERSION, or a ValueError from parse, which reads
-    the records with read_array and read_strings and checks them."""
+    the records with the readers above and checks them."""
     try:
         with open(path, "rb") as fh:
             header = json.loads(read_array(fh, np.uint8, (None,)).tobytes())

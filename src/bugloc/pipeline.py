@@ -11,7 +11,7 @@ import os
 import types
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -19,24 +19,24 @@ import numpy as np
 
 from . import evaluation, ranker, regularizer
 from .corpus import (
-    BugReport,
     CSR,
+    Corpus,
+    TokenIds,
     TokenRules,
     Vocabulary,
     bow_vectorize,
-    build_vocabulary,
-    count_rows,
     default_token_rules,
+    id_vocabulary,
     link_matrix,
     load_bug_reports,
     load_source_docs,
-    tfidf_rows,
     tokenize,
+    weigh_counts,
 )
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import (
-    ValidationError, file_sha256, read_array, read_records, read_strings, read_text, replacing,
-    write_records,
+    ValidationError, file_sha256, read_array, read_offsets, read_records, read_string_table,
+    read_strings, read_text, string_table, write_records,
 )
 from .metrics import MetricRecord, discretize, load_metrics
 from .network import KINDS, HeteroNetwork, build_network, node_table
@@ -44,7 +44,7 @@ from .regularizer import RepresentationModel, SolverConfig
 
 logger = logging.getLogger(__name__)
 
-CACHE_NAME = "corpus_cache.json"
+CACHE_NAME = "corpus_cache.bin"
 EMBEDDING_CACHE_NAME = "embeddings_cache.bin"
 
 DATASET_FILES = {
@@ -201,12 +201,10 @@ class RunConfig:
 
 @dataclass
 class Dataset:
-    """Loaded and tokenized inputs for one run."""
+    """Loaded inputs for one run, the corpus tokenized into ids."""
 
     name: str
-    reports: list[BugReport]
-    report_tokens: dict[str, list[str]]
-    source_tokens: dict[str, list[str]] | None
+    corpus: Corpus
     metric_records: list[MetricRecord]
     table: EmbeddingTable
 
@@ -227,18 +225,70 @@ def _cache_key(cfg: RunConfig) -> dict:
     return key
 
 
-def write_corpus_cache(cfg: RunConfig, dataset: Dataset) -> Path:
-    """Persist tokenized text so later subcommands skip re-tokenization."""
+def write_corpus_cache(cfg: RunConfig, corpus: Corpus) -> Path:
+    """Persist the tokenized corpus so later subcommands skip the parse and
+    the tokenizer, as a record file (errors.write_records): a header holding
+    the key of the inputs and rules and the report, term and source counts,
+    then the report ids, the fixed files as offsets per report and their
+    paths, the dictionary, the report token ids as offsets and ids, and,
+    with sources, their paths and token ids likewise. Ids and paths are
+    string tables (errors.string_table), since they may hold a "\n"."""
     path = Path(cfg.out_dir) / CACHE_NAME
-    payload = {
+    sources = corpus.source_paths
+    header = {
         "key": _cache_key(cfg),
-        "report_tokens": dataset.report_tokens,
-        "source_tokens": dataset.source_tokens,
+        "reports": len(corpus.report_ids),
+        "terms": len(corpus.terms),
+        "sources": None if sources is None else len(sources),
     }
-    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
-        # dumps runs the C encoder; dump to a file would run the pure-Python one
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    fixed_offsets = np.cumsum([0, *map(len, corpus.fixed_files)], dtype=np.int64)
+    records = [
+        *string_table(corpus.report_ids),
+        fixed_offsets,
+        *string_table(chain.from_iterable(corpus.fixed_files)),
+        corpus.terms,
+        corpus.report_tokens.indptr,
+        corpus.report_tokens.ids,
+    ]
+    if sources is not None:
+        records += [*string_table(sources), corpus.source_tokens.indptr, corpus.source_tokens.ids]
+    write_records(path, header, records)
     return path
+
+
+def _read_token_ids(fh, count: int, num_terms: int) -> TokenIds:
+    indptr = read_offsets(fh, count)
+    ids = read_array(fh, np.int32, (int(indptr[-1]),))
+    if ids.size and not (0 <= ids.min() and ids.max() < num_terms):
+        raise ValueError("token id outside the dictionary")
+    return TokenIds(indptr, ids)
+
+
+def _parse_corpus_cache(cfg: RunConfig, header: dict, fh) -> Corpus:
+    """The corpus in a corpus cache of cfg's inputs and rules; ValueError
+    unless its offsets ascend, its ids lie in its dictionary and the
+    dictionary ascends, so that every array built from it is sound."""
+    if header.get("key") != _cache_key(cfg):
+        raise ValueError("stale cache")
+    report_ids = read_string_table(fh, header.get("reports"))
+    fixed_offsets = read_offsets(fh, len(report_ids)).tolist()
+    fixed = read_string_table(fh, fixed_offsets[-1])
+    terms = read_strings(fh, header.get("terms"))
+    if any(a >= b for a, b in zip(terms, terms[1:])):
+        raise ValueError("dictionary out of order")
+    report_tokens = _read_token_ids(fh, len(report_ids), len(terms))
+    source_paths = source_tokens = None
+    if cfg.sources:
+        source_paths = read_string_table(fh, header.get("sources"))
+        source_tokens = _read_token_ids(fh, len(source_paths), len(terms))
+    return Corpus(
+        report_ids=report_ids,
+        fixed_files=tuple(fixed[a:b] for a, b in zip(fixed_offsets, fixed_offsets[1:])),
+        terms=terms,
+        report_tokens=report_tokens,
+        source_paths=source_paths,
+        source_tokens=source_tokens,
+    )
 
 
 def write_embedding_cache(cfg: RunConfig, table: EmbeddingTable) -> None:
@@ -265,54 +315,34 @@ def _parse_embedding_cache(key: str, header: dict, fh) -> EmbeddingTable:
     return table
 
 
-def _is_token_map(value) -> bool:
-    return isinstance(value, dict) and all(
-        isinstance(tokens, list) and set(map(type, tokens)) <= {str} for tokens in value.values()
-    )
-
-
-def _read_corpus_cache(cfg: RunConfig):
-    path = Path(cfg.out_dir) / CACHE_NAME
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        # anything but an object holding this run's key and token maps is a miss
-        fits = (
-            isinstance(payload, dict)
-            and _is_token_map(payload.get("report_tokens"))
-            and (payload.get("source_tokens") is None or _is_token_map(payload["source_tokens"]))
-            and payload.get("key") == _cache_key(cfg)
-        )
-    # a payload nested too deep for the decoder raises RecursionError
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError):
-        return None
-    return payload if fits else None
+def _tokenize_corpus(cfg: RunConfig) -> Corpus:
+    rules = cfg.token_rules()
+    reports = load_bug_reports(cfg.reports, resolved_only=cfg.resolved_only)
+    report_tokens = [tokenize(report.text, rules) for report in reports]
+    sources = load_source_docs(cfg.sources, rules) if cfg.sources else None
+    return Corpus.of(reports, report_tokens, sources)
 
 
 def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     """Load, validate, and tokenize everything the configuration references.
     With use_cache, a cache in cfg.out_dir that is missing, stale or damaged
-    is logged at INFO, naming the file, and its input is read instead."""
+    is logged at INFO, naming the file, and its input is read instead; a
+    corpus cache that is used stands in for the reports and sources, which
+    are then only hashed."""
     if not cfg.reports:
         raise ValidationError("config sets no reports path")
     if not cfg.embeddings:
         raise ValidationError("config sets no embeddings path")
-    rules = cfg.token_rules()
-    reports = load_bug_reports(cfg.reports, resolved_only=cfg.resolved_only)
-    cache = _read_corpus_cache(cfg) if use_cache else None
-    # a cache that lacks any loaded report is a miss; a hit is used as it is
-    if cache is not None and all(r.id in cache["report_tokens"] for r in reports):
-        report_tokens = {r.id: cache["report_tokens"][r.id] for r in reports}
-        source_tokens = cache.get("source_tokens")
-    else:
-        if use_cache:
-            logger.info("not using %s; tokenizing the corpus", Path(cfg.out_dir) / CACHE_NAME)
-        report_tokens = {r.id: tokenize(r.text, rules) for r in reports}
-        source_tokens = None
-    if not cfg.sources:
-        source_tokens = None
-    elif source_tokens is None:
-        source_tokens = load_source_docs(cfg.sources, rules)
+    corpus = None
+    if use_cache:
+        corpus_cache = Path(cfg.out_dir) / CACHE_NAME
+        # the key is computed in the reader, so inputs it cannot hash make a
+        # miss, and the loaders below name the file
+        corpus = read_records(corpus_cache, functools.partial(_parse_corpus_cache, cfg))
+        if corpus is None:
+            logger.info("not using %s; tokenizing the corpus", corpus_cache)
+    if corpus is None:
+        corpus = _tokenize_corpus(cfg)
     metric_records = load_metrics(cfg.metrics) if cfg.metrics else []
     table = None
     if use_cache:
@@ -323,24 +353,15 @@ def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
             logger.info("not using %s; parsing %s", embedding_cache, cfg.embeddings)
     if table is None:
         table = load_embeddings(cfg.embeddings)
-    return Dataset(
-        name=cfg.dataset_name,
-        reports=reports,
-        report_tokens=report_tokens,
-        source_tokens=source_tokens,
-        metric_records=metric_records,
-        table=table,
-    )
+    return Dataset(name=cfg.dataset_name, corpus=corpus, metric_records=metric_records, table=table)
 
 
-def split_reports(
-    reports: Sequence[BugReport], fraction: float
-) -> tuple[list[BugReport], list[BugReport]]:
+def split_reports(report_ids: Sequence[str], fraction: float) -> tuple[list[str], list[str]]:
     """Chronological split: the first `fraction` of reports train, the rest query."""
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"split must lie in (0, 1), got {fraction!r}")
-    cut = int(len(reports) * fraction)
-    return list(reports[:cut]), list(reports[cut:])
+    cut = int(len(report_ids) * fraction)
+    return list(report_ids[:cut]), list(report_ids[cut:])
 
 
 @dataclass
@@ -348,8 +369,8 @@ class Index:
     """Training-side artifacts: vocabulary, TF-IDF rows, universe, the link
     matrices over it, and the network."""
 
-    train_reports: list[BugReport]
-    query_reports: list[BugReport]
+    train_ids: list[str]  # the corpus's first reports, in corpus order
+    query_ids: list[str]  # the reports after them
     vocab: Vocabulary
     tfidf: CSR  # one row per training report, in training order
     universe: tuple[str, ...]
@@ -361,7 +382,7 @@ class Index:
     def network(self) -> HeteroNetwork:
         """Built on first use: a run that loads its model never needs it."""
         return build_network(
-            [report.id for report in self.train_reports], self.tfidf, self.vocab,
+            self.train_ids, self.tfidf, self.vocab,
             self.universe, self.bucket_keys, self.fix_links, self.bucket_links,
         )
 
@@ -371,48 +392,47 @@ class Index:
         return ranker.build_bow_index(self.tfidf, self.fix_links)
 
 
-def file_universe(dataset: Dataset) -> tuple[str, ...]:
+def file_universe(corpus: Corpus, metric_records: Sequence[MetricRecord]) -> tuple[str, ...]:
     """Inventory paths when sources or metrics exist, else all fixed files."""
-    inventory: set[str] = set()
-    if dataset.source_tokens is not None:
-        inventory.update(dataset.source_tokens)
-    inventory.update(rec.path for rec in dataset.metric_records)
+    inventory: set[str] = set(corpus.source_paths or ())
+    inventory.update(rec.path for rec in metric_records)
     if not inventory:
-        for report in dataset.reports:
-            inventory.update(report.fixed_files)
+        inventory.update(chain.from_iterable(corpus.fixed_files))
     return tuple(sorted(inventory))
 
 
-def fix_links(reports: Sequence[BugReport], universe: Sequence[str]) -> CSR:
+def fix_links(
+    report_ids: Sequence[str], fixed_files: Sequence[Sequence[str]], universe: Sequence[str]
+) -> CSR:
     """The training reports' fix links, link_matrix over the universe: one
     row per report, its fixed files in listed order. Rejects, naming it, a
     report that fixes a path outside the universe."""
-    links = link_matrix([report.fixed_files for report in reports], universe)
-    short = np.flatnonzero(np.diff(links.indptr) < [len(r.fixed_files) for r in reports])
+    links = link_matrix(fixed_files, universe)
+    short = np.flatnonzero(np.diff(links.indptr) < [len(files) for files in fixed_files])
     if short.size:
-        report = reports[short[0]]
-        path = next(path for path in report.fixed_files if path not in universe)
-        raise ValidationError(f"report {report.id!r} fixes unknown path {path!r}")
+        files = fixed_files[short[0]]
+        path = next(path for path in files if path not in universe)
+        raise ValidationError(f"report {report_ids[short[0]]!r} fixes unknown path {path!r}")
     return links
 
 
 def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
-    """Split chronologically and assemble the training-side index, each
-    path resolved to its universe column once; the network is built when
-    first used."""
-    train, queries = split_reports(dataset.reports, cfg.split)
+    """Split chronologically and assemble the training-side index from the
+    corpus's token ids, each path resolved to its universe column once; the
+    network is built when first used."""
+    corpus = dataset.corpus
+    train, queries = split_reports(corpus.report_ids, cfg.split)
     if not train:
         raise ValidationError("the chronological split leaves no training reports")
-    universe = file_universe(dataset)
-    fixes = fix_links(train, universe)
-    token_lists = [dataset.report_tokens[r.id] for r in train]
-    vocab = build_vocabulary(token_lists)
+    universe = file_universe(corpus, dataset.metric_records)
+    fixes = fix_links(train, corpus.fixed_files[: len(train)], universe)
+    vocab, counts = id_vocabulary(corpus.report_tokens.take(range(len(train))), corpus.terms)
     keys, in_bucket = discretize(dataset.metric_records, cfg.buckets_per_metric, universe)
     return Index(
-        train_reports=train,
-        query_reports=queries,
+        train_ids=train,
+        query_ids=queries,
         vocab=vocab,
-        tfidf=tfidf_rows(token_lists, vocab),
+        tfidf=weigh_counts(counts, vocab),
         universe=universe,
         fix_links=fixes,
         bucket_keys=keys,
@@ -427,9 +447,8 @@ def network_digest(index: Index) -> str:
     and its values in a fixed dtype. A model solved over another network
     has another digest; the index alone is read, so no network is built.
     """
-    ids = [report.id for report in index.train_reports]
     # JSON escapes every non-ASCII character, so a lone surrogate hashes too
-    names = [ids, list(index.vocab.terms), list(index.universe), list(index.bucket_keys)]
+    names = [index.train_ids, list(index.vocab.terms), list(index.universe), list(index.bucket_keys)]
     digest = hashlib.sha256(json.dumps(names).encode())
     for rows in (index.tfidf, index.fix_links, index.bucket_links):
         for values, dtype in ((rows.indptr, "<i8"), (rows.indices, "<i8"), (rows.data, "<f8")):
@@ -448,12 +467,14 @@ def solve_model(index: Index, table: EmbeddingTable, cfg: RunConfig) -> Represen
 def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndarray:
     """Token-count-weighted embedding mean per source file, one row per path:
     embed_rows over the files' term counts, as queries over their TF-IDF rows."""
-    if dataset.source_tokens is None:
+    corpus = dataset.corpus
+    if corpus.source_tokens is None:
         raise ValidationError("the embedding method needs source docs, none configured")
-    token_lists = [dataset.source_tokens.get(path, []) for path in universe]
-    vocab = build_vocabulary(token_lists)
+    row_of = {path: row for row, path in enumerate(corpus.source_paths)}
+    lists = corpus.source_tokens.take([row_of.get(path, -1) for path in universe])
+    vocab, counts = id_vocabulary(lists, corpus.terms)
     rows = dataset.table.rows_of(vocab.terms)
-    return ranker.embed_rows(count_rows(token_lists, vocab), rows, dataset.table.matrix)
+    return ranker.embed_rows(counts, rows, dataset.table.matrix)
 
 
 def check_model_nodes(model: RepresentationModel, index: Index, table: EmbeddingTable) -> None:
@@ -467,8 +488,9 @@ def check_model_nodes(model: RepresentationModel, index: Index, table: Embedding
     The network is not built, and the rows are compared 256 at a time, so
     no second copy is made at once.
     """
-    ids = [report.id for report in index.train_reports]
-    expected = node_table(ids, index.tfidf, index.vocab, index.universe, index.bucket_keys)
+    expected = node_table(
+        index.train_ids, index.tfidf, index.vocab, index.universe, index.bucket_keys
+    )
     what = {"B": "training reports", "T": "terms with a nonzero TF-IDF weight",
             "S": "file universe", "M": "metric buckets"}
     nodes = model.nodes
@@ -570,25 +592,30 @@ def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> eval
     in the context.
     """
     index = scorer.index
-    truth = link_matrix([report.fixed_files for report in index.query_reports], index.universe)
+    corpus = dataset.corpus
+    cut = len(index.train_ids)
+    truth = link_matrix(corpus.fixed_files[cut:], index.universe)
     kept = np.diff(truth.indptr) > 0
-    queries = list(compress(index.query_reports, kept))
-    excluded = [report.id for report in compress(index.query_reports, ~kept)]
+    query_ids = list(compress(index.query_ids, kept))
+    excluded = list(compress(index.query_ids, ~kept))
     if excluded:
         logger.warning(
             "excluded %d of %d queries with no ground-truth file in the universe",
             len(excluded),
-            len(index.query_reports),
+            len(index.query_ids),
         )
     relevant = np.zeros(truth.shape, dtype=bool)
     relevant[truth.row_ids(), truth.indices] = True
     relevant = relevant[kept]
-    rows = tfidf_rows([dataset.report_tokens[report.id] for report in queries], index.vocab)
+    # each dictionary id's vocabulary column, -1 for a term no training report holds
+    columns = np.array([index.vocab.index.get(term, -1) for term in corpus.terms], dtype=np.intp)
+    queries = corpus.report_tokens.take(cut + np.flatnonzero(kept))
+    rows = weigh_counts(queries.count_rows(columns, len(index.vocab)), index.vocab)
     methods = [method for method in cfg.methods if method != evaluation.METHOD_BOW]
     learned = {method: scorer.learned_matrix(method, rows) for method in methods}
     return evaluation.EvalContext(
         dataset_name=dataset.name,
-        query_ids=[report.id for report in queries],
+        query_ids=query_ids,
         universe=index.universe,
         relevant=relevant,
         bow=scorer.bow_matrix(rows),

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bugloc
 from bugloc import pipeline, regularizer
 from bugloc.cli import main
+from recordref import read_corpus, write_corpus
 
 
 def _run(*argv):
@@ -91,7 +93,7 @@ class TestIngestAndBuild:
         # 160 generated, 11 marked open and dropped by resolved_only
         assert summary["reports"] == 149
         assert summary["source_docs"] == 24
-        assert (out / "corpus_cache.json").exists()
+        assert (out / "corpus_cache.bin").exists()
         assert (out / "embeddings_cache.bin").exists()
         assert (out / "manifest.json").exists()
 
@@ -110,13 +112,13 @@ class TestIngestAndBuild:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda payload: {
-                **payload,
-                "report_tokens": {**payload["report_tokens"], min(payload["report_tokens"]): [5, None]},
-            },
-            lambda payload: "[" * 100_000,
+            lambda header, records: (
+                header,
+                {**records, "report_token_ids": np.full_like(records["report_token_ids"], header["terms"])},
+            ),
+            lambda header, records: (np.frombuffer(b"[" * 100_000, dtype=np.uint8), records),
         ],
-        ids=["token-not-a-string", "too-deep"],
+        ids=["token-id-outside-the-dictionary", "too-deep"],
     )
     def test_solve_over_a_damaged_corpus_cache_writes_the_uncached_model(
         self, cli_dataset, tmp_path, damage
@@ -126,9 +128,8 @@ class TestIngestAndBuild:
         assert _run("solve", *args) == 0
         uncached = (out / "model.tsv").read_bytes()
         assert _run("ingest", *args) == 0
-        cache = out / "corpus_cache.json"
-        damaged = damage(json.loads(cache.read_text(encoding="utf-8")))
-        cache.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged), encoding="utf-8")
+        cache = out / "corpus_cache.bin"
+        write_corpus(cache, *damage(*read_corpus(cache)))
         assert _run("solve", *args) == 0
         assert (out / "model.tsv").read_bytes() == uncached
 
@@ -1069,6 +1070,27 @@ class TestExitCodes:
                      "--model", str(model)]) == 1
         assert capsys.readouterr().err == f"error: {refused}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "query"])
+    def test_model_is_loaded_before_the_dataset(self, seed3, tmp_path, capsys, monkeypatch, command):
+        # a model without its record fails at once, not after the dataset load
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dataset was loaded before the model")
+
+        monkeypatch.setattr(pipeline, "load_dataset", refuse)
+        model = tmp_path / "model.tsv"
+        shutil.copy(seed3 / "out" / "model.tsv", model)
+        argv = [command, "--dataset-dir", str(seed3), "--out-dir", str(tmp_path / "out"),
+                "--model", str(model)]
+        if command == "query":
+            report = (seed3 / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+            argv += ["--report", str(tmp_path / "bug.json")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}.bin: missing, damaged or not the record of {model}; solve again\n"
+        )
 
     def test_missing_report_file_is_a_validation_error(self, seed3, tmp_path, capsys):
         report = tmp_path / "missing.jsonl"

@@ -2,17 +2,19 @@
 
 The files under tests/golden/ were written by this module's pipeline at a
 known-good commit. A change that keeps the tokens, network, rankings, MAP
-and the solved model must reproduce them: the CSVs and `bugloc ingest`'s
-corpus_cache.json byte for byte (network.csv is `bugloc build`'s edge
-list), the model with the same nodes and clamp flags, bit-identical clamped
-rows and free rows within 1e-12.
+and the solved model must reproduce them: the CSVs byte for byte
+(network.csv is `bugloc build`'s edge list), the model with the same nodes
+and clamp flags, bit-identical clamped rows and free rows within 1e-12, and
+the cache key and the report and source token maps of `bugloc ingest`'s
+corpus_cache.bin, decoded here by recordref, those of corpus_cache.json.
 
 To pin new outputs after an intended behaviour change, run
     PYTHONPATH=src python tests/test_golden.py
 and review the diff of tests/golden/. The route copies every produced file
 but model.tsv, which it copies only when the produced model fails the
 comparison above: free rows may differ in their last bits between hosts, and
-a model within the tolerance keeps the committed rows.
+a model within the tolerance keeps the committed rows. corpus_cache.json it
+writes from the decoded corpus_cache.bin.
 """
 
 import contextlib
@@ -29,9 +31,10 @@ from bugloc import synthgen
 from bugloc.cli import main
 from bugloc.network import NodeTable
 from bugloc.regularizer import RepresentationModel, dump_model, load_model
+from recordref import corpus_token_maps, read_raw
 
 GOLDEN = Path(__file__).parent / "golden"
-BYTE_NAMES = ("results.csv", "sweep.csv", "ttests.csv", "network.csv", "corpus_cache.json")
+BYTE_NAMES = ("results.csv", "sweep.csv", "ttests.csv", "network.csv")
 FREE_ROW_TOLERANCE = 1e-12
 COUNTS_LINE = "info: counts: nodes B=119 T=345 S=24 M=15; edges B-S=134 B-T=1464 M-S=72"
 
@@ -72,8 +75,16 @@ def run_pipeline(root: Path, build_output: io.StringIO | None = None) -> dict[st
     run("eval", "--model", str(out / "model.tsv"), "--out-dir", str(evaluated))
     produced = {name: out / name for name in ("network.csv", "model.tsv")}
     produced.update({name: evaluated / name for name in ("results.csv", "sweep.csv", "ttests.csv")})
-    produced["corpus_cache.json"] = ingested / "corpus_cache.json"
+    produced["corpus_cache.bin"] = ingested / "corpus_cache.bin"
     return produced
+
+
+def corpus_payload(path) -> dict:
+    """The key and the report and source token maps of the corpus cache at
+    path, as corpus_cache.json holds them."""
+    report_tokens, source_tokens = corpus_token_maps(path)
+    key = read_raw(path)[0]["key"]
+    return {"key": key, "report_tokens": report_tokens, "source_tokens": source_tokens}
 
 
 def read_model(path):
@@ -128,6 +139,8 @@ def test_outputs_match_golden_files(tmp_path):
     produced = run_pipeline(tmp_path, build_output)
     for name in BYTE_NAMES:
         assert produced[name].read_bytes() == (GOLDEN / name).read_bytes(), name
+    golden = json.loads((GOLDEN / "corpus_cache.json").read_text(encoding="utf-8"))
+    assert corpus_payload(produced["corpus_cache.bin"]) == golden
     assert COUNTS_LINE in build_output.getvalue().splitlines()
     assert model_difference(produced["model.tsv"]) is None
 
@@ -156,6 +169,9 @@ if __name__ == "__main__":
         produced = run_pipeline(Path(workdir))
         GOLDEN.mkdir(exist_ok=True)
         for name, path in produced.items():
-            if name != "model.tsv" or not _keeps_the_golden_model(path):
+            if name == "corpus_cache.bin":
+                text = json.dumps(corpus_payload(path), sort_keys=True) + "\n"
+                (GOLDEN / "corpus_cache.json").write_text(text, encoding="utf-8")
+            elif name != "model.tsv" or not _keeps_the_golden_model(path):
                 shutil.copyfile(path, GOLDEN / name)
     sys.exit(0)

@@ -23,22 +23,30 @@ through cli.main in process. Whatever the inputs:
 
 Stdout is a strict UTF-8 stream, as a terminal's is, so text that cannot be
 encoded fails as it would in a real run.
+
+Over the same mutations, and a "\n" or "\t" inside an id or a path, or no
+sources.jsonl at all, a dataset loaded from ingest's caches equals the one
+loaded without them, and builds a bit-identical index.
 """
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import random
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import find, given, settings, strategies as st
 
 from bugloc import pipeline, ranker, synthgen
 from bugloc.cli import main
 from bugloc.corpus import load_query_reports, tfidf_rows, tokenize
+from bugloc.errors import ValidationError
 from bugloc.regularizer import record_path
 
 SPEC = dict(num_reports=20, num_files=5, vocab_size=60, dim=3, topic_count=2)
@@ -56,7 +64,8 @@ MUTATIONS = (
     "stale_model",  # after solve, a training fix moves to another file
     "stopword_query",  # the queried report's text is all stopwords, so every file ties
 )
-ODD = st.text(alphabet="Ř日,\"' \r", min_size=1, max_size=3)
+ODD_CHARACTERS = "Ř日,\"' \r"
+ODD = st.text(alphabet=ODD_CHARACTERS, min_size=1, max_size=3)
 QUERY_BATCH = 3
 
 
@@ -88,7 +97,10 @@ class Inputs:
         ]
 
     def universe(self) -> set[str]:
-        return {doc["path"] for doc in self.sources} | {row[0] for row in self.metrics}
+        """The paths a ranking may list: the source and metrics paths or,
+        with neither, every fixed file, as pipeline.file_universe falls back."""
+        paths = {doc["path"] for doc in self.sources} | {row[0] for row in self.metrics}
+        return paths or {path for report in self.reports for path in report["fixed_files"]}
 
     def write(self) -> None:
         # JSON escapes every non-ASCII character, so a lone surrogate survives
@@ -319,3 +331,118 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
         if solved and "stale_model" in mutations and _move_training_fix(inputs):
             inputs.write()
             assert run("eval", root / "stale", *model)[0] == 1
+
+
+# the mutations a cache must survive besides MUTATIONS: characters that
+# cannot sit in a "\n"-joined record, and a run without sources
+CACHE_MUTATIONS = (
+    *MUTATIONS,
+    "control_id",  # "\n" or "\t" inside a report id
+    "control_path",  # the same inside a path, everywhere it is named
+    "no_sources",  # no sources.jsonl
+)
+CONTROL = st.sampled_from(("\n", "\t", "a\nb", "\r\n"))
+
+
+def _mutate_for_cache(data: Inputs, name: str, draw) -> None:
+    pick = lambda items: items[draw(st.integers(0, len(items) - 1))]  # noqa: E731
+    if name == "control_id":
+        report = pick(data.reports)
+        report["id"] = _insert(report["id"], 2, draw(CONTROL))
+    elif name == "control_path":
+        path = pick(data.sources)["path"]
+        data.rename_path(path, _insert(path, 4, draw(CONTROL)))
+    elif name != "no_sources":
+        _mutate(data, name, draw)
+
+
+def _bits(rows) -> list:
+    """A CSR's arrays as (dtype, bytes), floats by their bits."""
+    return [(array.dtype.str, array.tobytes()) for array in (rows.data, rows.indices, rows.indptr)]
+
+
+def _index_bits(dataset, cfg):
+    """build_index's universe, vocabulary, idf bits and TF-IDF and fix-link
+    arrays, or the message it rejects the dataset with."""
+    try:
+        index = pipeline.build_index(dataset, cfg)
+    except ValidationError as exc:
+        return str(exc)
+    idf = index.vocab.idf
+    return (index.universe, index.vocab.terms, idf.dtype.str, idf.tobytes(),
+            _bits(index.tfidf), _bits(index.fix_links))
+
+
+def _assert_a_hit_equals_a_fresh_load(seed, mutations, draw):
+    """Mutate a tiny synth dataset, ingest it and check that the cached
+    load equals the fresh one; return its corpus, or None when the inputs
+    are rejected."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        synthgen.generate(synthgen.SynthSpec(seed=seed, **SPEC), root / "data")
+        inputs = Inputs(root / "data")
+        for name in sorted(mutations, key=CACHE_MUTATIONS.index):
+            _mutate_for_cache(inputs, name, draw)
+        inputs.write()
+        if "no_sources" in mutations:
+            (root / "data" / "sources.jsonl").unlink()
+        cfg = pipeline.RunConfig(out_dir=str(root / "out"))
+        cfg.apply_dataset_dir(root / "data")
+        try:
+            fresh = pipeline.load_dataset(cfg, use_cache=False)
+        except ValidationError:
+            return  # an input ingest rejects, so no cache is written
+        pipeline.write_corpus_cache(cfg, fresh.corpus)
+        pipeline.write_embedding_cache(cfg, fresh.table)
+        refuse = mock.Mock(side_effect=AssertionError("an input parsed on a cache hit"))
+        with mock.patch.multiple(
+            pipeline, load_bug_reports=refuse, load_source_docs=refuse, tokenize=refuse,
+            load_embeddings=refuse,
+        ):
+            hit = pipeline.load_dataset(cfg)
+        assert dataclasses.replace(hit, table=None) == dataclasses.replace(fresh, table=None)
+        assert hit.table.tokens == fresh.table.tokens
+        assert hit.table.matrix.tobytes() == fresh.table.matrix.tobytes()
+        assert _index_bits(hit, cfg) == _index_bits(fresh, cfg)
+        return hit.corpus
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    mutations=st.lists(st.sampled_from(CACHE_MUTATIONS), max_size=3, unique=True),
+    data=st.data(),
+)
+def test_a_cache_hit_equals_a_fresh_load(seed, mutations, data):
+    _assert_a_hit_equals_a_fresh_load(seed, mutations, data.draw)
+
+
+@pytest.mark.parametrize(
+    "mutations, control",
+    [
+        (("control_id",), "\n"),
+        (("control_id",), "\t"),
+        (("control_path",), "\n"),
+        (("control_path",), "\t"),
+        (("stopword_report",), None),
+        (("no_sources",), None),
+        (("odd_id", "odd_path"), None),
+    ],
+    ids=["newline-id", "tab-id", "newline-path", "tab-path", "no-tokens", "no-sources", "odd-id-and-path"],
+)
+def test_a_cache_hit_equals_a_fresh_load_in_listed_cases(mutations, control):
+    # every other draw is the simplest value, the one hypothesis shrinks to
+    def draw(strategy):
+        return control if strategy is CONTROL else find(strategy, lambda value: True)
+
+    corpus = _assert_a_hit_equals_a_fresh_load(0, mutations, draw)
+    # the listed case reached the cache
+    fixed = [path for files in corpus.fixed_files for path in files]
+    reached = {
+        "control_id": lambda: any(control in rid for rid in corpus.report_ids),
+        "control_path": lambda: any(control in path for path in fixed),
+        "stopword_report": lambda: (corpus.report_tokens.lengths() == 0).any(),
+        "no_sources": lambda: corpus.source_paths is None,
+        "odd_id": lambda: any(set(rid) & set(ODD_CHARACTERS) for rid in corpus.report_ids),
+    }
+    assert reached[mutations[0]]()

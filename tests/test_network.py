@@ -46,9 +46,8 @@ def _build(reports, tfidf, vocab, paths, records):
     universe = tuple(sorted(paths))
     keys, in_bucket = discretize(records, _NB, universe)
     ids = [report.id for report in reports]
-    return build_network(
-        ids, tfidf, vocab, universe, keys, fix_links(reports, universe), in_bucket
-    )
+    links = fix_links(ids, [report.fixed_files for report in reports], universe)
+    return build_network(ids, tfidf, vocab, universe, keys, links, in_bucket)
 
 
 class TestHeteroNetwork:

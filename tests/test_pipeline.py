@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bugloc import evaluation, pipeline, ranker
-from bugloc.corpus import BugReport, tfidf_rows
+from bugloc.corpus import BugReport, Corpus, load_bug_reports, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
 from bugloc.errors import ParseError, ValidationError
 from linkref import bow_links, ground_truth
-from recordref import read_raw, write_raw
+from recordref import read_corpus, read_raw, write_corpus, write_raw
 from sparseref import from_scipy, to_scipy
 from tables import make_table
 
@@ -144,10 +144,9 @@ class TestRunConfig:
 
 class TestSplitReports:
     def test_chronological_cut(self):
-        reports = [_report(f"B-{i}", hour=i) for i in range(10)]
-        train, queries = pipeline.split_reports(reports, 0.8)
-        assert [r.id for r in train] == [f"B-{i}" for i in range(8)]
-        assert [r.id for r in queries] == ["B-8", "B-9"]
+        train, queries = pipeline.split_reports([f"B-{i}" for i in range(10)], 0.8)
+        assert train == [f"B-{i}" for i in range(8)]
+        assert queries == ["B-8", "B-9"]
 
     def test_fraction_bounds(self):
         with pytest.raises(ValidationError):
@@ -156,8 +155,7 @@ class TestSplitReports:
             pipeline.split_reports([], 1.0)
 
     def test_small_corpus_rounds_down(self):
-        reports = [_report(f"B-{i}", hour=i) for i in range(3)]
-        train, queries = pipeline.split_reports(reports, 0.5)
+        train, queries = pipeline.split_reports([f"B-{i}" for i in range(3)], 0.5)
         assert len(train) == 1 and len(queries) == 2
 
 
@@ -166,44 +164,31 @@ class TestFileUniverse:
         cfg = pipeline.RunConfig()
         cfg.apply_dataset_dir(synth_dir)
         dataset = pipeline.load_dataset(cfg, use_cache=False)
-        universe = pipeline.file_universe(dataset)
+        universe = pipeline.file_universe(dataset.corpus, dataset.metric_records)
         assert len(universe) == 24
         assert universe == tuple(sorted(universe))
 
     def test_falls_back_to_fixed_files(self):
-        dataset = pipeline.Dataset(
-            name="d",
-            reports=[_report("B-1", 0, files=("x.java", "y.java")), _report("B-2", 1, files=("x.java",))],
-            report_tokens={},
-            source_tokens=None,
-            metric_records=[],
-            table=None,
-        )
-        assert pipeline.file_universe(dataset) == ("x.java", "y.java")
+        reports = [_report("B-1", 0, files=("y.java", "x.java")), _report("B-2", 1, files=("x.java",))]
+        corpus = Corpus.of(reports, [[], []], None)
+        assert pipeline.file_universe(corpus, []) == ("x.java", "y.java")
 
 
 class TestDatasetLoadingAndCache:
     def test_cache_round_trip(self, synth_dir, tmp_path):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False)
-        pipeline.write_corpus_cache(cfg, fresh)
+        cfg, fresh = _cached(synth_dir, tmp_path)
         cached = pipeline.load_dataset(cfg, use_cache=True)
-        assert cached.report_tokens == fresh.report_tokens
-        assert cached.source_tokens == fresh.source_tokens
+        assert cached.corpus == fresh.corpus
 
     def test_stale_cache_ignored(self, synth_dir, tmp_path):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False)
-        pipeline.write_corpus_cache(cfg, fresh)
+        cfg, fresh = _cached(synth_dir, tmp_path)
         cache_file = tmp_path / pipeline.CACHE_NAME
-        payload = json.loads(cache_file.read_text(encoding="utf-8"))
-        payload["key"]["reports_sha256"] = "0" * 64
-        payload["report_tokens"] = {rid: ["poisoned"] for rid in payload["report_tokens"]}
-        cache_file.write_text(json.dumps(payload), encoding="utf-8")
+        header, records = read_corpus(cache_file)
+        header["key"]["reports_sha256"] = "0" * 64
+        records["report_token_ids"] = np.zeros_like(records["report_token_ids"])
+        write_corpus(cache_file, header, records)
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.report_tokens == fresh.report_tokens
+        assert reloaded.corpus == fresh.corpus
 
     @pytest.mark.parametrize("cached, use_cache", [(True, True), (False, True), (False, False)],
                              ids=["hit", "miss", "not-asked"])
@@ -212,7 +197,7 @@ class TestDatasetLoadingAndCache:
         cfg.apply_dataset_dir(synth_dir)
         if cached:
             fresh = pipeline.load_dataset(cfg, use_cache=False)
-            pipeline.write_corpus_cache(cfg, fresh)
+            pipeline.write_corpus_cache(cfg, fresh.corpus)
             pipeline.write_embedding_cache(cfg, fresh.table)
         with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
             pipeline.load_dataset(cfg, use_cache=use_cache)
@@ -223,81 +208,69 @@ class TestDatasetLoadingAndCache:
         ]
         assert logged == (missed if use_cache and not cached else [])
 
-    def test_cache_lacking_a_report_is_a_miss(self, synth_dir, tmp_path):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False)
-        pipeline.write_corpus_cache(cfg, fresh)
-        cache_file = tmp_path / pipeline.CACHE_NAME
-        payload = json.loads(cache_file.read_text(encoding="utf-8"))
-        payload["report_tokens"] = {rid: ["poisoned"] for rid in list(payload["report_tokens"])[1:]}
-        cache_file.write_text(json.dumps(payload), encoding="utf-8")
-        reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.report_tokens == fresh.report_tokens
-
     def test_cache_hit_tokenizes_nothing(self, synth_dir, tmp_path, monkeypatch):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
         cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False)
-        emptied = next(iter(fresh.report_tokens))
-        fresh.report_tokens[emptied] = []
-        pipeline.write_corpus_cache(cfg, fresh)
+        fresh = pipeline.load_dataset(cfg, use_cache=False).corpus
+        # the first report's tokens emptied, so that only the cache can give them
+        rows = [-1, *range(1, len(fresh.report_ids))]
+        emptied = dataclasses.replace(fresh, report_tokens=fresh.report_tokens.take(rows))
+        pipeline.write_corpus_cache(cfg, emptied)
 
-        def refuse(*args):
-            raise AssertionError("tokenize called on a cache hit")
+        def refuse(*args, **kwargs):
+            raise AssertionError("an input parsed or tokenized on a cache hit")
 
-        monkeypatch.setattr(pipeline, "tokenize", refuse)
-        monkeypatch.setattr("bugloc.corpus.tokenize", refuse)
+        for name in ("tokenize", "load_bug_reports", "load_source_docs"):
+            monkeypatch.setattr(pipeline, name, refuse)
+            monkeypatch.setattr(f"bugloc.corpus.{name}", refuse)
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.report_tokens == fresh.report_tokens
-        assert reloaded.source_tokens == fresh.source_tokens
+        assert reloaded.corpus == emptied != fresh
 
     @pytest.mark.parametrize(
         "mangle",
         [
-            lambda payload: [1, 2],
-            lambda payload: "text",
-            lambda payload: None,
-            lambda payload: {"key": payload["key"]},
-            lambda payload: {**payload, "report_tokens": [1, 2]},
-            lambda payload: {
-                **payload,
-                "report_tokens": {**payload["report_tokens"], next(iter(payload["report_tokens"])): 5},
-            },
-            lambda payload: {**payload, "source_tokens": [1, 2]},
+            lambda header, records: (_json([1, 2]), records),
+            lambda header, records: (_json("text"), records),
+            lambda header, records: (_json(None), records),
+            lambda header, records: ({k: v for k, v in header.items() if k != "key"}, records),
+            lambda header, records: ({**header, "reports": None}, records),
+            lambda header, records: (
+                header, {k: v for k, v in records.items() if not k.startswith("report_token")}
+            ),
+            lambda header, records: (
+                header, {**records, "report_token_ids": records["report_token_ids"].astype(np.float64)}
+            ),
+            lambda header, records: (
+                header, {k: v for k, v in records.items() if not k.startswith("source")}
+            ),
         ],
         ids=[
             "list",
             "string",
             "null",
+            "no-key",
+            "no-report-count",
             "no-report-tokens",
-            "report-tokens-not-an-object",
-            "report-entry-not-a-list",
-            "source-tokens-not-an-object",
+            "report-tokens-not-ids",
+            "no-source-tokens",
         ],
     )
     def test_malformed_cache_ignored(self, synth_dir, tmp_path, mangle):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False)
-        pipeline.write_corpus_cache(cfg, fresh)
+        cfg, fresh = _cached(synth_dir, tmp_path)
         cache_file = tmp_path / pipeline.CACHE_NAME
-        payload = json.loads(cache_file.read_text(encoding="utf-8"))
-        cache_file.write_text(json.dumps(mangle(payload)), encoding="utf-8")
+        write_corpus(cache_file, *mangle(*read_corpus(cache_file)))
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.report_tokens == fresh.report_tokens
-        assert reloaded.source_tokens == fresh.source_tokens
+        assert reloaded.corpus == fresh.corpus
 
     def test_cache_that_is_not_utf8_ignored(self, synth_dir, tmp_path):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False)
-        pipeline.write_corpus_cache(cfg, fresh)
-        with open(tmp_path / pipeline.CACHE_NAME, "ab") as fh:
-            fh.write(b"\xff")
+        cfg, fresh = _cached(synth_dir, tmp_path)
+        cache_file = tmp_path / pipeline.CACHE_NAME
+        header, records = read_corpus(cache_file)
+        text = records["report_id_text"].copy()
+        text[0] = 0xFF
+        write_corpus(cache_file, header, {**records, "report_id_text": text})
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.report_tokens == fresh.report_tokens
-        assert reloaded.source_tokens == fresh.source_tokens
+        assert reloaded.corpus == fresh.corpus
 
     def test_embedding_cache_equals_text_parse_bit_for_bit(self, synth_dir, tmp_path, monkeypatch):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
@@ -389,6 +362,21 @@ class TestDatasetLoadingAndCache:
             pipeline.load_dataset(cfg)
 
 
+def _cached(synth_dir, tmp_path):
+    """The config of the synthetic dataset writing to tmp_path, and its
+    dataset loaded without caches, whose corpus it has cached."""
+    cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+    cfg.apply_dataset_dir(synth_dir)
+    fresh = pipeline.load_dataset(cfg, use_cache=False)
+    pipeline.write_corpus_cache(cfg, fresh.corpus)
+    return cfg, fresh
+
+
+def _json(value):
+    """A header record holding value as JSON text, which need not be an object."""
+    return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
+
+
 def _tokens_array(tokens):
     return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
 
@@ -426,7 +414,7 @@ class TestFileEmbeddingVectors:
         self, vectors, sources, universe
     ):
         table = make_table(3, vectors)
-        dataset = pipeline.Dataset("d", [], {}, sources, [], table)
+        dataset = pipeline.Dataset("d", Corpus.of([], [], sources), [], table)
         rows = pipeline.file_embedding_vectors(dataset, universe)
         assert rows.shape == (len(universe), 3)
         for path, row in zip(universe, rows):
@@ -436,7 +424,7 @@ class TestFileEmbeddingVectors:
             assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_needs_source_docs(self):
-        dataset = pipeline.Dataset("d", [], {}, None, [], make_table(1, {"a": [1.0]}))
+        dataset = pipeline.Dataset("d", Corpus.of([], [], None), [], make_table(1, {"a": [1.0]}))
         with pytest.raises(ValidationError, match="source docs"):
             pipeline.file_embedding_vectors(dataset, ["a.py"])
 
@@ -445,19 +433,16 @@ class TestBuildIndex:
     def test_index_shapes(self, eval_bundle):
         index = eval_bundle.scorer.index
         # resolved_only drops the handful of open reports before the split
-        assert len(index.train_reports) + len(index.query_reports) == len(
-            eval_bundle.dataset.reports
-        )
+        assert index.train_ids + index.query_ids == list(eval_bundle.dataset.corpus.report_ids)
         assert len(index.universe) == 24
         assert index.network.nodes.keys[index.network.nodes.rows("M")]
-        assert index.tfidf.shape == (len(index.train_reports), len(index.vocab))
+        assert index.tfidf.shape == (len(index.train_ids), len(index.vocab))
 
     def test_vocabulary_covers_training_reports_only(self, eval_bundle):
         index = eval_bundle.scorer.index
-        train_tokens = set()
-        for r in index.train_reports:
-            train_tokens.update(eval_bundle.dataset.report_tokens[r.id])
-        assert set(index.vocab.terms) <= train_tokens
+        corpus = eval_bundle.dataset.corpus
+        train = corpus.report_tokens.take(range(len(index.train_ids)))
+        assert set(index.vocab.terms) == {corpus.terms[i] for i in train.ids}
 
     def test_scorer_with_a_model_builds_no_network(self, eval_bundle, monkeypatch):
         def refuse(*args):
@@ -477,7 +462,7 @@ class TestBuildIndex:
         cfg.apply_dataset_dir(synth_dir)
         dataset = pipeline.load_dataset(cfg, use_cache=False)
         index = pipeline.build_index(dataset, cfg)
-        assert len(index.train_reports) > len(index.query_reports)
+        assert len(index.train_ids) > len(index.query_ids)
 
 
 class TestEvalContext:
@@ -543,9 +528,12 @@ class TestEvalContext:
 
     def test_queries_follow_training_chronologically(self, eval_bundle):
         index = eval_bundle.scorer.index
-        last_train = max(r.report_time for r in index.train_reports)
-        for r in index.query_reports:
-            assert r.report_time >= last_train
+        reports = load_bug_reports(eval_bundle.cfg.reports, resolved_only=True)
+        time_of = {report.id: report.report_time for report in reports}
+        assert index.train_ids + index.query_ids == [report.id for report in reports]
+        last_train = max(time_of[rid] for rid in index.train_ids)
+        for rid in index.query_ids:
+            assert time_of[rid] >= last_train
 
 
 _PATHS = st.text(alphabet="aZé中Ω/.,_", min_size=1, max_size=4)
@@ -553,7 +541,7 @@ _PATHS = st.text(alphabet="aZé中Ω/.,_", min_size=1, max_size=4)
 
 @st.composite
 def _linked_datasets(draw):
-    """An in-memory dataset whose universe is its source paths: training
+    """Reports, their token lists and a universe of source paths: training
     reports fix files of the universe or none, and queries fix files in or
     out of it, some or all of them outside; paths and ids may be non-ASCII."""
     universe = draw(st.lists(_PATHS.map("src/{}".format), min_size=1, max_size=5, unique=True))
@@ -566,35 +554,35 @@ def _linked_datasets(draw):
         files = draw(st.lists(st.sampled_from(paths), max_size=3, unique=True))
         reports.append(_report(rid, 0, files))
     words = st.lists(st.sampled_from(("leak", "socket", "widget")), max_size=4)
-    return pipeline.Dataset(
-        name="links",
-        reports=reports,
-        report_tokens={rid: draw(words) for rid in ids},
-        source_tokens={path: [] for path in universe},
-        metric_records=[],
-        table=make_table(1, {"leak": [1.0]}),
-    )
+    return reports, [draw(words) for _ in ids], universe
 
 
-def _assert_links_match_the_dict_loops(dataset):
+def _assert_links_match_the_dict_loops(reports, tokens, universe):
+    """Build the index and eval context of the reports, with their tokens,
+    over sources at the universe paths, and check the link matrices and
+    the ground truth against linkref's per-report loops."""
+    corpus = Corpus.of(reports, tokens, {path: [] for path in universe})
+    dataset = pipeline.Dataset("links", corpus, [], make_table(1, {"leak": [1.0]}))
     cfg = pipeline.RunConfig(split=0.5, methods=(evaluation.METHOD_BOW,))
     index = pipeline.build_index(dataset, cfg)
+    cut = len(index.train_ids)
     bow = index.bow_index
-    indptr, indices, counts = bow_links([r.fixed_files for r in index.train_reports], index.universe)
+    indptr, indices, counts = bow_links([r.fixed_files for r in reports[:cut]], index.universe)
     np.testing.assert_array_equal(bow.links.indptr, indptr)
     np.testing.assert_array_equal(bow.links.indices, indices)
     np.testing.assert_array_equal(bow.links.data, np.ones(len(indices)))
     assert bow.counts.dtype == np.float64
     np.testing.assert_array_equal(bow.counts, counts)
     ctx = pipeline.build_eval_context(dataset, cfg, pipeline.Scorer(index, dataset.table))
-    query_ids, relevant, excluded = ground_truth(index.query_reports, index.universe)
+    query_ids, relevant, excluded = ground_truth(reports[cut:], index.universe)
     assert ctx.query_ids == query_ids
     assert ctx.excluded == excluded
     assert ctx.relevant.dtype == np.bool_
     np.testing.assert_array_equal(ctx.relevant, relevant)
     # each link row keeps its fixed-file order; a row sorted by column
     # gives the same scores, bit for bit
-    rows = tfidf_rows([dataset.report_tokens[qid] for qid in query_ids], index.vocab)
+    token_of = dict(zip(corpus.report_ids, tokens))
+    rows = tfidf_rows([token_of[qid] for qid in query_ids], index.vocab)
     by_column = dataclasses.replace(bow, links=from_scipy(to_scipy(bow.links).sorted_indices()))
     np.testing.assert_array_equal(
         ctx.bow.view(np.uint64), ranker.bow_file_scores(rows, by_column).view(np.uint64)
@@ -604,8 +592,8 @@ def _assert_links_match_the_dict_loops(dataset):
 
 class TestLinksAgainstDictLoops:
     @given(_linked_datasets())
-    def test_link_matrices_match_the_per_report_loops(self, dataset):
-        _assert_links_match_the_dict_loops(dataset)
+    def test_link_matrices_match_the_per_report_loops(self, drawn):
+        _assert_links_match_the_dict_loops(*drawn)
 
     def test_listed_cases(self):
         # a training report without fixes, one fixing two files out of path
@@ -618,13 +606,6 @@ class TestLinksAgainstDictLoops:
         ]
         ids = ["B-1", "B-2", "Ω-3", "B-4", "B-5", "B-6"]
         tokens = [["leak"], ["leak", "socket"], ["socket"], ["leak"], ["socket"], []]
-        dataset = pipeline.Dataset(
-            name="links",
-            reports=[_report(rid, 0, fixed) for rid, fixed in zip(ids, files)],
-            report_tokens=dict(zip(ids, tokens)),
-            source_tokens={path: [] for path in universe},
-            metric_records=[],
-            table=make_table(1, {"leak": [1.0]}),
-        )
-        ctx = _assert_links_match_the_dict_loops(dataset)
+        reports = [_report(rid, 0, fixed) for rid, fixed in zip(ids, files)]
+        ctx = _assert_links_match_the_dict_loops(reports, tokens, universe)
         assert (ctx.query_ids, ctx.excluded) == (["B-4"], ["B-5", "B-6"])
