@@ -95,15 +95,6 @@ def _resolve_config(args) -> pipeline.RunConfig:
     return cfg
 
 
-def _input_hashes(cfg: pipeline.RunConfig) -> dict:
-    hashes = {}
-    for key in pipeline.INPUT_PATHS:
-        value = getattr(cfg, key)
-        if value:
-            hashes[key] = pipeline.sha256_file(value)
-    return hashes
-
-
 def _write_manifest(cfg: pipeline.RunConfig, command: str, extra: dict | None = None) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,7 +105,7 @@ def _write_manifest(cfg: pipeline.RunConfig, command: str, extra: dict | None = 
         "package_version": __version__,
         "config": config_dict,
         "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "inputs": _input_hashes(cfg),
+        "inputs": pipeline.input_hashes(cfg),
     }
     extra = extra or {}
     clash = sorted(manifest.keys() & extra.keys())
@@ -169,8 +160,7 @@ def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg, use_cache=False)
     corpus = dataset.corpus
-    cache_path = pipeline.write_corpus_cache(cfg, corpus)
-    pipeline.write_embedding_cache(cfg, dataset.table)
+    cache_path = pipeline.write_dataset_cache(cfg, dataset)
     summary = {
         "reports": len(corpus.report_ids),
         "reports_without_tokens": int((corpus.report_tokens.lengths() == 0).sum()),
@@ -340,7 +330,7 @@ def cmd_synth(args) -> int:
 
 # name: (handler, the flags it reads, help); any other flag is a usage error
 _COMMANDS = {
-    "ingest": (cmd_ingest, _INPUTS, "validate inputs and cache the tokenized corpus and parsed embeddings"),
+    "ingest": (cmd_ingest, _INPUTS, "validate inputs and cache the loaded dataset"),
     "build": (cmd_build, (*_INPUTS, "--buckets"), "build the typed network and dump its edges"),
     "solve": (cmd_solve, _SOLVE, "solve the representation model and dump it"),
     "query": (cmd_query, (*_SOLVE, "--report", "--model", "--alpha", "--k"), "rank files for one report"),

@@ -44,8 +44,7 @@ from .regularizer import RepresentationModel, SolverConfig
 
 logger = logging.getLogger(__name__)
 
-CACHE_NAME = "corpus_cache.bin"
-EMBEDDING_CACHE_NAME = "embeddings_cache.bin"
+CACHE_NAME = "dataset_cache.bin"
 
 DATASET_FILES = {
     "reports": "reports.jsonl",
@@ -209,37 +208,40 @@ class Dataset:
     table: EmbeddingTable
 
 
+def input_hashes(cfg: RunConfig) -> dict:
+    """The sha256 of each input file that cfg names, by config key."""
+    return {key: sha256_file(getattr(cfg, key)) for key in INPUT_PATHS if getattr(cfg, key)}
+
+
 def _cache_key(cfg: RunConfig) -> dict:
-    key = {
-        "version": 1,
-        "reports_sha256": sha256_file(cfg.reports),
-        "rules": {
-            "min_length": cfg.min_length,
-            "stem": cfg.stem,
-            "stopwords_sha256": sha256_file(cfg.stopwords_file) if cfg.stopwords_file else "builtin",
-        },
+    return {
+        "inputs": input_hashes(cfg),
+        "min_length": cfg.min_length,
+        "stem": cfg.stem,
         "resolved_only": cfg.resolved_only,
     }
-    if cfg.sources:
-        key["sources_sha256"] = sha256_file(cfg.sources)
-    return key
 
 
-def write_corpus_cache(cfg: RunConfig, corpus: Corpus) -> Path:
-    """Persist the tokenized corpus so later subcommands skip the parse and
+def write_dataset_cache(cfg: RunConfig, dataset: Dataset) -> Path:
+    """Persist the loaded dataset so later subcommands skip every parse and
     the tokenizer, as a record file (errors.write_records): a header holding
-    the key of the inputs and rules and the report, term and source counts,
-    then the report ids, the fixed files as offsets per report and their
-    paths, the dictionary, the report token ids as offsets and ids, and,
-    with sources, their paths and token ids likewise. Ids and paths are
-    string tables (errors.string_table), since they may hold a "\n"."""
+    the key of the inputs and rules and the record counts; then the report
+    ids, the fixed files as offsets per report and their paths, the
+    dictionary, the report token ids as offsets and ids, and, with sources,
+    their paths and token ids likewise; then the metric records' paths,
+    metric names and values; then the embedding tokens and matrix. Ids,
+    paths and metric names are string tables (errors.string_table), since
+    they may hold a "\n"."""
     path = Path(cfg.out_dir) / CACHE_NAME
+    corpus, metric_records, table = dataset.corpus, dataset.metric_records, dataset.table
     sources = corpus.source_paths
     header = {
         "key": _cache_key(cfg),
         "reports": len(corpus.report_ids),
         "terms": len(corpus.terms),
         "sources": None if sources is None else len(sources),
+        "metric_records": len(metric_records),
+        "tokens": len(table),
     }
     fixed_offsets = np.cumsum([0, *map(len, corpus.fixed_files)], dtype=np.int64)
     records = [
@@ -252,6 +254,13 @@ def write_corpus_cache(cfg: RunConfig, corpus: Corpus) -> Path:
     ]
     if sources is not None:
         records += [*string_table(sources), corpus.source_tokens.indptr, corpus.source_tokens.ids]
+    records += [
+        *string_table(rec.path for rec in metric_records),
+        *string_table(rec.metric for rec in metric_records),
+        np.array([rec.value for rec in metric_records], dtype=np.float64),
+        table.tokens,
+        table.matrix,
+    ]
     write_records(path, header, records)
     return path
 
@@ -264,15 +273,26 @@ def _read_token_ids(fh, count: int, num_terms: int) -> TokenIds:
     return TokenIds(indptr, ids)
 
 
-def _parse_corpus_cache(cfg: RunConfig, header: dict, fh) -> Corpus:
-    """The corpus in a corpus cache of cfg's inputs and rules; ValueError
-    unless its offsets ascend, its ids lie in its dictionary and the
-    dictionary ascends, so that every array built from it is sound."""
+def _distinct(keys: Sequence) -> bool:
+    """Whether keys are distinct and none is empty, as each loader keeps them."""
+    held = set(keys)
+    return len(held) == len(keys) and "" not in held
+
+
+def _parse_dataset_cache(cfg: RunConfig, header: dict, fh) -> Dataset:
+    """The dataset in a dataset cache of cfg's inputs and rules; ValueError
+    unless it is one that _read_inputs could build, so that every array
+    built from it is sound: its offsets ascend, its ids lie in its
+    dictionary and the dictionary ascends; the report ids, each report's
+    fixed files, the source paths and the (path, metric) pairs are distinct
+    and nonempty; the embedding tokens are distinct and the matrix at
+    least one column wide; and every value is finite."""
     if header.get("key") != _cache_key(cfg):
         raise ValueError("stale cache")
     report_ids = read_string_table(fh, header.get("reports"))
     fixed_offsets = read_offsets(fh, len(report_ids)).tolist()
     fixed = read_string_table(fh, fixed_offsets[-1])
+    fixed_files = tuple(fixed[a:b] for a, b in zip(fixed_offsets, fixed_offsets[1:]))
     terms = read_strings(fh, header.get("terms"))
     if any(a >= b for a, b in zip(terms, terms[1:])):
         raise ValueError("dictionary out of order")
@@ -281,79 +301,63 @@ def _parse_corpus_cache(cfg: RunConfig, header: dict, fh) -> Corpus:
     if cfg.sources:
         source_paths = read_string_table(fh, header.get("sources"))
         source_tokens = _read_token_ids(fh, len(source_paths), len(terms))
-    return Corpus(
+    paths = read_string_table(fh, header.get("metric_records"))
+    metrics = read_string_table(fh, len(paths))
+    values = read_array(fh, np.float64, (len(paths),))
+    tokens = read_strings(fh, header.get("tokens"))
+    matrix = read_array(fh, np.float64, (len(tokens), None))
+    table = EmbeddingTable(tokens, matrix)
+    keys = (report_ids, *fixed_files, source_paths or (), tuple(zip(paths, metrics)))
+    if (
+        not all(map(_distinct, keys)) or "" in paths or "" in metrics
+        or not matrix.shape[1] >= 1 or len(table.row) != len(tokens)
+        or not (np.isfinite(values).all() and np.isfinite(matrix).all())
+    ):
+        raise ValueError("not a dataset the loaders would build")
+    corpus = Corpus(
         report_ids=report_ids,
-        fixed_files=tuple(fixed[a:b] for a, b in zip(fixed_offsets, fixed_offsets[1:])),
+        fixed_files=fixed_files,
         terms=terms,
         report_tokens=report_tokens,
         source_paths=source_paths,
         source_tokens=source_tokens,
     )
+    metric_records = list(map(MetricRecord, paths, metrics, values.tolist()))
+    return Dataset(name=cfg.dataset_name, corpus=corpus, metric_records=metric_records, table=table)
 
 
-def write_embedding_cache(cfg: RunConfig, table: EmbeddingTable) -> None:
-    """Persist the parsed embedding table so later subcommands skip the text
-    parse, as a record file (errors.write_records): a header holding the
-    sha256 of the embeddings file, its key, and the token count, then the
-    tokens and the matrix."""
-    path = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
-    header = {"sha256": sha256_file(cfg.embeddings), "count": len(table)}
-    write_records(path, header, (table.tokens, table.matrix))
-
-
-def _parse_embedding_cache(key: str, header: dict, fh) -> EmbeddingTable:
-    """The table in an embedding cache keyed by key; ValueError unless it is
-    one the text loader builds: a float64 matrix with one row per token and
-    at least one column, distinct tokens and finite values."""
-    if header.get("sha256") != key:
-        raise ValueError("stale cache")
-    tokens = read_strings(fh, header.get("count"))
-    matrix = read_array(fh, np.float64, (len(tokens), None))
-    table = EmbeddingTable(tokens, matrix)
-    if not matrix.shape[1] >= 1 or len(table.row) != len(tokens) or not np.isfinite(matrix).all():
-        raise ValueError("not a table the text loader would build")
-    return table
-
-
-def _tokenize_corpus(cfg: RunConfig) -> Corpus:
+def _read_inputs(cfg: RunConfig) -> Dataset:
+    """The dataset of cfg's input files, each parsed and checked by its loader."""
     rules = cfg.token_rules()
     reports = load_bug_reports(cfg.reports, resolved_only=cfg.resolved_only)
     report_tokens = [tokenize(report.text, rules) for report in reports]
     sources = load_source_docs(cfg.sources, rules) if cfg.sources else None
-    return Corpus.of(reports, report_tokens, sources)
+    return Dataset(
+        name=cfg.dataset_name,
+        corpus=Corpus.of(reports, report_tokens, sources),
+        metric_records=load_metrics(cfg.metrics) if cfg.metrics else [],
+        table=load_embeddings(cfg.embeddings),
+    )
 
 
 def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
     """Load, validate, and tokenize everything the configuration references.
-    With use_cache, a cache in cfg.out_dir that is missing, stale or damaged
-    is logged at INFO, naming the file, and its input is read instead; a
-    corpus cache that is used stands in for the reports and sources, which
-    are then only hashed."""
+    With use_cache, the dataset cache in cfg.out_dir stands in for the
+    inputs, which are then only hashed; one that is missing, stale or
+    damaged is logged at INFO, naming the file, and the inputs are read."""
     if not cfg.reports:
         raise ValidationError("config sets no reports path")
     if not cfg.embeddings:
         raise ValidationError("config sets no embeddings path")
-    corpus = None
     if use_cache:
-        corpus_cache = Path(cfg.out_dir) / CACHE_NAME
+        path = Path(cfg.out_dir) / CACHE_NAME
         # the key is computed in the reader, so inputs it cannot hash make a
-        # miss, and the loaders below name the file
-        corpus = read_records(corpus_cache, functools.partial(_parse_corpus_cache, cfg))
-        if corpus is None:
-            logger.info("not using %s; tokenizing the corpus", corpus_cache)
-    if corpus is None:
-        corpus = _tokenize_corpus(cfg)
-    metric_records = load_metrics(cfg.metrics) if cfg.metrics else []
-    table = None
-    if use_cache:
-        parse = functools.partial(_parse_embedding_cache, sha256_file(cfg.embeddings))
-        embedding_cache = Path(cfg.out_dir) / EMBEDDING_CACHE_NAME
-        table = read_records(embedding_cache, parse)
-        if table is None:
-            logger.info("not using %s; parsing %s", embedding_cache, cfg.embeddings)
-    if table is None:
-        table = load_embeddings(cfg.embeddings)
-    return Dataset(name=cfg.dataset_name, corpus=corpus, metric_records=metric_records, table=table)
+        # miss, and the loaders name the file
+        dataset = read_records(path, functools.partial(_parse_dataset_cache, cfg))
+        if dataset is not None:
+            return dataset
+        logger.info("not using %s; reading the inputs", path)
+    return _read_inputs(cfg)
 
 
 def split_reports(report_ids: Sequence[str], fraction: float) -> tuple[list[str], list[str]]:

@@ -1,8 +1,8 @@
 """Raw access to bugloc's record files for the tests, through numpy's own
 .npy reader and writer: read every record of a file, and write records
 exactly as given (pickled objects and Fortran order included), so that a
-test can build any damaged file; and a corpus cache's records by name, and
-its token maps decoded without bugloc's reader."""
+test can build any damaged file; and a dataset cache's records by name,
+its string tables, and its token maps decoded without bugloc's reader."""
 
 import json
 import math
@@ -44,38 +44,57 @@ def record_spans(path) -> list[tuple[int, int, int]]:
     return spans
 
 
-# the records of a corpus cache after its header, by name; the last four
-# are there only when the run has sources
-CORPUS_RECORDS = (
+# the records of a dataset cache after its header, by name, in layout order:
+# the corpus, the metric records and the embedding table; the four source
+# records are there only when the run has sources
+DATASET_RECORDS = (
     "report_id_offsets", "report_id_text",
     "fixed_offsets", "fixed_path_offsets", "fixed_path_text",
     "terms",
     "report_token_indptr", "report_token_ids",
     "source_path_offsets", "source_path_text",
     "source_token_indptr", "source_token_ids",
+    "metric_path_offsets", "metric_path_text",
+    "metric_name_offsets", "metric_name_text",
+    "metric_values",
+    "tokens", "matrix",
 )
 
 
-def read_corpus(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header of the corpus cache at path, and its records by name."""
+def read_dataset(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header of the dataset cache at path, and its records by name."""
     header, records = read_raw(path)
-    return header, dict(zip(CORPUS_RECORDS, records))
+    sources = header["sources"] is not None
+    names = [name for name in DATASET_RECORDS if sources or not name.startswith("source")]
+    return header, dict(zip(names, records))
 
 
-def write_corpus(path, header, records: dict) -> None:
-    """Write a corpus cache of header and the named records, in layout order."""
-    write_raw(path, header, [records[name] for name in CORPUS_RECORDS if name in records])
+def write_dataset(path, header, records: dict) -> None:
+    """Write a dataset cache of header and the named records, in layout order."""
+    write_raw(path, header, [records[name] for name in DATASET_RECORDS if name in records])
 
 
-def _strings(offsets, text) -> list[str]:
-    text = text.tobytes().decode("utf-8")
+def strings_of(records: dict, name: str) -> list[str]:
+    """The strings of the string table stored as records name_offsets and name_text."""
+    text = records[f"{name}_text"].tobytes().decode("utf-8")
+    offsets = records[f"{name}_offsets"]
     return [text[start:end] for start, end in zip(offsets[:-1], offsets[1:])]
 
 
+def with_strings(records: dict, name: str, strings) -> dict:
+    """records with the string table name holding strings: the offsets, in
+    code points, at which each starts, then the end of the last, and their
+    UTF-8 text."""
+    strings = list(strings)
+    offsets = np.cumsum([0, *map(len, strings)], dtype=np.int64)
+    text = np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8)
+    return {**records, f"{name}_offsets": offsets, f"{name}_text": text}
+
+
 def corpus_token_maps(path) -> tuple[dict[str, list[str]], dict[str, list[str]] | None]:
-    """The report and source token maps of the corpus cache at path: each
+    """The report and source token maps of the dataset cache at path: each
     report id, and each source path, mapped to its tokens in order."""
-    header, records = read_corpus(path)
+    header, records = read_dataset(path)
     text = records["terms"].tobytes().decode("utf-8")
     terms = text.split("\n") if header["terms"] else []
 
@@ -86,8 +105,7 @@ def corpus_token_maps(path) -> tuple[dict[str, list[str]], dict[str, list[str]] 
             for name, start, end in zip(names, indptr[:-1], indptr[1:])
         }
 
-    ids = _strings(records["report_id_offsets"], records["report_id_text"])
+    ids = strings_of(records, "report_id")
     if "source_token_ids" not in records:
         return token_map("report", ids), None
-    paths = _strings(records["source_path_offsets"], records["source_path_text"])
-    return token_map("report", ids), token_map("source", paths)
+    return token_map("report", ids), token_map("source", strings_of(records, "source_path"))

@@ -15,7 +15,8 @@ import pytest
 import bugloc
 from bugloc import pipeline, regularizer
 from bugloc.cli import main
-from recordref import read_corpus, write_corpus
+from recordref import read_dataset, write_dataset
+from test_records import DATASET_DAMAGE
 
 
 def _run(*argv):
@@ -93,21 +94,18 @@ class TestIngestAndBuild:
         # 160 generated, 11 marked open and dropped by resolved_only
         assert summary["reports"] == 149
         assert summary["source_docs"] == 24
-        assert (out / "corpus_cache.bin").exists()
-        assert (out / "embeddings_cache.bin").exists()
-        assert (out / "manifest.json").exists()
+        assert summary["cache"] == str(out / "dataset_cache.bin")
+        assert sorted(path.name for path in out.iterdir()) == ["dataset_cache.bin", "manifest.json"]
 
-    def test_solve_writes_the_same_model_with_and_without_the_embedding_cache(
-        self, cli_dataset, tmp_path
-    ):
+    def test_solve_writes_the_same_model_with_and_without_the_cache(self, cli_dataset, tmp_path):
         out = tmp_path / "out"
         args = ("--dataset-dir", str(cli_dataset), "--out-dir", str(out))
         assert _run("ingest", *args) == 0
         assert _run("solve", *args) == 0
-        with_cache = (out / "model.tsv").read_bytes()
-        (out / "embeddings_cache.bin").unlink()
+        with_cache = [(out / name).read_bytes() for name in ("model.tsv", "model.tsv.bin")]
+        (out / "dataset_cache.bin").unlink()
         assert _run("solve", *args) == 0
-        assert (out / "model.tsv").read_bytes() == with_cache
+        assert [(out / name).read_bytes() for name in ("model.tsv", "model.tsv.bin")] == with_cache
 
     @pytest.mark.parametrize(
         "damage",
@@ -117,10 +115,11 @@ class TestIngestAndBuild:
                 {**records, "report_token_ids": np.full_like(records["report_token_ids"], header["terms"])},
             ),
             lambda header, records: (np.frombuffer(b"[" * 100_000, dtype=np.uint8), records),
+            DATASET_DAMAGE["repeated-report-id"],
         ],
-        ids=["token-id-outside-the-dictionary", "too-deep"],
+        ids=["token-id-outside-the-dictionary", "too-deep", "repeated-report-id"],
     )
-    def test_solve_over_a_damaged_corpus_cache_writes_the_uncached_model(
+    def test_solve_over_a_damaged_cache_writes_the_uncached_model(
         self, cli_dataset, tmp_path, damage
     ):
         out = tmp_path / "out"
@@ -128,8 +127,8 @@ class TestIngestAndBuild:
         assert _run("solve", *args) == 0
         uncached = (out / "model.tsv").read_bytes()
         assert _run("ingest", *args) == 0
-        cache = out / "corpus_cache.bin"
-        write_corpus(cache, *damage(*read_corpus(cache)))
+        cache = out / "dataset_cache.bin"
+        write_dataset(cache, *damage(*read_dataset(cache)))
         assert _run("solve", *args) == 0
         assert (out / "model.tsv").read_bytes() == uncached
 

@@ -5,8 +5,9 @@ known-good commit. A change that keeps the tokens, network, rankings, MAP
 and the solved model must reproduce them: the CSVs byte for byte
 (network.csv is `bugloc build`'s edge list), the model with the same nodes
 and clamp flags, bit-identical clamped rows and free rows within 1e-12, and
-the cache key and the report and source token maps of `bugloc ingest`'s
-corpus_cache.bin, decoded here by recordref, those of corpus_cache.json.
+the report and source token maps of `bugloc ingest`'s dataset_cache.bin,
+decoded here by recordref, with the hashes and token rules of its key,
+those of corpus_cache.json.
 
 To pin new outputs after an intended behaviour change, run
     PYTHONPATH=src python tests/test_golden.py
@@ -14,7 +15,7 @@ and review the diff of tests/golden/. The route copies every produced file
 but model.tsv, which it copies only when the produced model fails the
 comparison above: free rows may differ in their last bits between hosts, and
 a model within the tolerance keeps the committed rows. corpus_cache.json it
-writes from the decoded corpus_cache.bin.
+writes from the decoded dataset_cache.bin.
 """
 
 import contextlib
@@ -75,16 +76,30 @@ def run_pipeline(root: Path, build_output: io.StringIO | None = None) -> dict[st
     run("eval", "--model", str(out / "model.tsv"), "--out-dir", str(evaluated))
     produced = {name: out / name for name in ("network.csv", "model.tsv")}
     produced.update({name: evaluated / name for name in ("results.csv", "sweep.csv", "ttests.csv")})
-    produced["corpus_cache.bin"] = ingested / "corpus_cache.bin"
+    produced["dataset_cache.bin"] = ingested / "dataset_cache.bin"
     return produced
 
 
 def corpus_payload(path) -> dict:
-    """The key and the report and source token maps of the corpus cache at
-    path, as corpus_cache.json holds them."""
+    """The report and source token maps of the dataset cache at path, and
+    the hashes and token rules of its key, as corpus_cache.json holds them:
+    in the key layout of the corpus cache that they were pinned from."""
     report_tokens, source_tokens = corpus_token_maps(path)
     key = read_raw(path)[0]["key"]
-    return {"key": key, "report_tokens": report_tokens, "source_tokens": source_tokens}
+    inputs = key["inputs"]
+    corpus_key = {
+        "version": 1,
+        "reports_sha256": inputs["reports"],
+        "rules": {
+            "min_length": key["min_length"],
+            "stem": key["stem"],
+            "stopwords_sha256": inputs.get("stopwords_file", "builtin"),
+        },
+        "resolved_only": key["resolved_only"],
+    }
+    if "sources" in inputs:
+        corpus_key["sources_sha256"] = inputs["sources"]
+    return {"key": corpus_key, "report_tokens": report_tokens, "source_tokens": source_tokens}
 
 
 def read_model(path):
@@ -140,7 +155,7 @@ def test_outputs_match_golden_files(tmp_path):
     for name in BYTE_NAMES:
         assert produced[name].read_bytes() == (GOLDEN / name).read_bytes(), name
     golden = json.loads((GOLDEN / "corpus_cache.json").read_text(encoding="utf-8"))
-    assert corpus_payload(produced["corpus_cache.bin"]) == golden
+    assert corpus_payload(produced["dataset_cache.bin"]) == golden
     assert COUNTS_LINE in build_output.getvalue().splitlines()
     assert model_difference(produced["model.tsv"]) is None
 
@@ -169,7 +184,7 @@ if __name__ == "__main__":
         produced = run_pipeline(Path(workdir))
         GOLDEN.mkdir(exist_ok=True)
         for name, path in produced.items():
-            if name == "corpus_cache.bin":
+            if name == "dataset_cache.bin":
                 text = json.dumps(corpus_payload(path), sort_keys=True) + "\n"
                 (GOLDEN / "corpus_cache.json").write_text(text, encoding="utf-8")
             elif name != "model.tsv" or not _keeps_the_golden_model(path):

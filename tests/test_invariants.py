@@ -25,13 +25,12 @@ Stdout is a strict UTF-8 stream, as a terminal's is, so text that cannot be
 encoded fails as it would in a real run.
 
 Over the same mutations, and a "\n" or "\t" inside an id or a path, or no
-sources.jsonl at all, a dataset loaded from ingest's caches equals the one
-loaded without them, and builds a bit-identical index.
+sources.jsonl or metrics.csv at all, a dataset loaded from ingest's cache
+equals the one loaded without it, and builds a bit-identical index.
 """
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import random
@@ -48,6 +47,7 @@ from bugloc.cli import main
 from bugloc.corpus import load_query_reports, tfidf_rows, tokenize
 from bugloc.errors import ValidationError
 from bugloc.regularizer import record_path
+from test_records import assert_same_dataset
 
 SPEC = dict(num_reports=20, num_files=5, vocab_size=60, dim=3, topic_count=2)
 MUTATIONS = (
@@ -334,12 +334,14 @@ def test_cli_invariants_under_mutated_inputs(seed, mutations, data):
 
 
 # the mutations a cache must survive besides MUTATIONS: characters that
-# cannot sit in a "\n"-joined record, and a run without sources
+# cannot sit in a "\n"-joined record, and a run without sources or metrics
 CACHE_MUTATIONS = (
     *MUTATIONS,
     "control_id",  # "\n" or "\t" inside a report id
     "control_path",  # the same inside a path, everywhere it is named
+    "control_metric_path",  # the same inside the path of one metrics row
     "no_sources",  # no sources.jsonl
+    "no_metrics",  # no metrics.csv
 )
 CONTROL = st.sampled_from(("\n", "\t", "a\nb", "\r\n"))
 
@@ -352,7 +354,10 @@ def _mutate_for_cache(data: Inputs, name: str, draw) -> None:
     elif name == "control_path":
         path = pick(data.sources)["path"]
         data.rename_path(path, _insert(path, 4, draw(CONTROL)))
-    elif name != "no_sources":
+    elif name == "control_metric_path" and data.metrics:
+        row = pick(data.metrics)
+        row[0] = _insert(row[0], 4, draw(CONTROL))
+    elif name not in ("no_sources", "no_metrics"):
         _mutate(data, name, draw)
 
 
@@ -375,8 +380,8 @@ def _index_bits(dataset, cfg):
 
 def _assert_a_hit_equals_a_fresh_load(seed, mutations, draw):
     """Mutate a tiny synth dataset, ingest it and check that the cached
-    load equals the fresh one; return its corpus, or None when the inputs
-    are rejected."""
+    load equals the fresh one; return it, or None when the inputs are
+    rejected."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         synthgen.generate(synthgen.SynthSpec(seed=seed, **SPEC), root / "data")
@@ -384,27 +389,25 @@ def _assert_a_hit_equals_a_fresh_load(seed, mutations, draw):
         for name in sorted(mutations, key=CACHE_MUTATIONS.index):
             _mutate_for_cache(inputs, name, draw)
         inputs.write()
-        if "no_sources" in mutations:
-            (root / "data" / "sources.jsonl").unlink()
+        for name in ("sources", "metrics"):
+            if f"no_{name}" in mutations:
+                (root / "data" / pipeline.DATASET_FILES[name]).unlink()
         cfg = pipeline.RunConfig(out_dir=str(root / "out"))
         cfg.apply_dataset_dir(root / "data")
         try:
             fresh = pipeline.load_dataset(cfg, use_cache=False)
         except ValidationError:
             return  # an input ingest rejects, so no cache is written
-        pipeline.write_corpus_cache(cfg, fresh.corpus)
-        pipeline.write_embedding_cache(cfg, fresh.table)
+        pipeline.write_dataset_cache(cfg, fresh)
         refuse = mock.Mock(side_effect=AssertionError("an input parsed on a cache hit"))
         with mock.patch.multiple(
             pipeline, load_bug_reports=refuse, load_source_docs=refuse, tokenize=refuse,
-            load_embeddings=refuse,
+            load_metrics=refuse, load_embeddings=refuse,
         ):
             hit = pipeline.load_dataset(cfg)
-        assert dataclasses.replace(hit, table=None) == dataclasses.replace(fresh, table=None)
-        assert hit.table.tokens == fresh.table.tokens
-        assert hit.table.matrix.tobytes() == fresh.table.matrix.tobytes()
+        assert_same_dataset(hit, fresh)
         assert _index_bits(hit, cfg) == _index_bits(fresh, cfg)
-        return hit.corpus
+        return hit
 
 
 @settings(max_examples=30, deadline=None)
@@ -424,25 +427,33 @@ def test_a_cache_hit_equals_a_fresh_load(seed, mutations, data):
         (("control_id",), "\t"),
         (("control_path",), "\n"),
         (("control_path",), "\t"),
+        (("control_metric_path",), "\n"),
         (("stopword_report",), None),
         (("no_sources",), None),
+        (("no_metrics",), None),
         (("odd_id", "odd_path"), None),
     ],
-    ids=["newline-id", "tab-id", "newline-path", "tab-path", "no-tokens", "no-sources", "odd-id-and-path"],
+    ids=[
+        "newline-id", "tab-id", "newline-path", "tab-path", "newline-metric-path",
+        "no-tokens", "no-sources", "no-metrics", "odd-id-and-path",
+    ],
 )
 def test_a_cache_hit_equals_a_fresh_load_in_listed_cases(mutations, control):
     # every other draw is the simplest value, the one hypothesis shrinks to
     def draw(strategy):
         return control if strategy is CONTROL else find(strategy, lambda value: True)
 
-    corpus = _assert_a_hit_equals_a_fresh_load(0, mutations, draw)
+    dataset = _assert_a_hit_equals_a_fresh_load(0, mutations, draw)
+    corpus = dataset.corpus
     # the listed case reached the cache
     fixed = [path for files in corpus.fixed_files for path in files]
     reached = {
         "control_id": lambda: any(control in rid for rid in corpus.report_ids),
         "control_path": lambda: any(control in path for path in fixed),
+        "control_metric_path": lambda: any(control in rec.path for rec in dataset.metric_records),
         "stopword_report": lambda: (corpus.report_tokens.lengths() == 0).any(),
         "no_sources": lambda: corpus.source_paths is None,
+        "no_metrics": lambda: dataset.metric_records == [],
         "odd_id": lambda: any(set(rid) & set(ODD_CHARACTERS) for rid in corpus.report_ids),
     }
     assert reached[mutations[0]]()

@@ -6,6 +6,7 @@ import re
 import shutil
 from collections import Counter
 from itertools import compress
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import example, given, strategies as st
 
 from bugloc import evaluation, pipeline, ranker
 from bugloc.corpus import BugReport, Corpus, load_bug_reports, tfidf_rows
-from bugloc.embeddings import EmbeddingTable, embed_tokens, load_embeddings
+from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ParseError, ValidationError
 from linkref import bow_links, ground_truth
-from recordref import read_corpus, read_raw, write_corpus, write_raw
+from recordref import read_dataset, write_dataset, write_raw
 from sparseref import from_scipy, to_scipy
 from tables import make_table
+from test_records import assert_same_dataset
 
 from datetime import datetime, timezone
 
@@ -177,18 +179,16 @@ class TestFileUniverse:
 class TestDatasetLoadingAndCache:
     def test_cache_round_trip(self, synth_dir, tmp_path):
         cfg, fresh = _cached(synth_dir, tmp_path)
-        cached = pipeline.load_dataset(cfg, use_cache=True)
-        assert cached.corpus == fresh.corpus
+        assert_same_dataset(pipeline.load_dataset(cfg, use_cache=True), fresh)
 
     def test_stale_cache_ignored(self, synth_dir, tmp_path):
         cfg, fresh = _cached(synth_dir, tmp_path)
         cache_file = tmp_path / pipeline.CACHE_NAME
-        header, records = read_corpus(cache_file)
-        header["key"]["reports_sha256"] = "0" * 64
+        header, records = read_dataset(cache_file)
+        header["key"]["inputs"]["reports"] = "0" * 64
         records["report_token_ids"] = np.zeros_like(records["report_token_ids"])
-        write_corpus(cache_file, header, records)
-        reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.corpus == fresh.corpus
+        write_dataset(cache_file, header, records)
+        assert_same_dataset(pipeline.load_dataset(cfg, use_cache=True), fresh)
 
     @pytest.mark.parametrize("cached, use_cache", [(True, True), (False, True), (False, False)],
                              ids=["hit", "miss", "not-asked"])
@@ -196,35 +196,75 @@ class TestDatasetLoadingAndCache:
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
         cfg.apply_dataset_dir(synth_dir)
         if cached:
-            fresh = pipeline.load_dataset(cfg, use_cache=False)
-            pipeline.write_corpus_cache(cfg, fresh.corpus)
-            pipeline.write_embedding_cache(cfg, fresh.table)
+            pipeline.write_dataset_cache(cfg, pipeline.load_dataset(cfg, use_cache=False))
         with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
             pipeline.load_dataset(cfg, use_cache=use_cache)
         logged = [record.getMessage() for record in caplog.records if record.name == "bugloc.pipeline"]
-        missed = [
-            f"not using {tmp_path / pipeline.CACHE_NAME}; tokenizing the corpus",
-            f"not using {tmp_path / pipeline.EMBEDDING_CACHE_NAME}; parsing {cfg.embeddings}",
-        ]
+        missed = [f"not using {tmp_path / pipeline.CACHE_NAME}; reading the inputs"]
         assert logged == (missed if use_cache and not cached else [])
 
     def test_cache_hit_tokenizes_nothing(self, synth_dir, tmp_path, monkeypatch):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
         cfg.apply_dataset_dir(synth_dir)
-        fresh = pipeline.load_dataset(cfg, use_cache=False).corpus
-        # the first report's tokens emptied, so that only the cache can give them
-        rows = [-1, *range(1, len(fresh.report_ids))]
-        emptied = dataclasses.replace(fresh, report_tokens=fresh.report_tokens.take(rows))
-        pipeline.write_corpus_cache(cfg, emptied)
+        fresh = pipeline.load_dataset(cfg, use_cache=False)
+        # the first report's tokens, the first metric record and the first
+        # embedding row changed, so that only the cache can give them
+        rows = [-1, *range(1, len(fresh.corpus.report_ids))]
+        matrix = fresh.table.matrix.copy()
+        matrix[0] += 1.0
+        changed = dataclasses.replace(
+            fresh,
+            corpus=dataclasses.replace(fresh.corpus, report_tokens=fresh.corpus.report_tokens.take(rows)),
+            metric_records=[
+                dataclasses.replace(fresh.metric_records[0], value=-1.0), *fresh.metric_records[1:]
+            ],
+            table=EmbeddingTable(fresh.table.tokens, matrix),
+        )
+        pipeline.write_dataset_cache(cfg, changed)
 
         def refuse(*args, **kwargs):
             raise AssertionError("an input parsed or tokenized on a cache hit")
 
-        for name in ("tokenize", "load_bug_reports", "load_source_docs"):
+        for module, name in [
+            ("corpus", "tokenize"), ("corpus", "load_bug_reports"), ("corpus", "load_source_docs"),
+            ("metrics", "load_metrics"), ("embeddings", "load_embeddings"),
+        ]:
             monkeypatch.setattr(pipeline, name, refuse)
-            monkeypatch.setattr(f"bugloc.corpus.{name}", refuse)
+            monkeypatch.setattr(f"bugloc.{module}.{name}", refuse)
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.corpus == emptied != fresh
+        assert_same_dataset(reloaded, changed)
+        assert reloaded.corpus != fresh.corpus and reloaded.metric_records != fresh.metric_records
+
+    @pytest.mark.parametrize("name", ["metrics", "embeddings", "stopwords_file"])
+    def test_an_input_changed_after_the_cache_is_one_logged_miss(self, synth_dir, tmp_path, caplog, name):
+        data = tmp_path / "data"
+        shutil.copytree(synth_dir, data)
+        (data / "stopwords.txt").write_text("the\n", encoding="utf-8")
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path / "out"), stopwords_file=str(data / "stopwords.txt"))
+        cfg.apply_dataset_dir(data)
+        before = pipeline.load_dataset(cfg, use_cache=False)
+        pipeline.write_dataset_cache(cfg, before)
+        path = Path(getattr(cfg, name))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if name == "metrics":
+            # the first record's value changed
+            file, metric, value = lines[1].rstrip("\n").split(",")
+            lines[1] = f"{file},{metric},{-float(value) - 1.0}\n"
+        elif name == "embeddings":
+            token, first, *rest = lines[1].split()
+            lines[1] = " ".join([token, repr(float(first) + 1.0), *rest]) + "\n"
+        else:
+            # the first term of the first report a stop word
+            lines.append(before.corpus.terms[before.corpus.report_tokens.ids[0]] + "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
+            loaded = pipeline.load_dataset(cfg)
+        logged = [record.getMessage() for record in caplog.records if record.name == "bugloc.pipeline"]
+        assert logged == [f"not using {tmp_path / 'out' / pipeline.CACHE_NAME}; reading the inputs"]
+        fresh = pipeline.load_dataset(cfg, use_cache=False)
+        assert_same_dataset(loaded, fresh)
+        with pytest.raises(AssertionError):
+            assert_same_dataset(loaded, before)
 
     @pytest.mark.parametrize(
         "mangle",
@@ -258,94 +298,39 @@ class TestDatasetLoadingAndCache:
     def test_malformed_cache_ignored(self, synth_dir, tmp_path, mangle):
         cfg, fresh = _cached(synth_dir, tmp_path)
         cache_file = tmp_path / pipeline.CACHE_NAME
-        write_corpus(cache_file, *mangle(*read_corpus(cache_file)))
-        reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.corpus == fresh.corpus
+        write_dataset(cache_file, *mangle(*read_dataset(cache_file)))
+        assert_same_dataset(pipeline.load_dataset(cfg, use_cache=True), fresh)
 
     def test_cache_that_is_not_utf8_ignored(self, synth_dir, tmp_path):
         cfg, fresh = _cached(synth_dir, tmp_path)
         cache_file = tmp_path / pipeline.CACHE_NAME
-        header, records = read_corpus(cache_file)
+        header, records = read_dataset(cache_file)
         text = records["report_id_text"].copy()
         text[0] = 0xFF
-        write_corpus(cache_file, header, {**records, "report_id_text": text})
-        reloaded = pipeline.load_dataset(cfg, use_cache=True)
-        assert reloaded.corpus == fresh.corpus
+        write_dataset(cache_file, header, {**records, "report_id_text": text})
+        assert_same_dataset(pipeline.load_dataset(cfg, use_cache=True), fresh)
 
-    def test_embedding_cache_equals_text_parse_bit_for_bit(self, synth_dir, tmp_path, monkeypatch):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        parsed = load_embeddings(cfg.embeddings)
-        pipeline.write_embedding_cache(cfg, parsed)
+    def test_cached_table_equals_text_parse_bit_for_bit(self, synth_dir, tmp_path, monkeypatch):
+        cfg, fresh = _cached(synth_dir, tmp_path)
 
         def no_text_parse(path):
             raise AssertionError("the cached table should have been used")
 
         monkeypatch.setattr(pipeline, "load_embeddings", no_text_parse)
-        cached = pipeline.load_dataset(cfg).table
-        _assert_same_table(cached, parsed)
-
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda records: {**records, "header": {**records["header"], "sha256": "0" * 64}},
-            lambda records: {**records, "matrix": records["matrix"].astype(np.float32)},
-            lambda records: {**records, "matrix": records["matrix"][:-1]},
-            lambda records: {**records, "matrix": records["matrix"].reshape(-1)},
-            lambda records: {**records, "matrix": np.where(records["matrix"] > 0, np.inf, records["matrix"])},
-            lambda records: {**records, "tokens": _tokens_array(["dup", "dup", *_cached_tokens(records)[2:]])},
-            lambda records: {**records, "tokens": np.array(_cached_tokens(records), dtype=object)},
-            lambda records: {
-                **records, "header": {k: v for k, v in records["header"].items() if k != "sha256"}
-            },
-        ],
-        ids=[
-            "stale-sha",
-            "float32",
-            "row-missing",
-            "flat-matrix",
-            "non-finite",
-            "duplicate-token",
-            "needs-pickle",
-            "no-key",
-        ],
-    )
-    def test_embedding_cache_misses_fall_back_to_text_parse(self, synth_dir, tmp_path, mangle):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        parsed = load_embeddings(cfg.embeddings)
-        pipeline.write_embedding_cache(cfg, parsed)
-        path = tmp_path / pipeline.EMBEDDING_CACHE_NAME
-        header, (tokens, matrix) = read_raw(path)
-        # poisoned values: a table read from this cache would differ from the parse
-        records = mangle({"header": header, "tokens": tokens, "matrix": matrix + 1.0})
-        write_raw(path, records["header"], (records["tokens"], records["matrix"]))
-        _assert_same_table(pipeline.load_dataset(cfg).table, parsed)
-
-    @pytest.mark.parametrize("size", [0, 1, 100, "half", "all-but-one"])
-    def test_torn_embedding_cache_falls_back_to_text_parse(self, synth_dir, tmp_path, size):
-        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-        cfg.apply_dataset_dir(synth_dir)
-        parsed = load_embeddings(cfg.embeddings)
-        pipeline.write_embedding_cache(cfg, parsed)
-        path = tmp_path / pipeline.EMBEDDING_CACHE_NAME
-        data = path.read_bytes()
-        size = {"half": len(data) // 2, "all-but-one": len(data) - 1}.get(size, size)
-        path.write_bytes(data[:size])
-        _assert_same_table(pipeline.load_dataset(cfg).table, parsed)
+        assert_same_dataset(pipeline.load_dataset(cfg), fresh)
 
     def test_foreign_npy_behind_the_cache_name_is_a_miss(self, synth_dir, tmp_path):
         cfg = pipeline.RunConfig(out_dir=str(tmp_path))
         cfg.apply_dataset_dir(synth_dir)
-        write_raw(tmp_path / pipeline.EMBEDDING_CACHE_NAME, np.zeros((3, 2)), ())
-        _assert_same_table(pipeline.load_dataset(cfg).table, load_embeddings(cfg.embeddings))
+        write_raw(tmp_path / pipeline.CACHE_NAME, np.zeros((3, 2)), ())
+        assert_same_dataset(pipeline.load_dataset(cfg), pipeline.load_dataset(cfg, use_cache=False))
 
     def test_invalid_embeddings_behind_a_cache_still_rejected(self, synth_dir, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(synth_dir, data)
         cfg = pipeline.RunConfig(out_dir=str(tmp_path / "out"))
         cfg.apply_dataset_dir(data)
-        pipeline.write_embedding_cache(cfg, load_embeddings(cfg.embeddings))
+        pipeline.write_dataset_cache(cfg, pipeline.load_dataset(cfg, use_cache=False))
         lines = (data / "embeddings.txt").read_text(encoding="utf-8").splitlines(keepends=True)
         token, _, *rest = lines[1].split()
         lines[1] = " ".join([token, "oops", *rest]) + "\n"
@@ -364,32 +349,17 @@ class TestDatasetLoadingAndCache:
 
 def _cached(synth_dir, tmp_path):
     """The config of the synthetic dataset writing to tmp_path, and its
-    dataset loaded without caches, whose corpus it has cached."""
+    dataset loaded without the cache, which it has cached."""
     cfg = pipeline.RunConfig(out_dir=str(tmp_path))
     cfg.apply_dataset_dir(synth_dir)
     fresh = pipeline.load_dataset(cfg, use_cache=False)
-    pipeline.write_corpus_cache(cfg, fresh.corpus)
+    pipeline.write_dataset_cache(cfg, fresh)
     return cfg, fresh
 
 
 def _json(value):
     """A header record holding value as JSON text, which need not be an object."""
     return np.frombuffer(json.dumps(value).encode(), dtype=np.uint8)
-
-
-def _tokens_array(tokens):
-    return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
-
-
-def _cached_tokens(records):
-    return records["tokens"].tobytes().decode("utf-8").split("\n")
-
-
-def _assert_same_table(table, parsed):
-    assert table.dim == parsed.dim
-    assert table.tokens == parsed.tokens
-    assert table.matrix.dtype == parsed.matrix.dtype == np.float64
-    np.testing.assert_array_equal(table.matrix.view(np.int64), parsed.matrix.view(np.int64))
 
 
 _PATHS = ["a.py", "b.py", "c.py", "d.py"]

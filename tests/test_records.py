@@ -1,9 +1,9 @@
 """The one record format of bugloc's binary files (errors.write_records and
 errors.read_records): round trips, and one table of damaged files run
-against the three artifacts that use it, the model's record file, the
-embedding cache and the corpus cache, each of which must read as a miss;
-then the damage only a corpus cache can have, which load_dataset must log
-as a miss, naming the file, and load past."""
+against the two artifacts that use it, the model's record file and the
+dataset cache, each of which must read as a miss; then the damage only a
+dataset cache can have, which load_dataset must log as a miss, naming the
+file, and load past to what the inputs give."""
 
 import logging
 import tempfile
@@ -18,13 +18,14 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from bugloc import pipeline
-from bugloc.embeddings import load_embeddings
 from bugloc.errors import (
     file_sha256, read_array, read_records, read_string_table, read_strings, string_table,
     write_records,
 )
 from bugloc.regularizer import _parse_record, dump_model, record_path
-from recordref import read_corpus, read_raw, record_spans, write_corpus, write_raw
+from recordref import (
+    read_dataset, read_raw, record_spans, strings_of, with_strings, write_dataset, write_raw,
+)
 from test_golden import GOLDEN, model_of
 
 # any text a key may hold: no "\n", which joins the keys, and no lone surrogate
@@ -125,24 +126,15 @@ def _model_record(tmp_path, synth_dir):
     return SimpleNamespace(path=record, read=read, stale=_stale_sha256)
 
 
-def _embedding_cache(tmp_path, synth_dir):
+def _dataset_cache(tmp_path, synth_dir):
     cfg = pipeline.RunConfig(out_dir=str(tmp_path))
     cfg.apply_dataset_dir(synth_dir)
-    pipeline.write_embedding_cache(cfg, load_embeddings(cfg.embeddings))
-    parse = partial(pipeline._parse_embedding_cache, pipeline.sha256_file(cfg.embeddings))
-    path = tmp_path / pipeline.EMBEDDING_CACHE_NAME
-    return SimpleNamespace(path=path, read=lambda: read_records(path, parse), stale=_stale_sha256)
-
-
-def _corpus_cache(tmp_path, synth_dir):
-    cfg = pipeline.RunConfig(out_dir=str(tmp_path))
-    cfg.apply_dataset_dir(synth_dir)
-    pipeline.write_corpus_cache(cfg, pipeline.load_dataset(cfg, use_cache=False).corpus)
-    parse = partial(pipeline._parse_corpus_cache, cfg)
-    path = tmp_path / pipeline.CACHE_NAME
+    path = pipeline.write_dataset_cache(cfg, pipeline.load_dataset(cfg, use_cache=False))
+    parse = partial(pipeline._parse_dataset_cache, cfg)
 
     def stale(header):
-        return {**header, "key": {**header["key"], "reports_sha256": "0" * 64}}
+        key = header["key"]
+        return {**header, "key": {**key, "inputs": {**key["inputs"], "reports": "0" * 64}}}
 
     return SimpleNamespace(path=path, read=lambda: read_records(path, parse), stale=stale)
 
@@ -202,8 +194,8 @@ def _declare_a_header_larger_than_the_file(artifact):
     assert peak < 1 << 24
 
 
-# each damage(artifact); a record file of the model, the embedding cache or
-# the corpus cache must read as a miss after each
+# each damage(artifact); a record file of the model or the dataset cache
+# must read as a miss after each
 DAMAGE = {
     "cut": _cut_everywhere,
     "trailing-byte": lambda artifact: artifact.path.write_bytes(artifact.path.read_bytes() + b"\0"),
@@ -219,13 +211,11 @@ DAMAGE = {
     ),
     "shape-larger-than-file": _declare_a_header_larger_than_the_file,
 }
-ARTIFACTS = {"model": _model_record, "embedding-cache": _embedding_cache, "corpus-cache": _corpus_cache}
-# the corpus cache holds no record of two dimensions, which alone has a Fortran order
+ARTIFACTS = {"model": _model_record, "dataset-cache": _dataset_cache}
 CASES = [
     pytest.param(artifact, damage, id=f"{damage_name}-{artifact_name}")
     for damage_name, damage in DAMAGE.items()
     for artifact_name, artifact in ARTIFACTS.items()
-    if (damage_name, artifact_name) != ("fortran-order", "corpus-cache")
 ]
 
 
@@ -255,8 +245,56 @@ def _past_the_dictionary(header, records):
     return header["terms"]
 
 
-# damage that only the corpus cache's layout can have, each (header, records) -> the same
-CORPUS_DAMAGE = {
+def _set_string(name, at, value):
+    """A damage that sets string at of the string table name to value, or
+    to the string at value when that is an int."""
+    def change(header, records):
+        strings = strings_of(records, name)
+        strings[at] = strings[value] if isinstance(value, int) else value
+        return header, with_strings(records, name, strings)
+
+    return change
+
+
+def _change_fixed(change):
+    """A damage that calls change on the list of the first report's fixed
+    files that has any, and stores what it returns in its place."""
+    def damage(header, records):
+        offsets = records["fixed_offsets"].tolist()
+        paths = strings_of(records, "fixed_path")
+        lists = [paths[start:end] for start, end in zip(offsets, offsets[1:])]
+        at = next(i for i, files in enumerate(lists) if files)
+        lists[at] = change(lists[at])
+        offsets = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+        fixed = with_strings(records, "fixed_path", [path for files in lists for path in files])
+        return header, {**fixed, "fixed_offsets": offsets}
+
+    return damage
+
+
+def _header(**changes):
+    """A damage that sets the header's keys to the values given; one of None drops it."""
+    def change(header, records):
+        header = {**header, **changes}
+        return {k: v for k, v in header.items() if v is not None}, records
+
+    return change
+
+
+def _records(**changes):
+    """A damage that replaces each named record by change(record, records)."""
+    def damage(header, records):
+        return header, {**records, **{name: f(records[name], records) for name, f in changes.items()}}
+
+    return damage
+
+
+def _tokens(tokens):
+    return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
+
+
+# damage that only the dataset cache's layout can have, each (header, records) -> the same
+DATASET_DAMAGE = {
     "report-id-past-the-dictionary": _set("report_token_ids", 0, _past_the_dictionary),
     "negative-report-id": _set("report_token_ids", -1, -1),
     "source-id-past-the-dictionary": _set("source_token_ids", 0, _past_the_dictionary),
@@ -270,22 +308,48 @@ CORPUS_DAMAGE = {
         "source_path_offsets", -1, lambda header, records: len(records["source_path_text"]) + 1
     ),
     "dictionary-unsorted": lambda header, records: (
-        header, {**records, "terms": _strings_record(sorted(_terms(records), reverse=True))}
+        header, {**records, "terms": _tokens(sorted(_terms(records), reverse=True))}
     ),
     "dictionary-repeats-a-term": lambda header, records: (
-        header, {**records, "terms": _strings_record([_terms(records)[0], *_terms(records)[:-1]])}
+        header, {**records, "terms": _tokens([_terms(records)[0], *_terms(records)[:-1]])}
     ),
     "term-count-off-by-one": lambda header, records: ({**header, "terms": header["terms"] + 1}, records),
     "report-count-not-an-int": lambda header, records: (
         {**header, "reports": float(header["reports"])}, records
     ),
-    "source-count-missing": lambda header, records: ({**header, "sources": None}, records),
+    "source-count-missing": _header(sources=None),
     "source-records-missing": lambda header, records: (
         header, {name: record for name, record in records.items() if not name.startswith("source")}
     ),
-    "token-ids-int64": lambda header, records: (
-        header, {**records, "report_token_ids": records["report_token_ids"].astype(np.int64)}
+    "token-ids-int64": _records(report_token_ids=lambda ids, records: ids.astype(np.int64)),
+    # what the loaders reject or dedupe
+    "repeated-report-id": _set_string("report_id", 1, 0),
+    "empty-report-id": _set_string("report_id", 0, ""),
+    "repeated-fixed-file": _change_fixed(lambda files: [*files, files[0]]),
+    "empty-fixed-file": _change_fixed(lambda files: ["", *files[1:]]),
+    "repeated-source-path": _set_string("source_path", 1, 0),
+    "empty-source-path": _set_string("source_path", 0, ""),
+    "repeated-path-and-metric": lambda header, records: _set_string("metric_name", 1, 0)(
+        *_set_string("metric_path", 1, 0)(header, records)
     ),
+    "empty-metric-path": _set_string("metric_path", 0, ""),
+    "empty-metric-name": _set_string("metric_name", 0, ""),
+    "metric-count-short": lambda header, records: (
+        {**header, "metric_records": header["metric_records"] - 1}, records
+    ),
+    "non-finite-metric-value": _set("metric_values", 0, np.nan),
+    # the embedding table
+    "stale-sha": lambda header, records: (
+        {**header, "key": {**header["key"], "inputs": {**header["key"]["inputs"], "embeddings": "0" * 64}}},
+        records,
+    ),
+    "no-key": _header(key=None),
+    "float32": _records(matrix=lambda matrix, records: matrix.astype(np.float32)),
+    "row-missing": _records(matrix=lambda matrix, records: matrix[:-1]),
+    "flat-matrix": _records(matrix=lambda matrix, records: matrix.reshape(-1)),
+    "non-finite": _records(matrix=lambda matrix, records: np.where(matrix > 0, np.inf, matrix)),
+    "duplicate-token": _records(tokens=lambda tokens, records: _tokens(["dup", "dup", *_cached_tokens(records)[2:]])),
+    "needs-pickle": _records(tokens=lambda tokens, records: np.array(_cached_tokens(records), dtype=object)),
 }
 
 
@@ -293,20 +357,60 @@ def _terms(records) -> list[str]:
     return records["terms"].tobytes().decode("utf-8").split("\n")
 
 
-def _strings_record(strings):
-    return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
+def _cached_tokens(records) -> list[str]:
+    return records["tokens"].tobytes().decode("utf-8").split("\n")
 
 
-@pytest.mark.parametrize("damage", CORPUS_DAMAGE.values(), ids=CORPUS_DAMAGE.keys())
-def test_a_damaged_corpus_cache_is_a_logged_miss(tmp_path, synth_dir, caplog, damage):
+def _rewritten(damage):
+    """A damage of the file at path that rewrites its records through damage."""
+    return lambda path: write_dataset(path, *damage(*read_dataset(path)))
+
+
+def _torn(size):
+    """A damage of the file at path that keeps its first size bytes, or
+    size(length) bytes when size is a function."""
+    def cut(path):
+        data = path.read_bytes()
+        path.write_bytes(data[: size(len(data)) if callable(size) else size])
+
+    return cut
+
+
+MISSES = {
+    **{name: _rewritten(damage) for name, damage in DATASET_DAMAGE.items()},
+    "torn-at-0": _torn(0),
+    "torn-at-1": _torn(1),
+    "torn-at-100": _torn(100),
+    "torn-in-half": _torn(lambda length: length // 2),
+    "torn-one-byte-short": _torn(lambda length: length - 1),
+}
+
+
+def assert_same_dataset(loaded, fresh):
+    """The loaded dataset is fresh: its corpus and metric records equal and
+    its embedding matrix bit for bit."""
+    assert loaded.name == fresh.name and loaded.corpus == fresh.corpus
+    assert loaded.metric_records == fresh.metric_records
+    values = [np.array([rec.value for rec in data.metric_records]) for data in (loaded, fresh)]
+    assert values[0].tobytes() == values[1].tobytes()
+    assert loaded.table.tokens == fresh.table.tokens
+    assert loaded.table.matrix.dtype == fresh.table.matrix.dtype == np.float64
+    np.testing.assert_array_equal(
+        loaded.table.matrix.view(np.uint64), fresh.table.matrix.view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("damage", MISSES.values(), ids=MISSES.keys())
+def test_a_damaged_dataset_cache_is_a_logged_miss(tmp_path, synth_dir, caplog, damage):
     cfg = pipeline.RunConfig(out_dir=str(tmp_path))
     cfg.apply_dataset_dir(synth_dir)
     fresh = pipeline.load_dataset(cfg, use_cache=False)
-    path = tmp_path / pipeline.CACHE_NAME
-    pipeline.write_corpus_cache(cfg, fresh.corpus)
-    write_corpus(path, *damage(*read_corpus(path)))
+    path = pipeline.write_dataset_cache(cfg, fresh)
+    # poisoned values: a dataset read from this cache would differ from the inputs'
+    write_dataset(path, *_records(matrix=lambda matrix, records: matrix + 1.0)(*read_dataset(path)))
+    damage(path)
     with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
         loaded = pipeline.load_dataset(cfg)
     logged = [record.getMessage() for record in caplog.records if record.name == "bugloc.pipeline"]
-    assert f"not using {path}; tokenizing the corpus" in logged
-    assert loaded.corpus == fresh.corpus
+    assert logged == [f"not using {path}; reading the inputs"]
+    assert_same_dataset(loaded, fresh)
