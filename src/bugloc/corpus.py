@@ -286,8 +286,8 @@ class CSR:
     """A sparse matrix in compressed sparse rows, held as plain numpy arrays
     laid out as scipy.sparse lays them out: row i stores the columns
     indices[indptr[i]:indptr[i + 1]] with the values at the same positions
-    of data. TF-IDF rows, term counts and link matrices come in this type,
-    so ranking a query never imports scipy."""
+    of data. TF-IDF rows, term counts, link matrices and the network come
+    in this type, so only the solver's products import scipy."""
 
     data: np.ndarray
     indices: np.ndarray

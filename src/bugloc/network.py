@@ -6,8 +6,8 @@ carry positive finite weights, and at most one edge joins a node pair.
 build_network makes only such edges, from the loaders' validated keys and
 the index's arrays, its fix and bucket links already resolved to columns,
 and HeteroNetwork.from_pairs rejects a repeated pair.
-The network lives in CSR arrays; validate_network counts it and
-write_edge_csv dumps it straight from them.
+The network is one corpus.CSR; validate_network and write_edge_csv read it
+with numpy alone, and only the solver's products go through scipy.
 """
 
 from __future__ import annotations
@@ -16,15 +16,12 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, repeat
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import CSR, Vocabulary
 from .errors import ValidationError, write_csv
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -117,10 +114,9 @@ class HeteroNetwork:
     """
 
     nodes: NodeTable
-    adjacency: sparse.csr_array  # symmetric edge weights
+    adjacency: CSR  # symmetric edge weights
     degree: np.ndarray  # row sums of adjacency
     labels: np.ndarray  # connected-component label per row
-    kind_rows: dict[str, sparse.csr_array]  # each kind's rows of adjacency
 
     @classmethod
     def from_pairs(
@@ -131,8 +127,6 @@ class HeteroNetwork:
         lists its neighbors in edge order, so sums over a row add in that
         order. Rejects, naming it, a second edge between one node pair.
         """
-        from scipy import sparse
-
         _, first = np.unique(pairs.min(axis=1) * len(nodes) + pairs.max(axis=1), return_index=True)
         if len(first) < len(pairs):
             a, b = (nodes[row] for row in pairs[np.setdiff1d(np.arange(len(pairs)), first)[0]])
@@ -142,17 +136,14 @@ class HeteroNetwork:
         rows, columns = pairs.ravel(), pairs[:, ::-1].ravel()
         by_row = np.argsort(rows, kind="stable")
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(nodes)))))
-        adjacency = sparse.csr_array(
-            (np.repeat(weights, 2)[by_row], columns[by_row], indptr),
-            shape=(len(nodes),) * 2,
-            dtype=np.float64,
-        )
+        data, filled = np.repeat(weights, 2)[by_row], np.flatnonzero(np.diff(indptr))
+        degree = np.zeros(len(nodes))
+        degree[filled] = np.add.reduceat(data, indptr[filled])  # as scipy sums rows
         return cls(
             nodes=nodes,
-            adjacency=adjacency,
-            degree=adjacency.sum(axis=1),
+            adjacency=CSR(data, columns[by_row], indptr, (len(nodes),) * 2),
+            degree=degree,
             labels=component_labels(len(nodes), pairs),
-            kind_rows={kind: adjacency[nodes.rows(kind)] for kind in KINDS},
         )
 
     def neighbors(self, node: TypedNode) -> dict[TypedNode, float]:
@@ -267,12 +258,14 @@ def validate_network(net: HeteroNetwork) -> list[dict]:
         }
         for size, sample in net.components_without(net.nodes.rows("T"))[1]
     ]
-    counts = " ".join(f"{k}={net.kind_rows[k].shape[0]}" for k in KINDS)
-    edges = " ".join(
-        f"{a}-{b}={n}"
-        for a, b in combinations(sorted(KINDS), 2)
-        if (n := net.kind_rows[a][:, net.nodes.rows(b)].nnz)
-    )
+    sizes, n = np.diff(net.nodes.bounds), len(_ORDER)
+    counts = " ".join(f"{k}={sizes[_POSITION[k]]}" for k in KINDS)
+    # entries by (row kind, column kind); as _ORDER is sorted, i < j counts each edge once
+    kind, adj = np.repeat(np.arange(n), sizes), net.adjacency
+    entries = kind[adj.row_ids()] * n + kind[adj.indices]
+    by_kinds = np.bincount(entries, minlength=n * n).reshape(n, n)
+    pairs = combinations(enumerate(_ORDER), 2)
+    edges = " ".join(f"{a}-{b}={by_kinds[i, j]}" for (i, a), (j, b) in pairs if by_kinds[i, j])
     message = f"nodes {counts}; edges {edges}".rstrip()
     return diags + [{"severity": "info", "code": "counts", "message": message}]
 
@@ -280,19 +273,11 @@ def validate_network(net: HeteroNetwork) -> list[dict]:
 def write_edge_csv(net: HeteroNetwork, path) -> None:
     """Dump the edge list as CSV kind1,key1,kind2,key2,weight, each edge once
     from its smaller node, in (kind1, key1, kind2, key2) order."""
-    from scipy import sparse
-
-    # each row lists its neighbors in edge order; with sorted indices the
-    # upper triangle runs in (row, col) order, which is node order
-    upper = sparse.triu(net.adjacency, k=1, format="csr")
-    upper.sort_indices()
-    upper = upper.tocoo()
-    nodes = tuple(net.nodes)
-    write_csv(
-        path,
-        ("kind1", "key1", "kind2", "key2", "weight"),
-        (
-            (*nodes[i], *nodes[j], repr(w))
-            for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
-        ),
-    )
+    # rows list neighbors in edge order, so sort the upper triangle by (row, col)
+    adj = net.adjacency
+    rows = adj.row_ids()
+    upper = np.flatnonzero(adj.indices > rows)
+    upper = upper[np.lexsort((adj.indices[upper], rows[upper]))]
+    edges = zip(rows[upper].tolist(), adj.indices[upper].tolist(), adj.data[upper].tolist())
+    nodes, header = tuple(net.nodes), ("kind1", "key1", "kind2", "key2", "weight")
+    write_csv(path, header, ((*nodes[i], *nodes[j], repr(w)) for i, j, w in edges))

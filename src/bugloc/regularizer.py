@@ -9,9 +9,10 @@ solve() finds that minimum on the network's arrays by in-place
 Gauss-Seidel sweeps, until the largest per-node move drops below the
 tolerance. A sweep updates one kind at a time, each as one sparse product:
 edges only join B-T, B-S and S-M, so nodes of one kind never read each
-other and the whole-kind update is exactly the node-by-node one. The tests
-check it against a second, independent route, one sparse LU solve of the
-harmonic system (tests/solveref.py).
+other and the whole-kind update is exactly the node-by-node one. These
+products, over the network's CSR arrays, are the package's only use of scipy.
+The tests check the solve against a second, independent route, one sparse
+LU solve of the harmonic system (tests/solveref.py).
 
 Free nodes in a component with no clamped node have no information source;
 they stay at zero, and a diagnostic, read from the network's single
@@ -126,15 +127,25 @@ def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
     the block update equals visiting them one by one. Free nodes without
     neighbors are left untouched. Clamped nodes never move.
     """
+    from scipy import sparse
+
     _check_aligned(model, net)
     movable = ~model.clamped_rows & (net.degree > 0)
-    max_disp = 0.0
+    adj, rows_of, max_disp = net.adjacency, {}, 0.0
+    for kind in KINDS:
+        # each kind's rows over adj's arrays, set in place, as
+        # csr_array((data, indices, indptr)) copies a slice under half its array
+        block = net.nodes.rows(kind)
+        start, stop = adj.indptr[block.start], adj.indptr[block.stop]
+        rows_of[kind] = wrap = sparse.csr_array((block.stop - block.start, len(net.nodes)))
+        wrap.data, wrap.indices = adj.data[start:stop], adj.indices[start:stop]
+        wrap.indptr = adj.indptr[block.start : block.stop + 1] - start
     for kind in _SWEEP_KINDS:
         block = net.nodes.rows(kind)
         rows = movable[block]
         if not rows.any():
             continue
-        update = (net.kind_rows[kind] @ model.matrix)[rows] / net.degree[block][rows, None]
+        update = (rows_of[kind] @ model.matrix)[rows] / net.degree[block][rows, None]
         current = model.matrix[block]
         max_disp = max(max_disp, float(np.linalg.norm(update - current[rows], axis=1).max()))
         current[rows] = update
@@ -147,9 +158,12 @@ def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
     Computed as the Laplacian quadratic form sum_i deg_i |x_i|^2 - tr(X' A X),
     which needs node-sized temporaries only, not one row per edge.
     """
+    from scipy import sparse
+
     _check_aligned(model, net)
-    x = model.matrix
-    return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, net.adjacency @ x))
+    x, adj = model.matrix, net.adjacency
+    product = sparse.csr_array((adj.data, adj.indices, adj.indptr), adj.shape) @ x
+    return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, product))
 
 
 def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray, tuple[str, ...]]:

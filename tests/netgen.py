@@ -1,12 +1,17 @@
 """Hand-built and seeded random typed networks for solver tests.
 
 table_of turns TypedNodes into a NodeTable, and network_of builds a
-HeteroNetwork from (a, b, weight) edge tuples.
+HeteroNetwork from (a, b, weight) edge tuples, through edge_arrays, the
+node table and arrays that HeteroNetwork.from_pairs takes.
 
 Every generated network keeps the kind-pair rules, stays at or below 30
 nodes, uses positive weights, and anchors every free component to at least
 one clamped term: each B node gets an edge to a clamped T, each S to a B,
 each M to an S, and each free (table-less) T to a B.
+
+edge_lists is a hypothesis strategy for looser networks, with no such
+anchors: any kind may have no nodes, nodes may have no edges, and there
+may be no edges at all.
 
 sweep_energies replays a solve sweep by sweep and records the energy
 after each one.
@@ -17,6 +22,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bugloc.embeddings import EmbeddingTable
 from bugloc.network import HeteroNetwork, NodeTable, TypedNode
@@ -32,15 +38,46 @@ def table_of(nodes) -> NodeTable:
     return NodeTable.of(blocks)
 
 
-def network_of(edges, nodes=()) -> HeteroNetwork:
-    """The network of the given (a, b, weight) edges plus any further nodes,
-    each row listing its neighbors in edge order."""
+def edge_arrays(edges, nodes=()) -> tuple[NodeTable, np.ndarray, np.ndarray]:
+    """The node table of the given (a, b, weight) edges plus any further
+    nodes, each edge's pair of rows and each edge's weight."""
     table = table_of([*nodes, *(node for a, b, _ in edges for node in (a, b))])
-    return HeteroNetwork.from_pairs(
+    return (
         table,
         np.array([(table.row(a), table.row(b)) for a, b, _ in edges], dtype=np.intp).reshape(-1, 2),
         np.array([weight for _, _, weight in edges], dtype=np.float64),
     )
+
+
+def network_of(edges, nodes=()) -> HeteroNetwork:
+    """The network of the given (a, b, weight) edges plus any further nodes,
+    each row listing its neighbors in edge order."""
+    return HeteroNetwork.from_pairs(*edge_arrays(edges, nodes))
+
+
+@st.composite
+def edge_lists(draw):
+    """(edges, nodes) for network_of: up to 5 nodes of each kind, any of
+    them without edges, and a drawn set of the allowed T-B, B-S and S-M
+    pairs as edges, in drawn order and direction, with weights spread over
+    six decades, so that a row's sum may depend on its order."""
+    nodes = [
+        TypedNode(kind, f"{kind.lower()}{i}")
+        for kind in "BTSM"
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    allowed = [
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if (a.kind, b.kind) in {("T", "B"), ("B", "S"), ("S", "M")}
+    ]
+    chosen = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    edges = [
+        (*(pair if draw(st.booleans()) else pair[::-1]), draw(st.floats(1e-3, 1e3)))
+        for pair in chosen
+    ]
+    return edges, nodes
 
 
 def components(net: HeteroNetwork):

@@ -16,6 +16,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from bugloc.regularizer import _isolate, initialize_representation
+from sparseref import to_scipy
 
 
 def closed_form_solve(net, table):
@@ -26,7 +27,7 @@ def closed_form_solve(net, table):
     if not free.size:
         return model
     clamped = np.flatnonzero(model.clamped_rows)
-    to_free = net.adjacency[free]
+    to_free = to_scipy(net.adjacency)[free]
     laplacian = sparse.diags_array(net.degree[free]) - to_free[:, free]
     rhs = to_free[:, clamped] @ model.matrix[clamped]
     model.matrix[free] = splu(sparse.csc_array(laplacian)).solve(rhs)

@@ -7,10 +7,14 @@ bugloc's numpy kernels replace; the kernels must match them bit for bit.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 from scipy import sparse
 
 from bugloc.corpus import CSR
+from bugloc.errors import write_csv
+from bugloc.network import KINDS
 from bugloc.ranker import row_norms
 
 
@@ -63,3 +67,58 @@ def scipy_embed_rows(weights: CSR, rows: np.ndarray, matrix: np.ndarray) -> np.n
     sums = to_scipy(weights) @ terms
     totals = sums[:, -1:]
     return np.divide(sums[:, :-1], totals, out=np.zeros_like(sums[:, :-1]), where=totals > 0.0)
+
+
+def scipy_network(nodes, pairs, weights) -> tuple[sparse.csr_array, np.ndarray]:
+    """The adjacency and degree of HeteroNetwork.from_pairs(nodes, pairs,
+    weights) as scipy builds them: the csr_array of the same data, indices
+    and indptr, and its row sums."""
+    rows, columns = pairs.ravel(), pairs[:, ::-1].ravel()
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(nodes)))))
+    adjacency = sparse.csr_array(
+        (np.repeat(weights, 2)[by_row], columns[by_row], indptr),
+        shape=(len(nodes),) * 2,
+        dtype=np.float64,
+    )
+    return adjacency, adjacency.sum(axis=1)
+
+
+def scipy_validate_network(net, adjacency: sparse.csr_array) -> list[dict]:
+    """validate_network's diagnostics, with its counts taken from each
+    kind's row slice of a scipy adjacency."""
+    kind_rows = {kind: adjacency[net.nodes.rows(kind)] for kind in KINDS}
+    diags = [
+        {
+            "severity": "warning",
+            "code": "isolated-component",
+            "message": f"component of {size} nodes (e.g. {sample.kind}:{sample.key}) "
+            f"has no path to any T node",
+        }
+        for size, sample in net.components_without(net.nodes.rows("T"))[1]
+    ]
+    counts = " ".join(f"{k}={kind_rows[k].shape[0]}" for k in KINDS)
+    edges = " ".join(
+        f"{a}-{b}={n}"
+        for a, b in combinations(sorted(KINDS), 2)
+        if (n := kind_rows[a][:, net.nodes.rows(b)].nnz)
+    )
+    message = f"nodes {counts}; edges {edges}".rstrip()
+    return diags + [{"severity": "info", "code": "counts", "message": message}]
+
+
+def scipy_write_edge_csv(nodes, adjacency: sparse.csr_array, path) -> None:
+    """write_edge_csv's dump, with the edges taken from scipy's upper
+    triangle: with sorted indices it runs in (row, col) order."""
+    upper = sparse.triu(adjacency, k=1, format="csr")
+    upper.sort_indices()
+    upper = upper.tocoo()
+    nodes = tuple(nodes)
+    write_csv(
+        path,
+        ("kind1", "key1", "kind2", "key2", "weight"),
+        (
+            (*nodes[i], *nodes[j], repr(w))
+            for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
+        ),
+    )

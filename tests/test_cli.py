@@ -794,7 +794,7 @@ class TestDeterminism:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads when a command first builds or multiplies a sparse matrix
+    # scipy loads when the solver first multiplies the network's sparse matrix
     env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
     probe = "import sys, bugloc.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
@@ -871,7 +871,7 @@ def cli_model(cli_dataset, tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["eval", "sweep", "query"])
 def test_commands_with_a_model_leave_scipy_unloaded(cli_dataset, cli_model, tmp_path, command):
-    # ranking and the t-test run on numpy alone; only the network build and the solver use scipy
+    # ranking and the t-test run on numpy alone; only the solver uses scipy
     argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path),
             "--model", str(cli_model)]
     if command == "query":
@@ -879,6 +879,13 @@ def test_commands_with_a_model_leave_scipy_unloaded(cli_dataset, cli_model, tmp_
         (tmp_path / "bug.json").write_text(report, encoding="utf-8")
         argv += ["--report", str(tmp_path / "bug.json")]
     assert _scipy_modules_after(argv) == set()
+
+
+def test_build_leaves_scipy_unloaded(cli_dataset, tmp_path):
+    # the network, its diagnostics and its edge dump run on numpy alone
+    argv = ["build", "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path)]
+    assert _scipy_modules_after(argv) == set()
+    assert (tmp_path / "network.csv").exists()
 
 
 def test_solve_loads_scipy_sparse_but_not_scipy_special(cli_dataset, tmp_path):

@@ -26,9 +26,15 @@ from bugloc.network import (
     write_edge_csv,
 )
 from bugloc.pipeline import fix_links
-from netgen import network_of, table_of
+from netgen import edge_arrays, edge_lists, network_of, table_of
 from netref import kind_slice, reference_edges, reference_network
-from sparseref import from_scipy, to_scipy
+from sparseref import (
+    from_scipy,
+    scipy_network,
+    scipy_validate_network,
+    scipy_write_edge_csv,
+    to_scipy,
+)
 
 
 def _of_kind(net, kind):
@@ -59,7 +65,7 @@ class TestHeteroNetwork:
         assert net.neighbors(b) == {t: 0.5}
         assert net.num_nodes() == 2
         assert net.num_edges() == 1
-        upper = sparse.triu(net.adjacency, k=1, format="coo")
+        upper = sparse.triu(to_scipy(net.adjacency), k=1, format="coo")
         assert [
             (net.nodes[i], net.nodes[j], w)
             for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist())
@@ -90,7 +96,8 @@ class TestHeteroNetwork:
         span = slice(*net.adjacency.indptr[row : row + 2])
         assert [net.nodes[j] for j in net.adjacency.indices[span]] == [t1, s1, t2]
         assert net.degree[row] == 6.0
-        assert (net.adjacency != net.adjacency.T).nnz == 0
+        adjacency = to_scipy(net.adjacency)
+        assert (adjacency != adjacency.T).nnz == 0
 
     def test_unknown_node_has_no_neighbors_entry(self):
         net = network_of([(TypedNode("T", "x"), TypedNode("B", "b"), 1.0)])
@@ -304,7 +311,7 @@ def _assert_matches_reference(corpus):
     )
     np.testing.assert_array_equal(net.degree.view(np.uint64), degree.view(np.uint64))
     np.testing.assert_array_equal(net.labels, labels)
-    entries = net.adjacency.tocoo()
+    entries = to_scipy(net.adjacency).tocoo()
     ends = list(zip(entries.row.tolist(), entries.col.tolist()))
     assert len(set(ends)) == len(ends)
     kinds = {tuple(sorted((net.nodes[i].kind, net.nodes[j].kind))) for i, j in ends}
@@ -357,6 +364,48 @@ class TestAgainstEdgeListReference:
         _assert_matches_reference(corpus)
         counts = validate_network(_build(*corpus))[-1]["message"]
         assert counts == "nodes B=1 T=0 S=1 M=0; edges"
+
+
+def _assert_matches_scipy(edges, nodes):
+    """from_pairs' CSR arrays and degrees equal scipy's construction from
+    the same arrays bit for bit, and validate_network and write_edge_csv
+    give what they gave when they read the scipy adjacency."""
+    table, pairs, weights = edge_arrays(edges, nodes)
+    net = HeteroNetwork.from_pairs(table, pairs, weights)
+    adjacency, degree = scipy_network(table, pairs, weights)
+    assert net.adjacency.shape == adjacency.shape
+    np.testing.assert_array_equal(net.adjacency.indptr, adjacency.indptr)
+    np.testing.assert_array_equal(net.adjacency.indices, adjacency.indices)
+    np.testing.assert_array_equal(
+        net.adjacency.data.view(np.uint64), adjacency.data.view(np.uint64)
+    )
+    np.testing.assert_array_equal(net.degree.view(np.uint64), degree.view(np.uint64))
+    assert validate_network(net) == scipy_validate_network(net, adjacency)
+    with tempfile.TemporaryDirectory() as tmp:
+        dumped, expected = Path(tmp, "network.csv"), Path(tmp, "scipy.csv")
+        write_edge_csv(net, dumped)
+        scipy_write_edge_csv(table, adjacency, expected)
+        assert dumped.read_bytes() == expected.read_bytes()
+
+
+class TestAgainstScipyConstruction:
+    @settings(max_examples=300)
+    @given(edge_lists())
+    def test_numpy_network_matches_scipy_bit_for_bit(self, drawn):
+        _assert_matches_scipy(*drawn)
+
+    def test_listed_cases(self):
+        b1, b2 = TypedNode("B", "b1"), TypedNode("B", "b2")
+        s1, m1 = TypedNode("S", "s1.java"), TypedNode("M", "lines:0")
+        t1, t2 = TypedNode("T", "t1"), TypedNode("T", "t2")
+        # no nodes; nodes without edges; no T node, so every component warns;
+        # an isolated node of every kind beside an edge; a row whose sum
+        # depends on its order (1e16 + 1 rounds back to 1e16)
+        _assert_matches_scipy([], [])
+        _assert_matches_scipy([], [b1, s1, t1, m1])
+        _assert_matches_scipy([(b1, s1, 1.0), (s1, m1, 2.0)], [b2])
+        _assert_matches_scipy([(t1, b1, 0.5)], [b2, s1, t2, m1])
+        _assert_matches_scipy([(t1, b1, 1e16), (b1, s1, 1.0), (t2, b1, 1.0)], [])
 
 
 class TestValidateNetwork:

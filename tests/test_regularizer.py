@@ -28,6 +28,7 @@ from bugloc.regularizer import (
 from netgen import components, network_of, random_network, sweep_energies, table_of
 from recordref import read_raw, write_raw
 from solveref import closed_form_solve
+from sparseref import to_scipy
 from tables import make_table
 from test_golden import read_model
 
@@ -142,7 +143,7 @@ class TestAgainstNodeByNodeReference:
                 )
                 for node in model.nodes:
                     np.testing.assert_allclose(model.vector(node), vectors[node], rtol=0, atol=1e-12)
-                upper = sparse.triu(net.adjacency, k=1, format="coo")
+                upper = sparse.triu(to_scipy(net.adjacency), k=1, format="coo")
                 rows, cols = upper.row.tolist(), upper.col.tolist()
                 ends = [(net.nodes[i], net.nodes[j]) for i, j in zip(rows, cols)]
                 edge_sum = sum(
