@@ -15,7 +15,7 @@ import numpy as np
 
 # the layout version of every record file, which its header holds: a change
 # to any record file's layout raises it, and older files become misses
-RECORDS_VERSION = 1
+RECORDS_VERSION = 2
 
 
 class ValidationError(Exception):
@@ -72,26 +72,36 @@ def write_csv(target, header, rows) -> None:
 def replacing(path, mode="wb", **open_args):
     """Open a temporary file beside path for writing, making its directory,
     and rename it onto path once the block ends, so a reader sees the old
-    file or the new one."""
+    file or the new one; a block that raises, or is interrupted, removes it."""
     tmp = Path(f"{path}.tmp")
     tmp.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, mode, **open_args) as fh:
-        yield fh
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
 def write_records(path, header: dict, records) -> None:
     """Write a record file: .npy version 1.0 records, the first the header
-    as JSON text, with RECORDS_VERSION added, then each of records, an array
-    or a tuple of strings stored as their UTF-8 text joined by "\n", which
-    no string may hold."""
-    header = json.dumps({**header, "version": RECORDS_VERSION}, sort_keys=True)
+    as JSON text, with RECORDS_VERSION added, then each of records, an
+    array, or a tuple of strings, which may hold any character, stored as a
+    string table: an int64 record of the offsets, in code points, at which
+    each string starts, then the end of the last, and a record of their
+    UTF-8 text, joined with nothing between."""
+    header = json.dumps({**header, "version": RECORDS_VERSION}, sort_keys=True).encode()
+    arrays = [np.frombuffer(header, dtype=np.uint8)]
+    for record in records:
+        if isinstance(record, np.ndarray):
+            arrays.append(record)
+        else:
+            offsets = np.cumsum([0, *map(len, record)], dtype=np.int64)
+            arrays += [offsets, np.frombuffer("".join(record).encode("utf-8"), dtype=np.uint8)]
     with replacing(path) as fh:
-        for record in (header, *records):
-            if not isinstance(record, np.ndarray):
-                text = record if isinstance(record, str) else "\n".join(record)
-                record = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-            np.lib.format.write_array(fh, record, version=(1, 0), allow_pickle=False)
+        for array in arrays:
+            np.lib.format.write_array(fh, array, version=(1, 0), allow_pickle=False)
 
 
 def read_array(fh, dtype, shape: tuple) -> np.ndarray:
@@ -114,26 +124,6 @@ def read_array(fh, dtype, shape: tuple) -> np.ndarray:
     return array
 
 
-def read_strings(fh, count) -> tuple[str, ...]:
-    """The next record of an open record file as count strings; ValueError
-    when it holds another number of them or is not UTF-8."""
-    text = read_array(fh, np.uint8, (None,)).tobytes().decode("utf-8")
-    strings = tuple(text.split("\n")) if count else ()
-    if len(strings) != count:
-        raise ValueError("unexpected string count")
-    return strings
-
-
-def string_table(strings) -> tuple[np.ndarray, np.ndarray]:
-    """Strings that may hold any character, "\n" too, as two records for
-    write_records: the int64 offsets, in code points, at which each string
-    starts, then the end of the last, and their UTF-8 text, joined with
-    nothing between."""
-    strings = tuple(strings)
-    offsets = np.cumsum([0, *map(len, strings)], dtype=np.int64)
-    return offsets, np.frombuffer("".join(strings).encode("utf-8"), dtype=np.uint8)
-
-
 def read_offsets(fh, count) -> np.ndarray:
     """The next record of an open record file as the count + 1 int64
     offsets of count runs, such as the indptr of a CSR; ValueError unless
@@ -146,10 +136,10 @@ def read_offsets(fh, count) -> np.ndarray:
     return offsets
 
 
-def read_string_table(fh, count) -> tuple[str, ...]:
-    """The next two records of an open record file, written from
-    string_table, as count strings; ValueError when the offsets do not end
-    at the text's end or the text is not UTF-8."""
+def read_strings(fh, count) -> tuple[str, ...]:
+    """The next two records of an open record file, a string table that
+    write_records wrote, as count strings; ValueError when the offsets do
+    not end at the text's end or the text is not UTF-8."""
     offsets = read_offsets(fh, count).tolist()
     text = read_array(fh, np.uint8, (None,)).tobytes().decode("utf-8")
     if offsets[-1] != len(text):

@@ -35,8 +35,8 @@ from .corpus import (
 )
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import (
-    ValidationError, file_sha256, read_array, read_offsets, read_records, read_string_table,
-    read_strings, read_text, string_table, write_records,
+    ValidationError, file_sha256, read_array, read_offsets, read_records, read_strings, read_text,
+    write_records,
 )
 from .metrics import MetricRecord, discretize, load_metrics
 from .network import KINDS, HeteroNetwork, build_network, node_table
@@ -229,9 +229,8 @@ def write_dataset_cache(cfg: RunConfig, dataset: Dataset) -> Path:
     ids, the fixed files as offsets per report and their paths, the
     dictionary, the report token ids as offsets and ids, and, with sources,
     their paths and token ids likewise; then the metric records' paths,
-    metric names and values; then the embedding tokens and matrix. Ids,
-    paths and metric names are string tables (errors.string_table), since
-    they may hold a "\n"."""
+    metric names and values; then the embedding tokens and matrix. Every
+    list of strings is a string table (errors.write_records)."""
     path = Path(cfg.out_dir) / CACHE_NAME
     corpus, metric_records, table = dataset.corpus, dataset.metric_records, dataset.table
     sources = corpus.source_paths
@@ -245,18 +244,18 @@ def write_dataset_cache(cfg: RunConfig, dataset: Dataset) -> Path:
     }
     fixed_offsets = np.cumsum([0, *map(len, corpus.fixed_files)], dtype=np.int64)
     records = [
-        *string_table(corpus.report_ids),
+        corpus.report_ids,
         fixed_offsets,
-        *string_table(chain.from_iterable(corpus.fixed_files)),
+        tuple(chain.from_iterable(corpus.fixed_files)),
         corpus.terms,
         corpus.report_tokens.indptr,
         corpus.report_tokens.ids,
     ]
     if sources is not None:
-        records += [*string_table(sources), corpus.source_tokens.indptr, corpus.source_tokens.ids]
+        records += [sources, corpus.source_tokens.indptr, corpus.source_tokens.ids]
     records += [
-        *string_table(rec.path for rec in metric_records),
-        *string_table(rec.metric for rec in metric_records),
+        tuple(rec.path for rec in metric_records),
+        tuple(rec.metric for rec in metric_records),
         np.array([rec.value for rec in metric_records], dtype=np.float64),
         table.tokens,
         table.matrix,
@@ -289,9 +288,9 @@ def _parse_dataset_cache(cfg: RunConfig, header: dict, fh) -> Dataset:
     least one column wide; and every value is finite."""
     if header.get("key") != _cache_key(cfg):
         raise ValueError("stale cache")
-    report_ids = read_string_table(fh, header.get("reports"))
+    report_ids = read_strings(fh, header.get("reports"))
     fixed_offsets = read_offsets(fh, len(report_ids)).tolist()
-    fixed = read_string_table(fh, fixed_offsets[-1])
+    fixed = read_strings(fh, fixed_offsets[-1])
     fixed_files = tuple(fixed[a:b] for a, b in zip(fixed_offsets, fixed_offsets[1:]))
     terms = read_strings(fh, header.get("terms"))
     if any(a >= b for a, b in zip(terms, terms[1:])):
@@ -299,10 +298,10 @@ def _parse_dataset_cache(cfg: RunConfig, header: dict, fh) -> Dataset:
     report_tokens = _read_token_ids(fh, len(report_ids), len(terms))
     source_paths = source_tokens = None
     if cfg.sources:
-        source_paths = read_string_table(fh, header.get("sources"))
+        source_paths = read_strings(fh, header.get("sources"))
         source_tokens = _read_token_ids(fh, len(source_paths), len(terms))
-    paths = read_string_table(fh, header.get("metric_records"))
-    metrics = read_string_table(fh, len(paths))
+    paths = read_strings(fh, header.get("metric_records"))
+    metrics = read_strings(fh, len(paths))
     values = read_array(fh, np.float64, (len(paths),))
     tokens = read_strings(fh, header.get("tokens"))
     matrix = read_array(fh, np.float64, (len(tokens), None))

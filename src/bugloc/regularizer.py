@@ -26,13 +26,15 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import ValidationError, file_sha256, read_array, read_records, read_strings, write_records
+from .errors import (
+    ValidationError, file_sha256, read_array, read_records, read_strings, replacing, write_records,
+)
 from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
@@ -228,51 +230,36 @@ def _format_row(row: np.ndarray) -> str:
     return " ".join(map(repr, row.tolist()))
 
 
-def _header(model: RepresentationModel, digest: str) -> str:
-    header = {"dim": model.dim, "nodes": len(model.nodes), "clamped_digest": digest}
-    header["network_digest"] = model.network_digest
-    return json.dumps(header, sort_keys=True) + "\n"
-
-
 def dump_model(model: RepresentationModel, path) -> None:
     """Write the model as a text table: header JSON line, then one node per
-    line, in node order; then its record file (record_path), which load_model
+    line, in node order; and its record file (record_path), which load_model
     reads. The text is an export for people and other tools, and the
     record's key: load_model needs both.
 
-    Floats are written with repr, so the text holds them bit-exactly. Each
-    row is formatted once: the clamped rows' text goes both to the file and
-    to the digest, and the header, whose length does not depend on the
-    digest's value, is rewritten in place once the last row is out.
+    Floats are written with repr, so the text holds them bit-exactly. The
+    text is hashed as it is written, and renamed into place only after the
+    record keyed by its sha256, so an interrupted dump keeps the old model.
     """
     for key in model.nodes.keys:
         if "\t" in key or "\n" in key:
             raise ValidationError(f"node key {key!r} cannot be serialized")
     matrix = np.ascontiguousarray(model.matrix, dtype=np.float64)
-    digest = hashlib.sha256()
-
-    def lines():
-        for (kind, key), clamped, row in zip(model.nodes, model.clamped_rows, matrix):
-            text = _format_row(row)
-            if clamped:
-                digest.update(f"{kind}{key}\0{text}\n".encode())
-            yield f"{kind}\t{key}\t{'c' if clamped else 'f'}\t{text}\n"
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_header(model, "0" * 64))
-        fh.writelines(lines())
-        fh.seek(0)
-        fh.write(_header(model, digest.hexdigest()))
-    # then the record file (record_path), keyed by the finished text's sha256
     header = {
-        "sha256": file_sha256(path),
-        "dim": matrix.shape[1],
-        "nodes": len(model.nodes),
-        "bounds": list(model.nodes.bounds),
-        "network_digest": model.network_digest,
+        "dim": matrix.shape[1], "nodes": len(model.nodes), "network_digest": model.network_digest
     }
-    records = (model.nodes.keys, np.asarray(model.clamped_rows, dtype=bool), matrix)
-    write_records(record_path(path), header, records)
+    lines = (
+        f"{kind}\t{key}\t{'c' if clamped else 'f'}\t{_format_row(row)}\n"
+        for (kind, key), clamped, row in zip(model.nodes, model.clamped_rows, matrix)
+    )
+    digest = hashlib.sha256()
+    with replacing(path) as fh:
+        for line in chain([json.dumps(header, sort_keys=True) + "\n"], lines):
+            data = line.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+        header.update(sha256=digest.hexdigest(), bounds=list(model.nodes.bounds))
+        records = (model.nodes.keys, np.asarray(model.clamped_rows, dtype=bool), matrix)
+        write_records(record_path(path), header, records)
 
 
 def record_path(path) -> Path:

@@ -50,14 +50,14 @@ def record_spans(path) -> list[tuple[int, int, int]]:
 DATASET_RECORDS = (
     "report_id_offsets", "report_id_text",
     "fixed_offsets", "fixed_path_offsets", "fixed_path_text",
-    "terms",
+    "term_offsets", "term_text",
     "report_token_indptr", "report_token_ids",
     "source_path_offsets", "source_path_text",
     "source_token_indptr", "source_token_ids",
     "metric_path_offsets", "metric_path_text",
     "metric_name_offsets", "metric_name_text",
     "metric_values",
-    "tokens", "matrix",
+    "token_offsets", "token_text", "matrix",
 )
 
 
@@ -94,9 +94,8 @@ def with_strings(records: dict, name: str, strings) -> dict:
 def corpus_token_maps(path) -> tuple[dict[str, list[str]], dict[str, list[str]] | None]:
     """The report and source token maps of the dataset cache at path: each
     report id, and each source path, mapped to its tokens in order."""
-    header, records = read_dataset(path)
-    text = records["terms"].tobytes().decode("utf-8")
-    terms = text.split("\n") if header["terms"] else []
+    records = read_dataset(path)[1]
+    terms = strings_of(records, "term")
 
     def token_map(kind, names):
         indptr, ids = records[f"{kind}_token_indptr"], records[f"{kind}_token_ids"]

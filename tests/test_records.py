@@ -18,18 +18,15 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as npst
 
 from bugloc import pipeline
-from bugloc.errors import (
-    file_sha256, read_array, read_records, read_string_table, read_strings, string_table,
-    write_records,
-)
+from bugloc.errors import file_sha256, read_array, read_records, read_strings, replacing, write_records
 from bugloc.regularizer import _parse_record, dump_model, record_path
 from recordref import (
     read_dataset, read_raw, record_spans, strings_of, with_strings, write_dataset, write_raw,
 )
 from test_golden import GOLDEN, model_of
 
-# any text a key may hold: no "\n", which joins the keys, and no lone surrogate
-KEYS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=4)
+# any text a key may hold: "\n" too, but no lone surrogate
+KEYS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
 ARRAYS = npst.arrays(
     st.sampled_from([np.bool_, np.uint8, np.int64, np.float64]),
     npst.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
@@ -38,47 +35,33 @@ ARRAYS = npst.arrays(
 
 @given(
     header=st.dictionaries(st.text().filter(lambda key: key != "version"), st.integers() | st.text()),
-    keys=st.lists(KEYS, max_size=5),
+    tables=st.lists(st.lists(KEYS, max_size=5).map(tuple), max_size=3),
     arrays=st.lists(ARRAYS, max_size=3),
 )
-def test_round_trip(header, keys, arrays):
+@example(header={}, tables=[("a\nb", "", "\r\n", "\t", "日\n", "\U0001d11e\r"), ()], arrays=[])
+def test_round_trip(header, tables, arrays):
     def parse(found, fh):
-        return found, read_strings(fh, len(keys)), [read_array(fh, a.dtype, a.shape) for a in arrays]
+        strings = [read_strings(fh, len(table)) for table in tables]
+        return found, strings, [read_array(fh, a.dtype, a.shape) for a in arrays]
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "file.bin"
-        write_records(path, header, (tuple(keys), *arrays))
-        found, found_keys, found_arrays = read_records(path, parse)
+        write_records(path, header, (*tables, *arrays))
+        found, found_tables, found_arrays = read_records(path, parse)
         raw_header, raw_records = read_raw(path)
-    assert found == raw_header == {**header, "version": 1}
-    assert found_keys == tuple(keys)
-    assert raw_records[0].dtype == np.uint8
-    assert raw_records[0].tobytes().decode("utf-8") == "\n".join(keys)
-    for array, got, raw in zip(arrays, found_arrays, raw_records[1:]):
+    assert found == raw_header == {**header, "version": 2}
+    assert found_tables == tables
+    # each tuple of strings is a string table: offsets in code points, not bytes, then the text
+    for at, table in enumerate(tables):
+        offsets, text = raw_records[2 * at : 2 * at + 2]
+        assert offsets.dtype == np.int64 and text.dtype == np.uint8
+        assert offsets.tolist() == [sum(map(len, table[:i])) for i in range(len(table) + 1)]
+        assert text.tobytes().decode("utf-8") == "".join(table)
+    for array, got, raw in zip(arrays, found_arrays, raw_records[2 * len(tables):]):
         for each in (got, raw):
             assert each.dtype == array.dtype and each.shape == array.shape
             assert each.tobytes() == array.tobytes()
         assert got.flags.c_contiguous and got.flags.writeable
-
-
-@given(
-    strings=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=5),
-    keys=st.lists(KEYS, max_size=3),
-)
-@example(strings=["a\nb", "", "\r\n", "\t", "日\n"], keys=["k", "é"])
-def test_a_string_table_holds_any_text(strings, keys):
-    # "\n", "\r", "\t" and the empty string among them, before a "\n"-joined record
-    def parse(header, fh):
-        return read_string_table(fh, len(strings)), read_strings(fh, len(keys))
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "file.bin"
-        write_records(path, {}, (*string_table(strings), tuple(keys)))
-        assert read_records(path, parse) == (tuple(strings), tuple(keys))
-        # the offsets count code points, not bytes
-        offsets, text = read_raw(path)[1][:2]
-        assert offsets.tolist() == [sum(map(len, strings[:i])) for i in range(len(strings) + 1)]
-        assert text.tobytes().decode("utf-8") == "".join(strings)
 
 
 @pytest.mark.parametrize(
@@ -90,6 +73,7 @@ def test_a_string_table_holds_any_text(strings, keys):
         ([0, 3], "ab"),  # past it
         ([0, 2], "é"),  # at the byte count, not the code point count
         ([0, 1], b"\xff"),  # not UTF-8
+        ([0], "ab"),  # no strings, but text
     ],
 )
 def test_a_string_table_that_does_not_fit_is_a_miss(offsets, text):
@@ -98,7 +82,27 @@ def test_a_string_table_that_does_not_fit_is_a_miss(offsets, text):
         path = Path(tmp) / "file.bin"
         write_records(path, {}, (np.array(offsets, dtype=np.int64), np.frombuffer(raw, dtype=np.uint8)))
         for count in (len(offsets) - 1, len(offsets)):
-            assert read_records(path, lambda header, fh: read_string_table(fh, count)) is None
+            assert read_records(path, lambda header, fh: read_strings(fh, count)) is None
+
+
+@pytest.mark.parametrize("count", [True, 1.0, None, "1"])
+def test_a_string_count_that_is_not_an_int_is_a_miss(tmp_path, count):
+    path = tmp_path / "file.bin"
+    write_records(path, {}, (("a",),))
+    assert read_records(path, lambda header, fh: read_strings(fh, 1)) == ("a",)
+    assert read_records(path, lambda header, fh: read_strings(fh, count)) is None
+
+
+def test_replacing_removes_its_temporary_file_when_its_block_raises(tmp_path):
+    path = tmp_path / "file.bin"
+    path.write_bytes(b"old")
+    for error in (ValueError, KeyboardInterrupt):
+        with pytest.raises(error):
+            with replacing(path) as fh:
+                fh.write(b"new")
+                raise error
+        assert path.read_bytes() == b"old"
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_a_shape_pattern_matches_lengths_and_ranks():
@@ -245,15 +249,23 @@ def _past_the_dictionary(header, records):
     return header["terms"]
 
 
+def _strings(name, change):
+    """A damage that replaces the strings of the string table name by
+    change(strings)."""
+    def damage(header, records):
+        return header, with_strings(records, name, change(strings_of(records, name)))
+
+    return damage
+
+
 def _set_string(name, at, value):
     """A damage that sets string at of the string table name to value, or
     to the string at value when that is an int."""
-    def change(header, records):
-        strings = strings_of(records, name)
+    def change(strings):
         strings[at] = strings[value] if isinstance(value, int) else value
-        return header, with_strings(records, name, strings)
+        return strings
 
-    return change
+    return _strings(name, change)
 
 
 def _change_fixed(change):
@@ -289,10 +301,6 @@ def _records(**changes):
     return damage
 
 
-def _tokens(tokens):
-    return np.frombuffer("\n".join(tokens).encode("utf-8"), dtype=np.uint8)
-
-
 # damage that only the dataset cache's layout can have, each (header, records) -> the same
 DATASET_DAMAGE = {
     "report-id-past-the-dictionary": _set("report_token_ids", 0, _past_the_dictionary),
@@ -307,12 +315,8 @@ DATASET_DAMAGE = {
     "path-offsets-past-the-text": _set(
         "source_path_offsets", -1, lambda header, records: len(records["source_path_text"]) + 1
     ),
-    "dictionary-unsorted": lambda header, records: (
-        header, {**records, "terms": _tokens(sorted(_terms(records), reverse=True))}
-    ),
-    "dictionary-repeats-a-term": lambda header, records: (
-        header, {**records, "terms": _tokens([_terms(records)[0], *_terms(records)[:-1]])}
-    ),
+    "dictionary-unsorted": _strings("term", lambda terms: sorted(terms, reverse=True)),
+    "dictionary-repeats-a-term": _strings("term", lambda terms: [terms[0], *terms[:-1]]),
     "term-count-off-by-one": lambda header, records: ({**header, "terms": header["terms"] + 1}, records),
     "report-count-not-an-int": lambda header, records: (
         {**header, "reports": float(header["reports"])}, records
@@ -348,17 +352,11 @@ DATASET_DAMAGE = {
     "row-missing": _records(matrix=lambda matrix, records: matrix[:-1]),
     "flat-matrix": _records(matrix=lambda matrix, records: matrix.reshape(-1)),
     "non-finite": _records(matrix=lambda matrix, records: np.where(matrix > 0, np.inf, matrix)),
-    "duplicate-token": _records(tokens=lambda tokens, records: _tokens(["dup", "dup", *_cached_tokens(records)[2:]])),
-    "needs-pickle": _records(tokens=lambda tokens, records: np.array(_cached_tokens(records), dtype=object)),
+    "duplicate-token": _strings("token", lambda tokens: ["dup", "dup", *tokens[2:]]),
+    "needs-pickle": _records(
+        token_text=lambda text, records: np.array(strings_of(records, "token"), dtype=object)
+    ),
 }
-
-
-def _terms(records) -> list[str]:
-    return records["terms"].tobytes().decode("utf-8").split("\n")
-
-
-def _cached_tokens(records) -> list[str]:
-    return records["tokens"].tobytes().decode("utf-8").split("\n")
 
 
 def _rewritten(damage):

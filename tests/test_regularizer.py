@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from bugloc import pipeline, synthgen
-from bugloc.errors import ValidationError
+from bugloc import pipeline, regularizer, synthgen
+from bugloc.errors import ValidationError, file_sha256
 from bugloc.network import NodeTable, TypedNode
 from bugloc.regularizer import (
     RepresentationModel,
@@ -472,6 +472,29 @@ class TestModelRecord:
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", binary_open)
+        _assert_same_model(load_model(path), model)
+
+    def test_an_interrupted_dump_keeps_the_previous_model(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.tsv"
+        model = solve(*random_network(random.Random(7)))
+        dump_model(model, path)
+        # the record is keyed by the finished text's sha256
+        assert read_raw(record_path(path))[0]["sha256"] == file_sha256(path)
+        before = {file: file.read_bytes() for file in (path, record_path(path))}
+        format_row, rows = regularizer._format_row, []
+
+        def interrupted(row):
+            rows.append(row)
+            if len(rows) == len(model.nodes) // 2:
+                raise KeyboardInterrupt
+            return format_row(row)
+
+        monkeypatch.setattr(regularizer, "_format_row", interrupted)
+        changed = RepresentationModel(model.nodes, model.matrix + 1.0, model.clamped_rows)
+        with pytest.raises(KeyboardInterrupt):
+            dump_model(changed, path)
+        assert {file: file.read_bytes() for file in before} == before
+        assert sorted(tmp_path.iterdir()) == [path, record_path(path)]
         _assert_same_model(load_model(path), model)
 
     @pytest.mark.parametrize(
