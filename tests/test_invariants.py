@@ -351,7 +351,7 @@ def _mutate_for_cache(data: Inputs, name: str, draw) -> None:
     if name == "control_id":
         report = pick(data.reports)
         report["id"] = _insert(report["id"], 2, draw(CONTROL))
-    elif name == "control_path":
+    elif name == "control_path" and data.sources:
         path = pick(data.sources)["path"]
         data.rename_path(path, _insert(path, 4, draw(CONTROL)))
     elif name == "control_metric_path" and data.metrics:

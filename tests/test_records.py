@@ -64,6 +64,26 @@ def test_round_trip(header, tables, arrays):
         assert got.flags.c_contiguous and got.flags.writeable
 
 
+@given(
+    strings=st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=5),
+    keys=st.lists(KEYS, max_size=3),
+)
+@example(strings=["a\nb", "", "\r\n", "\t", "日\n"], keys=["k", "é"])
+def test_a_string_table_holds_any_text(strings, keys):
+    # "\n", "\r", "\t" and the empty string among them, before a second table
+    def parse(header, fh):
+        return read_strings(fh, len(strings)), read_strings(fh, len(keys))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.bin"
+        write_records(path, {}, (tuple(strings), tuple(keys)))
+        assert read_records(path, parse) == (tuple(strings), tuple(keys))
+        # the offsets count code points, not bytes
+        offsets, text = read_raw(path)[1][:2]
+        assert offsets.tolist() == [sum(map(len, strings[:i])) for i in range(len(strings) + 1)]
+        assert text.tobytes().decode("utf-8") == "".join(strings)
+
+
 @pytest.mark.parametrize(
     "offsets, text",
     [
