@@ -69,14 +69,14 @@ def write_csv(target, header, rows) -> None:
 
 
 @contextmanager
-def replacing(path, mode="wb", **open_args):
-    """Open a temporary file beside path for writing, making its directory,
-    and rename it onto path once the block ends, so a reader sees the old
+def replacing(path):
+    """Open a temporary file beside path, making its directory, to write bytes
+    to, and rename it onto path once the block ends, so a reader sees the old
     file or the new one; a block that raises, or is interrupted, removes it."""
     tmp = Path(f"{path}.tmp")
     tmp.parent.mkdir(parents=True, exist_ok=True)
     try:
-        with open(tmp, mode, **open_args) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -6,11 +6,12 @@ are free and relax to the weighted average of their neighbors, which
 minimizes the edge-weighted sum of squared differences.
 
 solve() finds that minimum on the network's arrays by in-place
-Gauss-Seidel sweeps, until the largest per-node move drops below the
-tolerance. A sweep updates one kind at a time, each as one sparse product:
-edges only join B-T, B-S and S-M, so nodes of one kind never read each
-other and the whole-kind update is exactly the node-by-node one. These
-products, over the network's CSR arrays, are the package's only use of scipy.
+Gauss-Seidel sweeps, planned once, until the largest per-node move drops
+below the tolerance. A sweep updates one kind at a time, each as one
+sparse product: edges only join B-T, B-S and S-M, so nodes of one kind
+never read each other and the whole-kind update is exactly the
+node-by-node one. These products, over the network's CSR arrays, are the
+package's only use of scipy.
 The tests check the solve against a second, independent route, one sparse
 LU solve of the harmonic system (tests/solveref.py).
 
@@ -119,38 +120,41 @@ def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
         raise ValidationError("the model's nodes differ from the network's")
 
 
-def sweep_update(model: RepresentationModel, net: HeteroNetwork) -> float:
-    """Run one Gauss-Seidel sweep in place; return the largest L2 node move.
-
-    Each free node is set to the weighted average of its neighbors, using
-    values already updated within the sweep. The kinds are visited in the
-    order of _SWEEP_KINDS, all free nodes of a kind at once: no edge joins
-    two nodes of one kind, so none of them reads another's new value and
-    the block update equals visiting them one by one. Free nodes without
-    neighbors are left untouched. Clamped nodes never move.
-    """
+def _scipy_adjacency(net: HeteroNetwork):
+    """The network's adjacency as a scipy csr_array over the same arrays."""
     from scipy import sparse
 
+    adj = net.adjacency
+    return sparse.csr_array((adj.data, adj.indices, adj.indptr), adj.shape)
+
+
+def sweep_plan(model: RepresentationModel, net: HeteroNetwork) -> list[tuple]:
+    """The steps of one Gauss-Seidel sweep, fixed for a whole solve: for each
+    kind of _SWEEP_KINDS, in order, that has movable rows (free, with a
+    neighbor), those rows, their rows of the adjacency in stored order and
+    their degrees as a column. No other row ever moves."""
     _check_aligned(model, net)
     movable = ~model.clamped_rows & (net.degree > 0)
-    adj, rows_of, max_disp = net.adjacency, {}, 0.0
+    adjacency, steps = _scipy_adjacency(net), {}
     for kind in KINDS:
-        # each kind's rows over adj's arrays, set in place, as
-        # csr_array((data, indices, indptr)) copies a slice under half its array
         block = net.nodes.rows(kind)
-        start, stop = adj.indptr[block.start], adj.indptr[block.stop]
-        rows_of[kind] = wrap = sparse.csr_array((block.stop - block.start, len(net.nodes)))
-        wrap.data, wrap.indices = adj.data[start:stop], adj.indices[start:stop]
-        wrap.indptr = adj.indptr[block.start : block.stop + 1] - start
-    for kind in _SWEEP_KINDS:
-        block = net.nodes.rows(kind)
-        rows = movable[block]
-        if not rows.any():
-            continue
-        update = (rows_of[kind] @ model.matrix)[rows] / net.degree[block][rows, None]
-        current = model.matrix[block]
-        max_disp = max(max_disp, float(np.linalg.norm(update - current[rows], axis=1).max()))
-        current[rows] = update
+        rows = block.start + np.flatnonzero(movable[block])
+        if rows.size:
+            steps[kind] = (rows, adjacency[rows], net.degree[rows, None])
+    return [steps[kind] for kind in _SWEEP_KINDS if kind in steps]
+
+
+def sweep_update(model: RepresentationModel, plan: list[tuple]) -> float:
+    """Run one Gauss-Seidel sweep of sweep_plan's steps in place; return the
+    largest L2 node move. A step sets a kind's movable nodes to the weighted
+    average of their neighbors, earlier steps' updates included, all at once:
+    no edge joins two nodes of one kind, so that equals visiting them one by one."""
+    max_disp = 0.0
+    for rows, adjacency, degree in plan:
+        update = adjacency @ model.matrix
+        update /= degree
+        max_disp = max(max_disp, float(np.linalg.norm(update - model.matrix[rows], axis=1).max()))
+        model.matrix[rows] = update
     return max_disp
 
 
@@ -160,12 +164,9 @@ def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
     Computed as the Laplacian quadratic form sum_i deg_i |x_i|^2 - tr(X' A X),
     which needs node-sized temporaries only, not one row per edge.
     """
-    from scipy import sparse
-
     _check_aligned(model, net)
-    x, adj = model.matrix, net.adjacency
-    product = sparse.csr_array((adj.data, adj.indices, adj.indptr), adj.shape) @ x
-    return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, product))
+    x = model.matrix
+    return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, _scipy_adjacency(net) @ x))
 
 
 def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -199,16 +200,13 @@ def solve(
     """
     config = config or SolverConfig()
     model = initial if initial is not None else initialize_representation(net, table)
-    _check_aligned(model, net)
+    plan = sweep_plan(model, net)
     _, isolated_components = _isolate(model, net)
-    displacement = float("inf")
-    iterations = 0
-    converged = False
     for iterations in range(1, config.max_iters + 1):
-        displacement = sweep_update(model, net)
+        displacement = sweep_update(model, plan)
         if displacement < config.tolerance:
-            converged = True
             break
+    converged = displacement < config.tolerance
     if not converged:
         logger.warning(
             "solver did not converge in %d sweeps (last move %.3g)",

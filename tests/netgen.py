@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 
 from bugloc.embeddings import EmbeddingTable
 from bugloc.network import HeteroNetwork, NodeTable, TypedNode
-from bugloc.regularizer import SolverConfig, energy, initialize_representation, sweep_update
+from bugloc.regularizer import (
+    SolverConfig, energy, initialize_representation, sweep_plan, sweep_update,
+)
 from tables import make_table
 
 
@@ -152,9 +154,9 @@ def random_network(rng: random.Random, dim: int | None = None):
 def sweep_energies(net: HeteroNetwork, table: EmbeddingTable, config: SolverConfig) -> list[float]:
     """The energy after each sweep that solve(net, table, config) runs."""
     model = initialize_representation(net, table)
-    energies = []
+    plan, energies = sweep_plan(model, net), []
     for _ in range(config.max_iters):
-        displacement = sweep_update(model, net)
+        displacement = sweep_update(model, plan)
         energies.append(energy(model, net))
         if displacement < config.tolerance:
             break

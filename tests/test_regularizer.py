@@ -22,12 +22,13 @@ from bugloc.regularizer import (
     initialize_representation,
     load_model,
     solve,
+    sweep_plan,
     sweep_update,
     record_path,
 )
-from netgen import components, network_of, random_network, sweep_energies, table_of
+from netgen import components, edge_lists, network_of, random_network, sweep_energies, table_of
 from recordref import read_raw, write_raw
-from solveref import closed_form_solve
+from solveref import block_sweep, closed_form_solve
 from sparseref import to_scipy
 from tables import make_table
 from test_golden import read_model
@@ -78,21 +79,22 @@ class TestSweepAndEnergy:
     def test_single_neighbor_snaps_to_it(self):
         net, table = _pair_net()
         model = initialize_representation(net, table)
-        disp = sweep_update(model, net)
+        disp = sweep_update(model, sweep_plan(model, net))
         np.testing.assert_array_equal(model.vector(B1), [1.0])
         assert disp == 1.0
 
     def test_weighted_average(self):
         net, table = _weighted_net()
         model = initialize_representation(net, table)
-        sweep_update(model, net)
+        sweep_update(model, sweep_plan(model, net))
         assert model.vector(B1)[0] == 0.75
 
     def test_clamped_nodes_never_move(self):
         net, table = _weighted_net()
         model = initialize_representation(net, table)
+        plan = sweep_plan(model, net)
         for _ in range(5):
-            sweep_update(model, net)
+            sweep_update(model, plan)
         np.testing.assert_array_equal(model.vector(T1), [1.0])
         np.testing.assert_array_equal(model.vector(T2), [0.0])
 
@@ -136,8 +138,9 @@ class TestAgainstNodeByNodeReference:
                 if node not in model.clamped:
                     model.matrix[row] = [rng.uniform(-5.0, 5.0) for _ in range(table.dim)]
             vectors = {node: model.vector(node).copy() for node in model.nodes}
+            plan = sweep_plan(model, net)
             for _ in range(3):
-                disp = sweep_update(model, net)
+                disp = sweep_update(model, plan)
                 assert disp == pytest.approx(
                     _node_by_node_sweep(net, vectors, model.clamped), rel=1e-12, abs=1e-12
                 )
@@ -151,6 +154,58 @@ class TestAgainstNodeByNodeReference:
                     for (a, b), w in zip(ends, upper.data.tolist())
                 )
                 assert energy(model, net) == pytest.approx(edge_sum, rel=1e-12, abs=1e-12)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _assert_sweeps_match_block_sweep(net, clamped, start, sweeps=3):
+    """From the same start, run the planned sweep and block_sweep `sweeps`
+    times each; the matrices and every displacement must match bit for bit."""
+    planned = RepresentationModel(net.nodes, start.copy(), clamped)
+    reference = RepresentationModel(net.nodes, start.copy(), clamped)
+    plan = sweep_plan(planned, net)
+    for _ in range(sweeps):
+        moved, expected = sweep_update(planned, plan), block_sweep(reference, net)
+        assert _bits(moved) == _bits(expected)
+        np.testing.assert_array_equal(_bits(planned.matrix), _bits(reference.matrix))
+    return plan, planned
+
+
+class TestSweepPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(), st.integers(1, 3), st.data())
+    def test_planned_sweeps_match_the_block_sweep_bit_for_bit(self, drawn, dim, data):
+        net = network_of(*drawn)
+        n = len(net.nodes)
+        clamped = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        values = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n * dim, max_size=n * dim))
+        _assert_sweeps_match_block_sweep(net, clamped, np.array(values).reshape(n, dim))
+
+    def test_every_node_clamped_plans_no_step(self):
+        net = network_of([(T1, B1, 2.0), (B1, S1, 1.0)])
+        start = np.array([[1.0], [2.0], [3.0]])
+        plan, model = _assert_sweeps_match_block_sweep(net, np.ones(3, bool), start)
+        assert plan == []
+        assert sweep_update(model, plan) == 0.0
+        np.testing.assert_array_equal(model.matrix, start)
+
+    def test_an_isolated_free_node_never_moves(self):
+        b2 = TypedNode("B", "b2")
+        net = network_of([(T1, B1, 2.0)], nodes=[b2])
+        start = np.array([[0.5], [-4.0], [1.0]])  # rows B1, b2, T1
+        plan, model = _assert_sweeps_match_block_sweep(net, np.array([False, False, True]), start)
+        assert all(net.nodes.row(b2) not in rows for rows, _, _ in plan)
+        np.testing.assert_array_equal(model.vector(b2), [-4.0])
+
+    def test_a_kind_with_only_clamped_or_edgeless_rows_takes_no_step(self):
+        # T rows: t1 clamped, t2 free but edgeless; so only B steps, at both B visits
+        net = network_of([(T1, B1, 2.0)], nodes=[T2])
+        start = np.array([[0.0], [1.0], [7.0]])  # rows B1, T1, T2
+        plan, model = _assert_sweeps_match_block_sweep(net, np.array([False, True, False]), start)
+        assert [rows.tolist() for rows, _, _ in plan] == [[net.nodes.row(B1)]] * 2
+        np.testing.assert_array_equal(model.matrix, [[1.0], [1.0], [7.0]])
 
 
 class TestSolve:
