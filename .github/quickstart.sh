@@ -60,6 +60,12 @@ for f in results.csv ttests.csv sweep.csv; do cmp "demo/out/$f" "demo/noscipy/$f
 python -c "$noscipy" query --dataset-dir demo --report my_bug.json --k 10 \
   --model demo/out/model.tsv > noscipy.csv
 cmp loaded.csv noscipy.csv
+python -c "$noscipy" solve --dataset-dir demo --out-dir demo/noscipy-solve
+for f in model.tsv model.tsv.bin; do cmp "demo/out/$f" "demo/noscipy-solve/$f"; done
+python -c "$noscipy" eval --dataset-dir demo --out-dir demo/noscipy-eval
+for f in results.csv ttests.csv sweep.csv; do cmp "demo/out/$f" "demo/noscipy-eval/$f"; done
+python -c "$noscipy" query --dataset-dir demo --report my_bug.json --k 10 > noscipy-fresh.csv
+cmp fresh.csv noscipy-fresh.csv
 cp demo/out/model.tsv demo/text.tsv
 code=0
 python -m bugloc eval --dataset-dir demo --out-dir demo/text --model demo/text.tsv 2> text.err || code=$?

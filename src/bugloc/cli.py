@@ -54,7 +54,7 @@ _FLAGS = {
     "--k": dict(type=int, help="ranking depth"),
     "--methods": dict(type=_methods, help="comma-separated subset of bow,embedding,netreg"),
     "--buckets": dict(dest="buckets_per_metric", metavar="BUCKETS", type=int, help="quantile buckets per metric"),
-    "--max-iters": dict(type=int, help="solver sweep limit"),
+    "--max-iters": dict(type=int, help="solver iteration limit"),
     "--tolerance": dict(type=float, help="solver convergence tolerance"),
     "--seed": dict(type=int, help="random seed"),
     "--num-reports": dict(type=int),

@@ -287,7 +287,7 @@ class CSR:
     laid out as scipy.sparse lays them out: row i stores the columns
     indices[indptr[i]:indptr[i + 1]] with the values at the same positions
     of data. TF-IDF rows, term counts, link matrices and the network come
-    in this type, so only the solver's products import scipy."""
+    in this type, and numpy alone multiplies them."""
 
     data: np.ndarray
     indices: np.ndarray

@@ -6,8 +6,8 @@ carry positive finite weights, and at most one edge joins a node pair.
 build_network makes only such edges, from the loaders' validated keys and
 the index's arrays, its fix and bucket links already resolved to columns,
 and HeteroNetwork.from_pairs rejects a repeated pair.
-The network is one corpus.CSR; validate_network and write_edge_csv read it
-with numpy alone, and only the solver's products go through scipy.
+The network is one corpus.CSR; validate_network, write_edge_csv and the
+solver read it with numpy alone.
 """
 
 from __future__ import annotations

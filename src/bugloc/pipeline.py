@@ -214,10 +214,15 @@ def input_hashes(cfg: RunConfig) -> dict:
 
 
 def _cache_key(cfg: RunConfig) -> dict:
+    """The dataset cache's key: the inputs' hashes, the token rules (the
+    effective stopword set as a digest, the built-in list included) and
+    the report filter."""
+    stopwords = "\n".join(sorted(cfg.token_rules().stopwords)).encode("utf-8")
     return {
         "inputs": input_hashes(cfg),
         "min_length": cfg.min_length,
         "stem": cfg.stem,
+        "stopwords": hashlib.sha256(stopwords).hexdigest(),
         "resolved_only": cfg.resolved_only,
     }
 

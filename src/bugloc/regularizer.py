@@ -5,18 +5,19 @@ Term nodes with a known embedding are clamped to it; all remaining nodes
 are free and relax to the weighted average of their neighbors, which
 minimizes the edge-weighted sum of squared differences.
 
-solve() finds that minimum on the network's arrays by in-place
-Gauss-Seidel sweeps, planned once, until the largest per-node move drops
-below the tolerance. A sweep updates one kind at a time, each as one
-sparse product: edges only join B-T, B-S and S-M, so nodes of one kind
-never read each other and the whole-kind update is exactly the
-node-by-node one. These products, over the network's CSR arrays, are the
-package's only use of scipy.
+solve() finds that minimum by Jacobi-preconditioned conjugate gradients
+(conjugate_gradients) on a reduced system (ReducedSystem): no edge joins
+two report (B) nodes, so the free B rows are eliminated exactly and
+recovered once at the end as the weighted average of their neighbors, and
+the unknowns are the free files, buckets and terms. Its products run over
+the network's own CSR arrays with numpy, so no command imports scipy.
 The tests check the solve against a second, independent route, one sparse
-LU solve of the harmonic system (tests/solveref.py).
+LU solve of the harmonic system (tests/solveref.py). sweep_plan and
+sweep_update, a Gauss-Seidel sweep that no command runs, are kept only
+for the benchmark's tracer, which names sweep_update.
 
 Free nodes in a component with no clamped node have no information source;
-they stay at zero, and a diagnostic, read from the network's single
+they come back zero, and a diagnostic, read from the network's single
 connected-component labelling, is logged and kept in the solve's report.
 """
 
@@ -29,9 +30,11 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from itertools import chain, compress
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
+from .corpus import CSR
 from .embeddings import EmbeddingTable
 from .errors import (
     ValidationError, file_sha256, read_array, read_records, read_strings, replacing, write_records,
@@ -40,7 +43,11 @@ from .network import KINDS, HeteroNetwork, NodeTable, TypedNode
 
 logger = logging.getLogger(__name__)
 
-# order in which free nodes are visited within one sweep
+# entries of the adjacency per block in energy, so its temporaries stay small
+_ENERGY_BLOCK = 1 << 12
+
+# order in which free nodes are visited within one Gauss-Seidel sweep (see
+# sweep_plan)
 _SWEEP_KINDS = ("T", "B", "S", "M", "S", "B")
 
 
@@ -120,6 +127,10 @@ def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
         raise ValidationError("the model's nodes differ from the network's")
 
 
+# A Gauss-Seidel sweep: nothing in the package calls _scipy_adjacency,
+# sweep_plan or sweep_update. They stay, unchanged, only because
+# bench/tracer.py wraps sweep_update by name, and go when the benchmark stops
+# pinning it (ROADMAP item 1(b)).
 def _scipy_adjacency(net: HeteroNetwork):
     """The network's adjacency as a scipy csr_array over the same arrays."""
     from scipy import sparse
@@ -161,12 +172,19 @@ def sweep_update(model: RepresentationModel, plan: list[tuple]) -> float:
 def energy(model: RepresentationModel, net: HeteroNetwork) -> float:
     """Edge-weighted sum of squared vector differences, each edge counted once.
 
-    Computed as the Laplacian quadratic form sum_i deg_i |x_i|^2 - tr(X' A X),
-    which needs node-sized temporaries only, not one row per edge.
+    The edges are taken _ENERGY_BLOCK stored entries at a time, so the
+    temporaries stay small whatever the network's size.
     """
     _check_aligned(model, net)
-    x = model.matrix
-    return float(net.degree @ np.einsum("ij,ij->i", x, x) - np.vdot(x, _scipy_adjacency(net) @ x))
+    adj, x = net.adjacency, model.matrix
+    rows = adj.row_ids()
+    upper = np.flatnonzero(adj.indices > rows)  # each edge once, from its smaller row
+    total = 0.0
+    for start in range(0, len(upper), _ENERGY_BLOCK):
+        block = upper[start : start + _ENERGY_BLOCK]
+        diff = x[rows[block]] - x[adj.indices[block]]
+        total += float(adj.data[block] @ np.einsum("ij,ij->i", diff, diff))
+    return total
 
 
 def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -183,40 +201,197 @@ def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray
     return isolated, messages
 
 
+def _longest_first(adj: CSR, rows: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """The given rows ordered by how many of their entries fall in the
+    columns that the mask `read` keeps, most first, ties in the given order."""
+    counts = np.bincount(adj.row_ids()[read[adj.indices]], minlength=adj.shape[0])
+    return rows[np.argsort(-counts[rows], kind="stable")]
+
+
+def _steps(adj: CSR, rows: np.ndarray, columns: np.ndarray) -> list[tuple]:
+    """The plan of the product of the adjacency's rows `rows`, given in
+    _longest_first order, with a dense factor: columns[j] is the factor row
+    that column j reads, or -1 for a column the product skips.
+
+    As ranker.embed_rows takes its sums, the rows holding a p-th read entry
+    are a prefix of the rows, and step p is one slice over all of them:
+    (that prefix's length, its entries' weights as a column, their factor
+    rows). So every row adds its entries in stored order."""
+    ids = adj.row_ids()
+    rank = np.full(adj.shape[0], -1)
+    rank[rows] = np.arange(len(rows))
+    kept = np.flatnonzero((rank[ids] >= 0) & (columns[adj.indices] >= 0))
+    kept_ids = ids[kept]  # ascending, so each row's entries are one run
+    position = np.arange(len(kept)) - np.searchsorted(kept_ids, kept_ids)
+    kept = kept[np.argsort(position * len(rows) + rank[kept_ids], kind="stable")]
+    weights, at = adj.data[kept, None], columns[adj.indices[kept]]
+    steps, end = [], 0
+    for n in np.bincount(position).tolist():
+        start, end = end, end + n
+        steps.append((n, weights[start:end], at[start:end]))
+    return steps
+
+
+def _product(steps: list[tuple], factor: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """out = the product that _steps planned, times factor, one row per
+    planned row in its order; spare holds at least as many rows as out."""
+    out.fill(0.0)
+    for n, weights, at in steps:
+        part = spare[:n]
+        np.take(factor, at, axis=0, out=part)
+        part *= weights
+        out[:n] += part
+
+
+class ReducedSystem:
+    """The harmonic system of a model's free rows with the report (B) rows
+    eliminated.
+
+    The unknowns X_F are the free rows outside B that have a clamped node
+    in their component: files, buckets and terms without an embedding. No
+    edge joins two B nodes, so a free B row is the weighted mean of its
+    neighbors, D_B^-1 (A_BC X_C + A_BF X_F) with C the clamped rows, and X_F
+    solves
+
+        (D_F - A_FF - A_FB D_B^-1 A_BF) X_F = A_FC X_C + A_FB D_B^-1 A_BC X_C.
+
+    The matrix is never formed: apply() takes two planned products
+    (_steps) over the network's CSR, B rows reading X_F, then F rows reading
+    the B part and X_F stacked. The clamped parts are taken once. The B
+    rows are held in the first product's row order and the F rows in the
+    second's, so neither product reorders; write() puts every row back.
+    The rows of a component with no clamped node, `isolated`, free nodes
+    without an edge among them, are no unknowns and come back zero.
+    """
+
+    def __init__(self, model: RepresentationModel, net: HeteroNetwork, isolated: np.ndarray):
+        adj, clamped, num_nodes = net.adjacency, model.clamped_rows, len(net.nodes)
+        free = ~clamped & ~isolated
+        in_b = np.zeros(num_nodes, dtype=bool)
+        in_b[net.nodes.rows("B")] = True
+        in_f = free & ~in_b
+        self.b_rows = _longest_first(adj, np.flatnonzero(free & in_b), in_f)
+        self.f_rows = _longest_first(adj, np.flatnonzero(in_f), free)
+        self.isolated = isolated
+        num_b, num_f, dim = len(self.b_rows), len(self.f_rows), model.dim
+        column = np.full(num_nodes, -1)
+        column[self.b_rows] = np.arange(num_b)
+        column[self.f_rows] = num_b + np.arange(num_f)
+        self.to_b = _steps(adj, self.b_rows, np.where(in_f, column - num_b, -1))
+        self.to_f = _steps(adj, self.f_rows, column)
+        self.b_degree = net.degree[self.b_rows, None]
+        self.f_degree = net.degree[self.f_rows, None]
+        self.spare = np.empty((num_b + num_f, dim))
+        # A_UC X_C over the free rows U, the B rows and then X_F's, taken once
+        by_clamped = _longest_first(adj, np.flatnonzero(free), clamped)
+        sums = np.empty((len(by_clamped), dim))
+        _product(
+            _steps(adj, by_clamped, np.where(clamped, np.arange(num_nodes), -1)),
+            model.matrix, sums, self.spare,
+        )
+        self.clamped_sums = np.empty_like(sums)
+        self.clamped_sums[column[by_clamped]] = sums
+        # `stacked` holds what the F rows read: the B part, then X_F
+        self.stacked = np.zeros((num_b + num_f, dim))
+        self.stacked[:num_b] = self.clamped_sums[:num_b] / self.b_degree
+        self.rhs = np.empty((num_f, dim))
+        _product(self.to_f, self.stacked, self.rhs, self.spare)
+        self.rhs += self.clamped_sums[num_b:]
+        self.x = model.matrix[self.f_rows]
+
+    def apply(self, vector: np.ndarray, out: np.ndarray) -> None:
+        """out = the reduced matrix times vector, one row per unknown."""
+        num_b = len(self.b_rows)
+        b_part = self.stacked[:num_b]
+        _product(self.to_b, vector, b_part, self.spare)
+        b_part /= self.b_degree
+        self.stacked[num_b:] = vector
+        _product(self.to_f, self.stacked, out, self.spare)
+        scaled = np.multiply(vector, self.f_degree, out=self.spare[: len(vector)])
+        np.subtract(scaled, out, out=out)
+
+    def scaled_residual(self, residual: np.ndarray) -> float:
+        """The largest ||r_i|| / deg_i over the unknowns; 0.0 without any."""
+        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual)) / self.f_degree[:, 0]
+        return float(norms.max(initial=0.0))
+
+    def write(self, matrix: np.ndarray) -> None:
+        """Put the current X_F into matrix, each free B row as the weighted
+        mean of its neighbors, and zeros in the isolated rows."""
+        num_b = len(self.b_rows)
+        b_sums = self.stacked[:num_b]
+        _product(self.to_b, self.x, b_sums, self.spare)
+        b_sums += self.clamped_sums[:num_b]
+        matrix[self.b_rows] = b_sums / self.b_degree
+        matrix[self.f_rows] = self.x
+        matrix[self.isolated] = 0.0
+
+
+def conjugate_gradients(system: ReducedSystem, config: SolverConfig) -> Iterator[tuple[int, float]]:
+    """Solve the reduced system in place of system.x by Jacobi-preconditioned
+    conjugate gradients, all d columns at once, each with its own step
+    sizes. Yields (iterations run, scaled residual) at the start and after
+    each iteration, and stops once the scaled residual (scaled_residual)
+    falls below config.tolerance or config.max_iters iterations have run.
+    Its vectors are made once."""
+    x, q = system.x, np.empty_like(system.x)
+    system.apply(x, q)
+    r = system.rhs - q
+    z = r / system.f_degree
+    p = z.copy()
+    rz = np.einsum("ij,ij->j", r, z)
+    iterations, residual = 0, system.scaled_residual(r)
+    yield iterations, residual
+    while residual >= config.tolerance and iterations < config.max_iters:
+        system.apply(p, q)
+        pq = np.einsum("ij,ij->j", p, q)
+        # a column that has converged exactly has no direction; it takes no step
+        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=pq > 0.0)
+        x += np.multiply(p, alpha, out=z)
+        r -= np.multiply(q, alpha, out=z)
+        np.divide(r, system.f_degree, out=z)
+        rz, last = np.einsum("ij,ij->j", r, z), rz
+        p *= np.divide(rz, last, out=np.zeros_like(rz), where=last > 0.0)
+        p += z
+        iterations, residual = iterations + 1, system.scaled_residual(r)
+        yield iterations, residual
+
+
 def solve(
     net: HeteroNetwork,
     table: EmbeddingTable,
     config: SolverConfig | None = None,
     initial: RepresentationModel | None = None,
 ) -> RepresentationModel:
-    """Relax free nodes by repeated sweeps until convergence.
+    """Solve for the free rows by conjugate_gradients on the ReducedSystem.
 
-    Stops when the largest per-node move in a sweep falls below
-    config.tolerance, or after config.max_iters sweeps. The returned model
-    carries a ConvergenceReport; clamped vectors are bit-identical to the
-    table. `initial` substitutes a custom starting model over the same
-    nodes, used to check that the fixed point does not depend on
-    initialization.
+    Starts from the initial model's free rows and stops when the largest
+    scaled residual ||r_i|| / deg_i over the unknowns falls below
+    config.tolerance, or after config.max_iters iterations. The returned
+    model carries a ConvergenceReport; clamped vectors are bit-identical to
+    the table, and the rows of components with no clamped node are zero.
+    `initial` substitutes a custom starting model over the same nodes, used
+    to check that the solution does not depend on initialization.
     """
     config = config or SolverConfig()
     model = initial if initial is not None else initialize_representation(net, table)
-    plan = sweep_plan(model, net)
-    _, isolated_components = _isolate(model, net)
-    for iterations in range(1, config.max_iters + 1):
-        displacement = sweep_update(model, plan)
-        if displacement < config.tolerance:
-            break
-    converged = displacement < config.tolerance
+    _check_aligned(model, net)
+    isolated, isolated_components = _isolate(model, net)
+    system = ReducedSystem(model, net, isolated)
+    for iterations, residual in conjugate_gradients(system, config):
+        pass
+    system.write(model.matrix)
+    converged = residual < config.tolerance
     if not converged:
         logger.warning(
-            "solver did not converge in %d sweeps (last move %.3g)",
+            "solver did not converge in %d iterations (scaled residual %.3g)",
             config.max_iters,
-            displacement,
+            residual,
         )
     model.convergence = ConvergenceReport(
         iterations=iterations,
         converged=converged,
-        final_displacement=displacement,
+        final_displacement=residual,
         final_energy=energy(model, net),
         isolated_components=isolated_components,
     )

@@ -13,8 +13,8 @@ edge_lists is a hypothesis strategy for looser networks, with no such
 anchors: any kind may have no nodes, nodes may have no edges, and there
 may be no edges at all.
 
-sweep_energies replays a solve sweep by sweep and records the energy
-after each one.
+sweep_energies replays a solve iteration by iteration and records the
+energy after each one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from bugloc.embeddings import EmbeddingTable
 from bugloc.network import HeteroNetwork, NodeTable, TypedNode
 from bugloc.regularizer import (
-    SolverConfig, energy, initialize_representation, sweep_plan, sweep_update,
+    ReducedSystem, SolverConfig, conjugate_gradients, energy, initialize_representation,
 )
 from tables import make_table
 
@@ -152,12 +152,14 @@ def random_network(rng: random.Random, dim: int | None = None):
 
 
 def sweep_energies(net: HeteroNetwork, table: EmbeddingTable, config: SolverConfig) -> list[float]:
-    """The energy after each sweep that solve(net, table, config) runs."""
+    """The energy after each iteration that solve(net, table, config) runs:
+    the solver's own conjugate_gradients, its iterate written into the
+    model after each iteration."""
     model = initialize_representation(net, table)
-    plan, energies = sweep_plan(model, net), []
-    for _ in range(config.max_iters):
-        displacement = sweep_update(model, plan)
-        energies.append(energy(model, net))
-        if displacement < config.tolerance:
-            break
+    isolated, _ = net.components_without(model.clamped_rows)
+    system, energies = ReducedSystem(model, net, isolated), []
+    for iterations, _ in conjugate_gradients(system, config):
+        if iterations:
+            system.write(model.matrix)
+            energies.append(energy(model, net))
     return energies

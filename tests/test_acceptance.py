@@ -75,15 +75,15 @@ def test_criterion_01_iterative_matches_direct_solution(oracle_runs):
 
 def test_criterion_02_energy_never_increases(oracle_runs):
     runs, _ = oracle_runs
-    sweeps = 0
+    iterations = 0
     for net, table, iterative, _ in runs:
         energies = sweep_energies(net, table, ORACLE_CONFIG)
         assert len(energies) == iterative.convergence.iterations
         for prev, nxt in zip(energies, energies[1:]):
             assert nxt <= prev + 1e-12 * max(1.0, abs(prev))
-        sweeps += len(energies)
+        iterations += len(energies)
     print(
-        f"ACCEPTANCE 2 PASS: energy non-increasing across {sweeps} sweeps "
+        f"ACCEPTANCE 2 PASS: energy non-increasing across {iterations} solver iterations "
         f"of {len(runs)} runs (relative tolerance 1e-12)"
     )
 

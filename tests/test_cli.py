@@ -794,7 +794,6 @@ class TestDeterminism:
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy loads when the solver first multiplies the network's sparse matrix
     env = dict(os.environ, PYTHONPATH=str(Path(bugloc.__file__).parent.parent))
     probe = "import sys, bugloc.cli; print('scipy' in sys.modules)"
     out = subprocess.run(
@@ -871,7 +870,7 @@ def cli_model(cli_dataset, tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["eval", "sweep", "query"])
 def test_commands_with_a_model_leave_scipy_unloaded(cli_dataset, cli_model, tmp_path, command):
-    # ranking and the t-test run on numpy alone; only the solver uses scipy
+    # ranking and the t-test run on numpy alone
     argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path),
             "--model", str(cli_model)]
     if command == "query":
@@ -888,10 +887,15 @@ def test_build_leaves_scipy_unloaded(cli_dataset, tmp_path):
     assert (tmp_path / "network.csv").exists()
 
 
-def test_solve_loads_scipy_sparse_but_not_scipy_special(cli_dataset, tmp_path):
-    argv = ["solve", "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path)]
-    loaded = _scipy_modules_after(argv)
-    assert "scipy.sparse" in loaded and "scipy.special" not in loaded
+@pytest.mark.parametrize("command", ["solve", "eval", "sweep", "query"])
+def test_commands_that_solve_leave_scipy_unloaded(cli_dataset, tmp_path, command):
+    # the solver's products run on numpy alone
+    argv = [command, "--dataset-dir", str(cli_dataset), "--out-dir", str(tmp_path)]
+    if command == "query":
+        report = (cli_dataset / "reports.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        (tmp_path / "bug.json").write_text(report, encoding="utf-8")
+        argv += ["--report", str(tmp_path / "bug.json")]
+    assert _scipy_modules_after(argv) == set()
 
 
 class TestExitCodes:

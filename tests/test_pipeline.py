@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bugloc import evaluation, pipeline, ranker
+from bugloc import corpus, evaluation, pipeline, ranker
 from bugloc.corpus import BugReport, Corpus, load_bug_reports, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ParseError, ValidationError
@@ -265,6 +265,24 @@ class TestDatasetLoadingAndCache:
         assert_same_dataset(loaded, fresh)
         with pytest.raises(AssertionError):
             assert_same_dataset(loaded, before)
+
+    def test_a_cache_under_another_builtin_stopword_list_is_one_logged_miss(
+        self, synth_dir, tmp_path, caplog, monkeypatch
+    ):
+        cfg = pipeline.RunConfig(out_dir=str(tmp_path))
+        cfg.apply_dataset_dir(synth_dir)
+        before = pipeline.load_dataset(cfg, use_cache=False)
+        pipeline.write_dataset_cache(cfg, before)
+        # the first term of the first report joins the built-in list
+        term = before.corpus.terms[before.corpus.report_tokens.ids[0]]
+        builtin = corpus.default_stopwords()
+        monkeypatch.setattr(corpus, "default_stopwords", lambda: builtin | {term})
+        with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
+            loaded = pipeline.load_dataset(cfg)
+        logged = [record.getMessage() for record in caplog.records if record.name == "bugloc.pipeline"]
+        assert logged == [f"not using {tmp_path / pipeline.CACHE_NAME}; reading the inputs"]
+        assert term in before.corpus.terms and term not in loaded.corpus.terms
+        assert_same_dataset(loaded, pipeline.load_dataset(cfg, use_cache=False))
 
     @pytest.mark.parametrize(
         "mangle",

@@ -223,19 +223,22 @@ class TestSolve:
         assert model.vector(B1)[0] == 0.75
 
     def test_report_fields(self):
-        net, table = _pair_net()
+        # one unknown, S1, which the first iteration solves; B1 is eliminated
+        net, table = _pair_net((B1, S1, 1.0))
         model = solve(net, table, SolverConfig(max_iters=10, tolerance=1e-9))
         rep = model.convergence
-        assert rep.converged and rep.iterations == 2
+        assert rep.converged and rep.iterations == 1
         assert rep.final_displacement < 1e-9
         assert rep.final_energy == pytest.approx(0.0, abs=1e-15)
         d = rep.to_dict()
-        assert d["iterations"] == 2 and d["converged"] is True
+        assert d["iterations"] == 1 and d["converged"] is True
 
     def test_non_convergence_warns(self, caplog):
-        b2 = TypedNode("B", "b2")
+        # three unknowns (s1, s2 and m1) that take three iterations
+        b2, s2, m1 = TypedNode("B", "b2"), TypedNode("S", "s2.java"), TypedNode("M", "lines:0")
         net = network_of(
-            [(T1, B1, 1.0), (B1, S1, 1.0), (b2, S1, 1.0), (TypedNode("T", "t2"), b2, 1.0)]
+            [(T1, B1, 1.0), (B1, S1, 1.0), (b2, S1, 1.0), (TypedNode("T", "t2"), b2, 1.0),
+             (S1, m1, 1.0), (b2, s2, 1.0), (s2, m1, 1.0)]
         )
         table = make_table(1, {"t1": np.array([1.0]), "t2": np.array([-1.0])})
         with caplog.at_level(logging.WARNING, logger="bugloc.regularizer"):
@@ -266,6 +269,19 @@ class TestSolve:
             direct = closed_form_solve(net, table)
         np.testing.assert_array_equal(direct.vector(b2), [0.0])
         assert [r.getMessage() for r in caplog.records] == [message]
+
+    def test_isolated_and_edgeless_rows_come_back_zero_from_any_start(self):
+        # b2-s2 has no clamped node and the free t2 has no edge: neither is an unknown
+        b2, s2 = TypedNode("B", "b2"), TypedNode("S", "s2.java")
+        net = network_of([(T1, B1, 1.0), (B1, S1, 1.0), (b2, s2, 1.0)], nodes=[T2])
+        table = make_table(1, {"t1": np.array([1.0])})
+        initial = initialize_representation(net, table)
+        initial.matrix[~initial.clamped_rows] = 5.0
+        model = solve(net, table, SolverConfig(tolerance=1e-12), initial=initial)
+        for node in (b2, s2, T2):
+            np.testing.assert_array_equal(model.vector(node), [0.0])
+        np.testing.assert_allclose(model.matrix, [[1.0], [0.0], [1.0], [0.0], [1.0], [0.0]], atol=1e-12)
+        assert len(model.convergence.isolated_components) == 2
 
     def test_initial_model_over_other_nodes_rejected(self):
         net, table = _weighted_net()
