@@ -5,6 +5,16 @@ Bug reports arrive as JSONL, one report per line, and are kept in
 chronological order so that a time-based train/query split is just a list
 slice. Text is tokenized by splitting identifiers at case transitions and
 non-alphanumeric boundaries; weighting is plain tf * ln(N / df).
+
+Sparse rows (CSR) times a dense matrix is the one product behind every
+vector of the learned space: query and file embeddings (ranker.embed_rows)
+and the solver's and the sweep's sums (regularizer). RowProduct plans it
+once for a CSR, a row order and a column map, and applies it as often as
+needed. Each planned row adds its kept entries one at a time, in stored
+order, starting from +0.0: the order of embeddings.embed_tokens and of
+scipy's sparse-times-dense product, so the sums keep their bits. The rows
+come longest first (longest_first), so the rows holding a p-th kept entry
+are a prefix of them, and the p-th additions of all rows are one slice.
 """
 
 from __future__ import annotations
@@ -300,7 +310,54 @@ class CSR:
 
     def row_ids(self) -> np.ndarray:
         """The row of each stored entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.arange(self.shape[0]).repeat(self.indptr[1:] - self.indptr[:-1])
+
+
+def longest_first(matrix: CSR, rows: np.ndarray, read: np.ndarray) -> np.ndarray:
+    """The given rows of matrix ordered by how many of their entries fall
+    in the columns that the mask `read` keeps, most first, ties in the
+    given order: the row order that RowProduct takes."""
+    counts = np.bincount(matrix.row_ids()[read[matrix.indices]], minlength=matrix.shape[0])
+    return rows[np.argsort(-counts[rows], kind="stable")]
+
+
+class RowProduct:
+    """The planned product of some rows of a CSR with a dense factor (see
+    the module docstring): rows, given in longest_first order over the
+    columns that the map reads, and columns[j], the factor row that column
+    j reads, or -1 for a column the product skips.
+
+    Step p is (the number of rows holding a p-th kept entry, those
+    entries' values as a column, their factor rows), the rows in plan
+    order; apply() takes one slice per step.
+    """
+
+    def __init__(self, matrix: CSR, rows: np.ndarray, columns: np.ndarray):
+        ids, at = matrix.row_ids(), columns[matrix.indices]
+        rank = np.full(matrix.shape[0], -1)
+        rank[rows] = np.arange(len(rows))
+        kept = np.flatnonzero((rank[ids] >= 0) & (at >= 0))
+        kept_ids = ids[kept]  # ascending, so each row's entries are one run
+        position = np.arange(len(kept)) - np.searchsorted(kept_ids, kept_ids)
+        kept = kept[np.argsort(position * len(rows) + rank[kept_ids])]
+        values, at = matrix.data[kept, None], at[kept]
+        self.steps, end = [], 0
+        for n in np.bincount(position).tolist():
+            start, end = end, end + n
+            self.steps.append((n, values[start:end], at[start:end]))
+
+    def apply(self, factor: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> None:
+        """out = the planned rows times factor, one row per planned row in
+        plan order; spare, made when not given, is scratch space of at
+        least as many rows as out."""
+        out.fill(0.0)
+        if spare is None:
+            spare = np.empty_like(out)
+        for n, values, at in self.steps:
+            part = spare[:n]
+            factor.take(at, axis=0, out=part)
+            part *= values
+            out[:n] += part
 
 
 def link_matrix(lists: Sequence[Sequence[str]], keys: Sequence[str]) -> CSR:

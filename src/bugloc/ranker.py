@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import CSR
+from .corpus import CSR, RowProduct, longest_first
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -133,33 +133,18 @@ def embed_rows(weights: CSR, rows: np.ndarray, matrix: np.ndarray) -> np.ndarray
     This is embed_tokens with those weights, bit for bit. Queries are
     weighted by TF-IDF, files by count.
 
-    The weighted sums are taken one position at a time across all rows:
-    every row adds its p-th term before any adds its (p + 1)-th. So each
-    row adds its terms in ascending order, one at a time, as embed_tokens
-    and scipy's sparse-times-dense product do, and so does np.bincount
-    with the weights.
+    The weighted sums are one RowProduct over every row, so each row adds
+    its in-table terms in ascending order, one at a time, as embed_tokens
+    does, and so does np.bincount with the weights.
     """
     num_rows, dim = weights.shape[0], matrix.shape[1]
-    if not len(matrix):  # no term has a row, so every mean is 0
-        return np.zeros((num_rows, dim))
-    ids, at = weights.row_ids(), rows[weights.indices]
-    data = np.where(at >= 0, weights.data, 0.0)
-    totals = np.bincount(ids, weights=data, minlength=num_rows)[:, None]
-    # rows longest first, so the rows holding a p-th entry are a prefix; the
-    # entries sorted by position, then by that rank, so each step is a slice
-    order = np.argsort(-np.diff(weights.indptr), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    position = np.arange(weights.nnz) - weights.indptr[ids]
-    by_step = np.argsort(position * len(order) + rank[ids])
-    data, at = data[by_step, None], at[by_step]
-    sums = np.zeros((num_rows, dim))
-    end = 0
-    for n in np.bincount(position).tolist():
-        start, end = end, end + n
-        # an entry of weight 0 at row -1 adds zeros, which change no sum
-        sums[:n] += data[start:end] * matrix[at[start:end]]
-    sums[order] = sums.copy()  # back to row order
+    data = np.where(rows[weights.indices] >= 0, weights.data, 0.0)
+    totals = np.bincount(weights.row_ids(), weights=data, minlength=num_rows)[:, None]
+    order = longest_first(weights, np.arange(num_rows), rows >= 0)
+    planned = np.empty((num_rows, dim))
+    RowProduct(weights, order, rows).apply(matrix, planned)
+    sums = np.empty_like(planned)
+    sums[order] = planned  # back to row order
     return np.divide(sums, totals, out=np.zeros_like(sums), where=totals > 0.0)
 
 

@@ -9,12 +9,13 @@ solve() finds that minimum by Jacobi-preconditioned conjugate gradients
 (conjugate_gradients) on a reduced system (ReducedSystem): no edge joins
 two report (B) nodes, so the free B rows are eliminated exactly and
 recovered once at the end as the weighted average of their neighbors, and
-the unknowns are the free files, buckets and terms. Its products run over
-the network's own CSR arrays with numpy, so no command imports scipy.
-The tests check the solve against a second, independent route, one sparse
-LU solve of the harmonic system (tests/solveref.py). sweep_plan and
-sweep_update, a Gauss-Seidel sweep that no command runs, are kept only
-for the benchmark's tracer, which names sweep_update.
+the unknowns are the free files, buckets and terms. Every product over
+the network's CSR is a corpus.RowProduct, numpy alone, so the module
+imports no scipy. The tests check the solve against a second, independent
+route, one sparse LU solve of the harmonic system (tests/solveref.py).
+sweep_plan and sweep_update, a Gauss-Seidel sweep that no command runs
+and that multiplies through RowProduct too, are kept only for the
+benchmark's tracer, which names sweep_update.
 
 Free nodes in a component with no clamped node have no information source;
 they come back zero, and a diagnostic, read from the network's single
@@ -34,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus import CSR
+from .corpus import RowProduct, longest_first
 from .embeddings import EmbeddingTable
 from .errors import (
     ValidationError, file_sha256, read_array, read_records, read_strings, replacing, write_records,
@@ -127,31 +128,23 @@ def _check_aligned(model: RepresentationModel, net: HeteroNetwork) -> None:
         raise ValidationError("the model's nodes differ from the network's")
 
 
-# A Gauss-Seidel sweep: nothing in the package calls _scipy_adjacency,
-# sweep_plan or sweep_update. They stay, unchanged, only because
-# bench/tracer.py wraps sweep_update by name, and go when the benchmark stops
-# pinning it (ROADMAP item 1(b)).
-def _scipy_adjacency(net: HeteroNetwork):
-    """The network's adjacency as a scipy csr_array over the same arrays."""
-    from scipy import sparse
-
-    adj = net.adjacency
-    return sparse.csr_array((adj.data, adj.indices, adj.indptr), adj.shape)
-
-
+# A Gauss-Seidel sweep: nothing in the package calls sweep_plan or
+# sweep_update. They stay only because bench/tracer.py wraps sweep_update by
+# name, and go when the benchmark stops pinning it (ROADMAP item 1(b)).
 def sweep_plan(model: RepresentationModel, net: HeteroNetwork) -> list[tuple]:
     """The steps of one Gauss-Seidel sweep, fixed for a whole solve: for each
     kind of _SWEEP_KINDS, in order, that has movable rows (free, with a
-    neighbor), those rows, their rows of the adjacency in stored order and
-    their degrees as a column. No other row ever moves."""
+    neighbor), those rows in longest_first order, the RowProduct of their
+    rows of the adjacency and their degrees as a column. No other row ever
+    moves."""
     _check_aligned(model, net)
     movable = ~model.clamped_rows & (net.degree > 0)
-    adjacency, steps = _scipy_adjacency(net), {}
+    adj, steps, columns = net.adjacency, {}, np.arange(len(net.nodes))
     for kind in KINDS:
         block = net.nodes.rows(kind)
-        rows = block.start + np.flatnonzero(movable[block])
+        rows = longest_first(adj, block.start + np.flatnonzero(movable[block]), columns >= 0)
         if rows.size:
-            steps[kind] = (rows, adjacency[rows], net.degree[rows, None])
+            steps[kind] = (rows, RowProduct(adj, rows, columns), net.degree[rows, None])
     return [steps[kind] for kind in _SWEEP_KINDS if kind in steps]
 
 
@@ -161,8 +154,9 @@ def sweep_update(model: RepresentationModel, plan: list[tuple]) -> float:
     average of their neighbors, earlier steps' updates included, all at once:
     no edge joins two nodes of one kind, so that equals visiting them one by one."""
     max_disp = 0.0
-    for rows, adjacency, degree in plan:
-        update = adjacency @ model.matrix
+    for rows, product, degree in plan:
+        update = np.empty((len(rows), model.dim))
+        product.apply(model.matrix, update)
         update /= degree
         max_disp = max(max_disp, float(np.linalg.norm(update - model.matrix[rows], axis=1).max()))
         model.matrix[rows] = update
@@ -201,48 +195,6 @@ def _isolate(model: RepresentationModel, net: HeteroNetwork) -> tuple[np.ndarray
     return isolated, messages
 
 
-def _longest_first(adj: CSR, rows: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """The given rows ordered by how many of their entries fall in the
-    columns that the mask `read` keeps, most first, ties in the given order."""
-    counts = np.bincount(adj.row_ids()[read[adj.indices]], minlength=adj.shape[0])
-    return rows[np.argsort(-counts[rows], kind="stable")]
-
-
-def _steps(adj: CSR, rows: np.ndarray, columns: np.ndarray) -> list[tuple]:
-    """The plan of the product of the adjacency's rows `rows`, given in
-    _longest_first order, with a dense factor: columns[j] is the factor row
-    that column j reads, or -1 for a column the product skips.
-
-    As ranker.embed_rows takes its sums, the rows holding a p-th read entry
-    are a prefix of the rows, and step p is one slice over all of them:
-    (that prefix's length, its entries' weights as a column, their factor
-    rows). So every row adds its entries in stored order."""
-    ids = adj.row_ids()
-    rank = np.full(adj.shape[0], -1)
-    rank[rows] = np.arange(len(rows))
-    kept = np.flatnonzero((rank[ids] >= 0) & (columns[adj.indices] >= 0))
-    kept_ids = ids[kept]  # ascending, so each row's entries are one run
-    position = np.arange(len(kept)) - np.searchsorted(kept_ids, kept_ids)
-    kept = kept[np.argsort(position * len(rows) + rank[kept_ids], kind="stable")]
-    weights, at = adj.data[kept, None], columns[adj.indices[kept]]
-    steps, end = [], 0
-    for n in np.bincount(position).tolist():
-        start, end = end, end + n
-        steps.append((n, weights[start:end], at[start:end]))
-    return steps
-
-
-def _product(steps: list[tuple], factor: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
-    """out = the product that _steps planned, times factor, one row per
-    planned row in its order; spare holds at least as many rows as out."""
-    out.fill(0.0)
-    for n, weights, at in steps:
-        part = spare[:n]
-        np.take(factor, at, axis=0, out=part)
-        part *= weights
-        out[:n] += part
-
-
 class ReducedSystem:
     """The harmonic system of a model's free rows with the report (B) rows
     eliminated.
@@ -256,8 +208,8 @@ class ReducedSystem:
         (D_F - A_FF - A_FB D_B^-1 A_BF) X_F = A_FC X_C + A_FB D_B^-1 A_BC X_C.
 
     The matrix is never formed: apply() takes two planned products
-    (_steps) over the network's CSR, B rows reading X_F, then F rows reading
-    the B part and X_F stacked. The clamped parts are taken once. The B
+    (RowProduct) over the network's CSR, B rows reading X_F, then F rows
+    reading the B part and X_F stacked. The clamped parts are taken once. The B
     rows are held in the first product's row order and the F rows in the
     second's, so neither product reorders; write() puts every row back.
     The rows of a component with no clamped node, `isolated`, free nodes
@@ -270,32 +222,30 @@ class ReducedSystem:
         in_b = np.zeros(num_nodes, dtype=bool)
         in_b[net.nodes.rows("B")] = True
         in_f = free & ~in_b
-        self.b_rows = _longest_first(adj, np.flatnonzero(free & in_b), in_f)
-        self.f_rows = _longest_first(adj, np.flatnonzero(in_f), free)
+        self.b_rows = longest_first(adj, np.flatnonzero(free & in_b), in_f)
+        self.f_rows = longest_first(adj, np.flatnonzero(in_f), free)
         self.isolated = isolated
         num_b, num_f, dim = len(self.b_rows), len(self.f_rows), model.dim
         column = np.full(num_nodes, -1)
         column[self.b_rows] = np.arange(num_b)
         column[self.f_rows] = num_b + np.arange(num_f)
-        self.to_b = _steps(adj, self.b_rows, np.where(in_f, column - num_b, -1))
-        self.to_f = _steps(adj, self.f_rows, column)
+        self.to_b = RowProduct(adj, self.b_rows, np.where(in_f, column - num_b, -1))
+        self.to_f = RowProduct(adj, self.f_rows, column)
         self.b_degree = net.degree[self.b_rows, None]
         self.f_degree = net.degree[self.f_rows, None]
         self.spare = np.empty((num_b + num_f, dim))
         # A_UC X_C over the free rows U, the B rows and then X_F's, taken once
-        by_clamped = _longest_first(adj, np.flatnonzero(free), clamped)
+        by_clamped = longest_first(adj, np.flatnonzero(free), clamped)
         sums = np.empty((len(by_clamped), dim))
-        _product(
-            _steps(adj, by_clamped, np.where(clamped, np.arange(num_nodes), -1)),
-            model.matrix, sums, self.spare,
-        )
+        to_clamped = RowProduct(adj, by_clamped, np.where(clamped, np.arange(num_nodes), -1))
+        to_clamped.apply(model.matrix, sums, self.spare)
         self.clamped_sums = np.empty_like(sums)
         self.clamped_sums[column[by_clamped]] = sums
         # `stacked` holds what the F rows read: the B part, then X_F
         self.stacked = np.zeros((num_b + num_f, dim))
         self.stacked[:num_b] = self.clamped_sums[:num_b] / self.b_degree
         self.rhs = np.empty((num_f, dim))
-        _product(self.to_f, self.stacked, self.rhs, self.spare)
+        self.to_f.apply(self.stacked, self.rhs, self.spare)
         self.rhs += self.clamped_sums[num_b:]
         self.x = model.matrix[self.f_rows]
 
@@ -303,10 +253,10 @@ class ReducedSystem:
         """out = the reduced matrix times vector, one row per unknown."""
         num_b = len(self.b_rows)
         b_part = self.stacked[:num_b]
-        _product(self.to_b, vector, b_part, self.spare)
+        self.to_b.apply(vector, b_part, self.spare)
         b_part /= self.b_degree
         self.stacked[num_b:] = vector
-        _product(self.to_f, self.stacked, out, self.spare)
+        self.to_f.apply(self.stacked, out, self.spare)
         scaled = np.multiply(vector, self.f_degree, out=self.spare[: len(vector)])
         np.subtract(scaled, out, out=out)
 
@@ -320,7 +270,7 @@ class ReducedSystem:
         mean of its neighbors, and zeros in the isolated rows."""
         num_b = len(self.b_rows)
         b_sums = self.stacked[:num_b]
-        _product(self.to_b, self.x, b_sums, self.spare)
+        self.to_b.apply(self.x, b_sums, self.spare)
         b_sums += self.clamped_sums[:num_b]
         matrix[self.b_rows] = b_sums / self.b_degree
         matrix[self.f_rows] = self.x

@@ -1,7 +1,8 @@
-"""Direct solve of the harmonic system, kept apart from the sweeps in
-bugloc.regularizer so that tests can compare the two routes, and the
-sweep as it was before sweep_plan, which the planned sweep must match bit
-for bit.
+"""Direct solve of the harmonic system, kept apart from the conjugate
+gradients of bugloc.regularizer so that tests can compare the two routes,
+and block_sweep, the Gauss-Seidel sweep as it ran through scipy's products
+before sweep_plan. The planned sweep multiplies through corpus.RowProduct
+with numpy alone and must match it bit for bit.
 
 Every free node equals the weighted average of its neighbors, with the
 clamped values substituted: one sparse LU factorization of the free-node

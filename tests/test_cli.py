@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -791,6 +792,21 @@ class TestDeterminism:
         assert _run("synth", "--out-dir", str(again), "--seed", "7") == 0
         for name in ("reports.jsonl", "sources.jsonl", "metrics.csv", "embeddings.txt"):
             assert (again / name).read_bytes() == (cli_dataset / name).read_bytes()
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only; a lazy import inside a function counts too
+    found = []
+    for path in sorted(Path(bugloc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

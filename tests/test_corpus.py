@@ -5,9 +5,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bugloc.corpus import (
+    CSR,
+    RowProduct,
     TokenRules,
     bow_vectorize,
     build_vocabulary,
@@ -17,6 +19,7 @@ from bugloc.corpus import (
     load_bug_reports,
     load_source_docs,
     load_stopwords,
+    longest_first,
     tfidf_rows,
     tokenize,
 )
@@ -381,3 +384,74 @@ class TestTfidfRows:
     def test_no_token_lists_give_no_rows(self):
         vocab = build_vocabulary([["ant"], ["bee"]])
         assert tfidf_rows([], vocab).shape == (0, 2)
+
+
+@st.composite
+def planned_products(draw, all_skipped=False):
+    """A CSR of up to 6 rows, empty ones included, its columns stored in any
+    order; a subset of its rows; a column map with -1 entries, every one
+    -1 when all_skipped; and a factor of 1 to 3 columns."""
+    width, height, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    columns = draw(st.lists(st.lists(st.integers(0, width - 1), max_size=7), max_size=6))
+    values = draw(
+        st.lists(st.floats(-1e3, 1e3), min_size=sum(map(len, columns)), max_size=sum(map(len, columns)))
+    )
+    matrix = CSR(
+        np.array(values, dtype=np.float64),
+        np.array([j for row in columns for j in row], dtype=np.intp),
+        np.cumsum([0, *map(len, columns)]),
+        (len(columns), width),
+    )
+    rows = draw(st.permutations(range(len(columns))))[: draw(st.integers(0, len(columns)))]
+    reads = st.just(-1) if all_skipped else st.integers(-1, height - 1)
+    column_map = np.array(draw(st.lists(reads, min_size=width, max_size=width)), dtype=np.intp)
+    factor = draw(st.lists(st.floats(-1e3, 1e3), min_size=height * dim, max_size=height * dim))
+    return matrix, np.array(rows, dtype=np.intp), column_map, np.reshape(factor, (height, dim))
+
+
+def _loop_product(matrix, rows, column_map, factor) -> list[list[float]]:
+    """Each row's kept entries, value times factor row, added one at a time
+    in stored order from 0.0, in plain Python floats."""
+    out = []
+    for row in rows.tolist():
+        sums = [0.0] * factor.shape[1]
+        for at in range(matrix.indptr[row], matrix.indptr[row + 1]):
+            reads = column_map[matrix.indices[at]]
+            if reads >= 0:
+                for k, x in enumerate(factor[reads].tolist()):
+                    sums[k] += float(matrix.data[at]) * x
+        out.append(sums)
+    return out
+
+
+class TestRowProduct:
+    def _check(self, matrix, rows, column_map, factor):
+        read = column_map >= 0
+        ordered = longest_first(matrix, rows, read)
+        counts = np.bincount(matrix.row_ids()[read[matrix.indices]], minlength=matrix.shape[0])
+        # most read entries first, ties in the given order (sorted is stable)
+        assert ordered.tolist() == sorted(rows.tolist(), key=lambda row: -counts[row])
+        out = np.full((len(rows), factor.shape[1]), np.nan)
+        plan = RowProduct(matrix, ordered, column_map)
+        for scale in (1.0, -0.5):  # a plan applies as often as needed
+            plan.apply(factor * scale, out)
+            expected = np.array(_loop_product(matrix, ordered, column_map, factor * scale))
+            expected = expected.reshape(out.shape)
+            assert out.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        return plan, out
+
+    @settings(max_examples=300)
+    @given(planned_products())
+    def test_matches_a_plain_loop_bit_for_bit(self, drawn):
+        self._check(*drawn)
+
+    @given(planned_products(all_skipped=True))
+    def test_every_column_skipped_plans_no_step(self, drawn):
+        plan, out = self._check(*drawn)
+        assert plan.steps == []
+        assert out.view(np.uint64).tolist() == np.zeros_like(out).view(np.uint64).tolist()
+
+    def test_no_rows_give_no_output_rows(self):
+        matrix = CSR(np.array([2.0, 3.0]), np.array([1, 0]), np.array([0, 2]), (1, 2))
+        plan, out = self._check(matrix, np.array([], dtype=np.intp), np.array([0, 1]), np.eye(2))
+        assert plan.steps == [] and out.shape == (0, 2)
