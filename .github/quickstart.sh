@@ -1,11 +1,14 @@
 #!/bin/bash
 # The README quick start, run end to end in a fresh temporary directory, with a
 # check of each step's outputs; the "README quick start" step of
-# .github/workflows/tests.yml runs it, and its comment lists the checks.
+# .github/workflows/tests.yml runs it, and its comment lists the checks. The
+# directory is removed on exit, pass or fail.
 # Run it from any directory: bash .github/quickstart.sh
 set -e
 export PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src"
-cd "$(mktemp -d)"
+dir="$(mktemp -d)"
+trap 'rm -rf "$dir"' EXIT
+cd "$dir"
 python -m bugloc synth --out-dir demo --seed 7
 python -m bugloc ingest --dataset-dir demo --out-dir demo/out
 test -s demo/out/dataset_cache.bin

@@ -159,12 +159,11 @@ def _load_model_arg(args):
 def cmd_ingest(args) -> int:
     cfg = _resolve_config(args)
     dataset = pipeline.load_dataset(cfg, use_cache=False)
-    corpus = dataset.corpus
     cache_path = pipeline.write_dataset_cache(cfg, dataset)
     summary = {
-        "reports": len(corpus.report_ids),
-        "reports_without_tokens": int((corpus.report_tokens.lengths() == 0).sum()),
-        "source_docs": len(corpus.source_paths or ()),
+        "reports": len(dataset.report_ids),
+        "reports_without_tokens": int((dataset.report_tokens.lengths() == 0).sum()),
+        "source_docs": len(dataset.source_paths or ()),
         "metric_records": len(dataset.metric_records),
         "embedding_tokens": len(dataset.table),
         "cache": str(cache_path),

@@ -1,5 +1,5 @@
-"""Bug-report corpus handling: ingestion, tokenization, the corpus as token
-ids, vocabulary, TF-IDF.
+"""Report and source text handling: ingestion, tokenization, token lists as
+ids (TokenIds), vocabulary, TF-IDF; pipeline.Dataset holds the loaded lists.
 
 Bug reports arrive as JSONL, one report per line, and are kept in
 chronological order so that a time-based train/query split is just a list
@@ -329,7 +329,8 @@ class RowProduct:
 
     Step p is (the number of rows holding a p-th kept entry, those
     entries' values as a column, their factor rows), the rows in plan
-    order; apply() takes one slice per step.
+    order; apply() takes one slice per step. reads is the number of
+    factor rows the plan needs: its largest factor row plus one.
     """
 
     def __init__(self, matrix: CSR, rows: np.ndarray, columns: np.ndarray):
@@ -341,6 +342,7 @@ class RowProduct:
         position = np.arange(len(kept)) - np.searchsorted(kept_ids, kept_ids)
         kept = kept[np.argsort(position * len(rows) + rank[kept_ids])]
         values, at = matrix.data[kept, None], at[kept]
+        self.reads = int(at.max()) + 1 if len(at) else 0
         self.steps, end = [], 0
         for n in np.bincount(position).tolist():
             start, end = end, end + n
@@ -349,13 +351,18 @@ class RowProduct:
     def apply(self, factor: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> None:
         """out = the planned rows times factor, one row per planned row in
         plan order; spare, made when not given, is scratch space of at
-        least as many rows as out."""
+        least as many rows as out. A factor of fewer than reads rows
+        raises ValueError."""
+        if len(factor) < self.reads:
+            raise ValueError(f"the plan reads {self.reads} factor rows, the factor has {len(factor)}")
         out.fill(0.0)
         if spare is None:
             spare = np.empty_like(out)
         for n, values, at in self.steps:
             part = spare[:n]
-            factor.take(at, axis=0, out=part)
+            # every row is in range (checked above), so clipping changes
+            # none; the default mode would gather into a buffer and copy it
+            factor.take(at, axis=0, out=part, mode="clip")
             part *= values
             out[:n] += part
 
@@ -473,46 +480,6 @@ def id_vocabulary(lists: TokenIds, dictionary: Sequence[str]) -> tuple[Vocabular
     terms = [dictionary[i] for i in term_ids.tolist()]
     doc_freq = np.bincount(counts.indices, minlength=len(terms)).tolist()
     return Vocabulary(terms, dict(zip(terms, doc_freq)), len(lists)), counts
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """The kept reports, in chronological order, with their fixed files
-    and token lists, and the source files' paths and token lists (None
-    without sources), the lists as ids into one sorted dictionary, terms."""
-
-    report_ids: tuple[str, ...]
-    fixed_files: tuple[tuple[str, ...], ...]
-    terms: tuple[str, ...]
-    report_tokens: TokenIds
-    source_paths: tuple[str, ...] | None
-    source_tokens: TokenIds | None
-
-    @classmethod
-    def of(
-        cls,
-        reports: Sequence[BugReport],
-        report_tokens: Sequence[Sequence[str]],
-        sources: Mapping[str, Sequence[str]] | None,
-    ) -> "Corpus":
-        """The corpus of reports with the token list of each, and sources,
-        each path mapped to its token list."""
-        groups = [report_tokens, *([] if sources is None else [list(sources.values())])]
-        terms = tuple(sorted({term for lists in groups for tokens in lists for term in tokens}))
-        index = {term: i for i, term in enumerate(terms)}
-        encoded = []
-        for lists in groups:
-            indptr = np.cumsum([0, *map(len, lists)], dtype=np.int64)
-            tokens = map(index.__getitem__, chain.from_iterable(lists))
-            encoded.append(TokenIds(indptr, np.fromiter(tokens, dtype=np.int32, count=indptr[-1])))
-        return cls(
-            report_ids=tuple(report.id for report in reports),
-            fixed_files=tuple(report.fixed_files for report in reports),
-            terms=terms,
-            report_tokens=encoded[0],
-            source_paths=None if sources is None else tuple(sources),
-            source_tokens=None if sources is None else encoded[1],
-        )
 
 
 def bow_vectorize(tokens: Iterable[str], vocab: Vocabulary) -> CSR:

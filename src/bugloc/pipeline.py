@@ -20,7 +20,7 @@ import numpy as np
 from . import evaluation, ranker, regularizer
 from .corpus import (
     CSR,
-    Corpus,
+    BugReport,
     TokenIds,
     TokenRules,
     Vocabulary,
@@ -200,12 +200,48 @@ class RunConfig:
 
 @dataclass
 class Dataset:
-    """Loaded inputs for one run, the corpus tokenized into ids."""
+    """Loaded inputs for one run: the kept reports, in chronological order,
+    with their fixed files and token lists; the source files' paths and
+    token lists (None without sources), the lists as ids into one sorted
+    dictionary, terms; the metric records and the embedding table."""
 
     name: str
-    corpus: Corpus
+    report_ids: tuple[str, ...]
+    fixed_files: tuple[tuple[str, ...], ...]
+    terms: tuple[str, ...]
+    report_tokens: TokenIds
+    source_paths: tuple[str, ...] | None
+    source_tokens: TokenIds | None
     metric_records: list[MetricRecord]
     table: EmbeddingTable
+
+    @classmethod
+    def of(
+        cls, name: str, reports: Sequence[BugReport], report_tokens: Sequence[Sequence[str]],
+        sources: Mapping[str, Sequence[str]] | None, metric_records: list[MetricRecord],
+        table: EmbeddingTable,
+    ) -> "Dataset":
+        """The dataset of reports with the token list of each, sources, each
+        path mapped to its token list, metric records and the table."""
+        groups = [report_tokens, *([] if sources is None else [list(sources.values())])]
+        terms = tuple(sorted({term for lists in groups for tokens in lists for term in tokens}))
+        index = {term: i for i, term in enumerate(terms)}
+        encoded = []
+        for lists in groups:
+            indptr = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+            tokens = map(index.__getitem__, chain.from_iterable(lists))
+            encoded.append(TokenIds(indptr, np.fromiter(tokens, dtype=np.int32, count=indptr[-1])))
+        return cls(
+            name=name,
+            report_ids=tuple(report.id for report in reports),
+            fixed_files=tuple(report.fixed_files for report in reports),
+            terms=terms,
+            report_tokens=encoded[0],
+            source_paths=None if sources is None else tuple(sources),
+            source_tokens=None if sources is None else encoded[1],
+            metric_records=metric_records,
+            table=table,
+        )
 
 
 def input_hashes(cfg: RunConfig) -> dict:
@@ -237,27 +273,27 @@ def write_dataset_cache(cfg: RunConfig, dataset: Dataset) -> Path:
     metric names and values; then the embedding tokens and matrix. Every
     list of strings is a string table (errors.write_records)."""
     path = Path(cfg.out_dir) / CACHE_NAME
-    corpus, metric_records, table = dataset.corpus, dataset.metric_records, dataset.table
-    sources = corpus.source_paths
+    metric_records, table = dataset.metric_records, dataset.table
+    sources = dataset.source_paths
     header = {
         "key": _cache_key(cfg),
-        "reports": len(corpus.report_ids),
-        "terms": len(corpus.terms),
+        "reports": len(dataset.report_ids),
+        "terms": len(dataset.terms),
         "sources": None if sources is None else len(sources),
         "metric_records": len(metric_records),
         "tokens": len(table),
     }
-    fixed_offsets = np.cumsum([0, *map(len, corpus.fixed_files)], dtype=np.int64)
+    fixed_offsets = np.cumsum([0, *map(len, dataset.fixed_files)], dtype=np.int64)
     records = [
-        corpus.report_ids,
+        dataset.report_ids,
         fixed_offsets,
-        tuple(chain.from_iterable(corpus.fixed_files)),
-        corpus.terms,
-        corpus.report_tokens.indptr,
-        corpus.report_tokens.ids,
+        tuple(chain.from_iterable(dataset.fixed_files)),
+        dataset.terms,
+        dataset.report_tokens.indptr,
+        dataset.report_tokens.ids,
     ]
     if sources is not None:
-        records += [sources, corpus.source_tokens.indptr, corpus.source_tokens.ids]
+        records += [sources, dataset.source_tokens.indptr, dataset.source_tokens.ids]
     records += [
         tuple(rec.path for rec in metric_records),
         tuple(rec.metric for rec in metric_records),
@@ -318,16 +354,11 @@ def _parse_dataset_cache(cfg: RunConfig, header: dict, fh) -> Dataset:
         or not (np.isfinite(values).all() and np.isfinite(matrix).all())
     ):
         raise ValueError("not a dataset the loaders would build")
-    corpus = Corpus(
-        report_ids=report_ids,
-        fixed_files=fixed_files,
-        terms=terms,
-        report_tokens=report_tokens,
-        source_paths=source_paths,
-        source_tokens=source_tokens,
-    )
     metric_records = list(map(MetricRecord, paths, metrics, values.tolist()))
-    return Dataset(name=cfg.dataset_name, corpus=corpus, metric_records=metric_records, table=table)
+    return Dataset(
+        cfg.dataset_name, report_ids, fixed_files, terms, report_tokens,
+        source_paths, source_tokens, metric_records, table,
+    )
 
 
 def _read_inputs(cfg: RunConfig) -> Dataset:
@@ -336,12 +367,9 @@ def _read_inputs(cfg: RunConfig) -> Dataset:
     reports = load_bug_reports(cfg.reports, resolved_only=cfg.resolved_only)
     report_tokens = [tokenize(report.text, rules) for report in reports]
     sources = load_source_docs(cfg.sources, rules) if cfg.sources else None
-    return Dataset(
-        name=cfg.dataset_name,
-        corpus=Corpus.of(reports, report_tokens, sources),
-        metric_records=load_metrics(cfg.metrics) if cfg.metrics else [],
-        table=load_embeddings(cfg.embeddings),
-    )
+    metric_records = load_metrics(cfg.metrics) if cfg.metrics else []
+    table = load_embeddings(cfg.embeddings)
+    return Dataset.of(cfg.dataset_name, reports, report_tokens, sources, metric_records, table)
 
 
 def load_dataset(cfg: RunConfig, use_cache: bool = True) -> Dataset:
@@ -377,7 +405,7 @@ class Index:
     """Training-side artifacts: vocabulary, TF-IDF rows, universe, the link
     matrices over it, and the network."""
 
-    train_ids: list[str]  # the corpus's first reports, in corpus order
+    train_ids: list[str]  # the dataset's first reports, in dataset order
     query_ids: list[str]  # the reports after them
     vocab: Vocabulary
     tfidf: CSR  # one row per training report, in training order
@@ -400,12 +428,12 @@ class Index:
         return ranker.build_bow_index(self.tfidf, self.fix_links)
 
 
-def file_universe(corpus: Corpus, metric_records: Sequence[MetricRecord]) -> tuple[str, ...]:
+def file_universe(dataset: Dataset) -> tuple[str, ...]:
     """Inventory paths when sources or metrics exist, else all fixed files."""
-    inventory: set[str] = set(corpus.source_paths or ())
-    inventory.update(rec.path for rec in metric_records)
+    inventory: set[str] = set(dataset.source_paths or ())
+    inventory.update(rec.path for rec in dataset.metric_records)
     if not inventory:
-        inventory.update(chain.from_iterable(corpus.fixed_files))
+        inventory.update(chain.from_iterable(dataset.fixed_files))
     return tuple(sorted(inventory))
 
 
@@ -426,15 +454,14 @@ def fix_links(
 
 def build_index(dataset: Dataset, cfg: RunConfig) -> Index:
     """Split chronologically and assemble the training-side index from the
-    corpus's token ids, each path resolved to its universe column once; the
+    dataset's token ids, each path resolved to its universe column once; the
     network is built when first used."""
-    corpus = dataset.corpus
-    train, queries = split_reports(corpus.report_ids, cfg.split)
+    train, queries = split_reports(dataset.report_ids, cfg.split)
     if not train:
         raise ValidationError("the chronological split leaves no training reports")
-    universe = file_universe(corpus, dataset.metric_records)
-    fixes = fix_links(train, corpus.fixed_files[: len(train)], universe)
-    vocab, counts = id_vocabulary(corpus.report_tokens.take(range(len(train))), corpus.terms)
+    universe = file_universe(dataset)
+    fixes = fix_links(train, dataset.fixed_files[: len(train)], universe)
+    vocab, counts = id_vocabulary(dataset.report_tokens.take(range(len(train))), dataset.terms)
     keys, in_bucket = discretize(dataset.metric_records, cfg.buckets_per_metric, universe)
     return Index(
         train_ids=train,
@@ -475,12 +502,11 @@ def solve_model(index: Index, table: EmbeddingTable, cfg: RunConfig) -> Represen
 def file_embedding_vectors(dataset: Dataset, universe: Sequence[str]) -> np.ndarray:
     """Token-count-weighted embedding mean per source file, one row per path:
     embed_rows over the files' term counts, as queries over their TF-IDF rows."""
-    corpus = dataset.corpus
-    if corpus.source_tokens is None:
+    if dataset.source_tokens is None:
         raise ValidationError("the embedding method needs source docs, none configured")
-    row_of = {path: row for row, path in enumerate(corpus.source_paths)}
-    lists = corpus.source_tokens.take([row_of.get(path, -1) for path in universe])
-    vocab, counts = id_vocabulary(lists, corpus.terms)
+    row_of = {path: row for row, path in enumerate(dataset.source_paths)}
+    lists = dataset.source_tokens.take([row_of.get(path, -1) for path in universe])
+    vocab, counts = id_vocabulary(lists, dataset.terms)
     rows = dataset.table.rows_of(vocab.terms)
     return ranker.embed_rows(counts, rows, dataset.table.matrix)
 
@@ -600,9 +626,8 @@ def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> eval
     in the context.
     """
     index = scorer.index
-    corpus = dataset.corpus
     cut = len(index.train_ids)
-    truth = link_matrix(corpus.fixed_files[cut:], index.universe)
+    truth = link_matrix(dataset.fixed_files[cut:], index.universe)
     kept = np.diff(truth.indptr) > 0
     query_ids = list(compress(index.query_ids, kept))
     excluded = list(compress(index.query_ids, ~kept))
@@ -616,8 +641,8 @@ def build_eval_context(dataset: Dataset, cfg: RunConfig, scorer: Scorer) -> eval
     relevant[truth.row_ids(), truth.indices] = True
     relevant = relevant[kept]
     # each dictionary id's vocabulary column, -1 for a term no training report holds
-    columns = np.array([index.vocab.index.get(term, -1) for term in corpus.terms], dtype=np.intp)
-    queries = corpus.report_tokens.take(cut + np.flatnonzero(kept))
+    columns = np.array([index.vocab.index.get(term, -1) for term in dataset.terms], dtype=np.intp)
+    queries = dataset.report_tokens.take(cut + np.flatnonzero(kept))
     rows = weigh_counts(queries.count_rows(columns, len(index.vocab)), index.vocab)
     methods = [method for method in cfg.methods if method != evaluation.METHOD_BOW]
     learned = {method: scorer.learned_matrix(method, rows) for method in methods}

@@ -455,3 +455,14 @@ class TestRowProduct:
         matrix = CSR(np.array([2.0, 3.0]), np.array([1, 0]), np.array([0, 2]), (1, 2))
         plan, out = self._check(matrix, np.array([], dtype=np.intp), np.array([0, 1]), np.eye(2))
         assert plan.steps == [] and out.shape == (0, 2)
+
+    def test_a_factor_shorter_than_the_plan_reads_raises(self):
+        # column 0 reads factor row 2: a clipped gather would read row 1 for it
+        matrix = CSR(np.array([2.0, 3.0]), np.array([1, 0]), np.array([0, 2]), (1, 2))
+        plan = RowProduct(matrix, np.array([0]), np.array([2, 0]))
+        factor, out = np.arange(6.0).reshape(3, 2), np.full((1, 2), np.nan)
+        with pytest.raises(ValueError, match="reads 3 factor rows, the factor has 2"):
+            plan.apply(factor[:2], out)
+        assert np.isnan(out).all()
+        plan.apply(factor, out)
+        assert out.tolist() == [[2.0 * 0.0 + 3.0 * 4.0, 2.0 * 1.0 + 3.0 * 5.0]]

@@ -444,16 +444,15 @@ def test_a_cache_hit_equals_a_fresh_load_in_listed_cases(mutations, control):
         return control if strategy is CONTROL else find(strategy, lambda value: True)
 
     dataset = _assert_a_hit_equals_a_fresh_load(0, mutations, draw)
-    corpus = dataset.corpus
     # the listed case reached the cache
-    fixed = [path for files in corpus.fixed_files for path in files]
+    fixed = [path for files in dataset.fixed_files for path in files]
     reached = {
-        "control_id": lambda: any(control in rid for rid in corpus.report_ids),
+        "control_id": lambda: any(control in rid for rid in dataset.report_ids),
         "control_path": lambda: any(control in path for path in fixed),
         "control_metric_path": lambda: any(control in rec.path for rec in dataset.metric_records),
-        "stopword_report": lambda: (corpus.report_tokens.lengths() == 0).any(),
-        "no_sources": lambda: corpus.source_paths is None,
+        "stopword_report": lambda: (dataset.report_tokens.lengths() == 0).any(),
+        "no_sources": lambda: dataset.source_paths is None,
         "no_metrics": lambda: dataset.metric_records == [],
-        "odd_id": lambda: any(set(rid) & set(ODD_CHARACTERS) for rid in corpus.report_ids),
+        "odd_id": lambda: any(set(rid) & set(ODD_CHARACTERS) for rid in dataset.report_ids),
     }
     assert reached[mutations[0]]()

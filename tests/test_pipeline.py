@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bugloc import corpus, evaluation, pipeline, ranker
-from bugloc.corpus import BugReport, Corpus, load_bug_reports, tfidf_rows
+from bugloc.corpus import BugReport, load_bug_reports, tfidf_rows
 from bugloc.embeddings import EmbeddingTable, embed_tokens
 from bugloc.errors import ParseError, ValidationError
 from linkref import bow_links, ground_truth
@@ -166,14 +166,14 @@ class TestFileUniverse:
         cfg = pipeline.RunConfig()
         cfg.apply_dataset_dir(synth_dir)
         dataset = pipeline.load_dataset(cfg, use_cache=False)
-        universe = pipeline.file_universe(dataset.corpus, dataset.metric_records)
+        universe = pipeline.file_universe(dataset)
         assert len(universe) == 24
         assert universe == tuple(sorted(universe))
 
     def test_falls_back_to_fixed_files(self):
         reports = [_report("B-1", 0, files=("y.java", "x.java")), _report("B-2", 1, files=("x.java",))]
-        corpus = Corpus.of(reports, [[], []], None)
-        assert pipeline.file_universe(corpus, []) == ("x.java", "y.java")
+        dataset = pipeline.Dataset.of("d", reports, [[], []], None, [], make_table(1, {"a": [1.0]}))
+        assert pipeline.file_universe(dataset) == ("x.java", "y.java")
 
 
 class TestDatasetLoadingAndCache:
@@ -209,12 +209,12 @@ class TestDatasetLoadingAndCache:
         fresh = pipeline.load_dataset(cfg, use_cache=False)
         # the first report's tokens, the first metric record and the first
         # embedding row changed, so that only the cache can give them
-        rows = [-1, *range(1, len(fresh.corpus.report_ids))]
+        rows = [-1, *range(1, len(fresh.report_ids))]
         matrix = fresh.table.matrix.copy()
         matrix[0] += 1.0
         changed = dataclasses.replace(
             fresh,
-            corpus=dataclasses.replace(fresh.corpus, report_tokens=fresh.corpus.report_tokens.take(rows)),
+            report_tokens=fresh.report_tokens.take(rows),
             metric_records=[
                 dataclasses.replace(fresh.metric_records[0], value=-1.0), *fresh.metric_records[1:]
             ],
@@ -233,7 +233,7 @@ class TestDatasetLoadingAndCache:
             monkeypatch.setattr(f"bugloc.{module}.{name}", refuse)
         reloaded = pipeline.load_dataset(cfg, use_cache=True)
         assert_same_dataset(reloaded, changed)
-        assert reloaded.corpus != fresh.corpus and reloaded.metric_records != fresh.metric_records
+        assert reloaded.report_tokens != fresh.report_tokens and reloaded.metric_records != fresh.metric_records
 
     @pytest.mark.parametrize("name", ["metrics", "embeddings", "stopwords_file"])
     def test_an_input_changed_after_the_cache_is_one_logged_miss(self, synth_dir, tmp_path, caplog, name):
@@ -255,7 +255,7 @@ class TestDatasetLoadingAndCache:
             lines[1] = " ".join([token, repr(float(first) + 1.0), *rest]) + "\n"
         else:
             # the first term of the first report a stop word
-            lines.append(before.corpus.terms[before.corpus.report_tokens.ids[0]] + "\n")
+            lines.append(before.terms[before.report_tokens.ids[0]] + "\n")
         path.write_text("".join(lines), encoding="utf-8")
         with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
             loaded = pipeline.load_dataset(cfg)
@@ -274,14 +274,14 @@ class TestDatasetLoadingAndCache:
         before = pipeline.load_dataset(cfg, use_cache=False)
         pipeline.write_dataset_cache(cfg, before)
         # the first term of the first report joins the built-in list
-        term = before.corpus.terms[before.corpus.report_tokens.ids[0]]
+        term = before.terms[before.report_tokens.ids[0]]
         builtin = corpus.default_stopwords()
         monkeypatch.setattr(corpus, "default_stopwords", lambda: builtin | {term})
         with caplog.at_level(logging.INFO, logger="bugloc.pipeline"):
             loaded = pipeline.load_dataset(cfg)
         logged = [record.getMessage() for record in caplog.records if record.name == "bugloc.pipeline"]
         assert logged == [f"not using {tmp_path / pipeline.CACHE_NAME}; reading the inputs"]
-        assert term in before.corpus.terms and term not in loaded.corpus.terms
+        assert term in before.terms and term not in loaded.terms
         assert_same_dataset(loaded, pipeline.load_dataset(cfg, use_cache=False))
 
     @pytest.mark.parametrize(
@@ -402,7 +402,7 @@ class TestFileEmbeddingVectors:
         self, vectors, sources, universe
     ):
         table = make_table(3, vectors)
-        dataset = pipeline.Dataset("d", Corpus.of([], [], sources), [], table)
+        dataset = pipeline.Dataset.of("d", [], [], sources, [], table)
         rows = pipeline.file_embedding_vectors(dataset, universe)
         assert rows.shape == (len(universe), 3)
         for path, row in zip(universe, rows):
@@ -412,7 +412,7 @@ class TestFileEmbeddingVectors:
             assert row.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_needs_source_docs(self):
-        dataset = pipeline.Dataset("d", Corpus.of([], [], None), [], make_table(1, {"a": [1.0]}))
+        dataset = pipeline.Dataset.of("d", [], [], None, [], make_table(1, {"a": [1.0]}))
         with pytest.raises(ValidationError, match="source docs"):
             pipeline.file_embedding_vectors(dataset, ["a.py"])
 
@@ -421,16 +421,16 @@ class TestBuildIndex:
     def test_index_shapes(self, eval_bundle):
         index = eval_bundle.scorer.index
         # resolved_only drops the handful of open reports before the split
-        assert index.train_ids + index.query_ids == list(eval_bundle.dataset.corpus.report_ids)
+        assert index.train_ids + index.query_ids == list(eval_bundle.dataset.report_ids)
         assert len(index.universe) == 24
         assert index.network.nodes.keys[index.network.nodes.rows("M")]
         assert index.tfidf.shape == (len(index.train_ids), len(index.vocab))
 
     def test_vocabulary_covers_training_reports_only(self, eval_bundle):
         index = eval_bundle.scorer.index
-        corpus = eval_bundle.dataset.corpus
-        train = corpus.report_tokens.take(range(len(index.train_ids)))
-        assert set(index.vocab.terms) == {corpus.terms[i] for i in train.ids}
+        dataset = eval_bundle.dataset
+        train = dataset.report_tokens.take(range(len(index.train_ids)))
+        assert set(index.vocab.terms) == {dataset.terms[i] for i in train.ids}
 
     def test_scorer_with_a_model_builds_no_network(self, eval_bundle, monkeypatch):
         def refuse(*args):
@@ -549,8 +549,8 @@ def _assert_links_match_the_dict_loops(reports, tokens, universe):
     """Build the index and eval context of the reports, with their tokens,
     over sources at the universe paths, and check the link matrices and
     the ground truth against linkref's per-report loops."""
-    corpus = Corpus.of(reports, tokens, {path: [] for path in universe})
-    dataset = pipeline.Dataset("links", corpus, [], make_table(1, {"leak": [1.0]}))
+    sources = {path: [] for path in universe}
+    dataset = pipeline.Dataset.of("links", reports, tokens, sources, [], make_table(1, {"leak": [1.0]}))
     cfg = pipeline.RunConfig(split=0.5, methods=(evaluation.METHOD_BOW,))
     index = pipeline.build_index(dataset, cfg)
     cut = len(index.train_ids)
@@ -569,7 +569,7 @@ def _assert_links_match_the_dict_loops(reports, tokens, universe):
     np.testing.assert_array_equal(ctx.relevant, relevant)
     # each link row keeps its fixed-file order; a row sorted by column
     # gives the same scores, bit for bit
-    token_of = dict(zip(corpus.report_ids, tokens))
+    token_of = dict(zip(dataset.report_ids, tokens))
     rows = tfidf_rows([token_of[qid] for qid in query_ids], index.vocab)
     by_column = dataclasses.replace(bow, links=from_scipy(to_scipy(bow.links).sorted_indices()))
     np.testing.assert_array_equal(

@@ -5,6 +5,7 @@ dataset cache, each of which must read as a miss; then the damage only a
 dataset cache can have, which load_dataset must log as a miss, naming the
 file, and load past to what the inputs give."""
 
+import dataclasses
 import logging
 import tempfile
 import tracemalloc
@@ -405,17 +406,20 @@ MISSES = {
 
 
 def assert_same_dataset(loaded, fresh):
-    """The loaded dataset is fresh: its corpus and metric records equal and
-    its embedding matrix bit for bit."""
-    assert loaded.name == fresh.name and loaded.corpus == fresh.corpus
-    assert loaded.metric_records == fresh.metric_records
-    values = [np.array([rec.value for rec in data.metric_records]) for data in (loaded, fresh)]
-    assert values[0].tobytes() == values[1].tobytes()
-    assert loaded.table.tokens == fresh.table.tokens
-    assert loaded.table.matrix.dtype == fresh.table.matrix.dtype == np.float64
-    np.testing.assert_array_equal(
-        loaded.table.matrix.view(np.uint64), fresh.table.matrix.view(np.uint64)
-    )
+    """The loaded dataset is fresh: every field of pipeline.Dataset equal,
+    token ids through TokenIds.__eq__, and the metric values and the
+    embedding matrix bit for bit."""
+    for field in dataclasses.fields(pipeline.Dataset):
+        mine, theirs = getattr(loaded, field.name), getattr(fresh, field.name)
+        if field.name == "table":
+            assert mine.tokens == theirs.tokens
+            assert mine.matrix.dtype == theirs.matrix.dtype == np.float64
+            np.testing.assert_array_equal(mine.matrix.view(np.uint64), theirs.matrix.view(np.uint64))
+            continue
+        assert mine == theirs, field.name
+        if field.name == "metric_records":
+            values = [np.array([rec.value for rec in records]) for records in (mine, theirs)]
+            assert values[0].tobytes() == values[1].tobytes()
 
 
 @pytest.mark.parametrize("damage", MISSES.values(), ids=MISSES.keys())
